@@ -1,40 +1,49 @@
-//! Calendar-queue/heap hybrid for the event engine's hot path.
+//! Calendar queue for the event engine's hot path.
 //!
 //! The simulator's pending-event set is dominated by near-future events
 //! (packet arrivals and port-free events a few hundred nanoseconds out)
 //! plus a thin tail of far-future timers (RTOs, deadlines seconds away). A
 //! global binary heap pays `O(log n)` per operation on everything; this
 //! queue gives the near-future majority `O(1)` inserts by spreading them
-//! over a wheel of time buckets, and only the current bucket — a handful
-//! of events — lives in a heap.
+//! over a wheel of time buckets, and orders only the current bucket — a
+//! handful of events — once, when the wheel reaches it.
 //!
 //! Layout, from soonest to latest:
 //!
-//! * `cur`: min-heap of every pending event before `cur_start + WIDTH`
-//!   (the *current bucket*). `peek`/`pop` only ever touch this heap.
+//! * `cur`: every pending event before `cur_start + WIDTH` (the *current
+//!   bucket*), as a `SortedWindow`: a run sorted once per rotation and
+//!   popped from its end, plus a side heap for inserts that land inside
+//!   the window while it drains. `next_key`/`pop` only ever touch `cur`,
+//!   and on the common path are a `Vec::last`/`Vec::pop`.
 //! * `buckets`: a power-of-two wheel of unsorted `Vec`s covering
 //!   `[cur_start + WIDTH, cur_start + WIDTH * NBUCKETS)`; slot =
-//!   `(at / WIDTH) % NBUCKETS`. Inserts are a push; a bucket is heapified
-//!   wholesale (O(n)) only when the wheel rotates onto it.
+//!   `(at / WIDTH) % NBUCKETS`. Inserts are a push; a bucket is sorted
+//!   wholesale only when the wheel rotates onto it, and the run it replaces
+//!   hands its (drained) storage back to the slot, so steady-state
+//!   rotations allocate nothing.
 //! * `overflow`: min-heap for everything at or past the wheel horizon.
 //!   Entries migrate onto the wheel as the horizon advances past them.
 //!
 //! Ordering contract — the part determinism rests on: keys are `(at, seq)`
 //! with `seq` a unique insertion counter, and `pop` returns entries in
-//! exactly ascending `(at, seq)` order, byte-for-byte the order the old
-//! global `BinaryHeap` produced. The structure only changes *where* an
-//! entry waits, never how ties break: same-`at` entries always share a
-//! bucket window, so they meet again in `cur` before either can be popped.
+//! exactly ascending `(at, seq)` order, byte-for-byte the order one global
+//! binary heap over `Reverse<(at, seq)>` produces
+//! (`tests/equeue_equivalence.rs` holds the two side by side). The
+//! structure only changes *where* an entry waits, never how ties break:
+//! same-`at` entries always share a bucket window, so they meet again in
+//! `cur` before either can be popped, and `cur` orders by the full key
+//! whichever of its two containers an entry sits in.
 //!
 //! The bucket width adapts to the pending-event density (deterministically:
 //! the triggers are pure functions of the operation sequence). Sustained
 //! crowded rotations — the >20k-pending incast regime, where a fixed-width
-//! bucket would hold hundreds of entries and every pop pays a deep heap —
-//! halve the width; long runs of empty rotations double it back. A width
-//! change re-buckets all pending entries in one O(n) pass and is rare by
-//! hysteresis; it never affects pop order.
+//! bucket would hold hundreds of entries and every rotation pays a big
+//! sort — halve the width; long runs of empty rotations double it back. A
+//! width change re-buckets all pending entries in one O(n) pass and is
+//! rare by hysteresis; it never affects pop order.
 
 use crate::time::Nanos;
+use crate::window::{Entry, SortedWindow};
 use std::collections::BinaryHeap;
 
 /// log2 of the starting bucket width: 1024 ns per bucket.
@@ -45,7 +54,7 @@ const MAX_WIDTH_LOG2: u32 = 20;
 /// Wheel size (power of two): horizon = width * NBUCKETS (≈1 ms at the
 /// default width).
 const NBUCKETS: usize = 1024;
-/// A rotation heapifying more entries than this counts as crowded.
+/// A rotation sorting more entries than this counts as crowded.
 const CROWDED_BUCKET: usize = 64;
 /// Consecutive crowded rotations before the width halves.
 const SHRINK_AFTER: u32 = 8;
@@ -55,47 +64,14 @@ const SHRINK_AFTER: u32 = 8;
 /// bucket is the hysteresis that keeps mixed workloads still.
 const GROW_WINDOW: u32 = 4096;
 
-struct Entry<T> {
-    at: Nanos,
-    seq: u64,
-    item: T,
-}
-
-impl<T> Entry<T> {
-    fn key(&self) -> (Nanos, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, o: &Self) -> bool {
-        self.key() == o.key()
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-// Reversed on purpose: `BinaryHeap<Entry>` is a max-heap, so inverting the
-// key comparison turns it into the min-queue we need without a `Reverse`
-// wrapper — which lets `BinaryHeap::from(bucket_vec)` heapify a bucket's
-// storage in place, allocation-free.
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        o.key().cmp(&self.key())
-    }
-}
-
 /// Deterministic timer queue keyed on `(time, seq)`; see module docs.
 pub struct EventQueue<T> {
     /// log2 of the current bucket width (adaptive; see module docs).
     width_log2: u32,
     /// Start of the current bucket's window; multiple of the width.
     cur_start: Nanos,
-    /// Min-heap of all entries with `at < cur_start + width`.
-    cur: BinaryHeap<Entry<T>>,
+    /// All entries with `at < cur_start + width`, earliest first.
+    cur: SortedWindow<T>,
     buckets: Vec<Vec<Entry<T>>>,
     /// Total entries across `buckets`.
     in_buckets: usize,
@@ -104,13 +80,12 @@ pub struct EventQueue<T> {
     peak_len: usize,
     /// Consecutive crowded rotations (shrink trigger).
     crowded_rotations: u32,
-    /// Rotations and total entries heapified in the current grow-evaluation
+    /// Rotations and total entries sorted in the current grow-evaluation
     /// window.
     window_rotations: u32,
     window_rotated: u64,
-    /// Largest bucket ever heapified in one rotation — the structure's
-    /// actual per-pop heap depth exposure, which adaptation exists to
-    /// bound.
+    /// Largest bucket ever sorted in one rotation — the structure's actual
+    /// per-rotation sort exposure, which adaptation exists to bound.
     peak_rotated: usize,
 }
 
@@ -125,7 +100,7 @@ impl<T> EventQueue<T> {
         EventQueue {
             width_log2: DEFAULT_WIDTH_LOG2,
             cur_start: 0,
-            cur: BinaryHeap::new(),
+            cur: SortedWindow::new(),
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
             in_buckets: 0,
             overflow: BinaryHeap::new(),
@@ -156,7 +131,7 @@ impl<T> EventQueue<T> {
         self.width_log2
     }
 
-    /// Largest single-rotation heapify so far — bounded by adaptation even
+    /// Largest single-rotation sort so far — bounded by adaptation even
     /// when tens of thousands of events are pending.
     pub fn peak_rotated(&self) -> usize {
         self.peak_rotated
@@ -202,7 +177,7 @@ impl<T> EventQueue<T> {
         // `cur` must be re-placed too: when the width shrinks, entries it
         // holds beyond the new window would otherwise be popped ahead of
         // earlier entries that later inserts put in the buckets in between.
-        all.extend(std::mem::take(&mut self.cur));
+        self.cur.drain_into(&mut all);
         for b in &mut self.buckets {
             all.append(b);
         }
@@ -224,15 +199,14 @@ impl<T> EventQueue<T> {
     /// Timestamp of the earliest pending entry. `&mut` because reaching the
     /// next entry may rotate the wheel (a reorganization, not a removal).
     pub fn next_at(&mut self) -> Option<Nanos> {
-        self.advance();
-        self.cur.peek().map(|e| e.at)
+        self.next_key().map(|(at, _)| at)
     }
 
     /// Full `(at, seq)` key of the earliest pending entry — what lets a
     /// shard merge this queue with its timer wheel into one total order.
     pub fn next_key(&mut self) -> Option<(Nanos, u64)> {
         self.advance();
-        self.cur.peek().map(|e| e.key())
+        self.cur.next_key()
     }
 
     /// Removes and returns the earliest entry as `(at, seq, item)`.
@@ -255,10 +229,9 @@ impl<T> EventQueue<T> {
                 self.in_buckets -= v.len();
                 let rotated = v.len();
                 self.peak_rotated = self.peak_rotated.max(rotated);
-                // Heapify in place and hand the drained heap's storage back
-                // to the slot so bucket capacity is recycled.
-                let old = std::mem::replace(&mut self.cur, BinaryHeap::from(v));
-                self.buckets[idx] = old.into_vec();
+                // Sort in place and hand the drained run's storage back to
+                // the slot so bucket capacity is recycled.
+                self.buckets[idx] = self.cur.load(v);
                 self.migrate_overflow();
                 self.adapt(rotated);
             } else {
@@ -273,7 +246,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Width adaptation, fed one rotation's bucket size. Sustained crowded
-    /// rotations halve the width (deep per-pop heaps otherwise); a window
+    /// rotations halve the width (big per-rotation sorts otherwise); a window
     /// averaging under one entry per rotated bucket doubles it back (the
     /// rotations are mostly wasted work).
     fn adapt(&mut self, rotated: usize) {
@@ -306,12 +279,7 @@ impl<T> EventQueue<T> {
         let horizon = self.horizon();
         while self.overflow.peek().is_some_and(|e| e.at < horizon) {
             let e = self.overflow.pop().expect("peeked");
-            if e.at < self.cur_start + self.width() {
-                self.cur.push(e);
-            } else {
-                self.buckets[(e.at >> self.width_log2) as usize & (NBUCKETS - 1)].push(e);
-                self.in_buckets += 1;
-            }
+            self.place(e);
         }
     }
 }
@@ -319,6 +287,13 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> EventQueue<T> {
+        /// Capacity, in entries, of the current window and every bucket.
+        fn storage(&self) -> usize {
+            self.cur.capacity() + self.buckets.iter().map(Vec::capacity).sum::<usize>()
+        }
+    }
 
     /// Drains `q` and checks strict ascending (at, seq) order.
     fn drain_sorted(q: &mut EventQueue<u32>) -> Vec<(Nanos, u64)> {
@@ -410,9 +385,13 @@ mod tests {
 
     /// The >20k-pending incast regime: sustained density far above the
     /// default bucket capacity. The width must shrink (deterministically),
-    /// per-rotation heapifies must stay bounded instead of scaling with the
+    /// per-rotation sorts must stay bounded instead of scaling with the
     /// pending count — the structural guarantee behind non-super-linear
     /// cost — and the pop order must still exactly match a reference sort.
+    /// Every fourth pop also schedules a late insert into the current
+    /// window, so the sorted run *and* its side heap are in play; once the
+    /// churn is steady neither they nor the buckets may grow (the run hands
+    /// its buffer back to the slot it drained, the side heap keeps its own).
     #[test]
     fn dense_churn_adapts_width_and_bounds_rotations() {
         let mut q = EventQueue::new();
@@ -430,13 +409,26 @@ mod tests {
         // keeping the pending set at 30k while the wheel rotates through
         // the dense region.
         let mut popped = Vec::new();
-        for _ in 0..100_000 {
-            let (at, s, _) = q.pop().unwrap();
+        let mut steady_storage = 0;
+        for i in 0..100_000 {
+            if i == 50_000 {
+                steady_storage = q.storage();
+            }
+            let (at, s, late) = q.pop().unwrap();
             popped.push((at, s));
+            if late == 0 {
+                continue; // a late insert has no successor
+            }
             seq += 1;
             q.insert(at + span, seq, seq as u32);
             reference.push((at + span, seq));
+            if i % 4 == 0 {
+                seq += 1;
+                q.insert(at + 1, seq, 0);
+                reference.push((at + 1, seq));
+            }
         }
+        assert_eq!(q.storage(), steady_storage, "steady churn must recycle storage, not grow it");
         while let Some((at, s, _)) = q.pop() {
             popped.push((at, s));
         }
@@ -449,7 +441,7 @@ mod tests {
         );
         assert!(
             q.peak_rotated() < 2_048,
-            "per-rotation heapify must stay bounded with 30k pending, saw {}",
+            "per-rotation sort must stay bounded with 30k pending, saw {}",
             q.peak_rotated()
         );
     }

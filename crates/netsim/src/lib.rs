@@ -41,6 +41,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 pub mod twheel;
+mod window;
 
 pub use dcp_telemetry::RetxCause;
 pub use endpoint::{deliver, pull_owned, Completion, CompletionKind, Endpoint, EndpointCtx};

@@ -222,22 +222,26 @@ impl Shard {
         self.next_key().map(|(at, _)| at)
     }
 
-    /// Pops the shard's globally earliest event — the merged order is
-    /// byte-identical to the historical single-queue order because both
-    /// structures key on the same `(at, seq)` space.
+    /// Pops the shard's globally earliest event if it is due at or before
+    /// `limit` ([`IDLE`] pops whatever is next) — one look at each
+    /// structure's minimum decides both *whether* and *where from*. The
+    /// merged order is byte-identical to the historical single-queue order
+    /// because both structures key on the same `(at, seq)` space.
     #[inline]
-    pub(crate) fn pop_next(&mut self) -> Option<(Nanos, u64, Event)> {
-        match (self.queue.next_key(), self.twheel.next_key()) {
-            (Some(q), Some(t)) => {
-                if t < q {
-                    self.twheel.pop()
-                } else {
-                    self.queue.pop()
-                }
-            }
-            (Some(_), None) => self.queue.pop(),
-            (None, Some(_)) => self.twheel.pop(),
-            (None, None) => None,
+    pub(crate) fn pop_due(&mut self, limit: Nanos) -> Option<(Nanos, u64, Event)> {
+        let (q, t) = (self.queue.next_key(), self.twheel.next_key());
+        let from_wheel = match (q, t) {
+            (Some(q), Some(t)) => t < q,
+            (q, _) => q.is_none(),
+        };
+        let (at, _) = if from_wheel { t } else { q }?;
+        if at > limit {
+            return None;
+        }
+        if from_wheel {
+            self.twheel.pop()
+        } else {
+            self.queue.pop()
         }
     }
 }
@@ -249,8 +253,12 @@ impl Shard {
 /// by exactly one worker per window, so concurrent `node_mut` calls are
 /// disjoint **provided handlers never touch other nodes** — which is the
 /// engine's standing invariant (see `sim` module docs: handlers only emit
-/// `(time, Event)` pairs through `NodeCtx`). Cross-node effects (cable
-/// flips, switch failure) are serial-only control-plane paths.
+/// `(time, Event)` pairs through `NodeCtx`). A handler runs on the
+/// `&mut Node` this view hands out, in place, for the whole call; that
+/// reference stays unique because a `NodeCtx` carries no path back to the
+/// view, so nothing a handler can reach can mint a second one. Cross-node
+/// effects (cable flips, switch failure) are serial-only control-plane
+/// paths.
 #[derive(Clone, Copy)]
 pub(crate) struct NodesView {
     ptr: *mut Node,
@@ -290,50 +298,35 @@ pub(crate) struct EngineShared<'a> {
 /// Runs shard `ix` through one window: every pending event strictly before
 /// `w_end` (including ones the shard emits to itself inside the window).
 pub(crate) fn run_window(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>, w_end: Nanos) {
-    while shard.next_at().is_some_and(|at| at < w_end) {
-        process_next(shard, ix, sh);
-    }
+    debug_assert!(w_end > 0, "a window ends after the event that opened it");
+    while process_next(shard, ix, sh, w_end - 1).is_some() {}
 }
 
-/// Pops and dispatches the shard's earliest event; returns its timestamp.
-pub(crate) fn process_next(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>) -> Nanos {
-    let (at, _seq, ev) = shard.pop_next().expect("process_next on empty shard queue");
+/// Pops and dispatches the shard's earliest event if it is due at or before
+/// `limit`; returns its timestamp.
+pub(crate) fn process_next(
+    shard: &mut Shard,
+    ix: usize,
+    sh: &EngineShared<'_>,
+    limit: Nanos,
+) -> Option<Nanos> {
+    let (at, _seq, ev) = shard.pop_due(limit)?;
     debug_assert!(at >= shard.now);
     shard.now = at;
     shard.events += 1;
     let node_id = ev.node().expect("Control events never enter shard queues in sharded mode");
     if let Event::PacketArrive { node, port, pkt } = ev {
         if sh.plane.is_some() && fault_intercept(shard, ix, sh, node, port, pkt) {
-            return at;
+            return Some(at);
         }
     }
-    dispatch(shard, ix, sh, node_id, ev);
-    at
+    with_shard_node(shard, ix, sh, node_id, |node, ctx| node.handle(ev, ctx));
+    Some(at)
 }
 
-/// The event → handler mapping, identical to the serial engine's.
-fn dispatch(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>, node_id: NodeId, ev: Event) {
-    with_shard_node(shard, ix, sh, node_id, |node, ctx| match (node, ev) {
-        (Node::Host(h), Event::PacketArrive { pkt, .. }) => h.on_packet(pkt, ctx),
-        (Node::Host(h), Event::PortFree { .. }) => h.on_port_free(ctx),
-        (Node::Host(h), Event::Pfc { pause, .. }) => h.on_pfc(pause, ctx),
-        (Node::Host(h), Event::EndpointTimer { slot, gen, token, .. }) => {
-            h.on_timer(slot, gen, token, ctx)
-        }
-        (Node::Switch(sw), Event::PacketArrive { port, pkt, .. }) => sw.on_packet(port, pkt, ctx),
-        (Node::Switch(sw), Event::PortFree { port, .. }) => sw.on_port_free(port, ctx),
-        (Node::Switch(sw), Event::Pfc { port, pause, .. }) => sw.on_pfc(port, pause, ctx),
-        (Node::Switch(_), Event::EndpointTimer { .. }) => {
-            unreachable!("switches have no endpoints")
-        }
-        (_, Event::Control { .. }) => unreachable!("Control handled before dispatch"),
-        (Node::Empty, _) => unreachable!("event for node under processing"),
-    });
-}
-
-/// Shard-local `with_node`: runs `f` on a node this shard owns, with the
-/// shard's pool/RNG/completions, then routes every emitted event — same
-/// shard straight into the queue, cross-shard into a mailbox.
+/// Shard-local `with_node`: runs `f` in place on a node this shard owns,
+/// with the shard's pool/RNG/completions, then routes every emitted event —
+/// same shard straight into the queue, cross-shard into a mailbox.
 pub(crate) fn with_shard_node(
     shard: &mut Shard,
     ix: usize,
@@ -343,9 +336,11 @@ pub(crate) fn with_shard_node(
 ) {
     debug_assert_eq!(sh.node_shard[id.0 as usize] as usize, ix, "node walked by wrong shard");
     // SAFETY: `id` belongs to shard `ix` (asserted above) and this shard is
-    // walked by exactly one worker; handlers never touch other nodes.
-    let slot = unsafe { sh.view.node_mut(id.0 as usize) };
-    let mut node = std::mem::replace(slot, Node::Empty);
+    // walked by exactly one worker, so no other thread derives a reference
+    // to this node; on this thread `f` sees only the node and a `NodeCtx`
+    // over the shard's own fields (handlers never touch other nodes), so
+    // the reference is unique until `f` returns.
+    let node = unsafe { sh.view.node_mut(id.0 as usize) };
     let mut out = std::mem::take(&mut shard.scratch);
     {
         let mut ctx = NodeCtx {
@@ -356,10 +351,8 @@ pub(crate) fn with_shard_node(
             completions: &mut shard.completions,
             probe: sh.probe_on.then_some(&mut shard.bufp as &mut dyn Probe),
         };
-        f(&mut node, &mut ctx);
+        f(node, &mut ctx);
     }
-    // SAFETY: same slot as above; `f` has returned so no aliasing borrow.
-    *unsafe { sh.view.node_mut(id.0 as usize) } = node;
     for (at, ev) in out.drain(..) {
         route_emission(shard, ix, sh, at, ev);
     }
@@ -423,7 +416,8 @@ fn fault_intercept(
     port: PortId,
     pkt: PktRef,
 ) -> bool {
-    if shard.fault_immune.remove(&pkt) {
+    // Empty unless an adversary issued a Delay/Reorder/Duplicate.
+    if !shard.fault_immune.is_empty() && shard.fault_immune.remove(&pkt) {
         return false;
     }
     let verdict = match sh.plane {
@@ -569,20 +563,21 @@ impl Simulator {
         if let Some(w) = self.serial_window {
             let (shards, sh) = self.engine_core();
             let mut cursor = w.cursor;
+            let last = w.w_end - 1;
             while cursor < sh.n {
-                match shards[cursor].next_at() {
-                    Some(at) if at < w.w_end => {
-                        if at > limit {
-                            self.serial_window = Some(SerialWindow { w_end: w.w_end, cursor });
-                            return StepOut::Limited;
-                        }
-                        let t = process_next(&mut shards[cursor], cursor, &sh);
-                        self.serial_window = Some(SerialWindow { w_end: w.w_end, cursor });
-                        self.clock = self.clock.max(t);
-                        return StepOut::Event(t);
-                    }
-                    _ => cursor += 1,
+                let shard = &mut shards[cursor];
+                if let Some(t) = process_next(shard, cursor, &sh, limit.min(last)) {
+                    self.serial_window = Some(SerialWindow { w_end: w.w_end, cursor });
+                    self.clock = self.clock.max(t);
+                    return StepOut::Event(t);
                 }
+                // Nothing due: either the caller's limit cut the window
+                // short here, or this shard is done with it.
+                if limit < last && shard.next_at().is_some_and(|at| at <= last) {
+                    self.serial_window = Some(SerialWindow { w_end: w.w_end, cursor });
+                    return StepOut::Limited;
+                }
+                cursor += 1;
             }
             // Window exhausted: deliver mail everywhere, flush probes.
             for (ix, shard) in shards.iter_mut().enumerate().take(sh.n) {
@@ -895,7 +890,6 @@ impl Simulator {
                         }
                     }
                 }
-                Node::Empty => {}
             }
         }
         if la == 0 {

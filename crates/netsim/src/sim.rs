@@ -103,8 +103,32 @@ impl NodeCtx<'_> {
 pub enum Node {
     Host(Host),
     Switch(Switch),
-    /// Transient placeholder while a node is being processed.
-    Empty,
+}
+
+impl Node {
+    /// The event → handler mapping, shared by the serial and the sharded
+    /// engine. Runs on the node in place: handlers reach the rest of the
+    /// world only through `ctx`, never through another node.
+    #[inline]
+    pub(crate) fn handle(&mut self, ev: Event, ctx: &mut NodeCtx) {
+        match (self, ev) {
+            (Node::Host(h), Event::PacketArrive { pkt, .. }) => h.on_packet(pkt, ctx),
+            (Node::Host(h), Event::PortFree { .. }) => h.on_port_free(ctx),
+            (Node::Host(h), Event::Pfc { pause, .. }) => h.on_pfc(pause, ctx),
+            (Node::Host(h), Event::EndpointTimer { slot, gen, token, .. }) => {
+                h.on_timer(slot, gen, token, ctx)
+            }
+            (Node::Switch(sw), Event::PacketArrive { port, pkt, .. }) => {
+                sw.on_packet(port, pkt, ctx)
+            }
+            (Node::Switch(sw), Event::PortFree { port, .. }) => sw.on_port_free(port, ctx),
+            (Node::Switch(sw), Event::Pfc { port, pause, .. }) => sw.on_pfc(port, pause, ctx),
+            (Node::Switch(_), Event::EndpointTimer { .. }) => {
+                unreachable!("switches have no endpoints")
+            }
+            (_, Event::Control { .. }) => unreachable!("Control handled before dispatch"),
+        }
+    }
 }
 
 /// The simulator: owns all nodes, the engine shards and the control plane.
@@ -379,14 +403,16 @@ impl Simulator {
         }
     }
 
-    /// Serial (non-window) node access: control-plane paths, `post`/`kick`
-    /// from harness code, cable flips. Uses the owning shard's pool/RNG and
-    /// routes emissions across shards directly (no mailboxes — this runs
-    /// with exclusive access to everything).
+    /// Serial node access: the one-shard event loop, control-plane paths,
+    /// `post`/`kick` from harness code, cable flips. Runs `f` on the node in
+    /// place (`nodes`, `shards` and `probe` are disjoint fields, so the
+    /// borrows split) with the owning shard's pool/RNG. With one shard the
+    /// emissions go straight into its queue; a sharded simulator routes them
+    /// across shards directly (no mailboxes — this runs with exclusive
+    /// access to everything).
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut Node, &mut NodeCtx)) {
         let s = self.shard_of(id);
         let sharded = self.shards.len() > 1;
-        let mut node = std::mem::replace(&mut self.nodes[id.0 as usize], Node::Empty);
         let shard = &mut self.shards[s];
         let mut out = std::mem::take(&mut shard.scratch);
         {
@@ -408,11 +434,16 @@ impl Simulator {
                 completions: &mut shard.completions,
                 probe,
             };
-            f(&mut node, &mut ctx);
+            f(&mut self.nodes[id.0 as usize], &mut ctx);
         }
-        self.nodes[id.0 as usize] = node;
-        for (at, ev) in out.drain(..) {
-            self.serial_insert(s, at, ev);
+        if sharded {
+            for (at, ev) in out.drain(..) {
+                self.serial_insert(s, at, ev);
+            }
+        } else {
+            for (at, ev) in out.drain(..) {
+                shard.schedule(at, ev);
+            }
         }
         self.shards[s].scratch = out;
     }
@@ -450,8 +481,10 @@ impl Simulator {
     /// lives in [`crate::shard`].
     fn fault_intercept_single(&mut self, node: NodeId, port: PortId, pkt: PktRef) -> bool {
         // A handle re-scheduled by an earlier Delay/Reorder/Duplicate
-        // verdict arrives exactly once more, without a second ruling.
-        if self.shards[0].fault_immune.remove(&pkt) {
+        // verdict arrives exactly once more, without a second ruling. The
+        // set is empty unless an adversary issued one; skip the hash then.
+        let immune = &mut self.shards[0].fault_immune;
+        if !immune.is_empty() && immune.remove(&pkt) {
             return false;
         }
         let now = self.clock;
@@ -546,9 +579,10 @@ impl Simulator {
     }
 
     /// The exact pre-sharding event loop: one queue, events (including
-    /// controls) in `(at, seq)` order.
-    fn step_single(&mut self) -> Option<Nanos> {
-        let (at, _seq, ev) = self.shards[0].pop_next()?;
+    /// controls) in `(at, seq)` order. Processes the next event if it is
+    /// due at or before `limit` ([`IDLE`] for "whatever is next").
+    fn step_single(&mut self, limit: Nanos) -> Option<Nanos> {
+        let (at, _seq, ev) = self.shards[0].pop_due(limit)?;
         debug_assert!(at >= self.clock);
         self.clock = at;
         self.shards[0].now = at;
@@ -569,24 +603,7 @@ impl Simulator {
                 return Some(at);
             }
         }
-        self.with_node(node_id, |node, ctx| match (node, ev) {
-            (Node::Host(h), Event::PacketArrive { pkt, .. }) => h.on_packet(pkt, ctx),
-            (Node::Host(h), Event::PortFree { .. }) => h.on_port_free(ctx),
-            (Node::Host(h), Event::Pfc { pause, .. }) => h.on_pfc(pause, ctx),
-            (Node::Host(h), Event::EndpointTimer { slot, gen, token, .. }) => {
-                h.on_timer(slot, gen, token, ctx)
-            }
-            (Node::Switch(sw), Event::PacketArrive { port, pkt, .. }) => {
-                sw.on_packet(port, pkt, ctx)
-            }
-            (Node::Switch(sw), Event::PortFree { port, .. }) => sw.on_port_free(port, ctx),
-            (Node::Switch(sw), Event::Pfc { port, pause, .. }) => sw.on_pfc(port, pause, ctx),
-            (Node::Switch(_), Event::EndpointTimer { .. }) => {
-                unreachable!("switches have no endpoints")
-            }
-            (_, Event::Control { .. }) => unreachable!("Control handled before dispatch"),
-            (Node::Empty, _) => unreachable!("event for node under processing"),
-        });
+        self.with_node(node_id, |node, ctx| node.handle(ev, ctx));
         Some(at)
     }
 
@@ -597,7 +614,7 @@ impl Simulator {
     /// sharded run use worker threads.
     pub fn step(&mut self) -> Option<Nanos> {
         if self.shards.len() == 1 {
-            return self.step_single();
+            return self.step_single(IDLE);
         }
         loop {
             match self.step_sharded(IDLE) {
@@ -613,10 +630,7 @@ impl Simulator {
     /// returns `None` (without advancing) otherwise or when idle.
     pub fn step_bounded(&mut self, limit: Nanos) -> Option<Nanos> {
         if self.shards.len() == 1 {
-            return match self.shards[0].next_at() {
-                Some(at) if at <= limit => self.step_single(),
-                _ => None,
-            };
+            return self.step_single(limit);
         }
         loop {
             match self.step_sharded(limit) {
@@ -640,7 +654,7 @@ impl Simulator {
     /// the loop body observes them changes (and only for `shards > 1`).
     pub fn advance(&mut self) -> Option<Nanos> {
         if self.shards.len() == 1 {
-            return self.step_single();
+            return self.step_single(IDLE);
         }
         self.pump(None, true)
     }
@@ -657,12 +671,7 @@ impl Simulator {
     /// Runs until the queue is empty or the clock passes `t`.
     pub fn run_until(&mut self, t: Nanos) {
         if self.shards.len() == 1 {
-            while let Some(at) = self.shards[0].next_at() {
-                if at > t {
-                    break;
-                }
-                self.step_single();
-            }
+            while self.step_single(t).is_some() {}
             self.clock = self.clock.max(t);
             self.shards[0].now = self.shards[0].now.max(t);
             return;
@@ -677,22 +686,10 @@ impl Simulator {
     /// is printed to stderr — a stalled run leaves a trace, not a boolean.
     pub fn run_to_quiescence(&mut self, deadline: Nanos) -> bool {
         if self.shards.len() == 1 {
-            while let Some(at) = self.shards[0].next_at() {
-                if at > deadline {
-                    if let Some(dump) = self.flight_dump() {
-                        eprintln!(
-                            "run_to_quiescence: deadline {deadline} missed at t={} with {} pending events\n{dump}",
-                            self.clock,
-                            self.shards[0].pending(),
-                        );
-                    }
-                    return false;
-                }
-                self.step_single();
-            }
-            return true;
+            while self.step_single(deadline).is_some() {}
+        } else {
+            self.pump(Some(deadline), false);
         }
-        self.pump(Some(deadline), false);
         let pending = self.pending_events();
         if pending == 0 {
             return true;
@@ -878,14 +875,12 @@ impl Simulator {
         match &mut self.nodes[link.to.0 as usize] {
             Node::Host(h) => h.link_up = up,
             Node::Switch(s) => s.set_port_up(link.to_port, up),
-            Node::Empty => unreachable!("cable peer under processing"),
         }
         if up {
             self.kick_switch_port(sw, port);
             match &self.nodes[link.to.0 as usize] {
                 Node::Host(_) => self.kick(link.to),
                 Node::Switch(_) => self.kick_switch_port(link.to, link.to_port),
-                Node::Empty => unreachable!(),
             }
         }
     }
@@ -929,7 +924,6 @@ impl Simulator {
                 back.gbps = gbps;
                 back.delay = delay;
             }
-            Node::Empty => unreachable!("cable peer under processing"),
         }
     }
 

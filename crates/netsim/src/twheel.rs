@@ -6,15 +6,17 @@
 //! million far-future entries. Keeping them in the calendar queue
 //! ([`crate::equeue::EventQueue`]) makes every rotation and every width
 //! adaptation pay for state that almost never fires soon; this wheel gives
-//! timer arming O(1) pushes into power-of-two slots and only materializes a
-//! heap for the slice of time actually being executed.
+//! timer arming O(1) pushes into power-of-two slots and only orders the
+//! slice of time actually being executed.
 //!
 //! Layout, from soonest to latest:
 //!
-//! * `due`: min-heap of entries below `due_start + W0` (W0 = 2^12 ns). The
-//!   only structure `pop` touches directly. Late inserts (an endpoint
-//!   arming a timer closer than the wheel origin) land here too — a heap
-//!   absorbs them in order without any structural motion.
+//! * `due`: every entry below `due_start + W0` (W0 = 2^12 ns), as the same
+//!   `SortedWindow` the calendar queue's current bucket uses: a level-0
+//!   slot is sorted once when the origin reaches it and popped from its
+//!   end. The only structure `pop` touches directly. Late inserts (an
+//!   endpoint arming a timer closer than the wheel origin) land here too —
+//!   the window absorbs them in order without any structural motion.
 //! * `levels`: [`LEVELS`] levels of 64 slots; level `l` buckets entries by
 //!   bits `[12 + 6l, 12 + 6(l+1))` of their timestamp. An entry lives at
 //!   the *highest* level where its slot digit differs from `due_start`'s,
@@ -29,12 +31,13 @@
 //! order.
 //!
 //! `next_key` is `&self` and exact: the wheel maintains `cached_min`
-//! (lowered on insert, recomputed from `due` after pop). The wheel origin
+//! (lowered on insert, re-read from `due` after pop). The wheel origin
 //! only advances inside `pop` — peeking never reorganizes, so an engine
 //! that polls `next_key` every step cannot drag `due_start` ahead of
-//! simulation time and degrade near-future inserts into the heap.
+//! simulation time and degrade near-future inserts into late inserts.
 
 use crate::time::Nanos;
+use crate::window::{Entry, SortedWindow};
 use std::collections::BinaryHeap;
 
 /// log2 of the due-window width: 4096 ns.
@@ -63,45 +66,13 @@ fn top(at: Nanos) -> Nanos {
     at >> shift(LEVELS)
 }
 
-struct Entry<T> {
-    at: Nanos,
-    seq: u64,
-    item: T,
-}
-
-impl<T> Entry<T> {
-    fn key(&self) -> (Nanos, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, o: &Self) -> bool {
-        self.key() == o.key()
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-// Reversed: `BinaryHeap<Entry>` becomes a min-queue, and `BinaryHeap::from`
-// can heapify a slot's `Vec` storage in place (same trick as the calendar
-// queue).
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        o.key().cmp(&self.key())
-    }
-}
-
 /// Deterministic hierarchical timer wheel keyed on `(time, seq)`; see
 /// module docs.
 pub struct TimerWheel<T> {
     /// Wheel origin, W0-aligned. Every level/overflow entry is at or past
     /// `due_start + W0`; `due` holds everything earlier.
     due_start: Nanos,
-    due: BinaryHeap<Entry<T>>,
+    due: SortedWindow<T>,
     levels: Vec<Vec<Vec<Entry<T>>>>,
     /// Per-level slot-occupancy bitmaps.
     occ: [u64; LEVELS],
@@ -122,7 +93,7 @@ impl<T> TimerWheel<T> {
     pub fn new() -> Self {
         TimerWheel {
             due_start: 0,
-            due: BinaryHeap::new(),
+            due: SortedWindow::new(),
             levels: (0..LEVELS).map(|_| (0..SLOTS).map(|_| Vec::new()).collect()).collect(),
             occ: [0; LEVELS],
             overflow: BinaryHeap::new(),
@@ -205,7 +176,7 @@ impl<T> TimerWheel<T> {
         if self.due.is_empty() && self.len > 0 {
             self.advance();
         }
-        self.cached_min = self.due.peek().map(|d| d.key());
+        self.cached_min = self.due.next_key();
         debug_assert_eq!(self.cached_min.is_none(), self.len == 0);
         Some((e.at, e.seq, e.item))
     }
@@ -235,10 +206,8 @@ impl<T> TimerWheel<T> {
             let v = std::mem::take(&mut self.levels[l][s]);
             if l == 0 {
                 // The whole slot is the new due window [due_start,
-                // due_start + W0): heapify in place, recycle the storage.
-                debug_assert!(self.due.is_empty());
-                let old = std::mem::replace(&mut self.due, BinaryHeap::from(v));
-                self.levels[0][s] = old.into_vec();
+                // due_start + W0): sort in place, recycle the storage.
+                self.levels[0][s] = self.due.load(v);
             } else {
                 // Re-place one level down (placement is order-agnostic:
                 // every destination orders by the unique `(at, seq)` key),
@@ -343,7 +312,7 @@ mod tests {
 
     /// A pop may advance the origin past a later insert's timestamp; such
     /// late inserts must still come out in exact order (they ride the due
-    /// heap).
+    /// window).
     #[test]
     fn late_inserts_after_origin_advance() {
         let mut w = TimerWheel::new();
@@ -358,6 +327,98 @@ mod tests {
         assert_eq!(w.pop().map(|(at, seq, _)| (at, seq)), Some((10_000_050, 3)));
         assert_eq!(w.pop().map(|(at, seq, _)| (at, seq)), Some((10_000_100, 2)));
         assert_eq!(w.pop().map(|(at, seq, _)| (at, seq)), Some((12_000_000, 4)));
+    }
+
+    /// The wheel and a reference `BinaryHeap<Reverse<(at, seq)>>` driven in
+    /// lock-step: every pop (and the peek before it) must agree.
+    struct Lockstep {
+        model: BinaryHeap<std::cmp::Reverse<(Nanos, u64)>>,
+        wheel: TimerWheel<()>,
+        seq: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep { model: BinaryHeap::new(), wheel: TimerWheel::new(), seq: 0 }
+        }
+
+        fn insert(&mut self, at: Nanos) {
+            self.seq += 1;
+            self.model.push(std::cmp::Reverse((at, self.seq)));
+            self.wheel.insert(at, self.seq, ());
+        }
+
+        fn pop(&mut self) -> Nanos {
+            let std::cmp::Reverse(want) = self.model.pop().expect("pop on an empty pair");
+            assert_eq!(self.wheel.next_key(), Some(want));
+            assert_eq!(self.wheel.pop().map(|(at, seq, ())| (at, seq)), Some(want));
+            want.0
+        }
+
+        fn drain(&mut self) {
+            while !self.model.is_empty() {
+                self.pop();
+            }
+            assert!(self.wheel.is_empty() && self.wheel.next_key().is_none());
+        }
+    }
+
+    /// 100 k timers at one instant fire in `seq` order — with the instant
+    /// in a future slot (one sort when the origin reaches it) and inside
+    /// the live due window (every arm is a late insert; a naive sorted
+    /// insert would be quadratic).
+    #[test]
+    fn same_instant_flood_matches_reference_heap() {
+        for warm in [false, true] {
+            let mut p = Lockstep::new();
+            if warm {
+                p.insert(1_000_000);
+                p.pop();
+            }
+            for _ in 0..100_000 {
+                p.insert(1_000_000);
+            }
+            p.drain();
+        }
+    }
+
+    /// Every arm lands inside an already-crowded due window: ascending in
+    /// time (behind the sorted run's tail), then descending (ahead of it),
+    /// then below the origin after a pop moved it ahead of the clock.
+    #[test]
+    fn late_inserts_into_a_crowded_due_window() {
+        let mut p = Lockstep::new();
+        // 2 000 timers in one level-0 slot, [40960, 45056).
+        for i in 0..2_000u64 {
+            p.insert(40_960 + (i * 7) % 4_096);
+        }
+        let mut now = p.pop(); // origin moves onto the crowded slot
+        for i in 0..500 {
+            p.insert(now + 1 + i * 5);
+        }
+        for _ in 0..700 {
+            now = p.pop();
+        }
+        for at in (now..now + 500).rev() {
+            p.insert(at);
+        }
+        for _ in 0..400 {
+            p.pop();
+            let now = p.pop();
+            p.insert(now);
+            p.insert(now + 1);
+        }
+        p.drain();
+        // Popping the 50 ms timer primes `due` from the 90 ms one, so the
+        // origin runs 40 ms ahead of the clock; everything armed in between
+        // is below `due_start` and rides the due window.
+        p.insert(50_000_000);
+        p.insert(90_000_000);
+        let now = p.pop();
+        for i in 0..1_000u64 {
+            p.insert(now + (i * 7_919) % 3_000_000);
+        }
+        p.drain();
     }
 
     /// next_key never reorganizes: a far-future minimum peeked many times

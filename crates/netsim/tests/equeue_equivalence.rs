@@ -69,6 +69,151 @@ fn matches_old_heap_on_randomized_schedule() {
     assert!(queue.pop().is_none());
 }
 
+/// The calendar queue and the reference heap driven in lock-step: every
+/// pop must agree on `(at, seq, item)`.
+struct Pair {
+    model: BinaryHeap<Reverse<Scheduled>>,
+    queue: EventQueue<u32>,
+    seq: u64,
+    /// Timestamp of the last pop; inserts may not precede it.
+    now: u64,
+}
+
+impl Pair {
+    fn new() -> Self {
+        Pair { model: BinaryHeap::new(), queue: EventQueue::new(), seq: 0, now: 0 }
+    }
+
+    fn insert(&mut self, at: u64) {
+        assert!(at >= self.now, "test bug: insert at {at} precedes the clock {}", self.now);
+        self.seq += 1;
+        let s = Scheduled { at, seq: self.seq, item: self.seq as u32 };
+        self.model.push(Reverse(s));
+        self.queue.insert(s.at, s.seq, s.item);
+    }
+
+    fn pop(&mut self) -> u64 {
+        let Reverse(want) = self.model.pop().expect("pop on an empty pair");
+        assert_eq!(Some((want.at, want.seq, want.item)), self.queue.pop());
+        self.now = want.at;
+        want.at
+    }
+
+    fn drain(&mut self) {
+        while !self.model.is_empty() {
+            self.pop();
+        }
+        assert!(self.queue.pop().is_none() && self.queue.is_empty());
+    }
+}
+
+/// 100 k entries at one instant come out in `seq` order — once with the
+/// instant in a future bucket (one big rotation sort) and once with it
+/// inside the live current window (every insert is a late insert; a naive
+/// sorted insert would be quadratic here).
+#[test]
+fn same_instant_flood_breaks_ties_by_seq() {
+    for warm in [false, true] {
+        let mut p = Pair::new();
+        if warm {
+            // Rotate the wheel onto the instant's window first.
+            p.insert(5_000);
+            p.pop();
+        }
+        for _ in 0..100_000 {
+            p.insert(5_000);
+        }
+        p.drain();
+    }
+}
+
+/// Every insert lands inside an already-crowded current window, first
+/// ascending in time (behind the run's tail: the side heap) and then
+/// descending (ahead of it: appended to the run).
+#[test]
+fn late_inserts_into_a_crowded_window_ascending_and_descending() {
+    let mut p = Pair::new();
+    // 600 entries in one default-width bucket, [2048, 3072).
+    for i in 0..600u64 {
+        p.insert(2_048 + (i * 7) % 1_024);
+    }
+    let now = p.pop(); // rotates onto the crowded bucket
+    for i in 0..300 {
+        p.insert(now + 1 + i * 3);
+    }
+    for _ in 0..200 {
+        p.pop();
+    }
+    let now = p.now;
+    for at in (now..now + 300).rev() {
+        p.insert(at);
+    }
+    // Interleave: pop two, insert one at the clock and one just ahead.
+    for _ in 0..200 {
+        p.pop();
+        let now = p.pop();
+        p.insert(now);
+        p.insert(now + 1);
+    }
+    p.drain();
+}
+
+/// The width halves (dense phase) and doubles back (sparse phase) while
+/// late inserts keep landing in the current window: a re-bucketing must
+/// re-place the window's own entries, whichever container they sat in.
+#[test]
+fn width_changes_with_late_inserts_in_flight() {
+    let mut p = Pair::new();
+    let start = p.queue.width_log2();
+    for i in 0..40_000u64 {
+        p.insert(i * 10); // ~100 entries per default-width bucket
+    }
+    let (mut halved, mut doubled) = (false, false);
+    let mut last = start;
+    for _ in 0..40_000 {
+        let now = p.pop();
+        // Two late inserts per pop, inside whatever the window now is.
+        p.insert(now + 3);
+        p.insert(now + 1);
+        p.pop();
+        p.pop();
+        let w = p.queue.width_log2();
+        halved |= w < last;
+        last = w;
+    }
+    assert!(halved, "the dense phase must halve the width (still {last})");
+    // Sparse phase: one entry per 2 µs, each followed by a late insert.
+    for _ in 0..40_000 {
+        p.insert(p.now + 2_000);
+        let now = p.pop();
+        p.insert(now + 5);
+        p.pop();
+        let w = p.queue.width_log2();
+        doubled |= w > last;
+        last = w;
+    }
+    assert!(doubled, "the sparse phase must double the width back (still {last})");
+    p.drain();
+}
+
+/// A peek rotates the wheel ahead of the clock; inserts below the new
+/// `cur_start` must still pop first, in order.
+#[test]
+fn inserts_below_cur_start_after_the_wheel_advanced() {
+    let mut p = Pair::new();
+    p.insert(10_000_000);
+    assert_eq!(p.queue.next_at(), Some(10_000_000)); // wheel is now ~10 ms ahead
+    for i in 0..2_000u64 {
+        p.insert((i * 7_919) % 9_000_000);
+    }
+    assert_eq!(p.queue.next_at(), Some(0));
+    for _ in 0..1_000 {
+        let now = p.pop();
+        p.insert(now + 40); // still far below cur_start
+    }
+    p.drain();
+}
+
 /// Not a correctness test: times both structures on an identical,
 /// simulator-like schedule (link-delay events ~1 µs out, a tail of
 /// RTO-class timers far out, working set ~1–2 k). Run manually with
@@ -140,4 +285,49 @@ fn timing_vs_old_heap() {
             (t_eq.as_secs_f64() / t_heap.as_secs_f64() - 1.0) * 100.0
         );
     }
+}
+
+/// Not a correctness test: 100 k same-instant inserts into the live current
+/// window, then a full drain — the shape that would be quadratic under a
+/// naive sorted insert. Must stay within 2× the reference heap.
+#[test]
+#[ignore]
+fn timing_same_instant_flood_vs_old_heap() {
+    use std::time::Instant;
+    const N: u64 = 100_000;
+    let mut best = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        for seq in 0..N {
+            heap.push(Reverse((5_000, seq)));
+        }
+        let mut acc = 0u64;
+        while let Some(Reverse((_, seq))) = heap.pop() {
+            acc = acc.wrapping_mul(31).wrapping_add(seq);
+        }
+        let t_heap = t0.elapsed().as_secs_f64();
+        let t1 = Instant::now();
+        let mut eq: EventQueue<()> = EventQueue::new();
+        // Rotate onto the instant's window first, so the flood is all late
+        // inserts rather than one rotation sort.
+        eq.insert(5_000, 0, ());
+        eq.pop();
+        for seq in 0..N {
+            eq.insert(5_000, seq, ());
+        }
+        let mut e_acc = 0u64;
+        while let Some((_, seq, ())) = eq.pop() {
+            e_acc = e_acc.wrapping_mul(31).wrapping_add(seq);
+        }
+        let t_eq = t1.elapsed().as_secs_f64();
+        assert_eq!(acc, e_acc, "both structures must drain in seq order");
+        best = (best.0.min(t_heap), best.1.min(t_eq));
+    }
+    println!(
+        "same-instant flood, best of 5: old heap {:.1} ns/entry, calendar {:.1} ns/entry",
+        best.0 * 1e9 / N as f64,
+        best.1 * 1e9 / N as f64
+    );
+    assert!(best.1 <= 2.0 * best.0, "calendar queue {:.3} s vs heap {:.3} s", best.1, best.0);
 }

@@ -55,10 +55,9 @@ enum Mode {
     Adversarial,
 }
 
-/// Runs the reference scenario with an explicit engine configuration and
-/// digests every completion, the fabric counters, the event count and the
-/// final clock. `shards = 1` leaves the engine unsharded.
-fn run_digest(seed: u64, mode: Mode, shards: usize, workers: usize) -> u64 {
+/// Builds the reference scenario with an explicit engine configuration,
+/// every message posted. `shards = 1` leaves the engine unsharded.
+fn build(seed: u64, mode: Mode, shards: usize, workers: usize) -> Simulator {
     let cfg = dcp_switch_config(LoadBalance::AdaptiveRouting, 6);
     let mut sim = Simulator::new(seed);
     sim.disable_auto_partition();
@@ -98,24 +97,41 @@ fn run_digest(seed: u64, mode: Mode, shards: usize, workers: usize) -> u64 {
             );
         }
     }
+    sim
+}
+
+/// Folds the completions surfaced since the last drain into `h`.
+fn fold_completions(sim: &mut Simulator, mut h: u64) -> u64 {
+    sim.for_each_completion(|c| {
+        h = fnv_u64(h, c.host.0 as u64);
+        h = fnv_u64(h, c.flow.0 as u64);
+        h = fnv_u64(h, c.wr_id);
+        h = fnv_u64(h, matches!(c.kind, CompletionKind::RecvComplete) as u64);
+        h = fnv_u64(h, c.bytes);
+        h = fnv_u64(h, c.imm as u64);
+        h = fnv_u64(h, c.at);
+    });
+    h
+}
+
+/// Folds the fabric counters and the event count into `h`.
+fn fold_counters(sim: &Simulator, h: u64) -> u64 {
+    let h = fnv_bytes(h, format!("{:?}", sim.net_stats()).as_bytes());
+    fnv_u64(h, sim.events_processed())
+}
+
+/// Runs the reference scenario and digests every completion, the fabric
+/// counters, the event count and the final clock.
+fn run_digest(seed: u64, mode: Mode, shards: usize, workers: usize) -> u64 {
+    let mut sim = build(seed, mode, shards, workers);
     let mut h = FNV_OFFSET;
     while sim.now() < SEC {
         if sim.advance().is_none() {
             break;
         }
-        sim.for_each_completion(|c| {
-            h = fnv_u64(h, c.host.0 as u64);
-            h = fnv_u64(h, c.flow.0 as u64);
-            h = fnv_u64(h, c.wr_id);
-            h = fnv_u64(h, matches!(c.kind, CompletionKind::RecvComplete) as u64);
-            h = fnv_u64(h, c.bytes);
-            h = fnv_u64(h, c.imm as u64);
-            h = fnv_u64(h, c.at);
-        });
+        h = fold_completions(&mut sim, h);
     }
-    h = fnv_bytes(h, format!("{:?}", sim.net_stats()).as_bytes());
-    h = fnv_u64(h, sim.events_processed());
-    fnv_u64(h, sim.now())
+    fnv_u64(fold_counters(&sim, h), sim.now())
 }
 
 #[test]
@@ -148,6 +164,68 @@ fn sharded_digest_depends_on_trace_not_noise() {
     assert_ne!(a, b, "digest must depend on the seed");
     let two = run_digest(11, Mode::Plain, 2, 2);
     assert_eq!(two, run_digest(11, Mode::Plain, 2, 1));
+}
+
+/// However a driver slices a run — `step`, `step_bounded`, `run_until`,
+/// `advance_bounded`, at limits one below, equal to and one above an
+/// event's timestamp — the outcome is `run_to_quiescence`'s. On the serial
+/// engine every bounded slice must also stop *exactly* at its limit: an
+/// event at `limit` is processed, one at `limit + 1` is left. (A sharded
+/// slice may leave events at or before the limit in shards the window walk
+/// has not reached yet, and its completions are only in canonical order at
+/// window closes, so there only the final outcome is compared. The final
+/// clock is left out: `run_until` pushes it to its limit.)
+#[test]
+fn slicing_a_run_never_changes_its_outcome() {
+    let outcome = |sim: &mut Simulator| {
+        let h = fold_completions(sim, FNV_OFFSET);
+        fold_counters(sim, h)
+    };
+    for shards in [1, 2] {
+        let times: Vec<u64> = {
+            let mut sim = build(11, Mode::Plain, shards, 1);
+            std::iter::from_fn(|| sim.step()).collect()
+        };
+        let mut sorted = times.clone();
+        sorted.sort_unstable();
+        let want = {
+            let mut sim = build(11, Mode::Plain, shards, 1);
+            assert!(sim.run_to_quiescence(SEC));
+            outcome(&mut sim)
+        };
+        for offset in [-1i64, 0, 1] {
+            let mut sim = build(11, Mode::Plain, shards, 1);
+            for (k, &t) in times.iter().step_by(61).enumerate() {
+                let limit = t.saturating_add_signed(offset);
+                let before = sim.events_processed();
+                let due = sorted.partition_point(|&x| x <= limit) as u64;
+                let expect = match k % 4 {
+                    0 => {
+                        while sim.step_bounded(limit).is_some() {}
+                        before.max(due)
+                    }
+                    1 => {
+                        sim.run_until(limit);
+                        before.max(due)
+                    }
+                    2 => {
+                        while sim.advance_bounded(limit).is_some() {}
+                        before.max(due)
+                    }
+                    _ => before + u64::from(sim.step().is_some()),
+                };
+                if shards == 1 {
+                    assert_eq!(
+                        sim.events_processed(),
+                        expect,
+                        "slice {k} (limit {limit}, event at {t}) stopped in the wrong place"
+                    );
+                }
+            }
+            assert!(sim.run_to_quiescence(SEC));
+            assert_eq!(outcome(&mut sim), want, "{shards} shard(s), limits at event{offset:+}");
+        }
+    }
 }
 
 #[test]
