@@ -1,0 +1,218 @@
+//! Per-transport trace goldens.
+//!
+//! `integration_sharded`'s goldens and the soak digest pin DCP only; this
+//! file pins every endpoint protocol the repo ships — the seven
+//! [`TransportKind`]s plus the SwTcp model — so a refactor of the shared
+//! reliability plumbing cannot move one of them unnoticed. Each transport
+//! runs one small fixed-seed CLOS scenario twice: clean, and under
+//! `LossModel::fabric_bursty` on every fabric cable composed with the
+//! reorder adversary. Every completion, the merged endpoint counters, the
+//! fabric counters, the event count and the final clock fold into one FNV
+//! digest per run, compared against the 16 constants below.
+//!
+//! SwTcp's second run has the adversary but no loss model: its sender
+//! panics on the first RTO rewind that a straggler ACK overtakes (see
+//! [`perturb`]), so no digest of it under loss exists to pin.
+//!
+//! The constants were captured on the commit that introduced this file,
+//! before any transport code moved. They change only when a transport's
+//! observable behaviour changes — which needs its own justification, never
+//! a silent re-pin.
+
+use dcp_bench::fabric_cables;
+use dcp_check::{Adversary, AdversaryProfile};
+use dcp_core::dcp_switch_config;
+use dcp_faults::{FaultEngine, FaultPlan, LossModel};
+use dcp_netsim::packet::{FlowId, NodeId};
+use dcp_netsim::switch::SwitchConfig;
+use dcp_netsim::time::{SEC, US};
+use dcp_netsim::{topology, CompletionKind, EcnConfig, Endpoint, LoadBalance, Simulator, Topology};
+use dcp_rdma::headers::DcpTag;
+use dcp_rdma::qp::WorkReqOp;
+use dcp_transport::cc::NoCc;
+use dcp_transport::common::{FlowCfg, Placement};
+use dcp_transport::swtcp::{swtcp_pair, SwTcpConfig};
+use dcp_workloads::{endpoint_pair_opts, CcKind, RunOpts, TransportKind};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+fn fnv_u64(h: u64, v: u64) -> u64 {
+    fnv_bytes(h, &v.to_le_bytes())
+}
+
+/// The eight protocols: a workload `TransportKind`, or the SwTcp model
+/// (which has no kind — Fig. 8 builds it through `swtcp_pair`).
+#[derive(Debug, Clone, Copy)]
+enum Proto {
+    Kind(TransportKind),
+    SwTcp,
+}
+
+const HOSTS_PER_LEAF: usize = 2;
+const FLOWS: usize = 8;
+/// Message sizes posted on every flow: one long, one sub-MTU-multiple
+/// short, one medium — several messages retire per run and the PSN space
+/// crosses message boundaries mid-window.
+const MSGS: [u64; 3] = [384 << 10, 9 << 10, 96 << 10];
+
+/// Fabric and congestion control per protocol, following `check_matrix`'s
+/// schemes. RACK-TLP and timeout-only stay on the BDP window and SwTcp on
+/// `NoCc` — the only CCs shipped scenarios pair them with; GBN, EC and DCP
+/// run DCQCN so the pacing gate and the CC tick are in the trace.
+fn fabric(p: Proto) -> (SwitchConfig, CcKind) {
+    let bdp = CcKind::Bdp { gbps: 100.0, rtt: 12 * US };
+    let dcqcn = CcKind::Dcqcn { gbps: 100.0 };
+    let ecn = |mut cfg: SwitchConfig| {
+        cfg.ecn = Some(EcnConfig::default_100g());
+        cfg
+    };
+    match p {
+        Proto::Kind(TransportKind::Dcp) => {
+            (dcp_switch_config(LoadBalance::AdaptiveRouting, 6), dcqcn)
+        }
+        Proto::Kind(TransportKind::Gbn) => (ecn(SwitchConfig::lossy(LoadBalance::Ecmp)), dcqcn),
+        Proto::Kind(TransportKind::Irn) => (SwitchConfig::lossy(LoadBalance::AdaptiveRouting), bdp),
+        Proto::Kind(TransportKind::MpRdma) => {
+            (ecn(SwitchConfig::lossless(LoadBalance::Ecmp)), CcKind::None)
+        }
+        Proto::Kind(TransportKind::RackTlp) => (SwitchConfig::lossy(LoadBalance::Ecmp), bdp),
+        Proto::Kind(TransportKind::TimeoutOnly) => (SwitchConfig::lossy(LoadBalance::Ecmp), bdp),
+        Proto::Kind(TransportKind::Ec) => {
+            (ecn(SwitchConfig::lossy(LoadBalance::AdaptiveRouting)), dcqcn)
+        }
+        Proto::SwTcp => (SwitchConfig::lossy(LoadBalance::Ecmp), CcKind::None),
+    }
+}
+
+fn pair(
+    p: Proto,
+    cc: CcKind,
+    flow: FlowId,
+    src: NodeId,
+    dst: NodeId,
+) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
+    match p {
+        Proto::Kind(kind) => {
+            let opts = RunOpts { chunk: 64 << 10, ..Default::default() };
+            endpoint_pair_opts(kind, cc, flow, src, dst, opts)
+        }
+        Proto::SwTcp => {
+            let cfg = FlowCfg::sender(flow, src, dst, DcpTag::NonDcp);
+            let (t, r) = swtcp_pair(
+                cfg,
+                SwTcpConfig::default(),
+                Box::new(NoCc::default()),
+                Placement::Virtual,
+            );
+            (Box::new(t), Box::new(r))
+        }
+    }
+}
+
+/// Installs the second run's fault plane: bursty loss on every fabric cable
+/// under the reorder adversary.
+///
+/// SwTcp gets the adversary alone. Its sender rewinds `snd_nxt` on RTO but,
+/// unlike GBN and MP-RDMA, does not pull it forward again when a cumulative
+/// ACK passes it — and its order-tolerant receiver answers the first resent
+/// packet with exactly such an ACK, so any loss ends in
+/// `locate(snd_nxt).expect("psn locates")` on a retired PSN. Fig. 8, its
+/// only user, runs a clean link.
+fn perturb(sim: &mut Simulator, topo: &Topology, p: Proto) {
+    if !matches!(p, Proto::SwTcp) {
+        let plan = FaultPlan::new(0xfa17)
+            .with_loss_on(&fabric_cables(sim, topo, HOSTS_PER_LEAF), LossModel::fabric_bursty())
+            .sorted();
+        FaultEngine::install(sim, plan);
+    }
+    Adversary::install(sim, AdversaryProfile::reorder(), 0xad5e);
+}
+
+/// Runs one protocol's scenario and returns `(digest, retx_pkts)`.
+fn run(p: Proto, faulty: bool) -> (u64, u64) {
+    let (cfg, cc) = fabric(p);
+    let mut sim = Simulator::new(0x601d);
+    // One digest per scenario, whatever DCP_SHARDS says: shard count
+    // legitimately reorders same-instant events.
+    sim.disable_auto_partition();
+    let topo = topology::clos(&mut sim, cfg, 2, 4, HOSTS_PER_LEAF, 100.0, 100.0, US, US);
+    if faulty {
+        perturb(&mut sim, &topo, p);
+    }
+    let n = topo.hosts.len();
+    for i in 0..FLOWS {
+        let flow = FlowId(i as u32 + 1);
+        // Both hosts of a leaf send to the first host of the next leaf:
+        // every flow crosses the fabric and every last hop is a 2:1 incast.
+        let (src, dst) = (topo.hosts[i], topo.hosts[(i / 2 * 2 + 2) % n]);
+        let (tx, rx) = pair(p, cc, flow, src, dst);
+        sim.install_endpoint(src, flow, tx);
+        sim.install_endpoint(dst, flow, rx);
+        for (m, &len) in MSGS.iter().enumerate() {
+            let op = WorkReqOp::Write { remote_addr: 0x10_0000 + ((m as u64) << 20), rkey: 1 };
+            sim.post(src, flow, m as u64, op, len);
+        }
+    }
+    let mut h = FNV_OFFSET;
+    let mut delivered = 0;
+    while sim.now() < SEC && sim.advance().is_some() {
+        sim.for_each_completion(|c| {
+            let recv = matches!(c.kind, CompletionKind::RecvComplete);
+            delivered += recv as usize;
+            h = fnv_u64(h, c.host.0 as u64);
+            h = fnv_u64(h, c.flow.0 as u64);
+            h = fnv_u64(h, c.wr_id);
+            h = fnv_u64(h, recv as u64);
+            h = fnv_u64(h, c.bytes);
+            h = fnv_u64(h, c.imm as u64);
+            h = fnv_u64(h, c.at);
+        });
+    }
+    assert_eq!(delivered, FLOWS * MSGS.len(), "{p:?}: every message must be delivered");
+    assert_eq!(sim.pending_events(), 0, "{p:?}: fabric must drain");
+    let eps = sim.all_endpoint_stats();
+    h = fnv_bytes(h, format!("{eps:?}").as_bytes());
+    h = fnv_bytes(h, format!("{:?}", sim.net_stats()).as_bytes());
+    h = fnv_u64(h, sim.events_processed());
+    (fnv_u64(h, sim.now()), eps.retx_pkts)
+}
+
+/// `(protocol, clean digest, faulty digest)`.
+const GOLDENS: [(Proto, u64, u64); 8] = [
+    (Proto::Kind(TransportKind::Gbn), 0xa4d9bd4a329c9e94, 0x064d75609c703fe1),
+    (Proto::Kind(TransportKind::Irn), 0xf61098df3f3ee8a2, 0x8596cd568d2beb30),
+    (Proto::Kind(TransportKind::MpRdma), 0x29c0d0c649731f93, 0x84f2ee4a0df166a1),
+    (Proto::Kind(TransportKind::RackTlp), 0xd7a1922974959c5b, 0xf24fc563eb4e5018),
+    (Proto::Kind(TransportKind::TimeoutOnly), 0xaa05ea0b46a1f376, 0xc3720b3e20a29877),
+    (Proto::Kind(TransportKind::Dcp), 0x72e757e541618c6a, 0x593f6635c285903c),
+    (Proto::Kind(TransportKind::Ec), 0x1e1d1ef84e056c02, 0x9d259630ec640fa2),
+    (Proto::SwTcp, 0x4344749e5cfd930c, 0x75477e5bffd84615),
+];
+
+#[test]
+fn every_transport_reproduces_its_goldens() {
+    let mut mismatches = Vec::new();
+    for (p, clean, faulty) in GOLDENS {
+        let (got_clean, clean_retx) = run(p, false);
+        let (got_faulty, faulty_retx) = run(p, true);
+        // The second run must reach the repair path (on a trimming fabric
+        // the loss model's hits surface as trims, not `fault_drops`, so
+        // retransmissions are the signal every transport shares).
+        assert_ne!(got_clean, got_faulty, "{p:?}: the fault plane must change the trace");
+        if !matches!(p, Proto::SwTcp) {
+            assert!(faulty_retx > clean_retx, "{p:?}: faults must engage the repair path");
+        }
+        if (got_clean, got_faulty) != (clean, faulty) {
+            mismatches.push(format!("    ({p:?}, {got_clean:#018x}, {got_faulty:#018x}),"));
+        }
+    }
+    assert!(mismatches.is_empty(), "trace moved; observed digests:\n{}", mismatches.join("\n"));
+}
