@@ -10,14 +10,10 @@
 //! fabric counters, the event count and the final clock fold into one FNV
 //! digest per run, compared against the 16 constants below.
 //!
-//! SwTcp's second run has the adversary but no loss model: its sender
-//! panics on the first RTO rewind that a straggler ACK overtakes (see
-//! [`perturb`]), so no digest of it under loss exists to pin.
-//!
-//! The constants were captured on the commit that introduced this file,
-//! before any transport code moved. They change only when a transport's
-//! observable behaviour changes — which needs its own justification, never
-//! a silent re-pin.
+//! SwTcp's second run has the adversary but no loss model: when the
+//! digests were captured its sender panicked on the first RTO rewind that
+//! a straggler ACK overtook (see [`perturb`]), so no digest of it under
+//! loss existed to pin.
 
 use dcp_bench::fabric_cables;
 use dcp_check::{Adversary, AdversaryProfile};
@@ -120,12 +116,14 @@ fn pair(
 /// Installs the second run's fault plane: bursty loss on every fabric cable
 /// under the reorder adversary.
 ///
-/// SwTcp gets the adversary alone. Its sender rewinds `snd_nxt` on RTO but,
-/// unlike GBN and MP-RDMA, does not pull it forward again when a cumulative
-/// ACK passes it — and its order-tolerant receiver answers the first resent
-/// packet with exactly such an ACK, so any loss ends in
-/// `locate(snd_nxt).expect("psn locates")` on a retired PSN. Fig. 8, its
-/// only user, runs a clean link.
+/// SwTcp gets the adversary alone. At capture time its sender rewound
+/// `snd_nxt` on RTO but, unlike GBN and MP-RDMA, did not pull it forward
+/// again when a cumulative ACK passed it — and its order-tolerant receiver
+/// answers the first resent packet with exactly such an ACK, so any loss
+/// ended in `locate(snd_nxt).expect("psn locates")` on a retired PSN
+/// (Fig. 8, its only user, runs a clean link). The shared ACK path fixed
+/// that (`swtcp::tests::cumulative_ack_past_a_rewound_snd_nxt_is_followed`);
+/// the scenario stays as captured so the constant does too.
 fn perturb(sim: &mut Simulator, topo: &Topology, p: Proto) {
     if !matches!(p, Proto::SwTcp) {
         let plan = FaultPlan::new(0xfa17)

@@ -5,22 +5,19 @@
 use crate::config::DcpConfig;
 use crate::tracking::{CompletedMsg, MsgTracker, Track};
 use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
-use dcp_netsim::packet::{FlowId, NodeId, Packet, PktDesc, PktExt};
+use dcp_netsim::packet::{FlowId, NodeId, PktDesc, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
 use dcp_rdma::headers::DcpTag;
-use dcp_transport::common::{ack_packet, CnpGen, FlowCfg, Placement};
-use std::collections::VecDeque;
+use dcp_transport::common::{FlowCfg, Placement};
+use dcp_transport::txcore::AckQueue;
 
 /// The DCP-RNIC responder.
 pub struct DcpReceiver {
-    cfg: FlowCfg,
     tracker: MsgTracker,
     placement: Placement,
-    cnp: CnpGen,
     /// Outbound control traffic: bounced HO packets, ACKs, CNPs.
-    out: VecDeque<Packet>,
-    uid: u64,
+    acks: AckQueue,
     stats: TransportStats,
     /// Header-only packets bounced back to the sender (diagnostics).
     pub ho_bounced: u64,
@@ -39,12 +36,9 @@ pub struct DcpReceiver {
 impl DcpReceiver {
     pub fn new(cfg: FlowCfg, dcfg: DcpConfig, placement: Placement) -> Self {
         DcpReceiver {
-            cfg,
             tracker: MsgTracker::new(dcfg.max_tracked_msgs),
             placement,
-            cnp: CnpGen::new(dcfg.cnp_interval),
-            out: VecDeque::new(),
-            uid: 0,
+            acks: AckQueue::new(cfg, dcfg.cnp_interval),
             stats: TransportStats::default(),
             ho_bounced: 0,
             rq: dcp_rdma::qp::RecvQueue::new(),
@@ -71,9 +65,7 @@ impl DcpReceiver {
     }
 
     fn queue_ack(&mut self) {
-        self.uid += 1;
-        let emsn = self.tracker.emsn();
-        self.out.push_back(ack_packet(&self.cfg, PktExt::None, emsn, self.uid));
+        self.acks.queue(PktExt::None, self.tracker.emsn());
     }
 
     fn flush_completions(&mut self, ctx: &mut EndpointCtx) {
@@ -93,8 +85,8 @@ impl DcpReceiver {
                 m.msn as u64
             };
             ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
+                host: self.acks.cfg().local,
+                flow: self.acks.cfg().flow,
                 wr_id,
                 kind: CompletionKind::RecvComplete,
                 bytes: m.bytes,
@@ -116,23 +108,15 @@ impl Endpoint for DcpReceiver {
                 // §4.1 step 2: swap source and destination, stamp the sender
                 // QPN (known from the QP context — §7 "Back-to-sender"), and
                 // forward the notification to the sender.
-                pkt.header.swap_src_dst(self.cfg.remote_qpn.0);
+                pkt.header.swap_src_dst(self.acks.cfg().remote_qpn.0);
                 pkt.payload_len = 0;
                 pkt.desc = PktDesc::NONE;
                 self.ho_bounced += 1;
-                self.out.push_back(pkt);
+                self.acks.queue_built(pkt);
             }
             DcpTag::Data => {
                 self.stats.pkts_received += 1;
-                if pkt.header.ip.ecn_ce() && self.cnp.should_send(ctx.now) {
-                    self.uid += 1;
-                    self.out.push_back(ack_packet(
-                        &self.cfg,
-                        PktExt::Cnp,
-                        self.tracker.emsn(),
-                        self.uid,
-                    ));
-                }
+                self.acks.on_ecn(&pkt, self.tracker.emsn(), ctx);
                 let desc = pkt.desc.unpack().expect("data packets carry descriptors");
                 let msn = pkt.msn().expect("data packets carry the MSN");
                 let sretry = pkt.header.ip.sretry_no();
@@ -204,11 +188,11 @@ impl Endpoint for DcpReceiver {
     fn on_timer(&mut self, _token: u64, _ctx: &mut EndpointCtx) {}
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        self.out.pop_front().map(|p| ctx.pool.insert(p))
+        self.acks.pull(ctx)
     }
 
     fn has_pending(&self) -> bool {
-        !self.out.is_empty()
+        self.acks.has_pending()
     }
 
     fn stats(&self) -> TransportStats {
@@ -216,7 +200,7 @@ impl Endpoint for DcpReceiver {
     }
 
     fn is_done(&self) -> bool {
-        self.out.is_empty()
+        !self.acks.has_pending()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
@@ -225,11 +209,8 @@ impl Endpoint for DcpReceiver {
         if !matches!(self.placement, Placement::Virtual) {
             return false;
         }
-        self.cfg.rebind(flow, local, remote, false);
+        self.acks.recycle(flow, local, remote);
         self.tracker.reset();
-        self.cnp.reset();
-        self.out.clear();
-        self.uid = 0;
         self.stats = TransportStats::default();
         self.ho_bounced = 0;
         self.rq.reset();
@@ -253,7 +234,7 @@ pub fn dcp_pair(
 mod tests {
     use super::*;
     use dcp_netsim::endpoint::{deliver, pull_owned};
-    use dcp_netsim::packet::{FlowId, NodeId};
+    use dcp_netsim::packet::{FlowId, NodeId, Packet};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::qp::WorkReqOp;
     use dcp_transport::common::{data_packet, desc_at, TxBook};

@@ -10,7 +10,7 @@
 //! (challenge #1).
 
 use crate::config::{DcpConfig, RetransMode};
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -18,20 +18,19 @@ use dcp_netsim::RetxCause;
 use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::{RetransEntry, WorkReqOp};
 use dcp_transport::cc::CongestionControl;
-use dcp_transport::common::{data_packet, desc_at, tokens, FlowCfg, TxBook};
+use dcp_transport::common::{tokens, FlowCfg};
+use dcp_transport::txcore::TxCore;
 use std::collections::{HashMap, VecDeque};
 
 /// Timer token for a PCIe fetch completion.
 const FETCH: u64 = 5 << tokens::KIND_SHIFT;
 
-/// The DCP-RNIC requester.
+/// The DCP-RNIC requester. Of the skeleton's cumulative window it uses
+/// only `snd_nxt` (acknowledgment is by eMSN, not PSN), and its RTO is the
+/// coarse-grained fallback timer.
 pub struct DcpSender {
-    cfg: FlowCfg,
+    tx: TxCore,
     dcfg: DcpConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    /// Next new PSN.
-    snd_nxt: u32,
     /// Host-memory retransmission queue (§4.3).
     retransq: VecDeque<RetransEntry>,
     /// Entries fetched onto the NIC, ready to retransmit.
@@ -41,52 +40,28 @@ pub struct DcpSender {
     retry_no: HashMap<u32, u8>,
     /// Timeout-triggered retransmissions (whole unaMSN message).
     timeout_q: VecDeque<(u32, u32)>,
-    coarse_gen: u64,
-    coarse_armed: bool,
-    pace_armed: bool,
-    cc_tick_armed: bool,
-    uid: u64,
-    stats: TransportStats,
     /// PCIe round trips spent on the retransmission path (ablation metric).
     pub pcie_fetches: u64,
-    /// Reused buffer for retired messages (no per-ACK allocation).
-    retire_scratch: Vec<dcp_transport::common::MsgState>,
 }
 
 impl DcpSender {
     pub fn new(cfg: FlowCfg, dcfg: DcpConfig, cc: Box<dyn CongestionControl>) -> Self {
         assert_eq!(cfg.data_tag, DcpTag::Data, "DCP traffic must carry the Data tag");
         DcpSender {
-            cfg,
+            tx: TxCore::new(cfg, dcfg.coarse_timeout, cc),
             dcfg,
-            book: TxBook::new(),
-            cc,
-            snd_nxt: 0,
             retransq: VecDeque::new(),
             fetched: VecDeque::new(),
             fetch_inflight: false,
             retry_no: HashMap::new(),
             timeout_q: VecDeque::new(),
-            coarse_gen: 0,
-            coarse_armed: false,
-            pace_armed: false,
-            cc_tick_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
             pcie_fetches: 0,
-            retire_scratch: Vec::new(),
         }
     }
 
     /// Length of the host-memory RetransQ (mirrored in the QPC, §4.3).
     pub fn retransq_len(&self) -> usize {
         self.retransq.len()
-    }
-
-    fn arm_coarse(&mut self, ctx: &mut EndpointCtx) {
-        self.coarse_gen += 1;
-        self.coarse_armed = true;
-        ctx.timers.push((ctx.now + self.dcfg.coarse_timeout, tokens::RTO | self.coarse_gen));
     }
 
     /// Kicks off a PCIe fetch of retransmission entries if one is needed.
@@ -105,21 +80,21 @@ impl DcpSender {
         ctx.timers.push((ctx.now + latency, FETCH));
     }
 
-    fn build(&mut self, msn: u32, psn: u32, is_retx: bool) -> Option<Packet> {
-        let m = *self.book.by_msn(msn)?;
+    /// Builds retransmission (`msn`, `psn`) in the message's current retry
+    /// round, or `None` if the message has retired since it was queued.
+    fn build_retx(&mut self, msn: u32, psn: u32, cause: RetxCause) -> Option<Packet> {
+        let m = *self.tx.book.by_msn(msn)?;
         if psn < m.first_psn || psn >= m.first_psn + m.pkt_count {
             return None;
         }
-        let desc = desc_at(&m, self.cfg.mtu, psn);
         let sretry = self.retry_no.get(&msn).copied().unwrap_or(0);
-        self.uid += 1;
-        Some(data_packet(&self.cfg, &m, desc, psn, sretry, is_retx, self.uid))
+        Some(self.tx.build(&m, psn, sretry, Some(cause)))
     }
 }
 
 impl Endpoint for DcpSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.tx.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
@@ -128,7 +103,7 @@ impl Endpoint for DcpSender {
             DcpTag::HeaderOnly => {
                 // A loss notification bounced back by the receiver: extract
                 // (MSN, PSN) and DMA it into the RetransQ (§4.3 Rx path).
-                self.stats.ho_received += 1;
+                self.tx.stats.ho_received += 1;
                 let msn = pkt.msn().expect("HO packets carry the MSN");
                 let psn = pkt.psn();
                 // Stale-round filter: the HO's sRetryNo (retained through
@@ -139,57 +114,43 @@ impl Endpoint for DcpSender {
                 // would deliver a duplicate that corrupts the receiver's
                 // packet count (§4.5).
                 let current = self.retry_no.get(&msn).copied().unwrap_or(0);
-                if pkt.header.ip.sretry_no() == current && self.book.by_msn(msn).is_some() {
+                if pkt.header.ip.sretry_no() == current && self.tx.book.by_msn(msn).is_some() {
                     self.retransq.push_back(RetransEntry { msn, psn });
                     self.maybe_fetch(ctx);
                 }
             }
             DcpTag::Ack => {
                 if pkt.ext == PktExt::Cnp {
-                    self.stats.cnps += 1;
-                    self.cc.on_congestion(ctx.now);
+                    self.tx.on_cnp(ctx);
                     return;
                 }
                 let Some(aeth) = pkt.header.aeth else { return };
-                let emsn = aeth.emsn;
-                let mut retired = std::mem::take(&mut self.retire_scratch);
-                retired.clear();
-                self.book.retire_below_into(emsn, &mut retired);
-                if !retired.is_empty() {
-                    for m in &retired {
-                        self.retry_no.remove(&m.wqe.msn);
-                        self.cc.on_ack(ctx.now, m.wqe.len);
-                        ctx.completions.push(Completion {
-                            host: self.cfg.local,
-                            flow: self.cfg.flow,
-                            wr_id: m.wqe.wr_id,
-                            kind: CompletionKind::SendComplete,
-                            bytes: m.wqe.len,
-                            imm: 0,
-                            at: ctx.now,
-                        });
-                    }
-                    // The coarse fallback resends a message's *unsent* tail
-                    // PSNs as retransmissions; if that retry round completes
-                    // the message, `snd_nxt` can still point inside the
-                    // retired PSN range. Skip the hole — the book only pops
-                    // from the front, so the first live PSN is the new front
-                    // message's origin (or `next_psn` on an empty book), and
-                    // everything below it is delivered.
-                    let first_live = self
-                        .book
-                        .una_msn()
-                        .and_then(|msn| self.book.by_msn(msn))
-                        .map_or(self.book.next_psn(), |m| m.first_psn);
-                    self.snd_nxt = self.snd_nxt.max(first_live);
-                    // Progress: reset the coarse fallback timer (§4.5).
-                    if self.book.is_empty() {
-                        self.coarse_armed = false;
-                    } else {
-                        self.arm_coarse(ctx);
-                    }
+                let retired = self.tx.retire_msn_below(aeth.emsn, ctx);
+                if retired.is_empty() {
+                    return;
                 }
-                self.retire_scratch = retired;
+                for m in retired {
+                    self.retry_no.remove(&m.wqe.msn);
+                }
+                // The coarse fallback resends a message's *unsent* tail
+                // PSNs as retransmissions; if that retry round completes
+                // the message, `snd_nxt` can still point inside the
+                // retired PSN range. Skip the hole — the book only pops
+                // from the front, so the first live PSN is the new front
+                // message's origin (or `next_psn` on an empty book), and
+                // everything below it is delivered.
+                let book = &self.tx.book;
+                let first_live = book
+                    .una_msn()
+                    .and_then(|msn| book.by_msn(msn))
+                    .map_or(book.next_psn(), |m| m.first_psn);
+                self.tx.snd_nxt = self.tx.snd_nxt.max(first_live);
+                // Progress: reset the coarse fallback timer (§4.5).
+                if self.tx.book.is_empty() {
+                    self.tx.disarm_rto();
+                } else {
+                    self.tx.arm_rto(ctx);
+                }
             }
             _ => {}
         }
@@ -198,20 +159,20 @@ impl Endpoint for DcpSender {
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         match tokens::kind(token) {
             tokens::RTO => {
-                if !self.coarse_armed || tokens::generation(token) != self.coarse_gen {
+                if !self.tx.rto_is_live(token) {
                     return;
                 }
-                let Some(msn) = self.book.una_msn() else {
-                    self.coarse_armed = false;
+                let Some(msn) = self.tx.book.una_msn() else {
+                    self.tx.disarm_rto();
                     return;
                 };
                 // Coarse fallback: bump the message's retry round and resend
                 // all of it (§4.5). HO-triggered entries from older rounds
                 // become harmless: the receiver ignores old rounds.
-                self.stats.timeouts += 1;
+                self.tx.stats.timeouts += 1;
                 let r = self.retry_no.entry(msn).or_insert(0);
                 *r = r.saturating_add(1);
-                let m = *self.book.by_msn(msn).expect("unaMSN present");
+                let m = *self.tx.book.by_msn(msn).expect("unaMSN present");
                 // The full-message resend supersedes any queued HO entries
                 // for this message; acting on both would duplicate packets
                 // within the new round.
@@ -221,19 +182,9 @@ impl Endpoint for DcpSender {
                 for psn in m.first_psn..m.first_psn + m.pkt_count {
                     self.timeout_q.push_back((msn, psn));
                 }
-                self.arm_coarse(ctx);
+                self.tx.arm_rto(ctx);
             }
-            tokens::PACE => self.pace_armed = false,
-            tokens::CC_TICK => {
-                self.cc_tick_armed = false;
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    if !self.book.is_empty() {
-                        self.cc_tick_armed = true;
-                        ctx.timers.push((next, tokens::CC_TICK));
-                    }
-                }
-            }
-            _ if tokens::kind(token) == FETCH => {
+            FETCH => {
                 // PCIe fetch completed: entries are now on the NIC.
                 self.fetch_inflight = false;
                 self.pcie_fetches += 1;
@@ -243,7 +194,7 @@ impl Endpoint for DcpSender {
                 };
                 self.fetched.extend(self.retransq.drain(..n));
             }
-            _ => {}
+            _ => self.tx.on_timer(token, ctx),
         }
     }
 
@@ -251,92 +202,53 @@ impl Endpoint for DcpSender {
         // Pacing gate from the CC module; applies to retransmissions too,
         // which is exactly how DCP makes the retransmission rate
         // controllable (§4.3 challenge #2).
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if self.has_pending() && !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
+        if self.tx.pace_closed(self.has_pending(), ctx) {
             return None;
         }
         // 1. Timeout-round retransmissions.
         while let Some((msn, psn)) = self.timeout_q.pop_front() {
-            if let Some(mut pkt) = self.build(msn, psn, true) {
-                pkt.retx_cause = RetxCause::Timeout;
-                self.stats.retx_pkts += 1;
-                self.cc.on_send(ctx.now, pkt.wire_bytes());
-                return Some(ctx.pool.insert(pkt));
+            if let Some(pkt) = self.build_retx(msn, psn, RetxCause::Timeout) {
+                return Some(self.tx.emit_built(pkt, ctx));
             }
         }
         // 2. Fetched HO-named retransmissions.
         while let Some(e) = self.fetched.pop_front() {
             self.maybe_fetch(ctx);
-            if let Some(mut pkt) = self.build(e.msn, e.psn, true) {
-                pkt.retx_cause = RetxCause::Ho;
-                self.stats.retx_pkts += 1;
-                self.cc.on_send(ctx.now, pkt.wire_bytes());
-                return Some(ctx.pool.insert(pkt));
+            if let Some(pkt) = self.build_retx(e.msn, e.psn, RetxCause::Ho) {
+                return Some(self.tx.emit_built(pkt, ctx));
             }
         }
         self.maybe_fetch(ctx);
         // 3. New data.
-        if self.snd_nxt < self.book.next_psn() {
-            let (m, _) = self.book.locate(self.snd_nxt).expect("unsent psn locates");
-            let m = *m;
-            let psn = self.snd_nxt;
-            let desc = desc_at(&m, self.cfg.mtu, psn);
+        if self.tx.has_new() {
+            let m = *self.tx.book.locate(self.tx.snd_nxt).expect("unsent psn locates").0;
             let sretry = self.retry_no.get(&m.wqe.msn).copied().unwrap_or(0);
-            self.uid += 1;
-            let pkt = data_packet(&self.cfg, &m, desc, psn, sretry, false, self.uid);
-            self.snd_nxt += 1;
-            self.stats.data_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.coarse_armed {
-                self.arm_coarse(ctx);
-            }
-            if !self.cc_tick_armed {
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    self.cc_tick_armed = true;
-                    ctx.timers.push((next, tokens::CC_TICK));
-                }
-            }
-            return Some(ctx.pool.insert(pkt));
+            let (psn, _) = self.tx.take_next();
+            let pkt = self.tx.build(&m, psn, sretry, None);
+            return Some(self.tx.emit_built(pkt, ctx));
         }
         None
     }
 
     fn has_pending(&self) -> bool {
-        !self.timeout_q.is_empty()
-            || !self.fetched.is_empty()
-            || self.snd_nxt < self.book.next_psn()
+        !self.timeout_q.is_empty() || !self.fetched.is_empty() || self.tx.has_new()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.tx.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.tx.book.is_empty()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, true);
-        self.book.clear();
-        self.cc.reset();
-        self.snd_nxt = 0;
+        self.tx.reset(flow, local, remote);
         self.retransq.clear();
         self.fetched.clear();
         self.fetch_inflight = false;
         self.retry_no.clear();
         self.timeout_q.clear();
-        // Keep the generation monotone so any RTO token armed by the old
-        // connection stays stale forever.
-        self.coarse_gen += 1;
-        self.coarse_armed = false;
-        self.pace_armed = false;
-        self.cc_tick_armed = false;
-        self.uid = 0;
-        self.stats = TransportStats::default();
         self.pcie_fetches = 0;
         true
     }
@@ -345,28 +257,17 @@ impl Endpoint for DcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
-    use dcp_netsim::time::Nanos;
     use dcp_rdma::headers::{Aeth, RdmaOpcode};
     use dcp_transport::cc::NoCc;
-    use dcp_transport::common::ack_packet;
+    use dcp_transport::common::{ack_packet, data_packet, desc_at, TxBook};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn cfg() -> FlowCfg {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::Data)
-    }
-
-    fn ctx<'a>(
-        now: Nanos,
-        pool: &'a mut PacketPool,
-        t: &'a mut Vec<(Nanos, u64)>,
-        c: &'a mut Vec<Completion>,
-        r: &'a mut StdRng,
-    ) -> EndpointCtx<'a> {
-        EndpointCtx { now, pool, timers: t, completions: c, rng: r, probe: None }
     }
 
     fn sender(mode: RetransMode) -> DcpSender {

@@ -115,6 +115,20 @@ pub trait Endpoint: Send {
     }
 }
 
+/// Assembles a probe-less [`EndpointCtx`] at `now` over caller-owned
+/// buffers — for tests and harnesses that call [`Endpoint::on_timer`] (or
+/// a transport's internals) directly; [`deliver`] and [`pull_owned`] cover
+/// the other two callbacks.
+pub fn ctx<'a>(
+    now: Nanos,
+    pool: &'a mut PacketPool,
+    timers: &'a mut Vec<(Nanos, u64)>,
+    completions: &'a mut Vec<Completion>,
+    rng: &'a mut StdRng,
+) -> EndpointCtx<'a> {
+    EndpointCtx { now, pool, timers, completions, rng, probe: None }
+}
+
 /// Drives [`Endpoint::on_packet`] with an owned packet, routing it through
 /// `pool`. Convenience for tests and harnesses that construct packets
 /// directly instead of receiving them from the fabric.
@@ -128,8 +142,7 @@ pub fn deliver(
     rng: &mut StdRng,
 ) {
     let pr = pool.insert(pkt);
-    let ctx = &mut EndpointCtx { now, pool: &mut *pool, timers, completions, rng, probe: None };
-    ep.on_packet(pr, ctx);
+    ep.on_packet(pr, &mut ctx(now, pool, timers, completions, rng));
 }
 
 /// Drives [`Endpoint::pull`] and takes the result back out of `pool`,
@@ -142,7 +155,6 @@ pub fn pull_owned(
     completions: &mut Vec<Completion>,
     rng: &mut StdRng,
 ) -> Option<Packet> {
-    let pr =
-        ep.pull(&mut EndpointCtx { now, pool: &mut *pool, timers, completions, rng, probe: None })?;
+    let pr = ep.pull(&mut ctx(now, pool, timers, completions, rng))?;
     Some(pool.take(pr))
 }

@@ -4,16 +4,14 @@
 //! data queue saturates during an incast).
 //!
 //! The [`Sampler`] polls any number of labelled channels at one fixed
-//! period. It subsumes the old single-port [`QueueTracer`], which remains as
-//! a deprecated shim. Samples also feed [`LogHistogram`]s, giving
-//! queue-depth p50/p99/p999 without retaining or sorting the series.
+//! period. Samples also feed [`LogHistogram`]s, giving queue-depth
+//! p50/p99/p999 without retaining or sorting the series.
 
 use crate::packet::{FlowId, NodeId, PortId};
 use crate::sim::{Node, Simulator};
 use crate::stats::TransportStats;
 use crate::time::Nanos;
 use dcp_telemetry::LogHistogram;
-use serde::Serialize;
 
 /// What one sampler channel reads from the simulator each period.
 #[derive(Debug, Clone, Copy)]
@@ -116,7 +114,7 @@ impl Sampler {
     }
 
     /// Tracks both queues of a switch egress port as `<label>.data` and
-    /// `<label>.ctrl` — the [`QueueTracer`] use case.
+    /// `<label>.ctrl`.
     pub fn track_port_queues(self, label: &str, switch: NodeId, port: PortId) -> Self {
         self.track(format!("{label}.data"), SampleTarget::PortDataBytes { switch, port })
             .track(format!("{label}.ctrl"), SampleTarget::PortCtrlBytes { switch, port })
@@ -170,69 +168,6 @@ impl Sampler {
     }
 }
 
-/// One sample of one port's queues (legacy [`QueueTracer`] output).
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct QueueSample {
-    pub at: Nanos,
-    pub data_bytes: usize,
-    pub ctrl_bytes: usize,
-}
-
-/// Samples a specific switch egress port at a fixed period while driving
-/// the simulation.
-#[deprecated(note = "use trace::Sampler, which tracks many channels at once")]
-#[derive(Debug)]
-pub struct QueueTracer {
-    pub switch: NodeId,
-    pub port: PortId,
-    pub period: Nanos,
-    inner: Sampler,
-    pub samples: Vec<QueueSample>,
-}
-
-#[allow(deprecated)]
-impl QueueTracer {
-    pub fn new(switch: NodeId, port: PortId, period: Nanos) -> Self {
-        QueueTracer {
-            switch,
-            port,
-            period,
-            inner: Sampler::new(period).track_port_queues("q", switch, port),
-            samples: Vec::new(),
-        }
-    }
-
-    /// Takes any samples that are due at or before the simulator's current
-    /// time.
-    pub fn poll(&mut self, sim: &Simulator) {
-        let before = self.samples.len();
-        self.inner.poll(sim);
-        let (data, ctrl) = (self.inner.channel("q.data"), self.inner.channel("q.ctrl"));
-        for i in before..data.samples.len() {
-            self.samples.push(QueueSample {
-                at: data.samples[i].0,
-                data_bytes: data.samples[i].1 as usize,
-                ctrl_bytes: ctrl.samples[i].1 as usize,
-            });
-        }
-    }
-
-    /// Peak data-queue occupancy observed.
-    pub fn peak_data(&self) -> usize {
-        self.inner.channel("q.data").peak() as usize
-    }
-
-    /// Peak control-queue occupancy observed.
-    pub fn peak_ctrl(&self) -> usize {
-        self.inner.channel("q.ctrl").peak() as usize
-    }
-
-    /// Time-average of the data queue in bytes.
-    pub fn mean_data(&self) -> f64 {
-        self.inner.channel("q.data").mean()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,18 +211,6 @@ mod tests {
     #[should_panic(expected = "unknown TransportStats field")]
     fn sampler_rejects_bad_field_names() {
         let _ = Sampler::new(US).track_endpoint_counter("x", NodeId(0), FlowId(0), "not_a_field");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn tracer_samples_at_period() {
-        let mut sim = Simulator::new(1);
-        let topo = idle_testbed(&mut sim);
-        let mut tracer = QueueTracer::new(topo.leaves[0], 0, US);
-        sim.run_until(10 * US);
-        tracer.poll(&sim);
-        assert_eq!(tracer.samples.len(), 11, "samples at 0..=10 µs");
-        assert_eq!(tracer.peak_data(), 0, "idle fabric has empty queues");
     }
 
     #[test]

@@ -142,16 +142,9 @@ impl TxBook {
         self.msgs.get(msn.checked_sub(front)? as usize)
     }
 
-    /// Retires messages with `msn < emsn`; returns them for completion
-    /// generation.
-    pub fn retire_below(&mut self, emsn: u32) -> Vec<MsgState> {
-        let mut out = Vec::new();
-        self.retire_below_into(emsn, &mut out);
-        out
-    }
-
-    /// Allocation-free [`TxBook::retire_below`]: appends retired messages to
-    /// a caller-owned scratch vector (hot paths reuse one across calls).
+    /// Retires messages with `msn < emsn`, appending them to a caller-owned
+    /// scratch vector for completion generation (`TxCore` reuses one across
+    /// calls, so no ACK allocates).
     pub fn retire_below_into(&mut self, emsn: u32, out: &mut Vec<MsgState>) {
         while let Some(front) = self.msgs.front() {
             if front.wqe.msn < emsn {
@@ -165,14 +158,7 @@ impl TxBook {
     }
 
     /// Retires every message whose PSN range ends at or below `cum_psn`
-    /// (cumulative-ACK transports). Returns completed messages.
-    pub fn retire_psn_below(&mut self, cum_psn: u32) -> Vec<MsgState> {
-        let mut out = Vec::new();
-        self.retire_psn_below_into(cum_psn, &mut out);
-        out
-    }
-
-    /// Allocation-free [`TxBook::retire_psn_below`]; see
+    /// (cumulative-ACK transports), appending them to `out` like
     /// [`TxBook::retire_below_into`].
     pub fn retire_psn_below_into(&mut self, cum_psn: u32, out: &mut Vec<MsgState>) {
         while let Some(front) = self.msgs.front() {
@@ -458,7 +444,8 @@ mod tests {
     #[test]
     fn retire_below_msn_and_locate_after() {
         let mut b = book_with(&[1024, 3000, 500]);
-        let done = b.retire_below(2);
+        let mut done = Vec::new();
+        b.retire_below_into(2, &mut done);
         assert_eq!(done.len(), 2);
         assert!(b.locate(0).is_none(), "retired PSNs no longer locate");
         assert_eq!(b.locate(4).unwrap().0.wqe.msn, 2);
@@ -469,10 +456,11 @@ mod tests {
     fn retire_by_cumulative_psn() {
         let mut b = book_with(&[1024, 3000, 500]);
         // cum 3 covers msg 0 (psn 0) but not msg 1 (psns 1..4).
-        let done = b.retire_psn_below(3);
+        let mut done = Vec::new();
+        b.retire_psn_below_into(3, &mut done);
         assert_eq!(done.len(), 1, "msg 1 not fully covered yet");
-        let done = b.retire_psn_below(4);
-        assert_eq!(done.len(), 1);
+        b.retire_psn_below_into(4, &mut done);
+        assert_eq!(done.len(), 2, "retired messages append to the scratch");
         assert_eq!(b.una_msn(), Some(2));
     }
 

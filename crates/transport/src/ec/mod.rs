@@ -34,11 +34,10 @@
 pub mod codec;
 
 use crate::cc::CongestionControl;
-use crate::common::{
-    ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, MsgState, Placement, TxBook,
-};
+use crate::common::{data_packet, tokens, FlowCfg, MsgState, Placement};
 use crate::rxcore::{Accept, RxCore};
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use crate::txcore::{AckQueue, TxCore};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -116,26 +115,14 @@ fn gen_mask(k: u8) -> u32 {
 /// EC sender: stripes messages into generations, trails each with repair
 /// shards, answers bitmap NACKs with selective retransmits.
 pub struct EcSender {
-    cfg: FlowCfg,
+    tx: TxCore,
     ecfg: EcConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
     /// Repair shards awaiting first transmission: (gen_psn, shard ≥ gen_k).
     repair_q: VecDeque<(u32, u8)>,
     retx_q: VecDeque<(u32, RetxCause)>,
     /// PSNs currently sitting in `retx_q` — dedups repeated NACK rounds
     /// without suppressing a re-request after the retransmit went out.
     retx_pending: BTreeSet<u32>,
-    rto_gen: u64,
-    rto_armed: bool,
-    pace_armed: bool,
-    cc_tick_armed: bool,
-    uid: u64,
-    stats: TransportStats,
-    retire_scratch: Vec<MsgState>,
 }
 
 impl EcSender {
@@ -143,34 +130,12 @@ impl EcSender {
         assert!((1..=32).contains(&ecfg.k), "EC k must be 1..=32 (u32 NACK bitmap)");
         assert!(ecfg.m >= 1, "EC needs at least one repair shard");
         EcSender {
-            cfg,
+            tx: TxCore::new(cfg, ecfg.rto, cc),
             ecfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
             repair_q: VecDeque::new(),
             retx_q: VecDeque::new(),
             retx_pending: BTreeSet::new(),
-            rto_gen: 0,
-            rto_armed: false,
-            pace_armed: false,
-            cc_tick_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
-            retire_scratch: Vec::new(),
         }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.ecfg.rto, tokens::RTO | self.rto_gen));
-    }
-
-    fn inflight_bytes(&self) -> u64 {
-        (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64
     }
 
     /// Generation geometry of data PSN `psn` within its message: the
@@ -184,43 +149,13 @@ impl EcSender {
         (gen_psn, gen_k, self.ecfg.m.min(gen_k))
     }
 
-    fn advance_cum(&mut self, epsn: u32, ctx: &mut EndpointCtx) {
-        if epsn <= self.snd_una {
-            return;
-        }
-        self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-        self.snd_una = epsn;
-        let mut done = std::mem::take(&mut self.retire_scratch);
-        done.clear();
-        self.book.retire_psn_below_into(self.snd_una, &mut done);
-        for m in &done {
-            ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
-                wr_id: m.wqe.wr_id,
-                kind: CompletionKind::SendComplete,
-                bytes: m.wqe.len,
-                imm: 0,
-                at: ctx.now,
-            });
-        }
-        self.retire_scratch = done;
-        if self.snd_una < self.max_sent {
-            self.arm_rto(ctx);
-        } else {
-            self.rto_armed = false;
-        }
-    }
-
-    fn build_data(&mut self, psn: u32, is_retx: bool) -> Packet {
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let (gen_psn, gen_k, m_eff) = self.generation_of(&m, psn);
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
+    /// Builds data shard `psn`; also returns its generation geometry.
+    fn build_data(&mut self, psn: u32, cause: Option<RetxCause>) -> (Packet, (u32, u8, u8)) {
+        let m = *self.tx.book.locate(psn).expect("psn locates").0;
+        let geom @ (gen_psn, gen_k, m_eff) = self.generation_of(&m, psn);
+        let mut pkt = self.tx.build(&m, psn, 0, cause);
         pkt.ext = PktExt::EcShard { gen_psn, shard: (psn - gen_psn) as u8, k: gen_k, m: m_eff };
-        pkt
+        (pkt, geom)
     }
 
     /// Builds a repair shard, or `None` if its generation's message already
@@ -228,7 +163,7 @@ impl EcSender {
     /// Write (only Write messages carry the base-address geometry the
     /// receiver needs to synthesize missing shards).
     fn build_repair(&mut self, gen_psn: u32, shard: u8) -> Option<Packet> {
-        let (m, off) = self.book.locate(gen_psn)?;
+        let (m, off) = self.tx.book.locate(gen_psn)?;
         let m = *m;
         let WorkReqOp::Write { remote_addr, rkey } = m.wqe.op else { return None };
         let (_, gen_k, m_eff) = self.generation_of(&m, gen_psn);
@@ -237,18 +172,19 @@ impl EcSender {
         // the same loss odds as the shards it protects), carrying the
         // generation geometry: packet index + byte offset of the generation
         // start, the message's base address and total length.
+        let mtu = self.tx.cfg.mtu;
         let desc = PacketDescriptor {
             opcode: RdmaOpcode::WriteMiddle,
             index: off,
-            offset: u64::from(off) * self.cfg.mtu as u64,
-            payload_len: self.cfg.mtu as u32,
+            offset: u64::from(off) * mtu as u64,
+            payload_len: mtu as u32,
             remote_addr: Some(remote_addr),
             rkey: Some(rkey),
             imm: Some(m.wqe.len as u32),
             ssn: None,
         };
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, gen_psn, 0, false, self.uid);
+        let uid = self.tx.next_uid();
+        let mut pkt = data_packet(&self.tx.cfg, &m, desc, gen_psn, 0, false, uid);
         pkt.ext = PktExt::EcShard { gen_psn, shard, k: gen_k, m: m_eff };
         Some(pkt)
     }
@@ -256,13 +192,15 @@ impl EcSender {
 
 impl Endpoint for EcSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.tx.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
         let pkt = ctx.pool.take(pkt);
         match pkt.ext {
-            PktExt::GbnAck { epsn } => self.advance_cum(epsn, ctx),
+            PktExt::GbnAck { epsn } => {
+                self.tx.ack_cum(epsn, ctx);
+            }
             PktExt::EcNack { gen_psn, missing } => {
                 let mut bits = missing;
                 while bits != 0 {
@@ -272,15 +210,15 @@ impl Endpoint for EcSender {
                     // Only retransmit what was actually sent and is still
                     // unacked; a NACK may name shards pacing hasn't emitted
                     // yet or that a cumulative ACK already covered.
-                    if psn >= self.snd_una && psn < self.snd_nxt && self.retx_pending.insert(psn) {
+                    if psn >= self.tx.snd_una
+                        && psn < self.tx.snd_nxt
+                        && self.retx_pending.insert(psn)
+                    {
                         self.retx_q.push_back((psn, RetxCause::Nack));
                     }
                 }
             }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
+            PktExt::Cnp => self.tx.on_cnp(ctx),
             _ => {}
         }
     }
@@ -288,132 +226,73 @@ impl Endpoint for EcSender {
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         match tokens::kind(token) {
             tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
-                    // Last resort — a NACK can't name a generation the
-                    // receiver never heard of. Requeue everything unacked.
+                if self.tx.rto_fired(token, ctx) {
+                    // Last resort — a NACK can't name a generation the receiver
+                    // never heard of. Requeue everything unacked.
                     self.retx_q.clear();
                     self.retx_pending.clear();
-                    for psn in self.snd_una..self.snd_nxt {
+                    for psn in self.tx.snd_una..self.tx.snd_nxt {
                         self.retx_q.push_back((psn, RetxCause::Timeout));
                         self.retx_pending.insert(psn);
                     }
-                    self.arm_rto(ctx);
                 }
             }
-            tokens::PACE => self.pace_armed = false,
-            tokens::CC_TICK => {
-                self.cc_tick_armed = false;
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    if !self.book.is_empty() {
-                        self.cc_tick_armed = true;
-                        ctx.timers.push((next, tokens::CC_TICK));
-                    }
-                }
-            }
-            _ => {}
+            _ => self.tx.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if self.has_pending() && !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
+        if self.tx.pace_closed(self.has_pending(), ctx) {
             return None;
         }
         // NACKed/timed-out retransmissions first.
         while let Some((psn, cause)) = self.retx_q.pop_front() {
             self.retx_pending.remove(&psn);
-            if psn < self.snd_una {
+            if psn < self.tx.snd_una {
                 continue; // already made it
             }
-            let mut pkt = self.build_data(psn, true);
-            pkt.retx_cause = cause;
-            self.stats.retx_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            return Some(ctx.pool.insert(pkt));
+            let (pkt, _) = self.build_data(psn, Some(cause));
+            return Some(self.tx.emit_built(pkt, ctx));
         }
         // Repair shards for generations whose data already shipped. First
         // transmissions (counted in `data_pkts`), never retransmitted.
         while let Some((gen_psn, shard)) = self.repair_q.pop_front() {
-            let Some(pkt) = self.build_repair(gen_psn, shard) else { continue };
-            self.stats.data_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
+            if let Some(pkt) = self.build_repair(gen_psn, shard) {
+                return Some(self.tx.emit_built(pkt, ctx));
             }
-            return Some(ctx.pool.insert(pkt));
         }
         // New data within the window.
-        if self.snd_nxt < self.book.next_psn()
-            && self.cc.awin(self.inflight_bytes()) >= self.cfg.mtu as u64
-        {
-            let psn = self.snd_nxt;
-            let pkt = self.build_data(psn, false);
-            self.snd_nxt += 1;
-            self.max_sent = self.max_sent.max(self.snd_nxt);
-            self.stats.data_pkts += 1;
+        if self.tx.has_new() && self.tx.window_open() {
+            let (psn, _) = self.tx.take_next();
+            let (pkt, (gen_psn, gen_k, m_eff)) = self.build_data(psn, None);
             // The generation's last data shard queues its repair trailers.
-            let (m, _) = self.book.locate(psn).expect("psn locates");
-            let m = *m;
-            let (gen_psn, gen_k, m_eff) = self.generation_of(&m, psn);
             if psn == gen_psn + u32::from(gen_k) - 1 {
                 for r in 0..m_eff {
                     self.repair_q.push_back((gen_psn, gen_k + r));
                 }
             }
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            if !self.cc_tick_armed {
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    self.cc_tick_armed = true;
-                    ctx.timers.push((next, tokens::CC_TICK));
-                }
-            }
-            return Some(ctx.pool.insert(pkt));
+            return Some(self.tx.emit_built(pkt, ctx));
         }
         None
     }
 
     fn has_pending(&self) -> bool {
-        !self.retx_q.is_empty() || !self.repair_q.is_empty() || self.snd_nxt < self.book.next_psn()
+        !self.retx_q.is_empty() || !self.repair_q.is_empty() || self.tx.has_new()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.tx.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.tx.book.is_empty()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, true);
-        self.book.clear();
-        self.cc.reset();
-        self.snd_una = 0;
-        self.snd_nxt = 0;
-        self.max_sent = 0;
+        self.tx.reset(flow, local, remote);
         self.repair_q.clear();
         self.retx_q.clear();
         self.retx_pending.clear();
-        self.rto_gen += 1;
-        self.rto_armed = false;
-        self.pace_armed = false;
-        self.cc_tick_armed = false;
-        self.uid = 0;
-        self.stats = TransportStats::default();
         true
     }
 }
@@ -454,17 +333,14 @@ impl GenState {
 /// EC receiver: direct placement, k-of-(k+m) generation decode, staleness
 /// NACKs for generations beyond the repair budget.
 pub struct EcReceiver {
-    cfg: FlowCfg,
     ecfg: EcConfig,
     rx: RxCore,
-    cnp: CnpGen,
-    out: VecDeque<Packet>,
+    acks: AckQueue,
     gens: BTreeMap<u32, GenState>,
     jitter: FlowStream,
     scan_armed: bool,
     scan_gen: u64,
     nack_scratch: Vec<(u32, u32)>,
-    uid: u64,
 }
 
 impl EcReceiver {
@@ -472,22 +348,14 @@ impl EcReceiver {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
         EcReceiver {
             jitter: FlowStream::new(cfg.flow, cfg.local),
-            cfg,
             ecfg,
             rx,
-            cnp: CnpGen::new(ecfg.cnp_interval),
-            out: VecDeque::new(),
+            acks: AckQueue::new(cfg, ecfg.cnp_interval),
             gens: BTreeMap::new(),
             scan_armed: false,
             scan_gen: 0,
             nack_scratch: Vec::new(),
-            uid: 0,
         }
-    }
-
-    fn queue(&mut self, ext: PktExt) {
-        self.uid += 1;
-        self.out.push_back(ack_packet(&self.cfg, ext, 0, self.uid));
     }
 
     /// Decodes generation `gen_psn` if any k of its k+m shards are present:
@@ -520,7 +388,7 @@ impl EcReceiver {
             let i = bits.trailing_zeros();
             bits &= bits - 1;
             let psn = gen_psn + i;
-            let desc = descriptor_for(&wqe, self.cfg.mtu, psn - geom.msg_first_psn);
+            let desc = descriptor_for(&wqe, self.acks.cfg().mtu, psn - geom.msg_first_psn);
             self.rx.on_recovered(psn, geom.msn, &desc, ctx);
         }
         self.gens.get_mut(&gen_psn).expect("entry exists").data_mask = full;
@@ -557,13 +425,11 @@ impl Endpoint for EcReceiver {
         if !pkt.is_data() {
             return;
         }
-        if pkt.header.ip.ecn_ce() && self.cnp.should_send(ctx.now) {
-            self.queue(PktExt::Cnp);
-        }
+        self.acks.on_ecn(&pkt, 0, ctx);
         let PktExt::EcShard { gen_psn, shard, k, m: _ } = pkt.ext else {
             // Defensive: a non-EC data packet still places and acks.
             self.rx.on_data(&pkt, ctx);
-            self.queue(PktExt::GbnAck { epsn: self.rx.epsn });
+            self.acks.queue(PktExt::GbnAck { epsn: self.rx.epsn }, 0);
             return;
         };
         if shard < k {
@@ -605,7 +471,7 @@ impl Endpoint for EcReceiver {
         }
         self.try_decode(gen_psn, ctx);
         self.gc();
-        self.queue(PktExt::GbnAck { epsn: self.rx.epsn });
+        self.acks.queue(PktExt::GbnAck { epsn: self.rx.epsn }, 0);
         self.arm_scan(ctx);
     }
 
@@ -631,18 +497,18 @@ impl Endpoint for EcReceiver {
             nacks.push((g, !e.data_mask & gen_mask(e.k)));
         }
         for &(g, missing) in &nacks {
-            self.queue(PktExt::EcNack { gen_psn: g, missing });
+            self.acks.queue(PktExt::EcNack { gen_psn: g, missing }, 0);
         }
         self.nack_scratch = nacks;
         self.arm_scan(ctx);
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        self.out.pop_front().map(|p| ctx.pool.insert(p))
+        self.acks.pull(ctx)
     }
 
     fn has_pending(&self) -> bool {
-        !self.out.is_empty()
+        self.acks.has_pending()
     }
 
     fn stats(&self) -> TransportStats {
@@ -650,19 +516,16 @@ impl Endpoint for EcReceiver {
     }
 
     fn is_done(&self) -> bool {
-        self.out.is_empty()
+        !self.acks.has_pending()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, false);
+        self.acks.recycle(flow, local, remote);
         self.rx.recycle(local, flow);
-        self.cnp.reset();
-        self.out.clear();
         self.gens.clear();
         self.jitter = FlowStream::new(flow, local);
         self.scan_armed = false;
         self.scan_gen += 1;
-        self.uid = 0;
         true
     }
 }
@@ -682,7 +545,8 @@ pub fn ec_pair(
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use crate::common::ack_packet;
+    use dcp_netsim::endpoint::{deliver, pull_owned, Completion, CompletionKind};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;
     use rand::rngs::StdRng;

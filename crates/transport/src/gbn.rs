@@ -8,145 +8,58 @@
 //! whose loss sensitivity motivates the whole paper (Fig. 10).
 
 use crate::cc::CongestionControl;
-use crate::common::{ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, Placement, TxBook};
+use crate::common::{tokens, FlowCfg, Placement};
 use crate::rxcore::RxCore;
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
-use dcp_netsim::packet::{FlowId, NodeId};
-use dcp_netsim::packet::{Packet, PktExt};
+use crate::txcore::{AckQueue, BaseConfig, TxCore};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
+use dcp_netsim::packet::{FlowId, NodeId, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
-use dcp_netsim::time::{Nanos, US};
 use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
-use std::collections::VecDeque;
 
 /// Tunables for the GBN pair.
-#[derive(Debug, Clone, Copy)]
-pub struct GbnConfig {
-    /// Retransmission timeout.
-    pub rto: Nanos,
-    /// DCQCN NP interval for CNP generation at the receiver.
-    pub cnp_interval: Nanos,
-}
+pub type GbnConfig = BaseConfig;
 
-impl Default for GbnConfig {
-    fn default() -> Self {
-        GbnConfig { rto: 200 * US, cnp_interval: 50 * US }
-    }
-}
-
-/// Go-Back-N sender.
+/// Go-Back-N sender. Loss signal: a NAK or the RTO; repair: rewind
+/// `snd_nxt` to `snd_una` and replay the window.
 pub struct GbnSender {
-    cfg: FlowCfg,
-    gcfg: GbnConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    /// Oldest unacknowledged PSN.
-    snd_una: u32,
-    /// Next PSN to (re)transmit.
-    snd_nxt: u32,
-    /// Highest PSN ever sent + 1 (for retransmission detection).
-    max_sent: u32,
+    tx: TxCore,
     /// Signal behind the most recent rewind; stamped on every packet the
     /// rewind causes to be resent (GBN resends whole windows per episode).
     retx_cause: RetxCause,
-    rto_gen: u64,
-    rto_armed: bool,
-    pace_armed: bool,
-    cc_tick_armed: bool,
-    uid: u64,
-    stats: TransportStats,
-    /// Reused buffer for retired messages (no per-ACK allocation).
-    retire_scratch: Vec<crate::common::MsgState>,
 }
 
 impl GbnSender {
     pub fn new(cfg: FlowCfg, gcfg: GbnConfig, cc: Box<dyn CongestionControl>) -> Self {
-        GbnSender {
-            cfg,
-            gcfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
-            retx_cause: RetxCause::Unknown,
-            rto_gen: 0,
-            rto_armed: false,
-            pace_armed: false,
-            cc_tick_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
-            retire_scratch: Vec::new(),
-        }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.gcfg.rto, tokens::RTO | self.rto_gen));
-    }
-
-    fn inflight_bytes(&self) -> u64 {
-        (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64
-    }
-
-    fn retire(&mut self, epsn: u32, ctx: &mut EndpointCtx) {
-        let mut done = std::mem::take(&mut self.retire_scratch);
-        done.clear();
-        self.book.retire_psn_below_into(epsn, &mut done);
-        for m in &done {
-            ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
-                wr_id: m.wqe.wr_id,
-                kind: CompletionKind::SendComplete,
-                bytes: m.wqe.len,
-                imm: 0,
-                at: ctx.now,
-            });
-        }
-        self.retire_scratch = done;
+        GbnSender { tx: TxCore::new(cfg, gcfg.rto, cc), retx_cause: RetxCause::Unknown }
     }
 }
 
 impl Endpoint for GbnSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.tx.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
         let pkt = ctx.pool.take(pkt);
         match pkt.ext {
             PktExt::GbnAck { epsn } => {
-                if epsn > self.snd_una {
-                    self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-                    self.snd_una = epsn;
-                    // After a NAK rewind, in-flight originals may still
-                    // advance the cumulative ACK past the rewound snd_nxt.
-                    self.snd_nxt = self.snd_nxt.max(epsn);
-                    self.retire(epsn, ctx);
-                    if self.snd_una < self.max_sent {
-                        self.arm_rto(ctx);
-                    } else {
-                        self.rto_armed = false;
-                    }
-                }
+                self.tx.ack_cum(epsn, ctx);
             }
             PktExt::GbnNak { epsn } => {
-                // Go back: rewind to the receiver's expected PSN.
-                if epsn > self.snd_una {
-                    self.snd_una = epsn;
-                    self.retire(epsn, ctx);
+                // Go back: rewind to the receiver's expected PSN. A NAK
+                // acknowledges what precedes it but credits no CC window and
+                // always restarts the RTO.
+                if epsn > self.tx.snd_una {
+                    self.tx.snd_una = epsn;
+                    self.tx.retire_psn_below(epsn, ctx);
                 }
-                self.snd_nxt = self.snd_una;
+                self.tx.snd_nxt = self.tx.snd_una;
                 self.retx_cause = RetxCause::Nack;
-                self.arm_rto(ctx);
+                self.tx.arm_rto(ctx);
             }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
+            PktExt::Cnp => self.tx.on_cnp(ctx),
             _ => {}
         }
     }
@@ -154,139 +67,56 @@ impl Endpoint for GbnSender {
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         match tokens::kind(token) {
             tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
-                    self.snd_nxt = self.snd_una;
+                if self.tx.rto_fired(token, ctx) {
+                    self.tx.snd_nxt = self.tx.snd_una;
                     self.retx_cause = RetxCause::Timeout;
-                    self.arm_rto(ctx);
                 }
             }
-            tokens::PACE => {
-                self.pace_armed = false;
-            }
-            tokens::CC_TICK => {
-                self.cc_tick_armed = false;
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    if !self.book.is_empty() {
-                        self.cc_tick_armed = true;
-                        ctx.timers.push((next, tokens::CC_TICK));
-                    }
-                }
-            }
-            _ => {}
+            _ => self.tx.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        if self.snd_nxt >= self.book.next_psn() {
+        // Gate order: data, pacing (rate-based CC), window.
+        if !self.tx.has_new() || self.tx.pace_closed(true, ctx) || !self.tx.window_open() {
             return None;
         }
-        // Pacing gate (rate-based CC).
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
-            return None;
-        }
-        // Window gate.
-        if self.cc.awin(self.inflight_bytes()) < self.cfg.mtu as u64 {
-            return None;
-        }
-        let psn = self.snd_nxt;
-        let (m, _) = self.book.locate(psn).expect("unacked psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let is_retx = psn < self.max_sent;
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
-        if is_retx {
-            pkt.retx_cause = self.retx_cause;
-        }
-        self.snd_nxt += 1;
-        self.max_sent = self.max_sent.max(self.snd_nxt);
-        if is_retx {
-            self.stats.retx_pkts += 1;
-        } else {
-            self.stats.data_pkts += 1;
-        }
-        self.cc.on_send(ctx.now, pkt.wire_bytes());
-        if !self.rto_armed {
-            self.arm_rto(ctx);
-        }
-        if !self.cc_tick_armed {
-            if let Some(next) = self.cc.on_tick(ctx.now) {
-                self.cc_tick_armed = true;
-                ctx.timers.push((next, tokens::CC_TICK));
-            }
-        }
-        Some(ctx.pool.insert(pkt))
+        let (psn, is_retx) = self.tx.take_next();
+        Some(self.tx.emit(psn, is_retx.then_some(self.retx_cause), ctx))
     }
 
     fn has_pending(&self) -> bool {
-        self.snd_nxt < self.book.next_psn()
+        self.tx.has_new()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.tx.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.tx.book.is_empty()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, true);
-        self.book.clear();
-        self.cc.reset();
-        self.snd_una = 0;
-        self.snd_nxt = 0;
-        self.max_sent = 0;
+        self.tx.reset(flow, local, remote);
         self.retx_cause = RetxCause::Unknown;
-        // rto_gen stays monotone: a previous life's RTO that somehow slips
-        // past the host's slot-generation filter still mismatches here.
-        self.rto_gen += 1;
-        self.rto_armed = false;
-        self.pace_armed = false;
-        self.cc_tick_armed = false;
-        self.uid = 0;
-        self.stats = TransportStats::default();
         true
     }
 }
 
 /// Go-Back-N receiver: in-order acceptance, NAK on gaps.
 pub struct GbnReceiver {
-    cfg: FlowCfg,
     rx: RxCore,
-    cnp: CnpGen,
+    acks: AckQueue,
     /// One NAK per gap episode; reset when the expected PSN arrives.
     nak_outstanding: bool,
-    out: VecDeque<Packet>,
-    uid: u64,
 }
 
 impl GbnReceiver {
     pub fn new(cfg: FlowCfg, gcfg: GbnConfig, placement: Placement) -> Self {
         // In-order only: any OOO arrival is outside the (zero-size) window.
         let rx = RxCore::new(cfg.local, cfg.flow, 0, placement);
-        GbnReceiver {
-            cfg,
-            rx,
-            cnp: CnpGen::new(gcfg.cnp_interval),
-            nak_outstanding: false,
-            out: VecDeque::new(),
-            uid: 0,
-        }
-    }
-
-    fn queue(&mut self, ext: PktExt) {
-        self.uid += 1;
-        self.out.push_back(ack_packet(&self.cfg, ext, 0, self.uid));
+        GbnReceiver { rx, acks: AckQueue::new(cfg, gcfg.cnp_interval), nak_outstanding: false }
     }
 }
 
@@ -296,25 +126,23 @@ impl Endpoint for GbnReceiver {
         if !pkt.is_data() {
             return;
         }
-        if pkt.header.ip.ecn_ce() && self.cnp.should_send(ctx.now) {
-            self.queue(PktExt::Cnp);
-        }
+        self.acks.on_ecn(&pkt, 0, ctx);
         let psn = pkt.psn();
         if psn == self.rx.epsn {
             self.rx.on_data(&pkt, ctx);
             self.nak_outstanding = false;
-            self.queue(PktExt::GbnAck { epsn: self.rx.epsn });
+            self.acks.queue(PktExt::GbnAck { epsn: self.rx.epsn }, 0);
         } else if psn < self.rx.epsn {
             // Duplicate of something already delivered: re-ACK.
             self.rx.stats.duplicates += 1;
             self.rx.stats.pkts_received += 1;
-            self.queue(PktExt::GbnAck { epsn: self.rx.epsn });
+            self.acks.queue(PktExt::GbnAck { epsn: self.rx.epsn }, 0);
         } else {
             // Gap: discard (GBN receivers hold no OOO state) and NAK once.
             self.rx.stats.pkts_received += 1;
             if !self.nak_outstanding {
                 self.nak_outstanding = true;
-                self.queue(PktExt::GbnNak { epsn: self.rx.epsn });
+                self.acks.queue(PktExt::GbnNak { epsn: self.rx.epsn }, 0);
             }
         }
     }
@@ -322,11 +150,11 @@ impl Endpoint for GbnReceiver {
     fn on_timer(&mut self, _token: u64, _ctx: &mut EndpointCtx) {}
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        self.out.pop_front().map(|p| ctx.pool.insert(p))
+        self.acks.pull(ctx)
     }
 
     fn has_pending(&self) -> bool {
-        !self.out.is_empty()
+        self.acks.has_pending()
     }
 
     fn stats(&self) -> TransportStats {
@@ -334,16 +162,13 @@ impl Endpoint for GbnReceiver {
     }
 
     fn is_done(&self) -> bool {
-        self.out.is_empty()
+        !self.acks.has_pending()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, false);
+        self.acks.recycle(flow, local, remote);
         self.rx.recycle(local, flow);
-        self.cnp.reset();
         self.nak_outstanding = false;
-        self.out.clear();
-        self.uid = 0;
         true
     }
 }
@@ -364,7 +189,8 @@ pub fn gbn_pair(
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use crate::common::{ack_packet, data_packet, desc_at, TxBook};
+    use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;
@@ -373,16 +199,6 @@ mod tests {
 
     fn cfg() -> FlowCfg {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
-    }
-
-    fn ctx<'a>(
-        now: Nanos,
-        pool: &'a mut PacketPool,
-        t: &'a mut Vec<(Nanos, u64)>,
-        c: &'a mut Vec<Completion>,
-        r: &'a mut StdRng,
-    ) -> EndpointCtx<'a> {
-        EndpointCtx { now, pool, timers: t, completions: c, rng: r, probe: None }
     }
 
     #[test]

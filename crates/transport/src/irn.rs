@@ -14,40 +14,24 @@
 //! retransmissions, and tail/retransmission losses pile up RTOs.
 
 use crate::cc::CongestionControl;
-use crate::common::{ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, Placement, TxBook};
+use crate::common::{tokens, FlowCfg, Placement};
 use crate::rxcore::{Accept, RxCore};
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
-use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
+use crate::txcore::{AckQueue, BaseConfig, TxCore};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
+use dcp_netsim::packet::{FlowId, NodeId, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
-use dcp_netsim::time::{Nanos, US};
 use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
 use std::collections::{BTreeSet, VecDeque};
 
 /// IRN tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct IrnConfig {
-    pub rto: Nanos,
-    pub cnp_interval: Nanos,
-}
-
-impl Default for IrnConfig {
-    fn default() -> Self {
-        IrnConfig { rto: 200 * US, cnp_interval: 50 * US }
-    }
-}
+pub type IrnConfig = BaseConfig;
 
 /// IRN sender: selective repeat with a SACK bitmap and single-entry loss
 /// recovery mode.
 pub struct IrnSender {
-    cfg: FlowCfg,
-    icfg: IrnConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
+    tx: TxCore,
     /// SACKed PSNs above `snd_una` — the sender-side bitmap.
     sacked: BTreeSet<u32>,
     in_recovery: bool,
@@ -57,57 +41,24 @@ pub struct IrnSender {
     /// PSNs already retransmitted in this recovery episode ("the sender
     /// enters the loss recovery mode only once", §2.2).
     retx_done: BTreeSet<u32>,
-    rto_gen: u64,
-    rto_armed: bool,
-    pace_armed: bool,
-    cc_tick_armed: bool,
-    uid: u64,
-    stats: TransportStats,
-    /// Reused buffer for retired messages (no per-ACK allocation).
-    retire_scratch: Vec<crate::common::MsgState>,
 }
 
 impl IrnSender {
     pub fn new(cfg: FlowCfg, icfg: IrnConfig, cc: Box<dyn CongestionControl>) -> Self {
         IrnSender {
-            cfg,
-            icfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
+            tx: TxCore::new(cfg, icfg.rto, cc),
             sacked: BTreeSet::new(),
             in_recovery: false,
             recovery_point: 0,
             retx_q: VecDeque::new(),
             retx_done: BTreeSet::new(),
-            rto_gen: 0,
-            rto_armed: false,
-            pace_armed: false,
-            cc_tick_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
-            retire_scratch: Vec::new(),
         }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.icfg.rto, tokens::RTO | self.rto_gen));
-    }
-
-    fn inflight_bytes(&self) -> u64 {
-        (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64
     }
 
     fn advance_cum(&mut self, epsn: u32, ctx: &mut EndpointCtx) {
-        if epsn <= self.snd_una {
+        if !self.tx.credit_cum(epsn, ctx) {
             return;
         }
-        self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-        self.snd_una = epsn;
         while let Some(&p) = self.sacked.first() {
             if p < epsn {
                 self.sacked.remove(&p);
@@ -116,33 +67,15 @@ impl IrnSender {
             }
         }
         // Cumulative progress above SACKed holes subsumes them.
-        while self.sacked.remove(&self.snd_una) {
-            self.snd_una += 1;
+        let mut una = epsn;
+        while self.sacked.remove(&una) {
+            una += 1;
         }
-        let mut done = std::mem::take(&mut self.retire_scratch);
-        done.clear();
-        self.book.retire_psn_below_into(self.snd_una, &mut done);
-        for m in &done {
-            ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
-                wr_id: m.wqe.wr_id,
-                kind: CompletionKind::SendComplete,
-                bytes: m.wqe.len,
-                imm: 0,
-                at: ctx.now,
-            });
-        }
-        self.retire_scratch = done;
-        if self.in_recovery && self.snd_una >= self.recovery_point {
+        self.tx.advance_una(una, ctx);
+        if self.in_recovery && una >= self.recovery_point {
             self.in_recovery = false;
             self.retx_done.clear();
             self.retx_q.clear();
-        }
-        if self.snd_una < self.max_sent {
-            self.arm_rto(ctx);
-        } else {
-            self.rto_armed = false;
         }
     }
 
@@ -150,25 +83,17 @@ impl IrnSender {
     /// the highest SACKed one, not retransmitted in this episode.
     fn mark_losses(&mut self) {
         let Some(&hi) = self.sacked.last() else { return };
-        for psn in self.snd_una..hi {
+        for psn in self.tx.snd_una..hi {
             if !self.sacked.contains(&psn) && self.retx_done.insert(psn) {
                 self.retx_q.push_back((psn, RetxCause::Sack));
             }
         }
     }
-
-    fn build(&mut self, psn: u32, is_retx: bool) -> Packet {
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        self.uid += 1;
-        data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid)
-    }
 }
 
 impl Endpoint for IrnSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.tx.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
@@ -179,21 +104,18 @@ impl Endpoint for IrnSender {
             }
             PktExt::Sack { epsn, sacked_psn } => {
                 self.advance_cum(epsn, ctx);
-                if sacked_psn >= self.snd_una {
+                if sacked_psn >= self.tx.snd_una {
                     self.sacked.insert(sacked_psn);
                 }
                 if !self.in_recovery && !self.sacked.is_empty() {
                     self.in_recovery = true;
-                    self.recovery_point = self.snd_nxt;
+                    self.recovery_point = self.tx.snd_nxt;
                 }
                 if self.in_recovery {
                     self.mark_losses();
                 }
             }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
+            PktExt::Cnp => self.tx.on_cnp(ctx),
             _ => {}
         }
     }
@@ -201,105 +123,57 @@ impl Endpoint for IrnSender {
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         match tokens::kind(token) {
             tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
+                if self.tx.rto_fired(token, ctx) {
                     // Last resort: requeue every outstanding un-SACKed PSN.
                     self.retx_done.clear();
                     self.retx_q.clear();
-                    for psn in self.snd_una..self.snd_nxt {
+                    for psn in self.tx.snd_una..self.tx.snd_nxt {
                         if !self.sacked.contains(&psn) {
                             self.retx_q.push_back((psn, RetxCause::Timeout));
                             self.retx_done.insert(psn);
                         }
                     }
                     self.in_recovery = true;
-                    self.recovery_point = self.snd_nxt;
-                    self.arm_rto(ctx);
+                    self.recovery_point = self.tx.snd_nxt;
                 }
             }
-            tokens::PACE => self.pace_armed = false,
-            tokens::CC_TICK => {
-                self.cc_tick_armed = false;
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    if !self.book.is_empty() {
-                        self.cc_tick_armed = true;
-                        ctx.timers.push((next, tokens::CC_TICK));
-                    }
-                }
-            }
-            _ => {}
+            _ => self.tx.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if self.has_pending() && !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
+        if self.tx.pace_closed(self.has_pending(), ctx) {
             return None;
         }
         // Retransmissions first (they occupy already-granted window).
         while let Some((psn, cause)) = self.retx_q.pop_front() {
-            if psn < self.snd_una || self.sacked.contains(&psn) {
+            if psn < self.tx.snd_una || self.sacked.contains(&psn) {
                 continue; // already made it
             }
-            let mut pkt = self.build(psn, true);
-            pkt.retx_cause = cause;
-            self.stats.retx_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            return Some(ctx.pool.insert(pkt));
+            return Some(self.tx.emit(psn, Some(cause), ctx));
         }
         // New data within the BDP window.
-        if self.snd_nxt < self.book.next_psn()
-            && self.cc.awin(self.inflight_bytes()) >= self.cfg.mtu as u64
-        {
-            let psn = self.snd_nxt;
-            let pkt = self.build(psn, false);
-            self.snd_nxt += 1;
-            self.max_sent = self.max_sent.max(self.snd_nxt);
-            self.stats.data_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            if !self.cc_tick_armed {
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    self.cc_tick_armed = true;
-                    ctx.timers.push((next, tokens::CC_TICK));
-                }
-            }
-            return Some(ctx.pool.insert(pkt));
+        if self.tx.has_new() && self.tx.window_open() {
+            let (psn, _) = self.tx.take_next();
+            return Some(self.tx.emit(psn, None, ctx));
         }
         None
     }
 
     fn has_pending(&self) -> bool {
-        !self.retx_q.is_empty() || self.snd_nxt < self.book.next_psn()
+        !self.retx_q.is_empty() || self.tx.has_new()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.tx.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.tx.book.is_empty()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, true);
-        self.book.clear();
-        self.cc.reset();
-        self.snd_una = 0;
-        self.snd_nxt = 0;
-        self.max_sent = 0;
+        self.tx.reset(flow, local, remote);
         // B-tree bitmaps release their nodes here (§4.5's point: bitmap
         // state costs allocation churn that DCP's counters avoid).
         self.sacked.clear();
@@ -307,34 +181,20 @@ impl Endpoint for IrnSender {
         self.recovery_point = 0;
         self.retx_q.clear();
         self.retx_done.clear();
-        self.rto_gen += 1;
-        self.rto_armed = false;
-        self.pace_armed = false;
-        self.cc_tick_armed = false;
-        self.uid = 0;
-        self.stats = TransportStats::default();
         true
     }
 }
 
 /// IRN receiver: order-tolerant placement; SACK on every OOO arrival.
 pub struct IrnReceiver {
-    cfg: FlowCfg,
     rx: RxCore,
-    cnp: CnpGen,
-    out: VecDeque<Packet>,
-    uid: u64,
+    acks: AckQueue,
 }
 
 impl IrnReceiver {
     pub fn new(cfg: FlowCfg, icfg: IrnConfig, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
-        IrnReceiver { cfg, rx, cnp: CnpGen::new(icfg.cnp_interval), out: VecDeque::new(), uid: 0 }
-    }
-
-    fn queue(&mut self, ext: PktExt) {
-        self.uid += 1;
-        self.out.push_back(ack_packet(&self.cfg, ext, 0, self.uid));
+        IrnReceiver { rx, acks: AckQueue::new(cfg, icfg.cnp_interval) }
     }
 }
 
@@ -344,26 +204,24 @@ impl Endpoint for IrnReceiver {
         if !pkt.is_data() {
             return;
         }
-        if pkt.header.ip.ecn_ce() && self.cnp.should_send(ctx.now) {
-            self.queue(PktExt::Cnp);
-        }
+        self.acks.on_ecn(&pkt, 0, ctx);
         let psn = pkt.psn();
-        match self.rx.on_data(&pkt, ctx) {
-            Accept::InOrder => self.queue(PktExt::GbnAck { epsn: self.rx.epsn }),
-            Accept::OutOfOrder => self.queue(PktExt::Sack { epsn: self.rx.epsn, sacked_psn: psn }),
-            Accept::Duplicate => self.queue(PktExt::GbnAck { epsn: self.rx.epsn }),
+        let ext = match self.rx.on_data(&pkt, ctx) {
+            Accept::InOrder | Accept::Duplicate => PktExt::GbnAck { epsn: self.rx.epsn },
+            Accept::OutOfOrder => PktExt::Sack { epsn: self.rx.epsn, sacked_psn: psn },
             Accept::Rejected => unreachable!("IRN receiver has no OOO cap"),
-        }
+        };
+        self.acks.queue(ext, 0);
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut EndpointCtx) {}
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        self.out.pop_front().map(|p| ctx.pool.insert(p))
+        self.acks.pull(ctx)
     }
 
     fn has_pending(&self) -> bool {
-        !self.out.is_empty()
+        self.acks.has_pending()
     }
 
     fn stats(&self) -> TransportStats {
@@ -371,15 +229,12 @@ impl Endpoint for IrnReceiver {
     }
 
     fn is_done(&self) -> bool {
-        self.out.is_empty()
+        !self.acks.has_pending()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, false);
+        self.acks.recycle(flow, local, remote);
         self.rx.recycle(local, flow);
-        self.cnp.reset();
-        self.out.clear();
-        self.uid = 0;
         true
     }
 }
@@ -399,25 +254,17 @@ pub fn irn_pair(
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use crate::common::{ack_packet, data_packet, desc_at, TxBook};
+    use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
+    use dcp_netsim::time::Nanos;
     use dcp_rdma::headers::DcpTag;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn cfg() -> FlowCfg {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
-    }
-
-    fn ctx<'a>(
-        now: Nanos,
-        pool: &'a mut PacketPool,
-        t: &'a mut Vec<(Nanos, u64)>,
-        c: &'a mut Vec<Completion>,
-        r: &'a mut StdRng,
-    ) -> EndpointCtx<'a> {
-        EndpointCtx { now, pool, timers: t, completions: c, rng: r, probe: None }
     }
 
     fn sender(window_pkts: u64) -> IrnSender {
@@ -493,18 +340,17 @@ mod tests {
     #[test]
     fn rto_requeues_all_unsacked() {
         let mut s = sender(4);
-        drain(&mut s, 0);
-        sack(&mut s, 50, 0, 2); // SACK psn 2 only
-        let _ = drain(&mut s, 60); // spurious retx of 0,1 happen here
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
-        // Find the most recent RTO timer and fire it.
-        let (at, token) = t
-            .iter()
-            .chain(std::iter::empty())
-            .rfind(|(_, tok)| tokens::kind(*tok) == tokens::RTO)
-            .copied()
-            .unwrap_or((300_000, tokens::RTO | s.rto_gen));
+        while pull_owned(&mut s, &mut pool, 0, &mut t, &mut c, &mut r).is_some() {}
+        // SACK psn 2 only.
+        sack(&mut s, 50, 0, 2);
+        // Spurious retransmissions of 0 and 1 go out here. No cumulative
+        // progress since the first transmission, so the RTO it armed is
+        // still the live one.
+        let _ = drain(&mut s, 60);
+        let (at, token) =
+            t.iter().rfind(|(_, tok)| tokens::kind(*tok) == tokens::RTO).copied().unwrap();
         s.on_timer(token, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
         assert_eq!(s.stats().timeouts, 1);
         let out = drain(&mut s, at + 1);

@@ -14,7 +14,7 @@
 //! * [`racktlp`] — RACK-TLP (RFC 8985): time-based loss detection with a
 //!   one-RTT reordering window plus tail-loss probes (§6.3);
 //! * [`timeout_only`] — the Spectrum-style order-tolerant receiver whose
-//!   sender recovers only by RTO (§6.3);
+//!   sender (GBN's, with no NAK ever arriving) recovers only by RTO (§6.3);
 //! * [`swtcp`] — a software-stack throughput/latency *model* standing in
 //!   for kernel TCP in the Fig. 8 comparison;
 //! * [`ec`] — SDR-RDMA-style erasure-coded transport: k data + m repair
@@ -25,8 +25,11 @@
 //!   reliability as §3 requires.
 //!
 //! Shared machinery: [`common`] (flow config, sender bookkeeping, packet
-//! builders) and [`rxcore`] (the bitmap-tracking receiver core that DCP's
-//! counting receiver replaces).
+//! builders), [`txcore`] (the reliability skeleton under every sender and
+//! receiver, DCP's included: book, window, RTO/pacing/CC-tick timers, emit
+//! and retire paths, the ACK reply queue and ECN→CNP gate) and [`rxcore`]
+//! (the bitmap-tracking receiver core that DCP's counting receiver
+//! replaces).
 
 pub mod cc;
 pub mod common;
@@ -38,9 +41,11 @@ pub mod racktlp;
 pub mod rxcore;
 pub mod swtcp;
 pub mod timeout_only;
+pub mod txcore;
 
 pub use common::{
     ack_packet, data_packet, desc_at, CnpGen, FlowCfg, MsgState, Placement, RttEstimator, TxBook,
 };
 pub use ec::{ec_pair, EcConfig, EcReceiver, EcSender};
 pub use rxcore::{Accept, RxCore};
+pub use txcore::{AckQueue, BaseConfig, TxCore};

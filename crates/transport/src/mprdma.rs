@@ -14,16 +14,18 @@
 //! degree below its expected threshold" is exactly this drop behaviour
 //! interacting with path skew). Recovery is timeout + go-back-N.
 
-use crate::common::{ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, Placement, TxBook};
+use crate::cc::NoCc;
+use crate::common::{tokens, FlowCfg, Placement};
 use crate::rxcore::{Accept, RxCore};
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
-use dcp_netsim::packet::{Packet, PktExt};
+use crate::txcore::{AckQueue, TxCore};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
+use dcp_netsim::packet::PktExt;
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
 use dcp_netsim::time::{Nanos, US};
 use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// MP-RDMA tunables.
 #[derive(Debug, Clone, Copy)]
@@ -58,43 +60,21 @@ struct Path {
 
 /// MP-RDMA sender.
 pub struct MpRdmaSender {
-    cfg: FlowCfg,
-    mcfg: MpRdmaConfig,
-    book: TxBook,
+    /// The skeleton's CC slot holds `NoCc`: MP-RDMA's congestion control
+    /// is the per-path windows below, not a pluggable module.
+    tx: TxCore,
     paths: Vec<Path>,
     /// Outstanding PSN → path that carried it.
     on_path: BTreeMap<u32, u16>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
-    rto_gen: u64,
-    rto_armed: bool,
-    uid: u64,
-    stats: TransportStats,
 }
 
 impl MpRdmaSender {
     pub fn new(cfg: FlowCfg, mcfg: MpRdmaConfig) -> Self {
         MpRdmaSender {
-            cfg,
-            mcfg,
-            book: TxBook::new(),
+            tx: TxCore::new(cfg, mcfg.rto, Box::new(NoCc::default())),
             paths: vec![Path { cwnd: mcfg.init_cwnd, inflight: 0 }; mcfg.paths],
             on_path: BTreeMap::new(),
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
-            rto_gen: 0,
-            rto_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
         }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.mcfg.rto, tokens::RTO | self.rto_gen));
     }
 
     /// Path with the most spare window, if any.
@@ -113,18 +93,26 @@ impl MpRdmaSender {
     pub fn total_cwnd(&self) -> f64 {
         self.paths.iter().map(|p| p.cwnd).sum()
     }
+
+    /// Frees the path slot `psn` occupied, if it is still booked.
+    fn release(&mut self, psn: u32) {
+        if let Some(carrier) = self.on_path.remove(&psn) {
+            let p = &mut self.paths[carrier as usize];
+            p.inflight = p.inflight.saturating_sub(1);
+        }
+    }
 }
 
 impl Endpoint for MpRdmaSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.tx.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
         let pkt = ctx.pool.take(pkt);
         let PktExt::MpAck { epsn, acked_psn, path, ecn } = pkt.ext else {
             if pkt.ext == PktExt::Cnp {
-                self.stats.cnps += 1;
+                self.tx.on_cnp(ctx);
             }
             return;
         };
@@ -136,126 +124,71 @@ impl Endpoint for MpRdmaSender {
                 p.cwnd += 1.0 / p.cwnd.max(1.0);
             }
         }
-        if let Some(carrier) = self.on_path.remove(&acked_psn) {
-            let p = &mut self.paths[carrier as usize];
-            p.inflight = p.inflight.saturating_sub(1);
-        }
-        if epsn > self.snd_una {
-            self.snd_una = epsn;
-            // After an RTO rewind, straggler ACKs can advance the
-            // cumulative pointer past the rewound snd_nxt.
-            self.snd_nxt = self.snd_nxt.max(epsn);
+        self.release(acked_psn);
+        // After an RTO rewind, straggler ACKs can advance the cumulative
+        // pointer past the rewound snd_nxt; `ack_cum` pulls it forward.
+        if self.tx.ack_cum(epsn, ctx) {
             // Drop bookkeeping for everything cumulatively covered.
-            let covered: Vec<u32> = self.on_path.range(..epsn).map(|(&p, _)| p).collect();
-            for psn in covered {
-                if let Some(carrier) = self.on_path.remove(&psn) {
-                    let p = &mut self.paths[carrier as usize];
-                    p.inflight = p.inflight.saturating_sub(1);
+            while let Some((&psn, _)) = self.on_path.first_key_value() {
+                if psn >= epsn {
+                    break;
                 }
-            }
-            for m in self.book.retire_psn_below(epsn) {
-                ctx.completions.push(Completion {
-                    host: self.cfg.local,
-                    flow: self.cfg.flow,
-                    wr_id: m.wqe.wr_id,
-                    kind: CompletionKind::SendComplete,
-                    bytes: m.wqe.len,
-                    imm: 0,
-                    at: ctx.now,
-                });
-            }
-            if self.snd_una < self.max_sent {
-                self.arm_rto(ctx);
-            } else {
-                self.rto_armed = false;
+                self.release(psn);
             }
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
-        if tokens::kind(token) == tokens::RTO
-            && self.rto_armed
-            && tokens::generation(token) == self.rto_gen
-            && self.snd_una < self.max_sent
-        {
+        if tokens::kind(token) == tokens::RTO && self.tx.rto_fired(token, ctx) {
             // Go-back-N: rewind and clear path occupancy.
-            self.stats.timeouts += 1;
-            self.snd_nxt = self.snd_una;
+            self.tx.snd_nxt = self.tx.snd_una;
             self.on_path.clear();
             for p in &mut self.paths {
                 p.inflight = 0;
                 p.cwnd = (p.cwnd / 2.0).max(1.0);
             }
-            self.arm_rto(ctx);
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        if self.snd_nxt >= self.book.next_psn() {
+        if !self.tx.has_new() {
             return None;
         }
         let path = self.pick_path()?;
-        let psn = self.snd_nxt;
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let is_retx = psn < self.max_sent;
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
-        if is_retx {
-            // Recovery is timeout + go-back-N: any resend traces to an RTO.
-            pkt.retx_cause = RetxCause::Timeout;
-        }
+        let (psn, is_retx) = self.tx.take_next();
+        // Recovery is timeout + go-back-N: any resend traces to an RTO.
+        let mut pkt = self.tx.build_psn(psn, is_retx.then_some(RetxCause::Timeout));
         // Virtual path = ECMP entropy: distinct UDP source port per path.
-        pkt.header.udp.src_port = self.cfg.sport.wrapping_add(path);
-        self.snd_nxt += 1;
-        self.max_sent = self.max_sent.max(self.snd_nxt);
-        if is_retx {
-            self.stats.retx_pkts += 1;
-        } else {
-            self.stats.data_pkts += 1;
-        }
+        pkt.header.udp.src_port = self.tx.cfg.sport.wrapping_add(path);
         self.paths[path as usize].inflight += 1;
         self.on_path.insert(psn, path);
-        if !self.rto_armed {
-            self.arm_rto(ctx);
-        }
-        Some(ctx.pool.insert(pkt))
+        Some(self.tx.emit_built(pkt, ctx))
     }
 
     fn has_pending(&self) -> bool {
-        self.snd_nxt < self.book.next_psn()
+        self.tx.has_new()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.tx.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.tx.book.is_empty()
     }
 }
 
 /// MP-RDMA receiver: out-of-order placement inside a window `L`; per-packet
 /// ACKs echoing path and ECN.
 pub struct MpRdmaReceiver {
-    cfg: FlowCfg,
     rx: RxCore,
-    cnp: CnpGen,
-    out: VecDeque<Packet>,
-    uid: u64,
+    acks: AckQueue,
 }
 
 impl MpRdmaReceiver {
     pub fn new(cfg: FlowCfg, mcfg: MpRdmaConfig, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, mcfg.ooo_window, placement);
-        MpRdmaReceiver {
-            cfg,
-            rx,
-            cnp: CnpGen::new(mcfg.cnp_interval),
-            out: VecDeque::new(),
-            uid: 0,
-        }
+        MpRdmaReceiver { rx, acks: AckQueue::new(cfg, mcfg.cnp_interval) }
     }
 }
 
@@ -265,38 +198,26 @@ impl Endpoint for MpRdmaReceiver {
         if !pkt.is_data() {
             return;
         }
-        let path = pkt.header.udp.src_port.wrapping_sub(self.cfg.sport);
+        let path = pkt.header.udp.src_port.wrapping_sub(self.acks.cfg().sport);
+        // MP-RDMA reacts per-ACK: the ECN mark is echoed on the path's ACK
+        // and no CNP is generated.
         let ecn = pkt.header.ip.ecn_ce();
-        if ecn && self.cnp.should_send(ctx.now) {
-            // MP-RDMA reacts per-ACK; the CNP path is unused but kept for
-            // uniformity with DCQCN-style NPs.
-        }
         let psn = pkt.psn();
-        match self.rx.on_data(&pkt, ctx) {
-            Accept::Rejected => {
-                // Beyond the OOO window: silently dropped; the sender's RTO
-                // will recover it.
-            }
-            _ => {
-                self.uid += 1;
-                self.out.push_back(ack_packet(
-                    &self.cfg,
-                    PktExt::MpAck { epsn: self.rx.epsn, acked_psn: psn, path, ecn },
-                    0,
-                    self.uid,
-                ));
-            }
+        // Beyond the OOO window: silently dropped; the sender's RTO will
+        // recover it.
+        if self.rx.on_data(&pkt, ctx) != Accept::Rejected {
+            self.acks.queue(PktExt::MpAck { epsn: self.rx.epsn, acked_psn: psn, path, ecn }, 0);
         }
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut EndpointCtx) {}
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        self.out.pop_front().map(|p| ctx.pool.insert(p))
+        self.acks.pull(ctx)
     }
 
     fn has_pending(&self) -> bool {
-        !self.out.is_empty()
+        self.acks.has_pending()
     }
 
     fn stats(&self) -> TransportStats {
@@ -304,7 +225,7 @@ impl Endpoint for MpRdmaReceiver {
     }
 
     fn is_done(&self) -> bool {
-        self.out.is_empty()
+        !self.acks.has_pending()
     }
 }
 
@@ -321,7 +242,8 @@ pub fn mprdma_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use crate::common::{ack_packet, data_packet, desc_at, TxBook};
+    use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;
@@ -330,16 +252,6 @@ mod tests {
 
     fn cfg() -> FlowCfg {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
-    }
-
-    fn ctx<'a>(
-        now: Nanos,
-        pool: &'a mut PacketPool,
-        t: &'a mut Vec<(Nanos, u64)>,
-        c: &'a mut Vec<Completion>,
-        r: &'a mut StdRng,
-    ) -> EndpointCtx<'a> {
-        EndpointCtx { now, pool, timers: t, completions: c, rng: r, probe: None }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! one-RTT retransmission delay — is intrinsic to this structure.
 
 use crate::cc::CongestionControl;
-use crate::common::{data_packet, desc_at, tokens, FlowCfg, Placement, RttEstimator, TxBook};
-use crate::irn::IrnConfig;
-use crate::irn::IrnReceiver;
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use crate::common::{tokens, FlowCfg, Placement, RttEstimator};
+use crate::irn::{IrnConfig, IrnReceiver};
+use crate::txcore::TxCore;
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::PktExt;
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -66,12 +66,8 @@ struct TxRecord {
 
 /// RACK-TLP sender.
 pub struct RackSender {
-    cfg: FlowCfg,
+    tx: TxCore,
     rcfg: RackConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
     /// Outstanding, un-ACKed packets with their last transmit time.
     outstanding: BTreeMap<u32, TxRecord>,
     rtt: RttEstimator,
@@ -79,36 +75,22 @@ pub struct RackSender {
     rack_xmit: Nanos,
     retx_q: VecDeque<(u32, RetxCause)>,
     probe_gen: u64,
-    rto_gen: u64,
-    rto_armed: bool,
     /// Consecutive cumulative ACKs that failed to advance `snd_una` — the
     /// signal a TLP probe elicits when the receiver is stuck on a hole.
     dup_acks: u32,
-    pace_armed: bool,
-    uid: u64,
-    stats: TransportStats,
 }
 
 impl RackSender {
     pub fn new(cfg: FlowCfg, rcfg: RackConfig, cc: Box<dyn CongestionControl>) -> Self {
         RackSender {
-            cfg,
+            tx: TxCore::new(cfg, rcfg.rto, cc),
             rcfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
             outstanding: BTreeMap::new(),
             rtt: RttEstimator::new(rcfg.initial_rtt),
             rack_xmit: 0,
             retx_q: VecDeque::new(),
             probe_gen: 0,
-            rto_gen: 0,
-            rto_armed: false,
             dup_acks: 0,
-            pace_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
         }
     }
 
@@ -116,30 +98,22 @@ impl RackSender {
         (self.rtt.srtt * self.rcfg.reo_wnd_rtts) as Nanos
     }
 
+    /// Arms the tail-loss probe and makes sure an RTO backs it. The RTO
+    /// clock itself restarts only on forward progress (cumulative advance,
+    /// an RTO round) — a TLP probe or duplicate ACK must never push the
+    /// fallback out (RFC 6298 §5.3 restarts on ACKs *of new data*), or a
+    /// probe→dup-ACK cycle shorter than the RTO would defer it forever
+    /// while the receiver's hole is never retransmitted. (The broken
+    /// regression shim restarts it unconditionally — that pre-fix
+    /// behaviour.)
     fn arm_probe(&mut self, ctx: &mut EndpointCtx) {
         self.probe_gen += 1;
         let pto = 2 * self.rtt.srtt_ns().max(self.rcfg.initial_rtt);
         ctx.timers.push((ctx.now + pto, tokens::PROBE | self.probe_gen));
-        self.ensure_rto(ctx);
-    }
-
-    /// Restarts the RTO clock. Only called on forward progress (cumulative
-    /// advance, an RTO round) — a TLP probe or duplicate ACK must never
-    /// push the fallback out (RFC 6298 §5.3 restarts on ACKs *of new
-    /// data*), or a probe→dup-ACK cycle shorter than the RTO would defer
-    /// it forever while the receiver's hole is never retransmitted.
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.rcfg.rto, tokens::RTO | self.rto_gen));
-    }
-
-    /// Arms the RTO only when none is pending, leaving a running clock
-    /// untouched. (The broken regression shim restarts it unconditionally —
-    /// the pre-fix behaviour that lets probes defer the fallback forever.)
-    fn ensure_rto(&mut self, ctx: &mut EndpointCtx) {
-        if self.rcfg.broken_rto_restart || !self.rto_armed {
-            self.arm_rto(ctx);
+        if self.rcfg.broken_rto_restart {
+            self.tx.arm_rto(ctx);
+        } else {
+            self.tx.ensure_rto(ctx);
         }
     }
 
@@ -175,40 +149,35 @@ impl RackSender {
 
     /// Returns whether `snd_una` advanced.
     fn advance_cum(&mut self, epsn: u32, ctx: &mut EndpointCtx) -> bool {
-        if epsn <= self.snd_una {
+        if !self.tx.credit_cum(epsn, ctx) {
             return false;
         }
-        self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
         let covered: Vec<u32> = self.outstanding.range(..epsn).map(|(&p, _)| p).collect();
         for p in covered {
             self.on_delivered(p, ctx);
         }
-        self.snd_una = epsn;
-        for m in self.book.retire_psn_below(epsn) {
-            ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
-                wr_id: m.wqe.wr_id,
-                kind: CompletionKind::SendComplete,
-                bytes: m.wqe.len,
-                imm: 0,
-                at: ctx.now,
-            });
-        }
-        // Forward progress: restart the fallback clock (or stop it when
-        // everything is acknowledged).
-        if self.snd_una < self.snd_nxt {
-            self.arm_rto(ctx);
-        } else {
-            self.rto_armed = false;
-        }
+        // Forward progress: retires, and restarts the fallback clock (or
+        // stops it when everything is acknowledged).
+        self.tx.advance_una(epsn, ctx);
         true
+    }
+
+    /// Sends `psn`, timestamps it and re-arms the probe.
+    fn emit(&mut self, psn: u32, cause: Option<RetxCause>, ctx: &mut EndpointCtx) -> PktRef {
+        let pkt = self.tx.build_psn(psn, cause);
+        self.tx.sent(&pkt, ctx);
+        self.outstanding.insert(psn, TxRecord { sent_at: ctx.now, retx: pkt.is_retx });
+        self.arm_probe(ctx);
+        if !pkt.is_retx {
+            self.tx.ensure_tick(ctx);
+        }
+        ctx.pool.insert(pkt)
     }
 }
 
 impl Endpoint for RackSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.tx.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
@@ -225,8 +194,8 @@ impl Endpoint for RackSender {
                 if advanced {
                     self.dup_acks = 0;
                 } else if !self.rcfg.broken_rto_restart
-                    && epsn == self.snd_una
-                    && epsn < self.snd_nxt
+                    && epsn == self.tx.snd_una
+                    && epsn < self.tx.snd_nxt
                 {
                     self.dup_acks += 1;
                     if self.dup_acks >= 2 {
@@ -252,10 +221,7 @@ impl Endpoint for RackSender {
                     self.arm_probe(ctx);
                 }
             }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
+            PktExt::Cnp => self.tx.on_cnp(ctx),
             _ => {}
         }
     }
@@ -273,80 +239,46 @@ impl Endpoint for RackSender {
                 }
             }
             tokens::RTO => {
-                if tokens::generation(token) == self.rto_gen
-                    && self.rto_armed
-                    && (!self.outstanding.is_empty() || self.snd_una < self.snd_nxt)
-                {
-                    self.stats.timeouts += 1;
-                    let all: Vec<u32> = self.outstanding.keys().copied().collect();
-                    for p in all {
-                        self.outstanding.remove(&p);
+                // An expired round restarts its own clock (`rto_fired`);
+                // `arm_probe` alone must not, or probes would starve the
+                // fallback.
+                if self.tx.rto_fired(token, ctx) {
+                    while let Some((p, _)) = self.outstanding.pop_first() {
                         self.retx_q.push_back((p, RetxCause::Timeout));
                     }
-                    // An expired round restarts its own clock; `arm_probe`
-                    // alone must not, or probes would starve the fallback.
-                    self.arm_rto(ctx);
                     self.arm_probe(ctx);
                 }
             }
-            tokens::PACE => self.pace_armed = false,
-            _ => {}
+            _ => self.tx.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if self.has_pending() && !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
+        if self.tx.pace_closed(self.has_pending(), ctx) {
             return None;
         }
         while let Some((psn, cause)) = self.retx_q.pop_front() {
-            if psn < self.snd_una {
-                continue;
+            if psn >= self.tx.snd_una {
+                return Some(self.emit(psn, Some(cause), ctx));
             }
-            let (m, _) = self.book.locate(psn).expect("psn locates");
-            let m = *m;
-            let desc = desc_at(&m, self.cfg.mtu, psn);
-            self.uid += 1;
-            let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, true, self.uid);
-            pkt.retx_cause = cause;
-            self.stats.retx_pkts += 1;
-            self.outstanding.insert(psn, TxRecord { sent_at: ctx.now, retx: true });
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            self.arm_probe(ctx);
-            return Some(ctx.pool.insert(pkt));
         }
-        let inflight = (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64;
-        if self.snd_nxt < self.book.next_psn() && self.cc.awin(inflight) >= self.cfg.mtu as u64 {
-            let psn = self.snd_nxt;
-            let (m, _) = self.book.locate(psn).expect("psn locates");
-            let m = *m;
-            let desc = desc_at(&m, self.cfg.mtu, psn);
-            self.uid += 1;
-            let pkt = data_packet(&self.cfg, &m, desc, psn, 0, false, self.uid);
-            self.snd_nxt += 1;
-            self.stats.data_pkts += 1;
-            self.outstanding.insert(psn, TxRecord { sent_at: ctx.now, retx: false });
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            self.arm_probe(ctx);
-            return Some(ctx.pool.insert(pkt));
+        if self.tx.has_new() && self.tx.window_open() {
+            let (psn, _) = self.tx.take_next();
+            return Some(self.emit(psn, None, ctx));
         }
         None
     }
 
     fn has_pending(&self) -> bool {
-        !self.retx_q.is_empty() || self.snd_nxt < self.book.next_psn()
+        !self.retx_q.is_empty() || self.tx.has_new()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.tx.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.tx.book.is_empty()
     }
 }
 
@@ -370,7 +302,7 @@ mod tests {
     use super::*;
     use crate::cc::StaticWindow;
     use crate::common::ack_packet;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;
@@ -379,16 +311,6 @@ mod tests {
 
     fn cfg() -> FlowCfg {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
-    }
-
-    fn ctx<'a>(
-        now: Nanos,
-        pool: &'a mut PacketPool,
-        t: &'a mut Vec<(Nanos, u64)>,
-        c: &'a mut Vec<Completion>,
-        r: &'a mut StdRng,
-    ) -> EndpointCtx<'a> {
-        EndpointCtx { now, pool, timers: t, completions: c, rng: r, probe: None }
     }
 
     fn sender() -> RackSender {

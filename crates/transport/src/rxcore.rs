@@ -201,20 +201,12 @@ impl RxCore {
 mod tests {
     use super::*;
     use crate::common::{data_packet, desc_at, FlowCfg, TxBook};
+    use dcp_netsim::endpoint::ctx;
     use dcp_netsim::packet::NodeId;
     use dcp_rdma::headers::DcpTag;
     use dcp_rdma::qp::WorkReqOp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn mkctx<'a>(
-        pool: &'a mut dcp_netsim::pool::PacketPool,
-        timers: &'a mut Vec<(u64, u64)>,
-        comps: &'a mut Vec<Completion>,
-        rng: &'a mut StdRng,
-    ) -> EndpointCtx<'a> {
-        EndpointCtx { now: 100, pool, timers, completions: comps, rng, probe: None }
-    }
 
     fn packets_for(lens: &[u64]) -> (Vec<Packet>, FlowCfg) {
         let cfg = FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp);
@@ -246,7 +238,7 @@ mod tests {
             (dcp_netsim::pool::PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         for p in &pkts {
             assert_eq!(
-                rx.on_data(p, &mut mkctx(&mut pool, &mut t, &mut c, &mut r)),
+                rx.on_data(p, &mut ctx(100, &mut pool, &mut t, &mut c, &mut r)),
                 Accept::InOrder
             );
         }
@@ -267,7 +259,7 @@ mod tests {
         let order = [3usize, 0, 2, 1];
         let kinds: Vec<_> = order
             .iter()
-            .map(|&i| rx.on_data(&pkts[i], &mut mkctx(&mut pool, &mut t, &mut c, &mut r)))
+            .map(|&i| rx.on_data(&pkts[i], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r)))
             .collect();
         assert_eq!(kinds[0], Accept::OutOfOrder);
         assert_eq!(kinds[1], Accept::InOrder);
@@ -282,14 +274,14 @@ mod tests {
         let mut rx = RxCore::new(NodeId(1), FlowId(1), u32::MAX, Placement::Virtual);
         let (mut pool, mut t, mut c, mut r) =
             (dcp_netsim::pool::PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
-        rx.on_data(&pkts[0], &mut mkctx(&mut pool, &mut t, &mut c, &mut r));
+        rx.on_data(&pkts[0], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r));
         assert_eq!(
-            rx.on_data(&pkts[0], &mut mkctx(&mut pool, &mut t, &mut c, &mut r)),
+            rx.on_data(&pkts[0], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r)),
             Accept::Duplicate
         );
-        rx.on_data(&pkts[1], &mut mkctx(&mut pool, &mut t, &mut c, &mut r));
+        rx.on_data(&pkts[1], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r));
         assert_eq!(
-            rx.on_data(&pkts[1], &mut mkctx(&mut pool, &mut t, &mut c, &mut r)),
+            rx.on_data(&pkts[1], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r)),
             Accept::Duplicate
         );
         assert_eq!(rx.stats.duplicates, 2);
@@ -304,11 +296,11 @@ mod tests {
         let (mut pool, mut t, mut c, mut r) =
             (dcp_netsim::pool::PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         assert_eq!(
-            rx.on_data(&pkts[7], &mut mkctx(&mut pool, &mut t, &mut c, &mut r)),
+            rx.on_data(&pkts[7], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r)),
             Accept::Rejected
         );
         assert_eq!(
-            rx.on_data(&pkts[2], &mut mkctx(&mut pool, &mut t, &mut c, &mut r)),
+            rx.on_data(&pkts[2], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r)),
             Accept::OutOfOrder
         );
         assert_eq!(rx.ooo_degree(), 2);
@@ -322,10 +314,10 @@ mod tests {
         let mut rx = RxCore::new(NodeId(1), FlowId(1), u32::MAX, Placement::Virtual);
         let (mut pool, mut t, mut c, mut r) =
             (dcp_netsim::pool::PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
-        rx.on_data(&pkts[0], &mut mkctx(&mut pool, &mut t, &mut c, &mut r));
-        rx.on_data(&pkts[2], &mut mkctx(&mut pool, &mut t, &mut c, &mut r));
+        rx.on_data(&pkts[0], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r));
+        rx.on_data(&pkts[2], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r));
         assert!(c.is_empty());
-        rx.on_data(&pkts[1], &mut mkctx(&mut pool, &mut t, &mut c, &mut r));
+        rx.on_data(&pkts[1], &mut ctx(100, &mut pool, &mut t, &mut c, &mut r));
         assert_eq!(c.len(), 1);
     }
 }

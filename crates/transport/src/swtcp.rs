@@ -16,9 +16,10 @@
 //! the clean back-to-back link the figure uses.
 
 use crate::cc::CongestionControl;
-use crate::common::{ack_packet, data_packet, desc_at, tokens, FlowCfg, Placement, TxBook};
+use crate::common::{tokens, FlowCfg, Placement};
 use crate::rxcore::RxCore;
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use crate::txcore::{wake_at, AckQueue, TxCore};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -46,185 +47,99 @@ impl Default for SwTcpConfig {
 
 /// Sender side of the model.
 pub struct SwTcpSender {
-    cfg: FlowCfg,
-    tcfg: SwTcpConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
+    tx: TxCore,
+    cpu_per_pkt: Nanos,
     next_cpu_free: Nanos,
-    pace_armed: bool,
-    rto_gen: u64,
-    rto_armed: bool,
-    uid: u64,
-    stats: TransportStats,
 }
 
 impl SwTcpSender {
     pub fn new(cfg: FlowCfg, tcfg: SwTcpConfig, cc: Box<dyn CongestionControl>) -> Self {
         SwTcpSender {
-            cfg,
-            tcfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
+            tx: TxCore::new(cfg, tcfg.rto, cc),
+            cpu_per_pkt: tcfg.cpu_per_pkt,
             next_cpu_free: 0,
-            pace_armed: false,
-            rto_gen: 0,
-            rto_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
         }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.tcfg.rto, tokens::RTO | self.rto_gen));
     }
 }
 
 impl Endpoint for SwTcpSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.tx.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
         let pkt = ctx.pool.take(pkt);
         if let PktExt::TcpAck { ack_seq } = pkt.ext {
-            let epsn = (ack_seq / self.cfg.mtu as u64) as u32;
-            if epsn > self.snd_una {
-                self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-                self.snd_una = epsn;
-                for m in self.book.retire_psn_below(epsn) {
-                    ctx.completions.push(Completion {
-                        host: self.cfg.local,
-                        flow: self.cfg.flow,
-                        wr_id: m.wqe.wr_id,
-                        kind: CompletionKind::SendComplete,
-                        bytes: m.wqe.len,
-                        imm: 0,
-                        at: ctx.now,
-                    });
-                }
-                if self.snd_una < self.max_sent {
-                    self.arm_rto(ctx);
-                } else {
-                    self.rto_armed = false;
-                }
-            }
+            self.tx.ack_cum((ack_seq / self.tx.cfg.mtu as u64) as u32, ctx);
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         match tokens::kind(token) {
             tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
-                    self.snd_nxt = self.snd_una;
-                    self.arm_rto(ctx);
+                if self.tx.rto_fired(token, ctx) {
+                    self.tx.snd_nxt = self.tx.snd_una;
                 }
             }
-            tokens::PACE => self.pace_armed = false,
-            _ => {}
+            _ => self.tx.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        if self.snd_nxt >= self.book.next_psn() {
+        // Gate order: data, CPU (one packet per cpu_per_pkt), window.
+        if !self.tx.has_new()
+            || self.tx.closed_until(self.next_cpu_free, true, ctx)
+            || !self.tx.window_open()
+        {
             return None;
         }
-        // CPU gate: one packet per cpu_per_pkt.
-        if self.next_cpu_free > ctx.now {
-            if !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((self.next_cpu_free, tokens::PACE));
-            }
-            return None;
-        }
-        let inflight = (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64;
-        if self.cc.awin(inflight) < self.cfg.mtu as u64 {
-            return None;
-        }
-        let psn = self.snd_nxt;
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let is_retx = psn < self.max_sent;
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
-        if is_retx {
-            // The model recovers by RTO rewind only.
-            pkt.retx_cause = RetxCause::Timeout;
-        }
-        self.snd_nxt += 1;
-        self.max_sent = self.max_sent.max(self.snd_nxt);
-        self.next_cpu_free = ctx.now + self.tcfg.cpu_per_pkt;
-        if is_retx {
-            self.stats.retx_pkts += 1;
-        } else {
-            self.stats.data_pkts += 1;
-        }
-        self.cc.on_send(ctx.now, pkt.wire_bytes());
-        if !self.rto_armed {
-            self.arm_rto(ctx);
-        }
-        Some(ctx.pool.insert(pkt))
+        let (psn, is_retx) = self.tx.take_next();
+        self.next_cpu_free = ctx.now + self.cpu_per_pkt;
+        // The model recovers by RTO rewind only.
+        Some(self.tx.emit(psn, is_retx.then_some(RetxCause::Timeout), ctx))
     }
 
     fn has_pending(&self) -> bool {
-        self.snd_nxt < self.book.next_psn()
+        self.tx.has_new()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.tx.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.tx.book.is_empty()
     }
 }
 
 /// Receiver side: buffers arrivals for `stack_latency` before the
 /// application sees them (delayed completions and ACKs).
 pub struct SwTcpReceiver {
-    cfg: FlowCfg,
     rx: RxCore,
-    /// Packets waiting out their stack traversal: (release_time, psn).
+    /// The model generates no CNPs, so the queue's NP interval is unused.
+    acks: AckQueue,
+    /// Packets waiting out their stack traversal: (release_time, packet).
     staged: VecDeque<(Nanos, Packet)>,
-    out: VecDeque<Packet>,
-    tcfg: SwTcpConfig,
-    uid: u64,
+    stack_latency: Nanos,
 }
 
 impl SwTcpReceiver {
     pub fn new(cfg: FlowCfg, tcfg: SwTcpConfig, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
-        SwTcpReceiver { cfg, rx, staged: VecDeque::new(), out: VecDeque::new(), tcfg, uid: 0 }
+        SwTcpReceiver {
+            rx,
+            acks: AckQueue::new(cfg, 0),
+            staged: VecDeque::new(),
+            stack_latency: tcfg.stack_latency,
+        }
     }
 
     fn process_ready(&mut self, ctx: &mut EndpointCtx) {
-        while let Some(&(release, _)) =
-            self.staged.front().map(|e| (&e.0, ())).map(|_| self.staged.front().unwrap())
-        {
-            if release > ctx.now {
-                break;
-            }
-            let (_, pkt) = self.staged.pop_front().unwrap();
+        while self.staged.front().is_some_and(|&(release, _)| release <= ctx.now) {
+            let (_, pkt) = self.staged.pop_front().expect("front checked");
             self.rx.on_data(&pkt, ctx);
-            self.uid += 1;
-            self.out.push_back(ack_packet(
-                &self.cfg,
-                PktExt::TcpAck { ack_seq: self.rx.epsn as u64 * self.cfg.mtu as u64 },
-                0,
-                self.uid,
-            ));
+            let ack_seq = self.rx.epsn as u64 * self.acks.cfg().mtu as u64;
+            self.acks.queue(PktExt::TcpAck { ack_seq }, 0);
         }
     }
 }
@@ -235,9 +150,9 @@ impl Endpoint for SwTcpReceiver {
         if !pkt.is_data() {
             return;
         }
-        let release = ctx.now + self.tcfg.stack_latency;
+        let release = ctx.now + self.stack_latency;
         self.staged.push_back((release, pkt));
-        ctx.timers.push((release, tokens::PACE));
+        wake_at(release, ctx);
     }
 
     fn on_timer(&mut self, _token: u64, ctx: &mut EndpointCtx) {
@@ -245,11 +160,11 @@ impl Endpoint for SwTcpReceiver {
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        self.out.pop_front().map(|p| ctx.pool.insert(p))
+        self.acks.pull(ctx)
     }
 
     fn has_pending(&self) -> bool {
-        !self.out.is_empty()
+        self.acks.has_pending()
     }
 
     fn stats(&self) -> TransportStats {
@@ -257,7 +172,7 @@ impl Endpoint for SwTcpReceiver {
     }
 
     fn is_done(&self) -> bool {
-        self.out.is_empty() && self.staged.is_empty()
+        !self.acks.has_pending() && self.staged.is_empty()
     }
 }
 
@@ -276,7 +191,8 @@ pub fn swtcp_pair(
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use crate::common::{ack_packet, data_packet, desc_at, TxBook};
+    use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;
@@ -285,16 +201,6 @@ mod tests {
 
     fn cfg() -> FlowCfg {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
-    }
-
-    fn ctx<'a>(
-        now: Nanos,
-        pool: &'a mut PacketPool,
-        t: &'a mut Vec<(Nanos, u64)>,
-        c: &'a mut Vec<Completion>,
-        r: &'a mut StdRng,
-    ) -> EndpointCtx<'a> {
-        EndpointCtx { now, pool, timers: t, completions: c, rng: r, probe: None }
     }
 
     #[test]
@@ -336,5 +242,40 @@ mod tests {
         assert_eq!(c.len(), 1, "delivered after stack latency");
         assert_eq!(c[0].at, 13_000);
         assert!(rx.has_pending(), "ACK queued");
+    }
+
+    /// After an RTO rewind the order-tolerant receiver answers the first
+    /// resent packet with a cumulative ACK for everything it had buffered —
+    /// past the rewound `snd_nxt`. The sender must resume from the ACK, not
+    /// from a PSN whose message just retired (this used to panic in
+    /// `locate(snd_nxt)`: the one cumulative-window sender whose private
+    /// ACK path lacked GBN's `snd_nxt.max(epsn)`).
+    #[test]
+    fn cumulative_ack_past_a_rewound_snd_nxt_is_followed() {
+        let mut s = SwTcpSender::new(
+            cfg(),
+            SwTcpConfig::default(),
+            Box::new(StaticWindow { window_bytes: 1 << 20 }),
+        );
+        for wr_id in 0..2 {
+            s.post(wr_id, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 2 * 1024);
+        }
+        let (mut pool, mut t, mut c, mut r) =
+            (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
+        for i in 0..4 {
+            pull_owned(&mut s, &mut pool, i * 150, &mut t, &mut c, &mut r).expect("window open");
+        }
+        let (at, rto) =
+            t.iter().find(|(_, tok)| tokens::kind(*tok) == tokens::RTO).copied().unwrap();
+        s.on_timer(rto, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
+        let p = pull_owned(&mut s, &mut pool, at, &mut t, &mut c, &mut r).unwrap();
+        assert_eq!((p.psn(), p.is_retx), (0, true), "rewound to snd_una");
+        // PSN 0 filled the receiver's hole: it ACKs through message 0.
+        let ack =
+            ack_packet(&FlowCfg::receiver_of(&cfg()), PktExt::TcpAck { ack_seq: 2 * 1024 }, 0, 0);
+        deliver(&mut s, &mut pool, ack, at + 200, &mut t, &mut c, &mut r);
+        assert_eq!(c.len(), 1, "message 0 completes");
+        let p = pull_owned(&mut s, &mut pool, at + 200, &mut t, &mut c, &mut r).unwrap();
+        assert_eq!((p.psn(), p.is_retx), (2, true), "resumes at the ACK, inside message 1");
     }
 }

@@ -3,202 +3,34 @@
 //! (so adaptive routing works) but gives the sender no loss signal; the
 //! sender recovers purely by retransmission timeout, rewinding to the
 //! cumulative pointer.
+//!
+//! That sender *is* [`GbnSender`]: same cumulative-ACK path, same RTO
+//! rewind stamped `RetxCause::Timeout`, plus a NAK arm this receiver can
+//! never trigger. Only the receiver is specific to the scheme.
 
 use crate::cc::CongestionControl;
-use crate::common::{ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, Placement, TxBook};
+use crate::common::{FlowCfg, Placement};
+use crate::gbn::GbnSender;
 use crate::rxcore::RxCore;
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
-use dcp_netsim::packet::{Packet, PktExt};
+use crate::txcore::{AckQueue, BaseConfig};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
+use dcp_netsim::packet::PktExt;
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
-use dcp_netsim::time::{Nanos, US};
-use dcp_netsim::RetxCause;
-use dcp_rdma::qp::WorkReqOp;
-use std::collections::VecDeque;
 
 /// Tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeoutOnlyConfig {
-    pub rto: Nanos,
-    pub cnp_interval: Nanos,
-}
-
-impl Default for TimeoutOnlyConfig {
-    fn default() -> Self {
-        TimeoutOnlyConfig { rto: 200 * US, cnp_interval: 50 * US }
-    }
-}
-
-/// Sender: window-limited transmission, cumulative ACKs, RTO-only recovery.
-pub struct TimeoutOnlySender {
-    cfg: FlowCfg,
-    tcfg: TimeoutOnlyConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
-    rto_gen: u64,
-    rto_armed: bool,
-    pace_armed: bool,
-    uid: u64,
-    stats: TransportStats,
-}
-
-impl TimeoutOnlySender {
-    pub fn new(cfg: FlowCfg, tcfg: TimeoutOnlyConfig, cc: Box<dyn CongestionControl>) -> Self {
-        TimeoutOnlySender {
-            cfg,
-            tcfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
-            rto_gen: 0,
-            rto_armed: false,
-            pace_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
-        }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.tcfg.rto, tokens::RTO | self.rto_gen));
-    }
-}
-
-impl Endpoint for TimeoutOnlySender {
-    fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
-    }
-
-    fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
-        let pkt = ctx.pool.take(pkt);
-        match pkt.ext {
-            PktExt::GbnAck { epsn } => {
-                if epsn > self.snd_una {
-                    self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-                    self.snd_una = epsn;
-                    self.snd_nxt = self.snd_nxt.max(epsn);
-                    for m in self.book.retire_psn_below(epsn) {
-                        ctx.completions.push(Completion {
-                            host: self.cfg.local,
-                            flow: self.cfg.flow,
-                            wr_id: m.wqe.wr_id,
-                            kind: CompletionKind::SendComplete,
-                            bytes: m.wqe.len,
-                            imm: 0,
-                            at: ctx.now,
-                        });
-                    }
-                    if self.snd_una < self.max_sent {
-                        self.arm_rto(ctx);
-                    } else {
-                        self.rto_armed = false;
-                    }
-                }
-            }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
-        match tokens::kind(token) {
-            tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
-                    self.snd_nxt = self.snd_una;
-                    self.arm_rto(ctx);
-                }
-            }
-            tokens::PACE => self.pace_armed = false,
-            _ => {}
-        }
-    }
-
-    fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        if self.snd_nxt >= self.book.next_psn() {
-            return None;
-        }
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
-            return None;
-        }
-        let inflight = (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64;
-        if self.cc.awin(inflight) < self.cfg.mtu as u64 {
-            return None;
-        }
-        let psn = self.snd_nxt;
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let is_retx = psn < self.max_sent;
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
-        if is_retx {
-            // RTO rewind is the only loss signal this transport has.
-            pkt.retx_cause = RetxCause::Timeout;
-        }
-        self.snd_nxt += 1;
-        self.max_sent = self.max_sent.max(self.snd_nxt);
-        if is_retx {
-            self.stats.retx_pkts += 1;
-        } else {
-            self.stats.data_pkts += 1;
-        }
-        self.cc.on_send(ctx.now, pkt.wire_bytes());
-        if !self.rto_armed {
-            self.arm_rto(ctx);
-        }
-        Some(ctx.pool.insert(pkt))
-    }
-
-    fn has_pending(&self) -> bool {
-        self.snd_nxt < self.book.next_psn()
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.stats
-    }
-
-    fn is_done(&self) -> bool {
-        self.book.is_empty()
-    }
-}
+pub type TimeoutOnlyConfig = BaseConfig;
 
 /// Receiver: order-tolerant direct placement, cumulative ACK only.
 pub struct TimeoutOnlyReceiver {
-    cfg: FlowCfg,
     rx: RxCore,
-    cnp: CnpGen,
-    out: VecDeque<Packet>,
-    uid: u64,
+    acks: AckQueue,
 }
 
 impl TimeoutOnlyReceiver {
     pub fn new(cfg: FlowCfg, tcfg: TimeoutOnlyConfig, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
-        TimeoutOnlyReceiver {
-            cfg,
-            rx,
-            cnp: CnpGen::new(tcfg.cnp_interval),
-            out: VecDeque::new(),
-            uid: 0,
-        }
+        TimeoutOnlyReceiver { rx, acks: AckQueue::new(cfg, tcfg.cnp_interval) }
     }
 }
 
@@ -208,28 +40,19 @@ impl Endpoint for TimeoutOnlyReceiver {
         if !pkt.is_data() {
             return;
         }
-        if pkt.header.ip.ecn_ce() && self.cnp.should_send(ctx.now) {
-            self.uid += 1;
-            self.out.push_back(ack_packet(&self.cfg, PktExt::Cnp, 0, self.uid));
-        }
+        self.acks.on_ecn(&pkt, 0, ctx);
         self.rx.on_data(&pkt, ctx);
-        self.uid += 1;
-        self.out.push_back(ack_packet(
-            &self.cfg,
-            PktExt::GbnAck { epsn: self.rx.epsn },
-            0,
-            self.uid,
-        ));
+        self.acks.queue(PktExt::GbnAck { epsn: self.rx.epsn }, 0);
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut EndpointCtx) {}
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        self.out.pop_front().map(|p| ctx.pool.insert(p))
+        self.acks.pull(ctx)
     }
 
     fn has_pending(&self) -> bool {
-        !self.out.is_empty()
+        self.acks.has_pending()
     }
 
     fn stats(&self) -> TransportStats {
@@ -237,29 +60,33 @@ impl Endpoint for TimeoutOnlyReceiver {
     }
 
     fn is_done(&self) -> bool {
-        self.out.is_empty()
+        !self.acks.has_pending()
     }
 }
 
-/// Builds a connected timeout-only pair.
+/// Builds a connected timeout-only pair. The sender half recycles (it is
+/// GBN's); the receiver half does not, so a driver recycling pairs must
+/// fall back to fresh construction when either side declines.
 pub fn timeout_only_pair(
     cfg: FlowCfg,
     tcfg: TimeoutOnlyConfig,
     cc: Box<dyn CongestionControl>,
     placement: Placement,
-) -> (TimeoutOnlySender, TimeoutOnlyReceiver) {
+) -> (GbnSender, TimeoutOnlyReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (TimeoutOnlySender::new(cfg, tcfg, cc), TimeoutOnlyReceiver::new(rcfg, tcfg, placement))
+    (GbnSender::new(cfg, tcfg, cc), TimeoutOnlyReceiver::new(rcfg, tcfg, placement))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use crate::common::{ack_packet, data_packet, desc_at, tokens, TxBook};
+    use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;
+    use dcp_rdma::qp::WorkReqOp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -267,22 +94,13 @@ mod tests {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
     }
 
-    fn ctx<'a>(
-        now: Nanos,
-        pool: &'a mut PacketPool,
-        t: &'a mut Vec<(Nanos, u64)>,
-        c: &'a mut Vec<Completion>,
-        r: &'a mut StdRng,
-    ) -> EndpointCtx<'a> {
-        EndpointCtx { now, pool, timers: t, completions: c, rng: r, probe: None }
-    }
-
     #[test]
     fn no_fast_retransmit_only_rto() {
-        let mut s = TimeoutOnlySender::new(
+        let (mut s, _) = timeout_only_pair(
             cfg(),
             TimeoutOnlyConfig::default(),
             Box::new(StaticWindow { window_bytes: 8 * 1024 }),
+            Placement::Virtual,
         );
         s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 8 * 1024);
         let (mut pool, mut t, mut c, mut r) =

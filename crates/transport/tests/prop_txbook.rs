@@ -41,7 +41,8 @@ proptest! {
             b.post(i as u64, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, l, 1024);
         }
         let before = b.outstanding();
-        let done = b.retire_psn_below(cut);
+        let mut done = Vec::new();
+        b.retire_psn_below_into(cut, &mut done);
         // Retired messages are a prefix with strictly increasing MSNs.
         for (i, m) in done.iter().enumerate() {
             prop_assert_eq!(m.wqe.msn, i as u32);
@@ -49,7 +50,9 @@ proptest! {
         }
         prop_assert_eq!(done.len() + b.outstanding(), before);
         // Idempotent.
-        prop_assert!(b.retire_psn_below(cut).is_empty());
+        let mut again = Vec::new();
+        b.retire_psn_below_into(cut, &mut again);
+        prop_assert!(again.is_empty());
         // The remaining front is not fully covered by `cut`.
         if let Some(m) = b.by_msn(done.len() as u32) {
             prop_assert!(m.first_psn + m.pkt_count > cut);
@@ -62,7 +65,8 @@ proptest! {
         for (i, &l) in lens.iter().enumerate() {
             b.post(i as u64, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, l, 1024);
         }
-        let done = b.retire_below(upto);
+        let mut done = Vec::new();
+        b.retire_below_into(upto, &mut done);
         prop_assert_eq!(done.len(), (upto as usize).min(lens.len()));
         prop_assert_eq!(b.una_msn(), if (upto as usize) < lens.len() { Some(upto) } else { None });
     }
