@@ -26,6 +26,7 @@ use dcp_netsim::packet::FlowId;
 use dcp_netsim::time::{SEC, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::qp::WorkReqOp;
+use dcp_telemetry::{EventLog, Probe};
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
 
 /// Digests of the reference scenario captured on the serial engine before
@@ -33,6 +34,16 @@ use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
 const GOLDEN_PLAIN: u64 = 0x48f926afeb0f3883;
 const GOLDEN_FAULTED: u64 = 0xb27fc2975b9ba620;
 const GOLDEN_ADVERSARY: u64 = 0x46228f1527b7e1c0;
+
+/// FNV over the rendered JSONL of every probe record of the same three
+/// one-shard runs, captured on the commit before the serial loop became
+/// the one-shard case of the windowed one. The digests above fold what a
+/// run *concludes*; these fold every record on the way there, in order —
+/// the unsharded probe path (straight into the attached probe, no staging)
+/// is part of what rule 1 promises.
+const PROBE_PLAIN: u64 = 0x75e860b43c3c6eeb;
+const PROBE_FAULTED: u64 = 0x8582353584c200f8;
+const PROBE_ADVERSARY: u64 = 0x21123d31de72d490;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -58,9 +69,24 @@ enum Mode {
 /// Builds the reference scenario with an explicit engine configuration,
 /// every message posted. `shards = 1` leaves the engine unsharded.
 fn build(seed: u64, mode: Mode, shards: usize, workers: usize) -> Simulator {
+    build_probed(seed, mode, shards, workers, None)
+}
+
+/// [`build`] with `probe` attached before the first post, so the stream
+/// starts at the first `MsgPosted`.
+fn build_probed(
+    seed: u64,
+    mode: Mode,
+    shards: usize,
+    workers: usize,
+    probe: Option<Box<dyn Probe>>,
+) -> Simulator {
     let cfg = dcp_switch_config(LoadBalance::AdaptiveRouting, 6);
     let mut sim = Simulator::new(seed);
     sim.disable_auto_partition();
+    if let Some(p) = probe {
+        sim.set_probe(p);
+    }
     let topo = topology::clos(&mut sim, cfg, 2, 4, 2, 100.0, 100.0, US, US);
     if shards > 1 {
         assert!(sim.partition(&topo, shards), "reference clos must partition");
@@ -139,6 +165,22 @@ fn one_shard_reproduces_presharding_goldens() {
     assert_eq!(run_digest(11, Mode::Plain, 1, 1), GOLDEN_PLAIN);
     assert_eq!(run_digest(11, Mode::Faulted, 1, 1), GOLDEN_FAULTED);
     assert_eq!(run_digest(11, Mode::Adversarial, 1, 1), GOLDEN_ADVERSARY);
+}
+
+#[test]
+fn one_shard_probe_stream_goldens() {
+    for (mode, name, want) in [
+        (Mode::Plain, "plain", PROBE_PLAIN),
+        (Mode::Faulted, "faulted", PROBE_FAULTED),
+        (Mode::Adversarial, "adversarial", PROBE_ADVERSARY),
+    ] {
+        let mut sim = build_probed(11, mode, 1, 1, Some(Box::new(EventLog::default())));
+        while sim.advance().is_some() {}
+        let lines = sim.probe_mut().expect("probe attached").drain_jsonl();
+        assert!(lines.len() > 10_000, "{name}: only {} records", lines.len());
+        let got = lines.iter().fold(FNV_OFFSET, |h, l| fnv_bytes(h, l.as_bytes()));
+        assert_eq!(got, want, "{name}: one-shard probe stream moved (got {got:#018x})");
+    }
 }
 
 #[test]
