@@ -42,7 +42,7 @@ fn run(mode: RetransMode, pcie_rtt: Nanos, loss: f64) -> Option<f64> {
     }
     let (mut done, mut last) = (0u64, 0);
     while done < 16 && sim.now() < 600 * SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

@@ -23,6 +23,10 @@ fn main() {
     let mut cfg = dcp_switch_config(LoadBalance::Ecmp, FAN_IN + 2);
     cfg.data_q_threshold = 64 * 1024;
     let mut sim = Simulator::new(53);
+    // The sampler below looks at the queues after every event; only an
+    // unsharded engine's `advance` is that fine (a sharded one returns at
+    // completion boundaries), so `DCP_SHARDS` must not split this run.
+    sim.disable_auto_partition();
     export.arm_trace(&mut sim);
     let topo = topology::two_switch_testbed(&mut sim, cfg, FAN_IN, 100.0, &[100.0], US, US);
     let victim = topo.hosts[FAN_IN];
@@ -47,7 +51,7 @@ fn main() {
         .track_port_queues("victim", topo.leaves[0], FAN_IN)
         .track_switch_buffer("leaf0.buffer", topo.leaves[0]);
     while sim.now() < 8 * MS {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sampler.poll(&sim);

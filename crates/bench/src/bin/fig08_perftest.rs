@@ -31,7 +31,7 @@ fn measure(kind: TransportKind) -> (f64, f64) {
         }
         let (mut done, mut last) = (0, 0);
         while done < count && sim.now() < SEC {
-            if sim.step().is_none() {
+            if sim.advance().is_none() {
                 break;
             }
             sim.for_each_completion(|c| {
@@ -54,7 +54,7 @@ fn measure(kind: TransportKind) -> (f64, f64) {
         sim.install_endpoint(topo.hosts[1], flow, rx);
         sim.post(topo.hosts[0], flow, 0, WorkReqOp::Write { remote_addr: 0x10_0000, rkey: 1 }, 64);
         let mut at: Nanos = 0;
-        while at == 0 && sim.step().is_some() {
+        while at == 0 && sim.advance().is_some() {
             sim.for_each_completion(|c| {
                 if c.kind == CompletionKind::RecvComplete {
                     at = c.at;
@@ -113,7 +113,7 @@ fn measure_tcp() -> (f64, f64) {
         }
         let (mut done, mut last) = (0, 0);
         while done < msgs && sim.now() < SEC {
-            if sim.step().is_none() {
+            if sim.advance().is_none() {
                 break;
             }
             sim.for_each_completion(|c| {

@@ -52,7 +52,7 @@ fn run(kind: TransportKind, caps: &[f64]) -> Option<f64> {
     let mut done = [0u64; 2];
     let mut finish = [0u64; 2];
     while (finish[0] == 0 || finish[1] == 0) && sim.now() < 600 * SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

@@ -32,7 +32,7 @@ fn run_flow(
     sim.post(src, flow, 1, WorkReqOp::Write { remote_addr: 0x10_000, rkey: 1 }, msg);
     let mut done_at = 0;
     while sim.pending_events() > 0 && sim.now() < deadline {
-        sim.step();
+        sim.advance();
         sim.for_each_completion(|c| {
             if c.kind == CompletionKind::RecvComplete && c.flow == flow {
                 done_at = c.at;
@@ -120,7 +120,7 @@ fn congestion_trims_recover_without_rto() {
     }
     let mut done = 0;
     while done < 4 && sim.pending_events() > 0 && sim.now() < 10 * SEC {
-        sim.step();
+        sim.advance();
         sim.for_each_completion(|c| {
             if c.kind == CompletionKind::RecvComplete {
                 done += 1;
@@ -209,7 +209,7 @@ fn control_plane_survives_incast() {
     }
     let mut done = 0;
     while done < 8 && sim.pending_events() > 0 && sim.now() < 30 * SEC {
-        sim.step();
+        sim.advance();
         sim.for_each_completion(|c| {
             if c.kind == CompletionKind::RecvComplete {
                 done += 1;
@@ -248,7 +248,7 @@ fn coarse_timeout_recovers_when_control_plane_breaks() {
     }
     let mut done = 0;
     while done < 2 && sim.pending_events() > 0 && sim.now() < 60 * SEC {
-        sim.step();
+        sim.advance();
         sim.for_each_completion(|c| {
             if c.kind == CompletionKind::RecvComplete {
                 done += 1;

@@ -32,7 +32,7 @@ fn run_case(seed: u64, loss_bp: u32, msgs: u8, msg_kb: u16) -> Result<(), TestCa
     let mut done = 0u32;
     let mut bytes = 0u64;
     while done < msgs as u32 && sim.now() < 30 * SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

@@ -232,11 +232,6 @@ impl Host {
         self.tenant_of[slot] = tenant;
     }
 
-    /// The tenant tag of `flow`'s QP, if installed.
-    pub fn flow_tenant(&self, flow: FlowId) -> Option<u8> {
-        Some(self.tenant_of[self.slot_of(flow)? as usize])
-    }
-
     /// Slot serving `flow`, through the page table.
     #[inline]
     fn slot_of(&self, flow: FlowId) -> Option<u32> {
@@ -326,11 +321,6 @@ impl Host {
     pub fn endpoint(&self, flow: FlowId) -> Option<&dyn Endpoint> {
         let slot = self.slot_of(flow)?;
         self.slots[slot as usize].ep.as_deref()
-    }
-
-    pub fn endpoint_mut(&mut self, flow: FlowId) -> Option<&mut Box<dyn Endpoint>> {
-        let slot = self.slot_of(flow)?;
-        self.slots[slot as usize].ep.as_mut()
     }
 
     /// Iterates the installed endpoints (removal leaves no holes visible).

@@ -17,17 +17,34 @@
 //!   walks a shard through a window, never the per-shard event sequence,
 //!   the mailbox contents, or the merge orders (completions by `(at,
 //!   shard)`, probe records by shard index at each window close).
-//! * With one shard the engine *is* the PR-3 serial engine: same queue,
-//!   same pool, same RNG, same probe call sites — digests are
-//!   byte-identical to the pre-sharding simulator.
+//! * A bounded call (`advance_bounded`, `run_until`, `run_to_quiescence`)
+//!   leaves nothing behind: when it returns no shard holds an event at or
+//!   before the limit, however the driver sliced its way there. A limit
+//!   that falls inside a window leaves the window *open* — mail
+//!   undelivered, its end remembered — so the boundaries stay those an
+//!   unsliced run computes.
+//!
+//! One loop drives all of it, at every shard count: [`Simulator::pump`]
+//! picks windows, [`run_window`] takes a shard through one, and
+//! [`process_next`] → [`with_shard_node`] → `fault_intercept` /
+//! `fault_discard` is the only event dispatcher and fault interceptor. An
+//! unsharded simulator is the one-shard case: its lookahead is unbounded,
+//! so its window spans all time and never closes, there is no other shard
+//! to mail, and the code that walks eight shards walks its one. Three
+//! things are decided from the shard count, each once and each for a
+//! reason given where it is decided: where controls queue
+//! (`Simulator::schedule`), whether probe records are staged
+//! ([`Simulator::engine_core`]) and when `advance*` returns
+//! ([`Simulator::pump`]).
 //!
 //! Control events ([`Event::Control`]) act on the whole simulator, so in
 //! sharded mode they live in a separate serial queue and execute at a
 //! global barrier *before* any node event at the same timestamp. Fault
-//! planes and adversaries are consulted per-arrival under a mutex; their
-//! observable state must be per-link (each link's arrivals are processed
-//! by exactly one shard, in deterministic order) — the determinism matrix
-//! test enforces this for the shipped planes.
+//! planes and adversaries rule on every arrival — workers take the plane's
+//! mutex per ruling, serial code is handed it exclusively ([`PlaneTap`]) —
+//! and their observable state must be per-link (each link's arrivals are
+//! processed by exactly one shard, in deterministic order): the
+//! determinism matrix test enforces this for the shipped planes.
 
 use crate::endpoint::Completion;
 use crate::equeue::EventQueue;
@@ -43,6 +60,7 @@ use dcp_rdma::headers::DcpTag;
 use dcp_telemetry::{DropClass, Probe, ProbeEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, OnceLock};
@@ -124,8 +142,8 @@ pub(crate) struct MailEntry {
     pub(crate) pkt: Option<Packet>,
 }
 
-/// Per-shard probe buffer: hot-path `record` calls append here and the
-/// engine drains buffers into the real probe at each window close — merged
+/// Per-shard probe buffer: a sharded engine's `record` calls append here and
+/// it drains the buffers into the real probe at each window close — merged
 /// by timestamp with a stable shard-index tie-break (see
 /// [`merge_probe_buffers`]), the same order whether a window ran serially
 /// or on worker threads.
@@ -142,8 +160,8 @@ impl Probe for BufProbe {
 }
 
 /// One partition of the fabric: its own clock, queue, pool, RNG stream and
-/// output buffers. With one shard this is exactly the serial engine's
-/// state, field for field.
+/// output buffers. An unsharded simulator's whole engine state is one of
+/// these.
 pub(crate) struct Shard {
     pub(crate) now: Nanos,
     pub(crate) seq: u64,
@@ -283,78 +301,141 @@ impl NodesView {
     }
 }
 
-/// Read-only engine context shared by all workers for one run segment.
-#[derive(Clone, Copy)]
-pub(crate) struct EngineShared<'a> {
+/// Where a walker's probe records go.
+pub(crate) enum ProbeTap<'a> {
+    /// No probe attached: records are not even constructed.
+    Off,
+    /// Into the walked shard's [`BufProbe`], merged at the window close.
+    Staged,
+    /// Straight into the attached probe.
+    Direct(&'a mut (dyn Probe + 'static)),
+}
+
+impl ProbeTap<'_> {
+    #[inline]
+    fn sink<'s>(&'s mut self, staged: &'s mut BufProbe) -> Option<&'s mut (dyn Probe + 'static)> {
+        match self {
+            ProbeTap::Off => None,
+            ProbeTap::Staged => Some(staged),
+            ProbeTap::Direct(p) => Some(&mut **p),
+        }
+    }
+}
+
+/// How a walker reaches the installed fault plane: the same interceptor,
+/// a different handle.
+pub(crate) enum PlaneTap<'a> {
+    /// Serial code holds the whole simulator: there is nobody to lock out.
+    /// (Locking anyway cost `lossy_mix`, 3.6 M rulings a repetition, 2.6 %
+    /// of its `wall_s`.)
+    Exclusive(&'a mut (dyn FaultPlane + 'static)),
+    /// Worker threads rule concurrently, one mutex acquisition per arrival.
+    Shared(&'a Mutex<Box<dyn FaultPlane>>),
+}
+
+/// What whoever walks shards through a window — a worker thread, or serial
+/// code holding the whole simulator — reaches besides the shard itself.
+pub(crate) struct Walker<'a> {
     pub(crate) view: NodesView,
     pub(crate) node_shard: &'a [u32],
     pub(crate) n: usize,
     /// `n × n` mailbox matrix, indexed `src * n + dst`.
     pub(crate) mail: &'a [Mutex<Vec<MailEntry>>],
-    pub(crate) plane: Option<&'a Mutex<Box<dyn FaultPlane>>>,
-    pub(crate) probe_on: bool,
+    pub(crate) plane: Option<PlaneTap<'a>>,
+    pub(crate) probe: ProbeTap<'a>,
 }
 
 /// Runs shard `ix` through one window: every pending event strictly before
 /// `w_end` (including ones the shard emits to itself inside the window).
-pub(crate) fn run_window(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>, w_end: Nanos) {
+/// Returns early, with the token, when it pops a control — which acts on the
+/// whole simulator, so the loop executes it and calls again.
+pub(crate) fn run_window(
+    shard: &mut Shard,
+    ix: usize,
+    w: &mut Walker<'_>,
+    w_end: Nanos,
+) -> Option<u64> {
     debug_assert!(w_end > 0, "a window ends after the event that opened it");
-    while process_next(shard, ix, sh, w_end - 1).is_some() {}
+    while let Some(ev) = process_next(shard, ix, w, w_end - 1) {
+        if let Event::Control { token } = ev {
+            return Some(token);
+        }
+    }
+    None
 }
 
-/// Pops and dispatches the shard's earliest event if it is due at or before
-/// `limit`; returns its timestamp.
+/// Pops the shard's earliest event if it is due at or before `limit` and
+/// returns it, dispatched — except an [`Event::Control`] (queued here only
+/// while unsharded, see `Simulator::schedule`), which is counted and handed
+/// back for the loop to execute. Inlined, with the two functions below,
+/// into the window walk and into `pump`'s one-event path: left to the
+/// inliner's own judgement the latter cost 4 ns per event.
+#[inline]
 pub(crate) fn process_next(
     shard: &mut Shard,
     ix: usize,
-    sh: &EngineShared<'_>,
+    w: &mut Walker<'_>,
     limit: Nanos,
-) -> Option<Nanos> {
+) -> Option<Event> {
     let (at, _seq, ev) = shard.pop_due(limit)?;
     debug_assert!(at >= shard.now);
     shard.now = at;
     shard.events += 1;
-    let node_id = ev.node().expect("Control events never enter shard queues in sharded mode");
+    let Some(node_id) = ev.node() else { return Some(ev) };
     if let Event::PacketArrive { node, port, pkt } = ev {
-        if sh.plane.is_some() && fault_intercept(shard, ix, sh, node, port, pkt) {
-            return Some(at);
+        if w.plane.is_some() && fault_intercept(shard, ix, w, node, port, pkt) {
+            return Some(ev);
         }
     }
-    with_shard_node(shard, ix, sh, node_id, |node, ctx| node.handle(ev, ctx));
-    Some(at)
+    with_shard_node(shard, ix, w, node_id, |node, ctx| node.handle(ev, ctx));
+    Some(ev)
 }
 
-/// Shard-local `with_node`: runs `f` in place on a node this shard owns,
-/// with the shard's pool/RNG/completions, then routes every emitted event —
-/// same shard straight into the queue, cross-shard into a mailbox.
-pub(crate) fn with_shard_node(
+/// Runs `f` in place on a node shard `ix` owns, at the shard's clock, with
+/// the shard's pool/RNG/completions. The emitted events come back in the
+/// shard's scratch vector: the caller routes them and returns the vector to
+/// `shard.scratch`.
+#[inline]
+pub(crate) fn enter_node(
     shard: &mut Shard,
     ix: usize,
-    sh: &EngineShared<'_>,
+    w: &mut Walker<'_>,
     id: NodeId,
     f: impl FnOnce(&mut Node, &mut NodeCtx),
-) {
-    debug_assert_eq!(sh.node_shard[id.0 as usize] as usize, ix, "node walked by wrong shard");
+) -> Vec<(Nanos, Event)> {
+    debug_assert_eq!(w.node_shard[id.0 as usize] as usize, ix, "node walked by wrong shard");
     // SAFETY: `id` belongs to shard `ix` (asserted above) and this shard is
-    // walked by exactly one worker, so no other thread derives a reference
+    // walked by exactly one walker, so no other thread derives a reference
     // to this node; on this thread `f` sees only the node and a `NodeCtx`
     // over the shard's own fields (handlers never touch other nodes), so
     // the reference is unique until `f` returns.
-    let node = unsafe { sh.view.node_mut(id.0 as usize) };
+    let node = unsafe { w.view.node_mut(id.0 as usize) };
     let mut out = std::mem::take(&mut shard.scratch);
-    {
-        let mut ctx = NodeCtx {
-            now: shard.now,
-            pool: &mut shard.pool,
-            rng: &mut shard.rng,
-            out: &mut out,
-            completions: &mut shard.completions,
-            probe: sh.probe_on.then_some(&mut shard.bufp as &mut dyn Probe),
-        };
-        f(node, &mut ctx);
-    }
+    let mut ctx = NodeCtx {
+        now: shard.now,
+        pool: &mut shard.pool,
+        rng: &mut shard.rng,
+        out: &mut out,
+        completions: &mut shard.completions,
+        probe: w.probe.sink(&mut shard.bufp),
+    };
+    f(node, &mut ctx);
+    out
+}
+
+/// The dispatcher's [`enter_node`]: routes every emitted event — same shard
+/// straight into the queue, cross-shard into a mailbox.
+#[inline]
+pub(crate) fn with_shard_node(
+    shard: &mut Shard,
+    ix: usize,
+    w: &mut Walker<'_>,
+    id: NodeId,
+    f: impl FnOnce(&mut Node, &mut NodeCtx),
+) {
+    let mut out = enter_node(shard, ix, w, id, f);
     for (at, ev) in out.drain(..) {
-        route_emission(shard, ix, sh, at, ev);
+        route_emission(shard, ix, w, at, ev);
     }
     shard.scratch = out;
 }
@@ -362,9 +443,9 @@ pub(crate) fn with_shard_node(
 /// Routes one emitted event: same-shard events are scheduled directly,
 /// cross-shard ones have their packet detached from the source pool and are
 /// posted into the `(src, dst)` mailbox for delivery at window close.
-fn route_emission(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>, at: Nanos, ev: Event) {
+fn route_emission(shard: &mut Shard, ix: usize, w: &Walker<'_>, at: Nanos, ev: Event) {
     let node = ev.node().expect("node handlers never emit Control events");
-    let dst = sh.node_shard[node.0 as usize] as usize;
+    let dst = w.node_shard[node.0 as usize] as usize;
     if dst == ix {
         shard.schedule(at, ev);
         return;
@@ -375,20 +456,20 @@ fn route_emission(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>, at: Nanos
     };
     shard.mail_seq += 1;
     let entry = MailEntry { at, src: ix as u32, key: shard.mail_seq, ev, pkt };
-    sh.mail[ix * sh.n + dst].lock().unwrap().push(entry);
+    w.mail[ix * w.n + dst].lock().unwrap().push(entry);
 }
 
 /// Drains every mailbox addressed to shard `ix`, sorts by `(at, src, key)`
 /// and inserts with fresh destination sequence numbers. Called exactly once
 /// per shard per window close, after all shards finished the window.
-pub(crate) fn deliver_mail(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>) {
+pub(crate) fn deliver_mail(shard: &mut Shard, ix: usize, w: &Walker<'_>) {
     let mut incoming = std::mem::take(&mut shard.mail_scratch);
     debug_assert!(incoming.is_empty());
-    for src in 0..sh.n {
+    for src in 0..w.n {
         if src == ix {
             continue;
         }
-        incoming.append(&mut sh.mail[src * sh.n + ix].lock().unwrap());
+        incoming.append(&mut w.mail[src * w.n + ix].lock().unwrap());
     }
     incoming.sort_unstable_by_key(|m| (m.at, m.src, m.key));
     for mut entry in incoming.drain(..) {
@@ -404,38 +485,48 @@ pub(crate) fn deliver_mail(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>) 
     shard.mail_scratch = incoming;
 }
 
-/// Sharded twin of `Simulator::fault_intercept`: consults the shared plane
-/// (under its mutex) about an arrival on a link this shard owns. Returns
-/// `true` when the packet was consumed. Plane state must be per-link for
-/// this to stay deterministic; see module docs.
+/// Consults the installed fault plane about an arrival on a link this shard
+/// owns; returns `true` when the packet was consumed (dropped, corrupted or
+/// held back) and must not be delivered to the node. Plane state must be
+/// per-link for this to stay deterministic; see module docs.
 fn fault_intercept(
     shard: &mut Shard,
     ix: usize,
-    sh: &EngineShared<'_>,
+    w: &mut Walker<'_>,
     node: NodeId,
     port: PortId,
     pkt: PktRef,
 ) -> bool {
-    // Empty unless an adversary issued a Delay/Reorder/Duplicate.
+    // A handle re-scheduled by an earlier Delay/Reorder/Duplicate verdict
+    // arrives exactly once more, without a second ruling. The set is empty
+    // unless an adversary issued one; skip the hash then.
     if !shard.fault_immune.is_empty() && shard.fault_immune.remove(&pkt) {
         return false;
     }
-    let verdict = match sh.plane {
-        Some(plane) => plane.lock().unwrap().on_arrival(shard.now, node, port, &shard.pool[pkt]),
+    let arriving = &shard.pool[pkt];
+    let verdict = match w.plane.as_mut() {
+        Some(PlaneTap::Exclusive(plane)) => plane.on_arrival(shard.now, node, port, arriving),
+        Some(PlaneTap::Shared(plane)) => {
+            plane.lock().unwrap().on_arrival(shard.now, node, port, arriving)
+        }
         None => FaultVerdict::Deliver,
     };
     match verdict {
         FaultVerdict::Deliver => false,
         FaultVerdict::Drop => {
-            fault_discard(shard, sh, node, port, pkt);
+            fault_discard(shard, w, node, port, pkt);
             true
         }
         FaultVerdict::Duplicate { after } => {
+            // The original is delivered now; an extra copy (fresh pool
+            // slot, immune to further rulings) arrives `after` ns later.
+            // The copy entered the fabric without a sender transmission,
+            // so it is booked on the supply side of conservation.
             let copy = shard.pool.insert(shard.pool[pkt].clone());
             match shard.pool[copy].dcp_tag() {
                 DcpTag::HeaderOnly => shard.fault_stats.dup_ho_injected += 1,
                 _ if shard.pool[copy].is_data() => shard.fault_stats.dup_data_injected += 1,
-                _ => {}
+                _ => {} // ACK-class copies sit outside the identities.
             }
             shard.fault_immune.insert(copy);
             let at = shard.now + after;
@@ -443,41 +534,45 @@ fn fault_intercept(
             false
         }
         FaultVerdict::Delay { by } | FaultVerdict::Reorder { by } => {
+            // Hold the packet on the wire; same-cable successors may
+            // overtake it through the (time, seq) ordering.
             shard.fault_immune.insert(pkt);
             let at = shard.now + by;
             shard.schedule(at, Event::PacketArrive { node, port, pkt });
             true
         }
         FaultVerdict::Corrupt => {
+            // A trimming switch turns a corrupt DCP data packet into its
+            // header-only notification (the payload is gone but the
+            // parseable header still tells the receiver *what* was lost);
+            // anywhere else corruption is just a wire loss.
+            //
             // SAFETY: `node` belongs to this shard (its arrival is being
             // processed here); read-only peek at its config.
             let can_trim = matches!(
-                unsafe { &*(sh.view.node_mut(node.0 as usize) as *const Node) },
+                unsafe { &*(w.view.node_mut(node.0 as usize) as *const Node) },
                 Node::Switch(s) if s.cfg.trimming
             ) && shard.pool[pkt].dcp_tag() == DcpTag::Data;
             if can_trim {
-                with_shard_node(shard, ix, sh, node, |n, ctx| {
+                with_shard_node(shard, ix, w, node, |n, ctx| {
                     if let Node::Switch(sw) = n {
                         sw.on_corrupt(port, pkt, ctx);
                     }
                 });
             } else {
-                fault_discard(shard, sh, node, port, pkt);
+                fault_discard(shard, w, node, port, pkt);
             }
             true
         }
     }
 }
 
-/// Sharded twin of `Simulator::fault_discard`: books the wire loss on the
-/// shard's stats and probe buffer, releases the handle.
-fn fault_discard(
-    shard: &mut Shard,
-    sh: &EngineShared<'_>,
-    node: NodeId,
-    port: PortId,
-    pkt: PktRef,
-) {
+/// Books a fault-plane wire loss by packet class and releases the handle.
+/// Data losses land in `fault_drops` (distinct from congestion
+/// `data_drops`); header-only losses stay in `ho_drops` so the Table 5
+/// identity `trims = ho_received + ho_drops` holds; ACK-class losses join
+/// `ack_drops`.
+fn fault_discard(shard: &mut Shard, w: &mut Walker<'_>, node: NodeId, port: PortId, pkt: PktRef) {
     let (is_ho, is_data, flow, psn) = {
         let p = &shard.pool[pkt];
         (p.dcp_tag() == DcpTag::HeaderOnly, p.is_data(), p.flow.0, p.psn())
@@ -489,8 +584,8 @@ fn fault_discard(
     } else {
         shard.fault_stats.ack_drops += 1;
     }
-    if sh.probe_on {
-        shard.bufp.record(
+    if let Some(probe) = w.probe.sink(&mut shard.bufp) {
+        probe.record(
             shard.now,
             &ProbeEvent::Drop {
                 node: node.0,
@@ -504,47 +599,33 @@ fn fault_discard(
     shard.pool.release(pkt);
 }
 
-/// Outcome of one serial engine micro-step (`step_sharded`).
-pub(crate) enum StepOut {
-    /// Processed one event at this timestamp.
-    Event(Nanos),
-    /// Closed a window (mail delivered, probes flushed); no event processed
-    /// this call. A safe point to stop or hand the next windows to workers.
-    Closed,
-    /// Nothing pending anywhere.
-    Idle,
-    /// The next due thing is past the caller's limit; window state (if any)
-    /// is kept open so a later call resumes exactly where this one stopped.
-    Limited,
-}
-
-/// An in-progress serial window walk. Keeping partial windows open across
-/// `step`/`run_until` calls makes window boundaries a pure function of
-/// event content — independent of how a driver slices its time limits, and
-/// therefore identical to the boundaries the parallel path computes.
-#[derive(Clone, Copy)]
-pub(crate) struct SerialWindow {
-    pub(crate) w_end: Nanos,
-    /// Next shard index to scan; reset to 0 when serial code inserts events
-    /// mid-window (the insert may land inside an already-walked shard).
-    pub(crate) cursor: usize,
-}
-
 impl Simulator {
-    /// Splits the engine's disjoint parts for a run segment: the shard
-    /// array and everything workers share.
-    pub(crate) fn engine_core(&mut self) -> (&mut [Shard], EngineShared<'_>) {
-        let n = self.shards.len();
-        let probe_on = self.probe.is_some();
-        let sh = EngineShared {
+    /// Splits the engine's disjoint parts for a serial run segment: the
+    /// shard array and the serial walker over everything else.
+    pub(crate) fn engine_core(&mut self) -> (&mut [Shard], Walker<'_>) {
+        let probe = match self.probe.as_mut() {
+            None => ProbeTap::Off,
+            // One-shard decision 2 of 3. Shards are walked one after
+            // another (or at once), so their records must be staged and
+            // merged by timestamp at the window close to come out in one
+            // canonical order. A lone shard's records are born in that
+            // order: they go straight into the attached probe, in the
+            // order and at the cost they always did.
+            Some(m) if self.shards.len() == 1 => ProbeTap::Direct(&mut **m.get_mut().unwrap()),
+            Some(_) => ProbeTap::Staged,
+        };
+        let w = Walker {
             view: NodesView::new(&mut self.nodes),
             node_shard: &self.node_shard,
-            n,
+            n: self.shards.len(),
             mail: &self.mail,
-            plane: self.fault_plane.as_ref(),
-            probe_on,
+            plane: self
+                .fault_plane
+                .as_mut()
+                .map(|m| PlaneTap::Exclusive(&mut **m.get_mut().unwrap())),
+            probe,
         };
-        (&mut self.shards, sh)
+        (&mut self.shards, w)
     }
 
     /// Earliest pending node event across all shards, or [`IDLE`].
@@ -557,61 +638,11 @@ impl Simulator {
         self.controls.peek().map(|r| r.0 .0).unwrap_or(IDLE)
     }
 
-    /// One micro-step of the sharded engine, processing at most one event
-    /// (or one control, or one window close) at or before `limit`.
-    pub(crate) fn step_sharded(&mut self, limit: Nanos) -> StepOut {
-        if let Some(w) = self.serial_window {
-            let (shards, sh) = self.engine_core();
-            let mut cursor = w.cursor;
-            let last = w.w_end - 1;
-            while cursor < sh.n {
-                let shard = &mut shards[cursor];
-                if let Some(t) = process_next(shard, cursor, &sh, limit.min(last)) {
-                    self.serial_window = Some(SerialWindow { w_end: w.w_end, cursor });
-                    self.clock = self.clock.max(t);
-                    return StepOut::Event(t);
-                }
-                // Nothing due: either the caller's limit cut the window
-                // short here, or this shard is done with it.
-                if limit < last && shard.next_at().is_some_and(|at| at <= last) {
-                    self.serial_window = Some(SerialWindow { w_end: w.w_end, cursor });
-                    return StepOut::Limited;
-                }
-                cursor += 1;
-            }
-            // Window exhausted: deliver mail everywhere, flush probes.
-            for (ix, shard) in shards.iter_mut().enumerate().take(sh.n) {
-                deliver_mail(shard, ix, &sh);
-            }
-            self.flush_probes_serial();
-            self.serial_window = None;
-            return StepOut::Closed;
-        }
-        let tmin = self.shards_next_at();
-        let ctl = self.next_control_at();
-        if tmin == IDLE && ctl == IDLE {
-            return StepOut::Idle;
-        }
-        if ctl <= tmin {
-            if ctl > limit {
-                return StepOut::Limited;
-            }
-            let std::cmp::Reverse((at, _seq, token)) = self.controls.pop().expect("peeked control");
-            self.ctl_events += 1;
-            self.exec_control(at, token);
-            return StepOut::Event(at);
-        }
-        if tmin > limit {
-            return StepOut::Limited;
-        }
-        self.serial_window =
-            Some(SerialWindow { w_end: tmin.saturating_add(self.lookahead).min(ctl), cursor: 0 });
-        // Tail-call into the open-window branch to process the first event.
-        self.step_sharded(limit)
-    }
-
     /// Executes one control event: the fault plane acts on the full
-    /// simulator (serial by construction — controls run between windows).
+    /// simulator (serial by construction — controls run between a sharded
+    /// engine's windows, or between two events of an unsharded one). The
+    /// plane is detached for the call so it can mutate the simulator
+    /// re-entrantly (fail switches, flip cables, schedule more controls).
     pub(crate) fn exec_control(&mut self, at: Nanos, token: u64) {
         debug_assert!(at >= self.clock);
         self.clock = self.clock.max(at);
@@ -624,71 +655,113 @@ impl Simulator {
 
     /// Drains every shard's probe buffer into the real probe in timestamp
     /// order (stable shard-index tie-break) — the canonical record order at
-    /// a window close. Single-shard runs drain directly: their buffer is
-    /// already time-ordered.
+    /// a window close. (Nothing is ever staged while unsharded.)
     pub(crate) fn flush_probes_serial(&mut self) {
         let Some(m) = self.probe.as_mut() else { return };
-        let probe = &mut **m.get_mut().unwrap();
-        if self.shards.len() == 1 {
-            for (at, ev) in self.shards[0].bufp.buf.drain(..) {
-                probe.record(at, &ev);
-            }
-            return;
-        }
         for shard in &mut self.shards {
             self.probe_merge.append(&mut shard.bufp.buf);
         }
-        merge_probe_buffers(&mut self.probe_merge, probe);
+        merge_probe_buffers(&mut self.probe_merge, &mut **m.get_mut().unwrap());
     }
 
-    /// The sharded run loop: serial micro-steps, escaping to parallel
-    /// window sessions whenever ≥1 full window fits under `limit` and
-    /// worker threads are configured. Returns the clock if any event was
-    /// processed. `stop_on_comps` stops at the first window close (or
-    /// control boundary) with completions pending — the `advance` API.
-    pub(crate) fn pump(&mut self, bound: Option<Nanos>, stop_on_comps: bool) -> Option<Nanos> {
-        let limit = bound.unwrap_or(IDLE);
-        let mut progressed = false;
-        'outer: loop {
-            // Go wide when no window is mid-walk and the next full window is
-            // entirely at or below the limit.
-            if self.workers > 1 && self.shards.len() > 1 && self.serial_window.is_none() {
-                let tmin = self.shards_next_at();
-                let ctl = self.next_control_at();
-                if tmin != IDLE && tmin < ctl && tmin <= limit {
-                    let w_end = tmin.saturating_add(self.lookahead).min(ctl);
-                    if w_end <= limit.saturating_add(1) {
-                        if self.parallel_session(limit, stop_on_comps) {
-                            progressed = true;
-                        }
-                        if stop_on_comps && self.have_completions() {
-                            break 'outer;
-                        }
-                        continue 'outer;
-                    }
-                }
+    /// The event loop, at every shard count: picks the next window
+    /// `[tmin, min(tmin + lookahead, next control))`, takes every shard
+    /// through it — on worker threads when configured and the whole window
+    /// lies at or below `limit`, serially in shard order otherwise — and
+    /// closes it (mail delivered, probes flushed). Returns the clock if any
+    /// event was processed. `stop_on_comps` stops at the first window close
+    /// with completions pending — the `advance` API.
+    ///
+    /// A `limit` inside the window cuts the walk, not the window: every
+    /// shard is taken through `limit`, the window stays open and the next
+    /// call resumes it. So when a bounded call returns no shard holds an
+    /// event at or before its limit, and the completions drained then are a
+    /// prefix of the canonical `(at, shard)` stream.
+    pub(crate) fn pump(&mut self, limit: Nanos, stop_on_comps: bool) -> Option<Nanos> {
+        // One-shard decision 3 of 3. A sharded engine's completions are in
+        // canonical order only once every shard has finished the window; a
+        // lone shard has nobody to wait for, so each of its events is a
+        // completion boundary and `advance*` returns after it — the next
+        // event off the one queue, no window to pick.
+        if stop_on_comps && self.shards.len() == 1 {
+            let (shards, mut w) = self.engine_core();
+            let ev = process_next(&mut shards[0], 0, &mut w, limit)?;
+            self.clock = self.shards[0].now;
+            if let Event::Control { token } = ev {
+                self.exec_control(self.clock, token);
             }
-            match self.step_sharded(limit) {
-                StepOut::Event(_) => progressed = true,
-                StepOut::Closed => {
-                    if stop_on_comps && self.have_completions() {
-                        break 'outer;
+            return Some(self.clock);
+        }
+        let events_before = self.events_processed();
+        loop {
+            let w_end = match self.open_window {
+                Some(w_end) => w_end,
+                None => {
+                    let (tmin, ctl) = (self.shards_next_at(), self.next_control_at());
+                    let next = tmin.min(ctl);
+                    if next == IDLE || next > limit {
+                        break;
                     }
+                    if ctl <= tmin {
+                        let Reverse((at, _seq, token)) = self.controls.pop().expect("peeked");
+                        self.ctl_events += 1;
+                        self.exec_control(at, token);
+                        continue;
+                    }
+                    let w_end = tmin.saturating_add(self.lookahead).min(ctl);
+                    // Go wide when the full window fits under the limit.
+                    if self.workers.min(self.shards.len()) > 1 && w_end <= limit.saturating_add(1) {
+                        self.parallel_session(w_end, limit, stop_on_comps);
+                        if stop_on_comps && self.have_completions() {
+                            break;
+                        }
+                        continue;
+                    }
+                    self.open_window = Some(w_end);
+                    w_end
                 }
-                StepOut::Idle | StepOut::Limited => break 'outer,
+            };
+            // Serial walk, in shard order, of every shard through the part
+            // of the window at or below the limit.
+            let cut = w_end.min(limit.saturating_add(1));
+            let (shards, mut w) = self.engine_core();
+            let control =
+                shards.iter_mut().enumerate().find_map(|(ix, s)| run_window(s, ix, &mut w, cut));
+            self.catch_up_clock();
+            if let Some(token) = control {
+                self.exec_control(self.clock, token);
+                continue;
+            }
+            if cut < w_end {
+                break;
+            }
+            self.open_window = None;
+            let (shards, w) = self.engine_core();
+            for (ix, shard) in shards.iter_mut().enumerate() {
+                deliver_mail(shard, ix, &w);
+            }
+            self.flush_probes_serial();
+            if stop_on_comps && self.have_completions() {
+                break;
             }
         }
-        progressed.then_some(self.clock)
+        (self.events_processed() > events_before).then_some(self.clock)
+    }
+
+    /// Moves the clock up to the latest event any shard has processed.
+    fn catch_up_clock(&mut self) {
+        let max_now = self.shards.iter().map(|s| s.now).max().unwrap_or(0);
+        self.clock = self.clock.max(max_now);
     }
 
     pub(crate) fn have_completions(&self) -> bool {
         self.shards.iter().any(|s| !s.completions.is_empty())
     }
 
-    /// Runs consecutive windows on worker threads until a stop condition:
-    /// completions pending (when `stop_on_comps`), idle, a control due, or
-    /// the next window not fitting under `limit`. Returns whether any event
-    /// was processed.
+    /// Runs consecutive windows, the first ending at `w_end0`, on worker
+    /// threads until a stop condition: completions pending (when
+    /// `stop_on_comps`), idle, a control due, or the next window not
+    /// fitting under `limit`.
     ///
     /// Protocol per window (all workers in lockstep):
     /// * **A** — walk owned shards through `[.., w_end)`; records land in
@@ -703,31 +776,31 @@ impl Simulator {
     /// Worker 0's phase-C flush is ordered before any other worker's next
     /// phase-B slot swap by the next phase-A barrier, so slots are never
     /// touched concurrently.
-    pub(crate) fn parallel_session(&mut self, limit: Nanos, stop_on_comps: bool) -> bool {
+    pub(crate) fn parallel_session(&mut self, w_end0: Nanos, limit: Nanos, stop_on_comps: bool) {
         let n = self.shards.len();
         let workers = self.workers.min(n);
         let ctl = self.next_control_at();
         let lookahead = self.lookahead;
-        let tmin = self.shards_next_at();
-        debug_assert!(tmin != IDLE && tmin < ctl && tmin <= limit);
-        let w_end0 = tmin.saturating_add(lookahead).min(ctl);
-        let events_before: u64 = self.shards.iter().map(|s| s.events).sum();
 
         let barrier = Barrier::new(workers);
         let next_at: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(IDLE)).collect();
         let comp_len: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
 
-        // Split shards into per-worker groups (round-robin by index).
         let probe = &self.probe;
         let slots: &[Mutex<Vec<(Nanos, ProbeEvent)>>] = &self.probe_slots;
-        let sh = EngineShared {
-            view: NodesView::new(&mut self.nodes),
-            node_shard: &self.node_shard,
+        // Every worker walks with the same shared handles; a sharded
+        // engine's records are always staged.
+        let view = NodesView::new(&mut self.nodes);
+        let (node_shard, mail, plane) = (&self.node_shard, &self.mail, self.fault_plane.as_ref());
+        let walker = || Walker {
+            view,
+            node_shard,
             n,
-            mail: &self.mail,
-            plane: self.fault_plane.as_ref(),
-            probe_on: probe.is_some(),
+            mail,
+            plane: plane.map(PlaneTap::Shared),
+            probe: if probe.is_some() { ProbeTap::Staged } else { ProbeTap::Off },
         };
+        // Split shards into per-worker groups (round-robin by index).
         let mut groups: Vec<Vec<(usize, &mut Shard)>> = (0..workers).map(|_| Vec::new()).collect();
         for (ix, shard) in self.shards.iter_mut().enumerate() {
             groups[ix % workers].push((ix, shard));
@@ -738,13 +811,14 @@ impl Simulator {
             let next_at = &next_at;
             let comp_len = &comp_len;
             for (wi, group) in groups.drain(1..).enumerate() {
+                let w = walker();
                 std::thread::Builder::new()
                     .name(format!("dcp-shard-{}", wi + 1))
                     .spawn_scoped(scope, move || {
                         session_worker(
                             group,
                             slots,
-                            sh,
+                            w,
                             barrier,
                             next_at,
                             comp_len,
@@ -762,7 +836,7 @@ impl Simulator {
             session_worker(
                 groups.remove(0),
                 slots,
-                sh,
+                walker(),
                 barrier,
                 next_at,
                 comp_len,
@@ -774,11 +848,7 @@ impl Simulator {
                 stop_on_comps,
             );
         });
-
-        let max_now = self.shards.iter().map(|s| s.now).max().unwrap_or(0);
-        self.clock = self.clock.max(max_now);
-        let events_after: u64 = self.shards.iter().map(|s| s.events).sum();
-        events_after > events_before
+        self.catch_up_clock();
     }
 }
 
@@ -967,7 +1037,7 @@ pub(crate) fn merge_probe_buffers(staged: &mut Vec<(Nanos, ProbeEvent)>, probe: 
 fn session_worker(
     mut group: Vec<(usize, &mut Shard)>,
     slots: &[Mutex<Vec<(Nanos, ProbeEvent)>>],
-    sh: EngineShared<'_>,
+    mut w: Walker<'_>,
     barrier: &Barrier,
     next_at: &[AtomicU64],
     comp_len: &[AtomicUsize],
@@ -978,11 +1048,13 @@ fn session_worker(
     lookahead: Nanos,
     stop_on_comps: bool,
 ) {
+    let probe_on = !matches!(w.probe, ProbeTap::Off);
     let mut staged: Vec<(Nanos, ProbeEvent)> = Vec::new();
     loop {
         // Phase A: walk every owned shard through the window.
         for (ix, shard) in group.iter_mut() {
-            run_window(shard, *ix, &sh, w_end);
+            let control = run_window(shard, *ix, &mut w, w_end);
+            debug_assert!(control.is_none(), "controls never enter a sharded engine's queues");
         }
         barrier.wait();
         // Phase B: deliver mail, stage probe buffers into the shared flush
@@ -990,8 +1062,8 @@ fn session_worker(
         // (one owner per slot; the flusher's drain is barrier-ordered before
         // the next swap), and Relaxed atomics suffice — barriers order them.
         for (ix, shard) in group.iter_mut() {
-            deliver_mail(shard, *ix, &sh);
-            if sh.probe_on {
+            deliver_mail(shard, *ix, &w);
+            if probe_on {
                 std::mem::swap(&mut shard.bufp.buf, &mut *slots[*ix].lock().unwrap());
             }
             next_at[*ix].store(shard.next_at().unwrap_or(IDLE), Ordering::Relaxed);
@@ -1003,7 +1075,7 @@ fn session_worker(
         // computes the identical continue/stop decision from the published
         // atomics.
         if let Some(m) = flush {
-            if sh.probe_on {
+            if probe_on {
                 let mut probe = m.lock().unwrap();
                 for slot in slots {
                     staged.append(&mut slot.lock().unwrap());

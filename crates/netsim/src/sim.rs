@@ -7,27 +7,32 @@
 //! pairs through [`NodeCtx`].
 //!
 //! The simulator holds one or more engine *shards* (see [`crate::shard`]):
-//! unsharded it is exactly the serial engine of PR 3 — one queue, one
-//! pool, one RNG — and [`Simulator::partition`] splits it along topology
-//! boundaries for conservative-lookahead parallel execution. All public
-//! stepping APIs work in both modes; `step`/`step_bounded` stay
-//! event-at-a-time, while [`Simulator::advance`] /
-//! [`Simulator::advance_bounded`] batch to safe window boundaries and are
-//! what lets a sharded run actually go wide.
+//! one queue, one pool, one RNG until [`Simulator::partition`] splits it
+//! along topology boundaries for conservative-lookahead parallel
+//! execution. There is one event loop, `Simulator::pump`, and one event
+//! dispatcher, `shard::process_next`, at every shard count; the four
+//! stepping calls ([`Simulator::advance`], [`Simulator::advance_bounded`],
+//! [`Simulator::run_until`], [`Simulator::run_to_quiescence`]) are fronts
+//! of that loop. An unsharded simulator is its one-shard case — a single
+//! window that spans all time, since nothing bounds its lookahead — and
+//! differs from a sharded one in exactly three decisions, each made once
+//! from `shards.len()` and documented where it is made: control events
+//! stay in the shard queue ([`Simulator::schedule`]), the dispatcher
+//! records straight into the attached probe (`Simulator::engine_core`),
+//! and `advance*` returns after every event (`Simulator::pump`).
 
 use crate::endpoint::{Completion, Endpoint};
-use crate::fault::{FaultPlane, FaultVerdict};
+use crate::fault::FaultPlane;
 use crate::host::{Host, QpRef};
 use crate::link::Link;
 use crate::packet::{FlowId, NodeId, PortId};
 use crate::pool::{PacketPool, PktRef};
-use crate::shard::{SerialWindow, Shard, StepOut, IDLE};
+use crate::shard::{enter_node, Shard, IDLE};
 use crate::stats::{NetStats, TransportStats};
 use crate::switch::{Switch, SwitchConfig};
 use crate::time::Nanos;
-use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::WorkReqOp;
-use dcp_telemetry::{DropClass, Probe, ProbeEvent};
+use dcp_telemetry::{Probe, ProbeEvent};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -106,9 +111,9 @@ pub enum Node {
 }
 
 impl Node {
-    /// The event → handler mapping, shared by the serial and the sharded
-    /// engine. Runs on the node in place: handlers reach the rest of the
-    /// world only through `ctx`, never through another node.
+    /// The event → handler mapping. Runs on the node in place: handlers
+    /// reach the rest of the world only through `ctx`, never through
+    /// another node.
     #[inline]
     pub(crate) fn handle(&mut self, ev: Event, ctx: &mut NodeCtx) {
         match (self, ev) {
@@ -126,7 +131,7 @@ impl Node {
             (Node::Switch(_), Event::EndpointTimer { .. }) => {
                 unreachable!("switches have no endpoints")
             }
-            (_, Event::Control { .. }) => unreachable!("Control handled before dispatch"),
+            (_, Event::Control { .. }) => unreachable!("controls are the loop's to execute"),
         }
     }
 }
@@ -139,7 +144,7 @@ pub struct Simulator {
     pub(crate) seed: u64,
     /// Engine shards; exactly one until [`Simulator::partition`] runs.
     pub(crate) shards: Vec<Shard>,
-    /// Node index → owning shard; empty while unsharded.
+    /// Node index → owning shard; all zero until [`Simulator::partition`].
     pub(crate) node_shard: Vec<u32>,
     /// Conservative-lookahead horizon (min cross-shard link delay).
     pub(crate) lookahead: Nanos,
@@ -149,13 +154,18 @@ pub struct Simulator {
     pub nodes: Vec<Node>,
     pub(crate) probe: Option<Mutex<Box<dyn Probe>>>,
     pub(crate) fault_plane: Option<Mutex<Box<dyn FaultPlane>>>,
-    /// Sharded-mode control events, ordered `(at, seq)`; with one shard
-    /// controls stay in the shard queue for exact legacy ordering.
+    /// Sharded-mode control events, ordered `(at, seq)`; empty while
+    /// unsharded (see [`Simulator::schedule`]).
     pub(crate) controls: BinaryHeap<Reverse<(Nanos, u64, u64)>>,
     pub(crate) ctl_seq: u64,
     pub(crate) ctl_events: u64,
-    /// In-progress serial window walk (sharded mode only).
-    pub(crate) serial_window: Option<SerialWindow>,
+    /// End of the window a bounded call left open: its limit fell inside
+    /// the window, so every shard stands at the limit, the window's mail is
+    /// undelivered and the next call resumes the same window. Keeping it
+    /// open makes window boundaries a pure function of event content —
+    /// independent of how a driver slices its time limits, and therefore
+    /// identical to the boundaries the parallel path computes.
+    pub(crate) open_window: Option<Nanos>,
     /// Per-shard probe staging slots for parallel window sessions.
     pub(crate) probe_slots: Vec<Mutex<Vec<(Nanos, ProbeEvent)>>>,
     /// Reused staging vector for the serial timestamp-merge of per-shard
@@ -185,7 +195,7 @@ impl Simulator {
             controls: BinaryHeap::new(),
             ctl_seq: 0,
             ctl_events: 0,
-            serial_window: None,
+            open_window: None,
             probe_slots: Vec::new(),
             probe_merge: Vec::new(),
             mail: Vec::new(),
@@ -201,13 +211,6 @@ impl Simulator {
     /// by the determinism tests, does not) change the packet trace.
     pub fn set_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = Some(Mutex::new(probe));
-    }
-
-    /// Detaches and returns the probe, e.g. to drain a trace after a run.
-    /// Buffered sharded-mode records are flushed into it first.
-    pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.flush_probes_serial();
-        self.probe.take().map(|m| m.into_inner().unwrap())
     }
 
     pub fn probe_mut(&mut self) -> Option<&mut (dyn Probe + 'static)> {
@@ -241,6 +244,7 @@ impl Simulator {
     pub fn add_host(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::Host(Host::new(id)));
+        self.node_shard.push(0);
         id
     }
 
@@ -248,6 +252,7 @@ impl Simulator {
     pub fn add_switch(&mut self, cfg: SwitchConfig) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::Switch(Switch::new(id, cfg)));
+        self.node_shard.push(0);
         id
     }
 
@@ -337,23 +342,12 @@ impl Simulator {
 
     /// Posts a Work Request on `flow`'s sender endpoint and kicks the NIC.
     pub fn post(&mut self, host: NodeId, flow: FlowId, wr_id: u64, op: WorkReqOp, len: u64) {
-        let now = self.clock;
-        if self.probe.is_some() {
-            let ev = ProbeEvent::MsgPosted { node: host.0, flow: flow.0, wr_id, bytes: len };
-            if self.shards.len() == 1 {
-                if let Some(p) = self.probe.as_mut() {
-                    p.get_mut().unwrap().record(now, &ev);
-                }
-            } else {
-                // Sharded: stage into the owning shard's buffer so the event
-                // lands in timestamp order at the next window-close merge
-                // (a direct record could jump buffered earlier events).
-                let s = self.shard_of(host);
-                self.shards[s].bufp.record(now, &ev);
-            }
-        }
-        self.host_mut(host).post(flow, wr_id, op, len);
-        self.kick(host);
+        self.with_node(host, |node, ctx| {
+            let Node::Host(h) = node else { panic!("{host:?} is not a host") };
+            ctx.emit(|| ProbeEvent::MsgPosted { node: host.0, flow: flow.0, wr_id, bytes: len });
+            h.post(flow, wr_id, op, len);
+            h.try_transmit(ctx);
+        });
     }
 
     /// Gives `host`'s NIC a transmission opportunity now.
@@ -368,315 +362,94 @@ impl Simulator {
     /// Which shard owns node `id` (always 0 while unsharded).
     #[inline]
     pub(crate) fn shard_of(&self, id: NodeId) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            self.node_shard[id.0 as usize] as usize
-        }
+        self.node_shard[id.0 as usize] as usize
     }
 
     /// Schedules an event, routing it to the owning shard (node events) or
     /// the control queue (sharded mode).
     pub fn schedule(&mut self, at: Nanos, ev: Event) {
         debug_assert!(at >= self.clock, "scheduling into the past: {at} < {}", self.clock);
-        match ev.node() {
-            Some(id) => {
-                let d = self.shard_of(id);
-                self.shards[d].schedule(at, ev);
-                // The insert may land inside an open serial window of an
-                // already-walked shard; rescan from the start.
-                if let Some(w) = self.serial_window.as_mut() {
-                    w.cursor = 0;
-                }
+        match ev {
+            // One-shard decision 1 of 3. A control acts on the whole
+            // simulator, so a sharded engine keeps controls in a serial
+            // queue of their own and runs each at a barrier *before* any
+            // node event of the same timestamp. With one shard there is
+            // nothing to bar: the control stays in the shard's queue and
+            // keeps its `(at, seq)` place among the node events — the order
+            // every unsharded fault-plan digest was captured under.
+            Event::Control { token } if self.shards.len() > 1 => {
+                debug_assert!(
+                    self.open_window.is_none_or(|w_end| at >= w_end),
+                    "control at {at} inside the window a bounded call left open: \
+                     the window's later events would run before it",
+                );
+                self.ctl_seq += 1;
+                self.controls.push(Reverse((at, self.ctl_seq, token)));
             }
-            None => {
-                if self.shards.len() == 1 {
-                    self.shards[0].schedule(at, ev);
-                } else {
-                    let Event::Control { token } = ev else {
-                        unreachable!("only Control is node-less")
-                    };
-                    self.ctl_seq += 1;
-                    self.controls.push(Reverse((at, self.ctl_seq, token)));
-                }
+            _ => {
+                let d = ev.node().map_or(0, |id| self.shard_of(id));
+                self.shards[d].schedule(at, ev);
             }
         }
     }
 
-    /// Serial node access: the one-shard event loop, control-plane paths,
-    /// `post`/`kick` from harness code, cable flips. Runs `f` on the node in
-    /// place (`nodes`, `shards` and `probe` are disjoint fields, so the
-    /// borrows split) with the owning shard's pool/RNG. With one shard the
-    /// emissions go straight into its queue; a sharded simulator routes them
-    /// across shards directly (no mailboxes — this runs with exclusive
-    /// access to everything).
+    /// Serial node access: control-plane paths, `post`/`kick` from harness
+    /// code, cable flips. Runs `f` on the node in place, at the simulator's
+    /// clock, through the same [`enter_node`] the dispatcher uses; only the
+    /// routing differs — this runs with exclusive access to everything, so
+    /// emissions go straight into the owning shard's queue (a packet that
+    /// crosses shards is moved between their pools) instead of a mailbox.
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut Node, &mut NodeCtx)) {
         let s = self.shard_of(id);
-        let sharded = self.shards.len() > 1;
-        let shard = &mut self.shards[s];
-        let mut out = std::mem::take(&mut shard.scratch);
-        {
-            // Sharded runs stage emissions into the shard's probe buffer
-            // (merged by timestamp at the next window close) so a serial
-            // control-path call between or inside windows cannot interleave
-            // records out of order with buffered hot-path events; a
-            // single-shard run records straight into the probe, as ever.
-            let probe: Option<&mut (dyn Probe + 'static)> = match &mut self.probe {
-                Some(_) if sharded => Some(&mut shard.bufp),
-                Some(m) => Some(&mut **m.get_mut().unwrap()),
-                None => None,
-            };
-            let mut ctx = NodeCtx {
-                now: self.clock,
-                pool: &mut shard.pool,
-                rng: &mut shard.rng,
-                out: &mut out,
-                completions: &mut shard.completions,
-                probe,
-            };
-            f(&mut self.nodes[id.0 as usize], &mut ctx);
-        }
-        if sharded {
-            for (at, ev) in out.drain(..) {
-                self.serial_insert(s, at, ev);
-            }
-        } else {
-            for (at, ev) in out.drain(..) {
-                shard.schedule(at, ev);
-            }
-        }
-        self.shards[s].scratch = out;
-    }
-
-    /// Inserts an event emitted from a serial context on shard `src`,
-    /// moving the packet between pools when it crosses shards.
-    fn serial_insert(&mut self, src: usize, at: Nanos, ev: Event) {
-        let Some(node) = ev.node() else {
-            // Handlers do not emit Control, but route defensively.
-            self.schedule(at, ev);
-            return;
-        };
-        let dst = self.shard_of(node);
-        if dst == src {
-            self.shards[src].schedule(at, ev);
-        } else {
-            let ev = match ev {
-                Event::PacketArrive { node, port, pkt } => {
-                    let p = self.shards[src].pool.take(pkt);
-                    let fresh = self.shards[dst].pool.insert(p);
-                    Event::PacketArrive { node, port, pkt: fresh }
+        let clock = self.clock;
+        let (shards, mut w) = self.engine_core();
+        // Every stepping call returns with each shard walked up to the
+        // clock; a node touched "now" must not still owe the past an event.
+        debug_assert!(
+            shards[s].next_at().is_none_or(|at| at >= clock),
+            "serial access to {id:?} at {clock} while its shard still holds an earlier event",
+        );
+        shards[s].now = clock;
+        let mut out = enter_node(&mut shards[s], s, &mut w, id, f);
+        for (at, mut ev) in out.drain(..) {
+            let node = ev.node().expect("node handlers never emit Control events");
+            let dst = w.node_shard[node.0 as usize] as usize;
+            if dst != s {
+                if let Event::PacketArrive { pkt, .. } = &mut ev {
+                    let p = shards[s].pool.take(*pkt);
+                    *pkt = shards[dst].pool.insert(p);
                 }
-                other => other,
-            };
-            self.shards[dst].schedule(at, ev);
+            }
+            shards[dst].schedule(at, ev);
         }
-        if let Some(w) = self.serial_window.as_mut() {
-            w.cursor = 0;
-        }
+        shards[s].scratch = out;
     }
 
-    /// Consults the installed fault plane about an arrival; returns `true`
-    /// when the packet was consumed (dropped or corrupted) and must not be
-    /// delivered to the node. Serial single-shard path; the sharded twin
-    /// lives in [`crate::shard`].
-    fn fault_intercept_single(&mut self, node: NodeId, port: PortId, pkt: PktRef) -> bool {
-        // A handle re-scheduled by an earlier Delay/Reorder/Duplicate
-        // verdict arrives exactly once more, without a second ruling. The
-        // set is empty unless an adversary issued one; skip the hash then.
-        let immune = &mut self.shards[0].fault_immune;
-        if !immune.is_empty() && immune.remove(&pkt) {
-            return false;
-        }
-        let now = self.clock;
-        let verdict = match self.fault_plane.as_mut() {
-            Some(m) => m.get_mut().unwrap().on_arrival(now, node, port, &self.shards[0].pool[pkt]),
-            None => FaultVerdict::Deliver,
-        };
-        match verdict {
-            FaultVerdict::Deliver => false,
-            FaultVerdict::Drop => {
-                self.fault_discard_single(node, port, pkt);
-                true
-            }
-            FaultVerdict::Duplicate { after } => {
-                // The original is delivered now; an extra copy (fresh pool
-                // slot, immune to further rulings) arrives `after` ns later.
-                // The copy entered the fabric without a sender transmission,
-                // so it is booked on the supply side of conservation.
-                let s0 = &mut self.shards[0];
-                let copy = s0.pool.insert(s0.pool[pkt].clone());
-                match s0.pool[copy].dcp_tag() {
-                    DcpTag::HeaderOnly => s0.fault_stats.dup_ho_injected += 1,
-                    _ if s0.pool[copy].is_data() => s0.fault_stats.dup_data_injected += 1,
-                    _ => {} // ACK-class copies sit outside the identities.
-                }
-                s0.fault_immune.insert(copy);
-                self.schedule(now + after, Event::PacketArrive { node, port, pkt: copy });
-                false
-            }
-            FaultVerdict::Delay { by } | FaultVerdict::Reorder { by } => {
-                // Hold the packet on the wire; same-cable successors may
-                // overtake it through the (time, seq) ordering.
-                self.shards[0].fault_immune.insert(pkt);
-                self.schedule(now + by, Event::PacketArrive { node, port, pkt });
-                true
-            }
-            FaultVerdict::Corrupt => {
-                // A trimming switch turns a corrupt DCP data packet into its
-                // header-only notification (the payload is gone but the
-                // parseable header still tells the receiver *what* was
-                // lost); anywhere else corruption is just a wire loss.
-                let can_trim = matches!(
-                    &self.nodes[node.0 as usize],
-                    Node::Switch(s) if s.cfg.trimming
-                ) && self.shards[0].pool[pkt].dcp_tag() == DcpTag::Data;
-                if can_trim {
-                    self.with_node(node, |n, ctx| {
-                        if let Node::Switch(sw) = n {
-                            sw.on_corrupt(port, pkt, ctx);
-                        }
-                    });
-                } else {
-                    self.fault_discard_single(node, port, pkt);
-                }
-                true
-            }
-        }
-    }
-
-    /// Books a fault-plane wire loss by packet class and releases the
-    /// handle. Data losses land in `fault_drops` (distinct from congestion
-    /// `data_drops`); header-only losses stay in `ho_drops` so the Table 5
-    /// identity `trims = ho_received + ho_drops` holds; ACK-class losses
-    /// join `ack_drops`.
-    fn fault_discard_single(&mut self, node: NodeId, port: PortId, pkt: PktRef) {
-        let now = self.clock;
-        let s0 = &mut self.shards[0];
-        let (is_ho, is_data, flow, psn) = {
-            let p = &s0.pool[pkt];
-            (p.dcp_tag() == DcpTag::HeaderOnly, p.is_data(), p.flow.0, p.psn())
-        };
-        if is_ho {
-            s0.fault_stats.ho_drops += 1;
-        } else if is_data {
-            s0.fault_stats.fault_drops += 1;
-        } else {
-            s0.fault_stats.ack_drops += 1;
-        }
-        if let Some(m) = self.probe.as_mut() {
-            m.get_mut().unwrap().record(
-                now,
-                &ProbeEvent::Drop {
-                    node: node.0,
-                    port: port as u32,
-                    flow,
-                    psn,
-                    class: DropClass::Fault,
-                },
-            );
-        }
-        self.shards[0].pool.release(pkt);
-    }
-
-    /// The exact pre-sharding event loop: one queue, events (including
-    /// controls) in `(at, seq)` order. Processes the next event if it is
-    /// due at or before `limit` ([`IDLE`] for "whatever is next").
-    fn step_single(&mut self, limit: Nanos) -> Option<Nanos> {
-        let (at, _seq, ev) = self.shards[0].pop_due(limit)?;
-        debug_assert!(at >= self.clock);
-        self.clock = at;
-        self.shards[0].now = at;
-        self.shards[0].events += 1;
-        let Some(node_id) = ev.node() else {
-            let Event::Control { token } = ev else { unreachable!("only Control is node-less") };
-            // Detach the plane so it can mutate the simulator re-entrantly
-            // (fail switches, flip cables, schedule more controls).
-            if let Some(m) = self.fault_plane.take() {
-                let mut plane = m.into_inner().unwrap();
-                plane.on_control(token, self);
-                self.fault_plane = Some(Mutex::new(plane));
-            }
-            return Some(at);
-        };
-        if let Event::PacketArrive { node, port, pkt } = ev {
-            if self.fault_plane.is_some() && self.fault_intercept_single(node, port, pkt) {
-                return Some(at);
-            }
-        }
-        self.with_node(node_id, |node, ctx| node.handle(ev, ctx));
-        Some(at)
-    }
-
-    /// Processes one event; returns its timestamp, or `None` if idle.
+    /// Processes events up to the next completion boundary — the point
+    /// after which completions are safe to drain — and returns the clock,
+    /// or `None` when idle. Sharded, that is a window close with
+    /// completions pending (whole lookahead windows run on worker threads
+    /// when configured); unsharded, every event is one.
     ///
-    /// Sharded mode processes exactly one event too (window closes are
-    /// internal) — always serial. Use [`Simulator::advance`] to let a
-    /// sharded run use worker threads.
-    pub fn step(&mut self) -> Option<Nanos> {
-        if self.shards.len() == 1 {
-            return self.step_single(IDLE);
-        }
-        loop {
-            match self.step_sharded(IDLE) {
-                StepOut::Event(t) => return Some(t),
-                StepOut::Closed => continue,
-                StepOut::Idle => return None,
-                StepOut::Limited => unreachable!("unlimited step cannot be limited"),
-            }
-        }
-    }
-
-    /// Processes the next event only if it is due at or before `limit`;
-    /// returns `None` (without advancing) otherwise or when idle.
-    pub fn step_bounded(&mut self, limit: Nanos) -> Option<Nanos> {
-        if self.shards.len() == 1 {
-            return self.step_single(limit);
-        }
-        loop {
-            match self.step_sharded(limit) {
-                StepOut::Event(t) => return Some(t),
-                StepOut::Closed => continue,
-                StepOut::Idle | StepOut::Limited => return None,
-            }
-        }
-    }
-
-    /// Batch step: processes events up to the next completion boundary —
-    /// the point after which completions are safe to drain. Unsharded this
-    /// is exactly [`Simulator::step`]; sharded it runs whole lookahead
-    /// windows (on worker threads when configured) and returns at a window
-    /// close once completions are pending, or when idle (`None`).
-    ///
-    /// Event-per-step driver loops (`while sim.step().is_some()`) convert
-    /// to `while sim.advance().is_some()` and keep identical observable
-    /// behavior at every shard/worker count: completions surface in the
-    /// same order with the same contents; only the granularity at which
-    /// the loop body observes them changes (and only for `shards > 1`).
+    /// A `while sim.advance().is_some()` driver loop observes the same
+    /// completions in the same order at every shard/worker count; only the
+    /// granularity at which its body sees them changes with the sharding.
     pub fn advance(&mut self) -> Option<Nanos> {
-        if self.shards.len() == 1 {
-            return self.step_single(IDLE);
-        }
-        self.pump(None, true)
+        self.pump(IDLE, true)
     }
 
-    /// Bounded [`Simulator::advance`]: stops (returning `None` if nothing
-    /// was processed) once the next event lies past `limit`.
+    /// Bounded [`Simulator::advance`]: also stops once no shard holds an
+    /// event at or before `limit`, returning `None` if nothing was
+    /// processed.
     pub fn advance_bounded(&mut self, limit: Nanos) -> Option<Nanos> {
-        if self.shards.len() == 1 {
-            return self.step_bounded(limit);
-        }
-        self.pump(Some(limit), true)
+        self.pump(limit, true)
     }
 
-    /// Runs until the queue is empty or the clock passes `t`.
+    /// Runs until the queue is empty or the clock passes `t`: on return no
+    /// shard holds an event at or before `t`, and the clock reads `t` or
+    /// later.
     pub fn run_until(&mut self, t: Nanos) {
-        if self.shards.len() == 1 {
-            while self.step_single(t).is_some() {}
-            self.clock = self.clock.max(t);
-            self.shards[0].now = self.shards[0].now.max(t);
-            return;
-        }
-        self.pump(Some(t), false);
+        self.pump(t, false);
         self.clock = self.clock.max(t);
     }
 
@@ -685,11 +458,7 @@ impl Simulator {
     /// dump (e.g. the flight-recorder ring of the last few thousand events)
     /// is printed to stderr — a stalled run leaves a trace, not a boolean.
     pub fn run_to_quiescence(&mut self, deadline: Nanos) -> bool {
-        if self.shards.len() == 1 {
-            while self.step_single(deadline).is_some() {}
-        } else {
-            self.pump(Some(deadline), false);
-        }
+        self.pump(deadline, false);
         let pending = self.pending_events();
         if pending == 0 {
             return true;
@@ -705,11 +474,8 @@ impl Simulator {
     }
 
     /// Pops the globally next completion: ascending completion time, ties
-    /// broken by shard index (single-shard: plain FIFO, as ever).
+    /// broken by shard index (one shard: plain FIFO).
     fn pop_next_completion(&mut self) -> Option<Completion> {
-        if self.shards.len() == 1 {
-            return self.shards[0].completions.pop_front();
-        }
         let mut best: Option<(Nanos, usize)> = None;
         for (i, s) in self.shards.iter().enumerate() {
             if let Some(c) = s.completions.front() {
@@ -719,18 +485,6 @@ impl Simulator {
             }
         }
         best.map(|(_, i)| self.shards[i].completions.pop_front().expect("peeked"))
-    }
-
-    /// Drains completions surfaced since the last call.
-    ///
-    /// Allocates a fresh `Vec` per call; event-per-step loops should prefer
-    /// [`Simulator::for_each_completion`].
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let mut v = Vec::new();
-        while let Some(c) = self.pop_next_completion() {
-            v.push(c);
-        }
-        v
     }
 
     /// Invokes `f` on each completion surfaced since the last drain,

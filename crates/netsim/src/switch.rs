@@ -259,10 +259,6 @@ impl Switch {
         self.ports[port].up = up;
     }
 
-    pub fn port_up(&self, port: PortId) -> bool {
-        self.ports[port].up
-    }
-
     /// Routing pick for `pr`: flowlet-sticky or per-packet per `cfg.lb`,
     /// recording the ingress port on the packet. `None` (with the handle
     /// released) when the destination has no route — a topology bug.

@@ -124,11 +124,6 @@ impl Topology {
             host_gbps,
         }
     }
-
-    /// The leaf switch a host attaches to, given `hosts_per_leaf`.
-    pub fn leaf_of(&self, host_ix: usize, hosts_per_leaf: usize) -> NodeId {
-        self.leaves[host_ix / hosts_per_leaf]
-    }
 }
 
 /// Two hosts on a direct cable (Fig. 8).

@@ -143,7 +143,8 @@ impl Sampler {
     }
 
     /// Takes any samples due at or before the simulator's current time.
-    /// Call after each `step()` (cheap: no-op until the period elapses).
+    /// Call after each `advance()` or bounded slice (cheap: no-op until the
+    /// period elapses).
     pub fn poll(&mut self, sim: &Simulator) {
         while self.next_at <= sim.now() {
             let at = self.next_at;

@@ -226,9 +226,12 @@ fn control_queue_stays_shallow_under_trim_storm() {
         sim.install_endpoint(dst, FlowId(f + 1), Box::new(Sink(TransportStats::default())));
         sim.kick(topo.hosts[f as usize]);
     }
+    // One slice per sample: a bounded call leaves every shard standing at
+    // its limit, so the sampler reads one consistent instant at any shard
+    // count.
     let mut sampler = Sampler::new(10 * US).track_port_queues("bottleneck", topo.leaves[0], 4);
     while sim.pending_events() > 0 && sim.now() < SEC {
-        sim.step();
+        sim.run_until(sim.now() + 10 * US);
         sampler.poll(&sim);
     }
     assert!(sim.net_stats().trims > 1000, "trim storm expected");

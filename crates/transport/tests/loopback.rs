@@ -57,7 +57,7 @@ fn run_sized(
     sim.post(src, flow, 1, WorkReqOp::Write { remote_addr: 0x1_0000, rkey: 1 }, msg);
     let mut done_at = 0;
     while sim.pending_events() > 0 && sim.now() < deadline {
-        sim.step();
+        sim.advance();
         sim.for_each_completion(|c| {
             if c.kind == dcp_netsim::CompletionKind::RecvComplete {
                 assert_eq!(c.bytes, msg);

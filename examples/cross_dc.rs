@@ -31,7 +31,7 @@ fn long_haul_goodput(km: f64) -> f64 {
     let mut done = 0;
     let mut last = 0;
     while done < 64 && sim.now() < 10 * SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

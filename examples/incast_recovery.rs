@@ -48,7 +48,7 @@ fn run(kind: TransportKind, cfg: SwitchConfig) {
     let mut done = 0;
     let mut jct = 0;
     while done < FAN_IN && sim.now() < 10 * SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

@@ -37,7 +37,7 @@ fn throughput(
     let mut last = 0;
     let mut done = 0;
     while done < count && sim.now() < SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {
@@ -63,7 +63,7 @@ fn latency(make: impl Fn(FlowCfg) -> (Box<dyn Endpoint>, Box<dyn Endpoint>), tag
     sim.post(a, flow, 0, WorkReqOp::Write { remote_addr: 0x10_0000, rkey: 1 }, 64);
     let mut at: Nanos = 0;
     while at == 0 && sim.now() < SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

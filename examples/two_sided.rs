@@ -55,7 +55,7 @@ fn main() {
 
     let mut done = Vec::new();
     while done.len() < N_MSGS as usize && sim.now() < 10 * SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

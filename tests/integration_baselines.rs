@@ -31,7 +31,7 @@ fn goodput(kind: TransportKind, loss: f64, trimming: bool) -> f64 {
     let mut done = 0;
     let mut last: Nanos = 0;
     while done < 8 && sim.now() < 120 * SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

@@ -122,7 +122,7 @@ fn cyclic_lossless_ring_deadlocks_and_the_cycle_detector_names_the_ring() {
     }
     let mut detected = None;
     let mut steps = 0u64;
-    while sim.step().is_some() {
+    while sim.advance().is_some() {
         steps += 1;
         if steps.is_multiple_of(512) {
             if let Some(cycle) = pfc_deadlock_cycle(&sim) {
@@ -169,18 +169,17 @@ fn lossless_tree_under_incast_pauses_but_never_cycles() {
         sim.install_endpoint(topo.hosts[fan], flow, rx);
         post_write(&mut sim, topo.hosts[i], flow, 0, 2 << 20);
     }
+    // Look every 10 µs: a bounded slice leaves every shard standing at its
+    // limit, so the pause graph is read at one instant at any shard count.
     let mut saw_pause = false;
-    let mut steps = 0u64;
-    while sim.step().is_some() {
-        steps += 1;
-        if steps.is_multiple_of(512) {
-            saw_pause |= !sim.pause_edges().is_empty();
-            assert_eq!(
-                pfc_deadlock_cycle(&sim),
-                None,
-                "a tree topology must never produce a pause cycle"
-            );
-        }
+    while sim.pending_events() > 0 {
+        sim.run_until(sim.now() + 10 * US);
+        saw_pause |= !sim.pause_edges().is_empty();
+        assert_eq!(
+            pfc_deadlock_cycle(&sim),
+            None,
+            "a tree topology must never produce a pause cycle"
+        );
         assert!(sim.now() < 500 * MS, "incast failed to drain");
     }
     assert!(saw_pause, "the control is vacuous unless PFC actually engaged");
@@ -253,19 +252,19 @@ fn run_rack(broken: bool, plan: &FaultPlan, profile: &AdversaryProfile) -> RackO
     sim.install_endpoint(src, flow, Box::new(tx));
     sim.install_endpoint(dst, flow, Box::new(rx));
     post_write(&mut sim, src, flow, 0, RACK_MSG);
-    let mut next_check = 250 * US;
-    while sim.step().is_some() {
-        if sim.now() >= next_check {
-            next_check = sim.now() + 250 * US;
-            let verdict = watchdog.check(sim.now(), oracle.outstanding());
-            if verdict != Liveness::Ok {
-                return RackOutcome {
-                    report: watchdog.report(&verdict, &sim),
-                    verdict,
-                    completed: oracle.completed(),
-                    ended_at: sim.now(),
-                };
-            }
+    // The watchdog looks every 250 µs of virtual time. (Not `advance()`:
+    // a livelocked flow never completes anything, and a sharded engine's
+    // unbounded `advance` only returns at a completion boundary.)
+    while sim.pending_events() > 0 {
+        sim.run_until(sim.now() + 250 * US);
+        let verdict = watchdog.check(sim.now(), oracle.outstanding());
+        if verdict != Liveness::Ok {
+            return RackOutcome {
+                report: watchdog.report(&verdict, &sim),
+                verdict,
+                completed: oracle.completed(),
+                ended_at: sim.now(),
+            };
         }
         // The watchdog, not this guard, is the intended failure detector.
         assert!(sim.now() < 400 * MS, "harness hang guard tripped before the watchdog");
@@ -415,7 +414,7 @@ fn run_dcp_final_ack(plan: Option<FaultPlan>) -> DcpOutcome {
         timeouts: 0,
         retx: 0,
     };
-    while sim.step().is_some() {
+    while sim.advance().is_some() {
         sim.for_each_completion(|c| match c.kind {
             CompletionKind::RecvComplete => {
                 out.recv_completes += 1;
@@ -503,7 +502,7 @@ fn adversary_digest((kind, pname): (TransportKind, &'static str)) -> u64 {
             post_write(&mut sim, topo.hosts[i], flow, m, 128 * 1024);
         }
     }
-    while sim.step().is_some() {
+    while sim.advance().is_some() {
         assert!(sim.now() < 2_000 * MS, "{kind:?}/{pname}: failed to drain");
     }
     oracle.final_check().unwrap_or_else(|e| panic!("{kind:?}/{pname}: oracle violations:\n{e}"));

@@ -15,7 +15,7 @@ fn drive_to(sim: &mut Simulator, want: usize, deadline: Nanos) -> (usize, Nanos)
     let mut done = 0;
     let mut last = 0;
     while done < want && sim.now() < deadline {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

@@ -53,7 +53,7 @@ fn run_digest(seed: u64) -> u64 {
     }
     let mut h = FNV_OFFSET;
     while sim.now() < SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {

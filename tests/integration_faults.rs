@@ -120,7 +120,7 @@ fn run_faulted(label: &str, plan: FaultPlan) -> u64 {
     }
     let mut h = FNV_OFFSET;
     let mut done = 0u64;
-    while sim.step().is_some() {
+    while sim.advance().is_some() {
         sim.for_each_completion(|c| {
             h = fnv_u64(h, c.host.0 as u64);
             h = fnv_u64(h, c.flow.0 as u64);
@@ -211,7 +211,7 @@ fn run_route_around(lb: LoadBalance, link_up: Nanos) -> (Nanos, u64) {
     }
     let mut last_fct = 0;
     let mut done = 0u64;
-    while sim.step().is_some() {
+    while sim.advance().is_some() {
         sim.for_each_completion(|c| {
             if c.kind == CompletionKind::RecvComplete {
                 done += 1;

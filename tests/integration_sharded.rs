@@ -22,12 +22,13 @@ use dcp_core::dcp_switch_config;
 use dcp_faults::engine::FaultEngine;
 use dcp_faults::loss::LossModel;
 use dcp_faults::plan::{FaultEvent, FaultPlan};
-use dcp_netsim::packet::FlowId;
+use dcp_netsim::packet::{FlowId, NodeId};
 use dcp_netsim::time::{SEC, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::qp::WorkReqOp;
-use dcp_telemetry::{EventLog, Probe};
+use dcp_telemetry::{EventLog, Probe, ProbeEvent};
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
+use std::sync::{Arc, Mutex};
 
 /// Digests of the reference scenario captured on the serial engine before
 /// sharding existed (PR 5). Rule 1: these must never change.
@@ -69,18 +70,18 @@ enum Mode {
 /// Builds the reference scenario with an explicit engine configuration,
 /// every message posted. `shards = 1` leaves the engine unsharded.
 fn build(seed: u64, mode: Mode, shards: usize, workers: usize) -> Simulator {
-    build_probed(seed, mode, shards, workers, None)
+    build_probed(seed, mode, shards, workers, None).0
 }
 
 /// [`build`] with `probe` attached before the first post, so the stream
-/// starts at the first `MsgPosted`.
+/// starts at the first `MsgPosted`; also returns the hosts.
 fn build_probed(
     seed: u64,
     mode: Mode,
     shards: usize,
     workers: usize,
     probe: Option<Box<dyn Probe>>,
-) -> Simulator {
+) -> (Simulator, Vec<NodeId>) {
     let cfg = dcp_switch_config(LoadBalance::AdaptiveRouting, 6);
     let mut sim = Simulator::new(seed);
     sim.disable_auto_partition();
@@ -123,7 +124,7 @@ fn build_probed(
             );
         }
     }
-    sim
+    (sim, topo.hosts)
 }
 
 /// Folds the completions surfaced since the last drain into `h`.
@@ -174,7 +175,7 @@ fn one_shard_probe_stream_goldens() {
         (Mode::Faulted, "faulted", PROBE_FAULTED),
         (Mode::Adversarial, "adversarial", PROBE_ADVERSARY),
     ] {
-        let mut sim = build_probed(11, mode, 1, 1, Some(Box::new(EventLog::default())));
+        let (mut sim, _) = build_probed(11, mode, 1, 1, Some(Box::new(EventLog::default())));
         while sim.advance().is_some() {}
         let lines = sim.probe_mut().expect("probe attached").drain_jsonl();
         assert!(lines.len() > 10_000, "{name}: only {} records", lines.len());
@@ -208,66 +209,157 @@ fn sharded_digest_depends_on_trace_not_noise() {
     assert_eq!(two, run_digest(11, Mode::Plain, 2, 1));
 }
 
-/// However a driver slices a run — `step`, `step_bounded`, `run_until`,
-/// `advance_bounded`, at limits one below, equal to and one above an
-/// event's timestamp — the outcome is `run_to_quiescence`'s. On the serial
-/// engine every bounded slice must also stop *exactly* at its limit: an
-/// event at `limit` is processed, one at `limit + 1` is left. (A sharded
-/// slice may leave events at or before the limit in shards the window walk
-/// has not reached yet, and its completions are only in canonical order at
-/// window closes, so there only the final outcome is compared. The final
-/// clock is left out: `run_until` pushes it to its limit.)
+/// Every probe record with its timestamp, in delivery order.
+type Log = Arc<Mutex<Vec<(u64, ProbeEvent)>>>;
+
+/// Collects the records into a [`Log`] shared with the test.
+struct Records(Log);
+
+impl Probe for Records {
+    fn record(&mut self, at: u64, ev: &ProbeEvent) {
+        self.0.lock().unwrap().push((at, *ev));
+    }
+}
+
+/// The reference scenario with a [`Records`] probe attached, its hosts,
+/// and the shared record vector (complete up to the last `probe_mut()`
+/// flush).
+fn build_recorded(shards: usize, workers: usize) -> (Simulator, Vec<NodeId>, Log) {
+    let log = Log::default();
+    let probe = Box::new(Records(log.clone()));
+    let (sim, hosts) = build_probed(11, Mode::Plain, shards, workers, Some(probe));
+    (sim, hosts, log)
+}
+
+/// However a driver slices a run — `advance`, `advance_bounded`,
+/// `run_until`, at limits one below, equal to and one above an instant at
+/// which something happens — the outcome is `run_to_quiescence`'s, and at
+/// every shard count a bounded slice stops *exactly* at its limit: every
+/// record the unsliced run stamps at or before `limit` has been delivered
+/// when the call returns, and none stamped `limit + 1`. (The final clock
+/// is left out of the outcome: `run_until` pushes it to its limit.)
 #[test]
 fn slicing_a_run_never_changes_its_outcome() {
     let outcome = |sim: &mut Simulator| {
         let h = fold_completions(sim, FNV_OFFSET);
         fold_counters(sim, h)
     };
-    for shards in [1, 2] {
-        let times: Vec<u64> = {
-            let mut sim = build(11, Mode::Plain, shards, 1);
-            std::iter::from_fn(|| sim.step()).collect()
-        };
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        let want = {
-            let mut sim = build(11, Mode::Plain, shards, 1);
+    for shards in [1, 2, 4] {
+        // The unsliced run: its record timestamps, in stream order, and
+        // its outcome.
+        let (stream, want) = {
+            let (mut sim, _, log) = build_recorded(shards, 1);
             assert!(sim.run_to_quiescence(SEC));
-            outcome(&mut sim)
+            sim.probe_mut();
+            let at: Vec<u64> = log.lock().unwrap().iter().map(|r| r.0).collect();
+            (at, outcome(&mut sim))
         };
+        assert!(stream.is_sorted(), "{shards} shard(s): the unsliced stream is in time order");
+        let mut instants = stream.clone();
+        instants.dedup();
+        // One shard, one event per `advance`: there every event's own
+        // timestamp is known, and the event count is checked as well.
+        let times: Option<Vec<u64>> = (shards == 1).then(|| {
+            let mut sim = build(11, Mode::Plain, 1, 1);
+            std::iter::from_fn(|| sim.advance()).collect()
+        });
         for offset in [-1i64, 0, 1] {
-            let mut sim = build(11, Mode::Plain, shards, 1);
-            for (k, &t) in times.iter().step_by(61).enumerate() {
+            let (mut sim, _, log) = build_recorded(shards, 1);
+            for (k, &t) in instants.iter().step_by(61).enumerate() {
                 let limit = t.saturating_add_signed(offset);
-                let before = sim.events_processed();
-                let due = sorted.partition_point(|&x| x <= limit) as u64;
-                let expect = match k % 4 {
-                    0 => {
-                        while sim.step_bounded(limit).is_some() {}
-                        before.max(due)
+                sim.probe_mut();
+                let before = (log.lock().unwrap().len(), sim.events_processed());
+                match k % 3 {
+                    0 => sim.run_until(limit),
+                    1 => while sim.advance_bounded(limit).is_some() {},
+                    _ => {
+                        // Unbounded: stops at the next completion boundary,
+                        // wherever that is — possibly past later limits.
+                        sim.advance();
+                        continue;
                     }
-                    1 => {
-                        sim.run_until(limit);
-                        before.max(due)
-                    }
-                    2 => {
-                        while sim.advance_bounded(limit).is_some() {}
-                        before.max(due)
-                    }
-                    _ => before + u64::from(sim.step().is_some()),
-                };
-                if shards == 1 {
-                    assert_eq!(
-                        sim.events_processed(),
-                        expect,
-                        "slice {k} (limit {limit}, event at {t}) stopped in the wrong place"
-                    );
+                }
+                sim.probe_mut();
+                let what = format!("{shards} shard(s): slice {k} (limit {limit})");
+                let due = stream.partition_point(|&x| x <= limit);
+                assert_eq!(log.lock().unwrap().len(), before.0.max(due), "{what}: records");
+                if let Some(times) = &times {
+                    let due = times.partition_point(|&x| x <= limit) as u64;
+                    assert_eq!(sim.events_processed(), before.1.max(due), "{what}: events");
                 }
             }
             assert!(sim.run_to_quiescence(SEC));
-            assert_eq!(outcome(&mut sim), want, "{shards} shard(s), limits at event{offset:+}");
+            assert_eq!(outcome(&mut sim), want, "{shards} shard(s), limits at instant{offset:+}");
         }
     }
+}
+
+/// A bounded slice leaves nothing behind: once `run_until(t)` (or a loop
+/// of `advance_bounded(t)`) returns, every record at or before `t` has been
+/// delivered — none turns up later — and the engine has processed the same
+/// events whichever way the slice was cut. Before the one-loop engine a
+/// sharded slice stopped at the first shard the limit cut and left the
+/// others up to a lookahead behind: 114 late records at two shards and 203
+/// at four for `t = 20 137`.
+#[test]
+fn a_bounded_slice_leaves_nothing_behind() {
+    for (shards, workers) in [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2)] {
+        for t in [20_137u64, 60_001] {
+            let mut counts = Vec::new();
+            for cut in ["run_until(t)", "run_until(t - 1), run_until(t)", "advance_bounded(t)*"] {
+                let (mut sim, _, log) = build_recorded(shards, workers);
+                match cut {
+                    "run_until(t)" => sim.run_until(t),
+                    "advance_bounded(t)*" => while sim.advance_bounded(t).is_some() {},
+                    _ => {
+                        sim.run_until(t - 1);
+                        sim.run_until(t);
+                    }
+                }
+                counts.push(sim.events_processed());
+                sim.probe_mut();
+                let seen = log.lock().unwrap().len();
+                assert!(sim.run_to_quiescence(SEC));
+                sim.probe_mut();
+                let log = log.lock().unwrap();
+                let what = format!("{shards} shard(s), {workers} worker(s), {cut}, t = {t}");
+                assert!(log[..seen].iter().all(|r| r.0 <= t), "{what}: ran past the limit");
+                let late = log[seen..].iter().filter(|r| r.0 <= t).count();
+                assert_eq!(late, 0, "{what}: records at or before t delivered after the slice");
+                assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "{what}: stream out of order");
+            }
+            assert!(
+                counts.iter().all(|&c| c == counts[0]),
+                "{shards} shard(s), {workers} worker(s), t = {t}: events at t depend on the cut: {counts:?}"
+            );
+        }
+    }
+}
+
+/// A message posted at `now()` is never transmitted before `now()`. Before
+/// the one-loop engine, `run_until(20 137)` at four shards returned with
+/// `hosts[2]`'s shard still 337 ns behind, and the post's first packet left
+/// at 19 800.
+#[test]
+fn a_post_after_a_bounded_slice_transmits_no_earlier_than_now() {
+    let (mut sim, hosts, log) = build_recorded(4, 1);
+    sim.run_until(20_137);
+    assert_eq!(sim.now(), 20_137);
+    let (src, dst) = (hosts[2], hosts[7]);
+    let flow = FlowId(5);
+    let (tx, rx) = endpoint_pair(TransportKind::Dcp, CcKind::None, flow, src, dst);
+    sim.install_endpoint(src, flow, tx);
+    sim.install_endpoint(dst, flow, rx);
+    sim.post(src, flow, 0, WorkReqOp::Write { remote_addr: 0x10_0000, rkey: 1 }, 128 * 1024);
+    assert!(sim.run_to_quiescence(SEC));
+    sim.probe_mut();
+    let first_tx = log
+        .lock()
+        .unwrap()
+        .iter()
+        .find_map(|&(at, ev)| matches!(ev, ProbeEvent::Tx { flow: 5, .. }).then_some(at))
+        .expect("the fifth flow transmits");
+    assert!(first_tx >= 20_137, "posted at 20137, first transmitted at {first_tx}");
 }
 
 #[test]

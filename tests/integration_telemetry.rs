@@ -57,7 +57,7 @@ fn run_digest(seed: u64, probe: Option<Box<dyn Probe>>) -> (u64, usize) {
     }
     let mut h = FNV_OFFSET;
     while sim.now() < SEC {
-        if sim.step().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         sim.for_each_completion(|c| {
