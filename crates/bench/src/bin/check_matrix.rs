@@ -121,9 +121,7 @@ fn run_cell(
         Box::new(FlightRecorder::default()),
     ])));
     if let Some(plan) = plan {
-        let plan = plan.clone().sorted();
-        plan.validate(|sw| sim.switch_port_count(sw))?;
-        FaultEngine::install(&mut sim, plan);
+        FaultEngine::try_install(&mut sim, plan.clone().sorted())?;
     }
     // The adversary stacks over whatever plane is installed (the BER engine
     // in the composed profile, nothing otherwise).

@@ -281,9 +281,7 @@ fn run_recipe(
         watchdog.probe(),
         Box::new(FlightRecorder::default()),
     ])));
-    let plan = plan.clone().sorted();
-    plan.validate(|sw| sim.switch_port_count(sw))?;
-    FaultEngine::install(&mut sim, plan);
+    FaultEngine::try_install(&mut sim, plan.clone().sorted())?;
     Adversary::install(&mut sim, profile, adversary_seed);
     let mut opts = RunOpts { chunk: 64 << 10, ..Default::default() };
     opts.dcp.coarse_timeout = MS;

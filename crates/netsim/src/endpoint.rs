@@ -3,7 +3,8 @@
 //! The NIC *pulls* packets (smoltcp-style polling): whenever the host's wire
 //! is free, the QP scheduler offers each endpoint a chance to emit. An
 //! endpoint that is pacing (rate limit, window exhausted) returns `None` and
-//! must arrange a timer so it gets polled again; an endpoint with nothing to
+//! is polled again when what it waits for happens — the timer it arranged,
+//! or the ACK arrival that reopens its window; an endpoint with nothing to
 //! say reports `has_pending() == false` and is skipped until a packet or
 //! timer wakes it.
 //!
@@ -87,7 +88,10 @@ pub trait Endpoint: Send {
     /// The NIC can transmit: return the next packet (inserted into
     /// `ctx.pool`), or `None` if pacing or out of permitted sends.
     /// Contract: if this returns `None` while [`Endpoint::has_pending`] is
-    /// true, a timer must already be pending.
+    /// true, a timer or an arrival must already be on its way: a paced
+    /// sender armed a timer, a sender behind a closed window is woken by the
+    /// ACK that opens it. Either way the endpoint stays in the ready set and
+    /// the scheduler must step past it, not wait on it.
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef>;
 
     /// Whether the endpoint currently wants wire time.

@@ -13,11 +13,12 @@
 //! * `FlowId → slot` resolves through a **direct-index page table** (flow
 //!   ids are dense), so the per-packet delivery path is two array loads —
 //!   no hashing.
-//! * The transmit side implements the RNIC QP Scheduler of §4.3 as a
-//!   round-robin with a per-round byte quota (`round_quota`, default 16 KB
-//!   ≈ the PCIe BDP) over the **ready set** ([`crate::ready::ReadySet`]):
-//!   only endpoints with `has_pending()` are visited, preserving the exact
-//!   cyclic order and quota semantics of the full scan (the determinism
+//! * The transmit side implements the RNIC QP Scheduler of §4.3 once, in
+//!   [`Host::try_transmit`]: weighted round-robin over tenants and, within
+//!   a tenant, round-robin with a per-round byte quota ([`ROUND_QUOTA`])
+//!   over the **ready set** ([`crate::ready::ReadySet`]), so only endpoints
+//!   with `has_pending()` are visited. A host nobody tagged has one tenant,
+//!   and its schedule is the paper's plain round-robin (the determinism
 //!   suite locks byte-identical traces).
 
 use crate::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
@@ -38,67 +39,25 @@ pub const ROUND_QUOTA: i64 = 16 * 1024;
 /// ratios survive, overflow can't happen.
 const SERVED_RESCALE: u64 = 1 << 50;
 
-/// Per-tenant weighted-round-robin state at host egress. Engaged only by
-/// [`Host::set_tenant_weights`]; hosts that never call it keep the
-/// historical single-class scheduler byte-for-byte (the determinism suite
-/// locks those traces).
-///
-/// The pick rule generalizes the switch's ctrl-vs-data WRR: among tenants
-/// with ready QPs, serve the one with the smallest `served/weight` (ties to
-/// the lower tenant id), so over any busy interval tenant byte shares
-/// converge to the weight vector regardless of per-tenant QP counts.
-struct HostQos {
-    /// Relative egress weights; tenants beyond the table get weight 1.
-    weights: Vec<u64>,
-    /// Bytes served per tenant (rescaled in lockstep).
-    served: Vec<u64>,
-    /// Within-tenant round-robin cursor, one per tenant.
-    cursors: Vec<u32>,
-    /// Within-tenant byte quota, mirroring the single-class `quota_left`.
-    quotas: Vec<i64>,
-    /// Ready-slot count per tenant, maintained incrementally so the pick
-    /// never scans tenants with nothing to send.
-    ready_per: Vec<u32>,
+/// One tenant's share of the egress scheduler. Tenant 0 always exists and
+/// owns every QP nobody tagged.
+#[derive(Clone)]
+struct Tenant {
+    /// Relative egress weight, never 0.
+    weight: u64,
+    /// Bytes served (all tenants rescale in lockstep).
+    served: u64,
+    /// Round-robin cursor over this tenant's slots.
+    cursor: u32,
+    /// What is left of the byte quota of the QP under the cursor.
+    quota: i64,
+    /// Ready-slot count, maintained incrementally so the pick never scans
+    /// tenants with nothing to send.
+    ready: u32,
 }
 
-impl HostQos {
-    fn weight(&self, t: usize) -> u64 {
-        self.weights.get(t).copied().unwrap_or(1).max(1)
-    }
-
-    /// Grows the per-tenant vectors to cover tenant `t`.
-    fn ensure(&mut self, t: usize, round_quota: i64) {
-        if t >= self.served.len() {
-            self.served.resize(t + 1, 0);
-            self.cursors.resize(t + 1, 0);
-            self.quotas.resize(t + 1, round_quota);
-            self.ready_per.resize(t + 1, 0);
-        }
-    }
-
-    /// The ready tenant with the smallest served/weight ratio, compared by
-    /// cross-multiplication (exact in u128; no float drift in the digest).
-    fn pick(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for t in 0..self.ready_per.len() {
-            if self.ready_per[t] == 0 {
-                continue;
-            }
-            best = match best {
-                None => Some(t),
-                Some(b) => {
-                    let lhs = self.served[t] as u128 * self.weight(b) as u128;
-                    let rhs = self.served[b] as u128 * self.weight(t) as u128;
-                    if lhs < rhs {
-                        Some(t)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        best
-    }
+impl Tenant {
+    const NEW: Tenant = Tenant { weight: 1, served: 0, cursor: 0, quota: ROUND_QUOTA, ready: 0 };
 }
 
 /// Entries per page of the `FlowId → slot` table.
@@ -146,14 +105,10 @@ pub struct Host {
     pub paused: bool,
     /// Slots whose endpoint currently has something to send.
     ready: ReadySet,
-    cursor: u32,
-    quota_left: i64,
-    round_quota: i64,
-    /// Tenant tag per slot (parallel to `slots`; 0 = default tenant). Tags
-    /// are inert until [`Host::set_tenant_weights`] engages QoS.
+    /// Tenant tag per slot (parallel to `slots`; 0 = default tenant).
     tenant_of: Vec<u8>,
-    /// Per-tenant WRR state; `None` keeps the historical scheduler.
-    qos: Option<HostQos>,
+    /// Scheduler state per tenant, indexed by tag; never empty.
+    tenants: Vec<Tenant>,
     /// Scratch buffers reused across `run_endpoint` calls so the steady
     /// state allocates nothing per event.
     timers_scratch: Vec<(Nanos, u64)>,
@@ -174,62 +129,35 @@ impl Host {
             busy: false,
             paused: false,
             ready: ReadySet::new(),
-            cursor: 0,
-            quota_left: ROUND_QUOTA,
-            round_quota: ROUND_QUOTA,
             tenant_of: Vec::new(),
-            qos: None,
+            tenants: vec![Tenant::NEW],
             timers_scratch: Vec::new(),
             comps_scratch: Vec::new(),
         }
     }
 
-    /// Engages per-tenant WRR at this host's egress: `weights[t]` is tenant
-    /// `t`'s relative share (tenants beyond the table weigh 1). Hosts that
-    /// never call this keep the single-class scheduler byte-identically.
-    /// Safe to call mid-run; ready counts are rebuilt from the slab.
+    /// Sets the tenants' relative egress shares: `weights[t]` is tenant
+    /// `t`'s (0 counts as 1), tenants beyond the table weigh 1. Safe to
+    /// call mid-run: nothing but the weights changes.
     pub fn set_tenant_weights(&mut self, weights: &[u64]) {
-        let mut q = HostQos {
-            weights: weights.to_vec(),
-            served: Vec::new(),
-            cursors: Vec::new(),
-            quotas: Vec::new(),
-            ready_per: Vec::new(),
-        };
-        let max_t = self
-            .tenant_of
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .max(weights.len().saturating_sub(1) as u8);
-        q.ensure(max_t as usize, self.round_quota);
-        for slot in 0..self.slots.len() {
-            if self.ready.contains(slot) {
-                q.ready_per[self.tenant_of[slot] as usize] += 1;
-            }
+        assert!(weights.len() <= 256, "{} weights, but tenant ids are u8", weights.len());
+        self.tenants.resize(self.tenants.len().max(weights.len()), Tenant::NEW);
+        for (t, tenant) in self.tenants.iter_mut().enumerate() {
+            tenant.weight = weights.get(t).copied().unwrap_or(1).max(1);
         }
-        self.qos = Some(q);
     }
 
-    /// Tags `flow`'s QP with its tenant. A no-op for scheduling until
-    /// [`Host::set_tenant_weights`] engages QoS; tags are always recorded
-    /// so QoS can also be engaged mid-run.
+    /// Moves `flow`'s QP to `tenant` (weight 1 unless
+    /// [`Host::set_tenant_weights`] says otherwise).
     pub fn set_flow_tenant(&mut self, flow: FlowId, tenant: u8) {
         let slot =
             self.slot_of(flow).unwrap_or_else(|| panic!("no endpoint for flow {flow:?}")) as usize;
-        let old = self.tenant_of[slot];
-        if old == tenant {
-            return;
+        self.tenants.resize(self.tenants.len().max(tenant as usize + 1), Tenant::NEW);
+        let old = std::mem::replace(&mut self.tenant_of[slot], tenant);
+        if self.ready.contains(slot) {
+            self.tenants[old as usize].ready -= 1;
+            self.tenants[tenant as usize].ready += 1;
         }
-        if let Some(q) = &mut self.qos {
-            q.ensure(tenant as usize, self.round_quota);
-            if self.ready.contains(slot) {
-                q.ready_per[old as usize] -= 1;
-                q.ready_per[tenant as usize] += 1;
-            }
-        }
-        self.tenant_of[slot] = tenant;
     }
 
     /// Slot serving `flow`, through the page table.
@@ -274,7 +202,7 @@ impl Host {
                 e.flow = flow;
                 e.ep = Some(ep);
                 // Recycled slots start over in the default tenant; the
-                // ready bit is clear, so no QoS count moves.
+                // ready bit is clear, so no ready count moves.
                 self.tenant_of[s as usize] = 0;
                 s
             }
@@ -357,21 +285,19 @@ impl Host {
         self.set_ready(slot, pending);
     }
 
-    /// Single write path for ready bits: when QoS is engaged, the
-    /// per-tenant ready counts move with the bit transitions.
+    /// Single write path for ready bits: the owning tenant's ready count
+    /// moves with every transition.
     #[inline]
     fn set_ready(&mut self, slot: usize, pending: bool) {
-        if let Some(q) = &mut self.qos {
-            if self.ready.contains(slot) != pending {
-                let t = self.tenant_of[slot] as usize;
-                if pending {
-                    q.ready_per[t] += 1;
-                } else {
-                    q.ready_per[t] -= 1;
-                }
+        if self.ready.contains(slot) != pending {
+            let n = &mut self.tenants[self.tenant_of[slot] as usize].ready;
+            if pending {
+                *n += 1;
+            } else {
+                *n -= 1;
             }
+            self.ready.assign(slot, pending);
         }
-        self.ready.assign(slot, pending);
     }
 
     fn run_endpoint<R>(
@@ -487,131 +413,113 @@ impl Host {
         }
     }
 
-    /// QP scheduler: offer wire time round-robin with a byte quota, over
-    /// the ready set only.
+    /// The ready tenant with the smallest `served/weight` (ties to the lower
+    /// id) among those not yet `passed` over — the switch's ctrl-vs-data WRR
+    /// generalized, so over any busy interval tenant byte shares converge to
+    /// the weight vector regardless of per-tenant QP counts. Compared by
+    /// cross-multiplication (exact in u128; no float drift in the digest).
+    fn pick(&self, passed: &[u64; 4]) -> Option<usize> {
+        let scaled = |a: &Tenant, b: &Tenant| a.served as u128 * b.weight as u128;
+        (0..self.tenants.len())
+            .filter(|&t| self.tenants[t].ready > 0 && passed[t / 64] >> (t % 64) & 1 == 0)
+            .min_by(|&a, &b| {
+                let (a, b) = (&self.tenants[a], &self.tenants[b]);
+                scaled(a, b).cmp(&scaled(b, a))
+            })
+    }
+
+    /// Next ready slot of tenant `t`, cyclically from its cursor. Bounded:
+    /// each miss steps past one ready slot of another tenant.
+    fn next_ready_of(&self, t: usize) -> Option<u32> {
+        let mut from = self.tenants[t].cursor;
+        for _ in 0..self.ready.count() {
+            let slot = self.ready.next_from(from as usize)? as u32;
+            if self.tenant_of[slot as usize] as usize == t {
+                return Some(slot);
+            }
+            from = self.next_slot(slot);
+        }
+        None
+    }
+
+    /// QP scheduler, one transmission opportunity: take the most
+    /// underserved ready tenant, offer the wire round-robin with a byte
+    /// quota to each of its ready QPs at most once, launch the first packet
+    /// pulled. Two rules keep the wire busy while anything can send: a QP
+    /// that answers `None` (pacing, or a closed window — it stays ready
+    /// until a timer or an ACK reopens it) is stepped over, and a tenant
+    /// whose every ready QP answered `None` is passed over for the rest of
+    /// the pass. Its `served` did not move, so picking again would pick it
+    /// again and idle the NIC while other tenants hold sendable packets.
     ///
-    /// Trace-equivalence with the historical full scan (what the
-    /// determinism suite locks): the old loop visited every slot once,
-    /// cyclically from the cursor, skipping idle ones — each skip advanced
-    /// the cursor and reset the quota. Jumping straight to the next ready
-    /// slot lands in the identical state (cursor at that slot, quota fresh
-    /// unless the cursor was already there), pulls the same endpoints in
-    /// the same order, and a no-transmit pass ended with the cursor back
-    /// where it started (a full lap) and the quota reset — reproduced in
-    /// the epilogue.
+    /// Within a tenant this is the historical full scan the determinism
+    /// suite locks: that loop visited every slot once, cyclically from the
+    /// cursor, skipping idle ones — each skip advanced the cursor and reset
+    /// the quota. Jumping straight to the next ready slot lands in the
+    /// identical state (cursor at that slot, quota fresh unless the cursor
+    /// was already there), pulls the same endpoints in the same order, and
+    /// a no-transmit pass ended with the cursor back where it started (a
+    /// full lap) and the quota reset.
     pub fn try_transmit(&mut self, ctx: &mut NodeCtx) {
         if self.busy || self.paused || !self.link_up || self.live == 0 {
             return;
         }
         let Some(link) = self.link else { return };
-        if self.qos.is_some() {
-            return self.try_transmit_qos(link, ctx);
+        debug_assert_eq!(
+            self.tenants.iter().map(|t| t.ready as usize).sum::<usize>(),
+            self.ready.count(),
+            "per-tenant ready counts out of step with the ready set"
+        );
+        let mut passed = [0u64; 4]; // one bit per `u8` tenant id
+        while let Some(t) = self.pick(&passed) {
+            let cursor0 = self.tenants[t].cursor;
+            // Each ready endpoint is offered at most once per pass (the old
+            // scan's single lap).
+            for _ in 0..self.tenants[t].ready {
+                let Some(slot) = self.next_ready_of(t) else { break };
+                let tenant = &mut self.tenants[t];
+                if slot != tenant.cursor {
+                    // Skipped over idle slots: the scan reset the quota at each.
+                    tenant.cursor = slot;
+                    tenant.quota = ROUND_QUOTA;
+                }
+                debug_assert!(
+                    self.slots[slot as usize].ep.as_deref().is_some_and(|e| e.has_pending()),
+                    "ready bit set for a non-pending endpoint"
+                );
+                let pulled = self.run_endpoint(slot as usize, ctx, |ep, ectx| ep.pull(ectx));
+                let next = self.next_slot(slot);
+                let Some(pr) = pulled else {
+                    // Gated: the endpoint is owed a timer or an arrival. Move on.
+                    let tenant = &mut self.tenants[t];
+                    tenant.cursor = next;
+                    tenant.quota = ROUND_QUOTA;
+                    continue;
+                };
+                let bytes = self.launch(pr, link, ctx);
+                let tenant = &mut self.tenants[t];
+                tenant.quota -= bytes as i64;
+                if tenant.quota <= 0 {
+                    tenant.cursor = next;
+                    tenant.quota = ROUND_QUOTA;
+                }
+                tenant.served = tenant.served.saturating_add(bytes as u64);
+                if tenant.served > SERVED_RESCALE {
+                    self.tenants.iter_mut().for_each(|t| t.served >>= 1);
+                }
+                return;
+            }
+            // Every offer was declined, the last leaving the quota fresh: a
+            // full lap, cursor back where it began.
+            self.tenants[t].cursor = cursor0;
+            passed[t / 64] |= 1 << (t % 64);
         }
-        let cursor0 = self.cursor;
-        // Each ready endpoint is offered at most once per pass (the old
-        // scan's single lap); a `None` pull consumes one unit.
-        let mut budget = self.ready.count();
-        while budget > 0 {
-            let Some(slot) = self.ready.next_from(self.cursor as usize) else { break };
-            let slot = slot as u32;
-            if slot != self.cursor {
-                // Skipped over idle slots: the scan reset the quota at each.
-                self.cursor = slot;
-                self.quota_left = self.round_quota;
-            }
-            debug_assert!(
-                self.slots[slot as usize].ep.as_deref().is_some_and(|e| e.has_pending()),
-                "ready bit set for a non-pending endpoint"
-            );
-            let pulled = self.run_endpoint(slot as usize, ctx, |ep, ectx| ep.pull(ectx));
-            match pulled {
-                Some(pr) => {
-                    let bytes = self.launch(pr, link, ctx);
-                    self.quota_left -= bytes as i64;
-                    if self.quota_left <= 0 {
-                        self.cursor = self.next_slot(slot);
-                        self.quota_left = self.round_quota;
-                    }
-                    return;
-                }
-                None => {
-                    // Pacing: the endpoint owes us a timer. Move on.
-                    self.cursor = self.next_slot(slot);
-                    self.quota_left = self.round_quota;
-                    budget -= 1;
-                }
-            }
-        }
-        // No transmit: the historical scan made exactly one full lap,
-        // ending with the cursor where it began and a fresh quota.
-        self.cursor = cursor0;
-        self.quota_left = self.round_quota;
-    }
-
-    /// Per-tenant WRR pass: pick the most underserved ready tenant, then
-    /// round-robin within it (each tenant keeps its own cursor and byte
-    /// quota, so within a tenant the schedule looks exactly like the
-    /// single-class scan over that tenant's QPs).
-    fn try_transmit_qos(&mut self, link: Link, ctx: &mut NodeCtx) {
-        let mut budget = self.ready.count();
-        while budget > 0 {
-            let Some(t) = self.qos.as_ref().expect("qos engaged").pick() else { break };
-            // Next ready slot of tenant `t`, cyclically from its cursor.
-            // Bounded: each miss steps past one ready slot of another
-            // tenant, and `ready_per[t] > 0` guarantees a hit.
-            let mut cur = self.qos.as_ref().expect("qos engaged").cursors[t] as usize;
-            let mut found = None;
-            for _ in 0..self.ready.count() {
-                let Some(s) = self.ready.next_from(cur) else { break };
-                if self.tenant_of[s] as usize == t {
-                    found = Some(s as u32);
-                    break;
-                }
-                cur = if s + 1 >= self.slots.len() { 0 } else { s + 1 };
-            }
-            let Some(slot) = found else {
-                debug_assert!(false, "tenant {t} counted ready but owns no ready slot");
-                break;
-            };
-            {
-                let rq = self.round_quota;
-                let q = self.qos.as_mut().expect("qos engaged");
-                if slot != q.cursors[t] {
-                    q.cursors[t] = slot;
-                    q.quotas[t] = rq;
-                }
-            }
-            let pulled = self.run_endpoint(slot as usize, ctx, |ep, ectx| ep.pull(ectx));
-            match pulled {
-                Some(pr) => {
-                    let bytes = self.launch(pr, link, ctx);
-                    let next = self.next_slot(slot);
-                    let rq = self.round_quota;
-                    let q = self.qos.as_mut().expect("qos engaged");
-                    q.served[t] = q.served[t].saturating_add(bytes as u64);
-                    if q.served[t] > SERVED_RESCALE {
-                        for s in &mut q.served {
-                            *s >>= 1;
-                        }
-                    }
-                    q.quotas[t] -= bytes as i64;
-                    if q.quotas[t] <= 0 {
-                        q.cursors[t] = next;
-                        q.quotas[t] = rq;
-                    }
-                    return;
-                }
-                None => {
-                    // Pacing: the endpoint owes us a timer. Move on within
-                    // the tenant; its served bytes are unchanged.
-                    let next = self.next_slot(slot);
-                    let rq = self.round_quota;
-                    let q = self.qos.as_mut().expect("qos engaged");
-                    q.cursors[t] = next;
-                    q.quotas[t] = rq;
-                    budget -= 1;
-                }
-            }
+        // Nothing was sent — perhaps nothing was ready. The wire went all
+        // round unclaimed, which ends the round: the next QP to wake gets a
+        // whole quota, not the rest of one it began before the NIC idled
+        // (the full scan reset the quota at every idle slot it lapped).
+        for tenant in &mut self.tenants {
+            tenant.quota = ROUND_QUOTA;
         }
     }
 

@@ -3,9 +3,10 @@
 //! Scripted endpoints — a fixed packet size, a script of `Some`/`None`
 //! pulls, `has_pending()` true for as long as the script has an entry left,
 //! whatever the last pull answered — sit on one back-to-back host pair, and
-//! a probe records every launch as `(slot, wire_bytes)`. The sequences are
-//! the round-robin-with-byte-quota schedule (§4.3) every shipped trace
-//! digest rests on.
+//! a probe records every launch as `(slot, wire_bytes)`. The one-tenant
+//! sequences are the round-robin-with-byte-quota schedule (§4.3) every
+//! shipped trace digest rests on; the tests after them put tenants with
+//! different weights and QP counts on the same wire.
 
 use dcp_netsim::host::ROUND_QUOTA;
 use dcp_netsim::*;
@@ -172,6 +173,10 @@ impl Rig {
         self.sim.run_to_quiescence(SEC);
     }
 
+    fn tag(&mut self, flow: u32, tenant: u8) {
+        self.sim.host_mut(self.tx).set_flow_tenant(FlowId(flow), tenant);
+    }
+
     /// Posts on several flows before the scheduler sees any of them.
     fn post_together(&mut self, posts: &[(u32, u64)]) {
         self.sim.host_mut(self.tx).paused = true;
@@ -199,7 +204,18 @@ impl Rig {
 
 /// Four 4096-byte packets spend the 16 KB quota exactly.
 const BIG: u32 = (ROUND_QUOTA / 4) as u32;
+/// Seventeen of these spend it.
 const SMALL: u32 = 1000;
+/// More `SMALL` packets than 100 Gbps carries in a millisecond.
+const BACKLOG: &[(Pull, usize)] = &[(Send, 13_000)];
+
+/// Fraction of the launched bytes that left from `slots`.
+fn byte_share(runs: &[(u32, u32, usize)], slots: std::ops::Range<u32>) -> f64 {
+    let bytes = |keep: &dyn Fn(u32) -> bool| -> f64 {
+        runs.iter().filter(|r| keep(r.0)).map(|r| r.1 as f64 * r.2 as f64).sum()
+    };
+    bytes(&|slot| slots.contains(&slot)) / bytes(&|_| true)
+}
 
 #[test]
 fn the_cursor_advances_only_when_the_quota_is_spent() {
@@ -286,4 +302,88 @@ fn a_slot_recycled_under_the_cursor_inherits_what_is_left_of_the_quota() {
     rig.post_together(&[(1, 1), (4, 12)]);
     rig.kick();
     assert_eq!(rig.launches(), [(1, SMALL, 9), (0, BIG, 1), (1, SMALL, 3)]);
+}
+
+#[test]
+fn byte_shares_follow_the_weights_whatever_the_qp_counts() {
+    let mut rig = Rig::new();
+    rig.qp(1, SMALL, BACKLOG);
+    for flow in 2..=6 {
+        rig.qp(flow, SMALL, BACKLOG);
+        rig.tag(flow, 1);
+    }
+    rig.sim.host_mut(rig.tx).set_tenant_weights(&[4, 2]);
+    rig.sim.kick(rig.tx);
+    rig.sim.run_until(MS);
+    let runs = rig.launches();
+    let share = byte_share(&runs, 0..1);
+    assert!((share - 2.0 / 3.0).abs() < 0.02 * 2.0 / 3.0, "tenant 0 launched {share} of the bytes");
+    // Within tenant 1 the order is the one-tenant round-robin: slots 1..=5
+    // in turn, a whole quota each, however tenant 0's launches interleave.
+    let mut turns: Vec<(u32, usize)> = Vec::new();
+    for &(slot, _, n) in runs.iter().filter(|r| r.0 != 0) {
+        match turns.last_mut() {
+            Some(turn) if turn.0 == slot => turn.1 += n,
+            _ => turns.push((slot, n)),
+        }
+    }
+    turns.pop(); // the millisecond ended mid-turn
+    assert!(turns.len() > 40, "{turns:?}");
+    for (i, &turn) in turns.iter().enumerate() {
+        assert_eq!(turn, (1 + i as u32 % 5, 17), "turn {i} of tenant 1");
+    }
+}
+
+#[test]
+fn a_tagged_flow_is_a_weight_one_tenant_without_any_weights_set() {
+    let mut rig = Rig::new();
+    for flow in 1..=4 {
+        rig.qp(flow, SMALL, BACKLOG);
+    }
+    rig.tag(4, 3);
+    rig.sim.kick(rig.tx);
+    rig.sim.run_until(MS);
+    // Three QPs against one, and still half the wire each.
+    let share = byte_share(&rig.launches(), 3..4);
+    assert!((share - 0.5).abs() < 0.01, "tenant 3 launched {share} of the bytes");
+}
+
+#[test]
+fn retagging_a_ready_qp_takes_its_ready_count_along() {
+    let mut rig = Rig::new();
+    rig.qp(1, SMALL, BACKLOG);
+    rig.qp(2, SMALL, BACKLOG);
+    rig.sim.kick(rig.tx);
+    rig.sim.run_until(100 * US);
+    assert!((byte_share(&rig.launches(), 1..2) - 0.5).abs() < 0.02);
+    // Tenant 1 is new and has been served nothing, so it is owed the wire
+    // until it catches up — if the scheduler knows it has a ready QP.
+    rig.tag(2, 1);
+    rig.sim.run_until(150 * US);
+    let runs = rig.launches();
+    assert_eq!(runs.len(), 1, "{runs:?}");
+    assert_eq!(runs[0].0, 1);
+    // And back: tenant 0 holds two ready QPs again and takes turns.
+    rig.tag(2, 0);
+    rig.sim.run_until(250 * US);
+    assert!((byte_share(&rig.launches(), 1..2) - 0.5).abs() < 0.02);
+}
+
+#[test]
+fn a_zero_weight_counts_as_one() {
+    let mut rig = Rig::new();
+    rig.qp(1, SMALL, BACKLOG);
+    rig.qp(2, SMALL, BACKLOG);
+    rig.tag(2, 1);
+    rig.sim.host_mut(rig.tx).set_tenant_weights(&[0, 1]);
+    rig.sim.kick(rig.tx);
+    rig.sim.run_until(MS);
+    let share = byte_share(&rig.launches(), 0..1);
+    assert!((share - 0.5).abs() < 0.01, "tenant 0 launched {share} of the bytes");
+}
+
+#[test]
+#[should_panic(expected = "tenant ids are u8")]
+fn a_weight_table_longer_than_the_tenant_id_space_is_rejected() {
+    host::Host::new(NodeId(0)).set_tenant_weights(&[1; 257]);
 }

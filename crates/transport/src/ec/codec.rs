@@ -105,10 +105,6 @@ impl RsCodec {
         self.k
     }
 
-    pub fn repair_shards(&self) -> usize {
-        self.m
-    }
-
     /// Encodes k equal-length data shards into m repair shards.
     pub fn encode(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
         assert_eq!(data.len(), self.k, "expected {} data shards", self.k);

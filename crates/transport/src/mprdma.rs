@@ -89,11 +89,6 @@ impl MpRdmaSender {
         best.map(|(i, _)| i)
     }
 
-    /// Aggregate window across all virtual paths (diagnostics).
-    pub fn total_cwnd(&self) -> f64 {
-        self.paths.iter().map(|p| p.cwnd).sum()
-    }
-
     /// Frees the path slot `psn` occupied, if it is still booked.
     fn release(&mut self, psn: u32) {
         if let Some(carrier) = self.on_path.remove(&psn) {

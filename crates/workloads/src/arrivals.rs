@@ -28,14 +28,6 @@ pub struct FlowSpec {
     pub tenant: TenantId,
 }
 
-impl FlowSpec {
-    /// Builder-style tenant tag.
-    pub fn with_tenant(mut self, t: TenantId) -> Self {
-        self.tenant = t;
-        self
-    }
-}
-
 /// Tags every flow in `flows` with `tenant` (the multi-tenant mixes tag
 /// whole generator outputs at once).
 pub fn tag_tenant(mut flows: Vec<FlowSpec>, tenant: TenantId) -> Vec<FlowSpec> {

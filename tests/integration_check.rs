@@ -241,9 +241,7 @@ fn run_rack(broken: bool, plan: &FaultPlan, profile: &AdversaryProfile) -> RackO
     let (src, dst) = (topo.hosts[0], topo.hosts[1]);
     assert_eq!(src, RACK_SRC);
     let (oracle, watchdog) = checkers(&mut sim);
-    let plan = plan.clone().sorted();
-    plan.validate(|s| sim.switch_port_count(s)).expect("rack plan is valid");
-    FaultEngine::install(&mut sim, plan);
+    FaultEngine::try_install(&mut sim, plan.clone().sorted()).expect("rack plan is valid");
     Adversary::install(&mut sim, profile.clone(), 0xacde);
     let flow = FlowId(1);
     let rcfg = RackConfig { broken_rto_restart: broken, ..Default::default() };
@@ -389,9 +387,7 @@ fn run_dcp_final_ack(plan: Option<FaultPlan>) -> DcpOutcome {
     );
     let (oracle, _) = checkers(&mut sim);
     if let Some(plan) = plan {
-        let plan = plan.sorted();
-        plan.validate(|s| sim.switch_port_count(s)).expect("finding-2 plan is valid");
-        FaultEngine::install(&mut sim, plan);
+        FaultEngine::try_install(&mut sim, plan.sorted()).expect("finding-2 plan is valid");
     }
     let flow = FlowId(1);
     let mut opts = RunOpts::default();
