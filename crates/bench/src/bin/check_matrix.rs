@@ -18,6 +18,7 @@
 //! workload for the CI smoke run, which fails on any oracle or liveness
 //! violation.
 
+use dcp_bench::digest::{fnv_u64, FNV_OFFSET};
 use dcp_bench::{build_clos, default_cc, fabric_cables, sweep, Scale};
 use dcp_check::{
     shrink_repro, Adversary, AdversaryProfile, DeliveryOracle, Liveness, Repro, Watchdog,
@@ -73,15 +74,6 @@ struct Cell {
     retx: u64,
     dup_injected: u64,
     digest: u64,
-}
-
-fn fnv(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The BER loss plan for the composed `ber+reorder` profile, as plain
@@ -165,7 +157,7 @@ fn run_cell(
         sim.now(),
     ]
     .iter()
-    .fold(0xcbf2_9ce4_8422_2325, |h, &v| fnv(h, v));
+    .fold(FNV_OFFSET, |h, &v| fnv_u64(h, v));
     Ok(Cell {
         posted: oracle.posted(),
         completed: oracle.completed(),
@@ -259,6 +251,6 @@ fn main() {
             label, profs[*p].0, cell.retx, cell.dup_injected
         );
     }
-    let digest = results.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, c| fnv(h, c.digest));
+    let digest = results.iter().fold(FNV_OFFSET, |h, c| fnv_u64(h, c.digest));
     println!("\nall {} cells conform; matrix digest {digest:#018x}", results.len());
 }

@@ -14,13 +14,14 @@
 //! output is byte-identical across `DCP_THREADS` settings.
 //!
 //! The full metrics document is always written to `BENCH_fault_matrix.json`
-//! (`dcp-metrics/v1`, validated in CI; override via `DCP_BENCH_JSON` or add
-//! a copy with `--metrics-out PATH`).
+//! (`dcp-metrics/v1`, validated in CI; `--out PATH` writes it elsewhere,
+//! `--metrics-out PATH` adds a copy).
 //!
 //! `--quick` shrinks the workload for CI smoke runs; `--ec-smoke` restricts
 //! to the DCP/EC × {BER, ToR-fail} cells CI gates on; `DCP_FULL=1` scales
 //! the fabric to the paper's dimensions.
 
+use dcp_bench::metrics::find_flag;
 use dcp_bench::{build_clos, default_cc, run_entry, sweep, ExportOpts, MetricsDoc, Scale};
 use dcp_core::dcp_switch_config;
 use dcp_faults::{FaultEngine, FaultEvent, FaultPlan, LossModel, RecoveryTracker};
@@ -384,8 +385,9 @@ fn main() {
     // validates it against schemas/metrics.schema.json and uploads it);
     // --metrics-out adds a copy wherever the caller wants one.
     let rendered = doc.finish().render_pretty();
+    let argv: Vec<String> = std::env::args().collect();
     let bench_path =
-        std::env::var("DCP_BENCH_JSON").unwrap_or_else(|_| "BENCH_fault_matrix.json".to_string());
+        find_flag(&argv, "out").unwrap_or_else(|| "BENCH_fault_matrix.json".to_string());
     std::fs::write(&bench_path, &rendered).expect("write bench json");
     println!("\nwrote {bench_path}");
     if let Some(path) = &export.metrics_out {

@@ -30,6 +30,8 @@
 //! printed at the end is byte-identical across `DCP_THREADS` settings.
 //! `--quick` runs two tenants and two recipes on a short horizon for CI.
 
+use dcp_bench::digest::{fnv_u64, FNV_OFFSET};
+use dcp_bench::metrics::find_flag;
 use dcp_bench::{build_clos, default_cc, fabric_cables, sweep, Scale};
 use dcp_check::{
     shrink_repro, Adversary, AdversaryProfile, DeliveryOracle, Liveness, Repro, Watchdog,
@@ -214,15 +216,6 @@ struct RecipeResult {
     digest: u64,
 }
 
-fn fnv(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Slowdowns carry four decimal digits; hashing the fixed-point form keeps
 /// the digest integral.
 fn fixed(v: f64) -> u64 {
@@ -375,9 +368,9 @@ fn run_recipe(
         barriers,
     ]
     .iter()
-    .fold(0xcbf2_9ce4_8422_2325, |h, &v| fnv(h, v));
+    .fold(FNV_OFFSET, |h, &v| fnv_u64(h, v));
     for t in &tenants {
-        digest = fnv(fnv(fnv(digest, t.flows), t.unfinished), fixed(t.p999));
+        digest = fnv_u64(fnv_u64(fnv_u64(digest, t.flows), t.unfinished), fixed(t.p999));
     }
     Ok(RecipeResult {
         barriers,
@@ -491,17 +484,13 @@ fn soak_json(
         .set("digest", format!("{digest:#018x}"))
 }
 
-fn find_arg(args: &[String], name: &str, default: &str) -> String {
-    args.windows(2).find(|w| w[0] == name).map_or(default.to_string(), |w| w[1].clone())
-}
-
 fn main() {
     let scale = Scale::from_env();
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let calibrate = args.iter().any(|a| a == "--calibrate");
-    let out_path = find_arg(&args, "--out", "BENCH_soak.json");
-    let repro_out = find_arg(&args, "--repro-out", "soak_repro.json");
+    let out_path = find_flag(&args, "out").unwrap_or_else(|| "BENCH_soak.json".to_string());
+    let repro_out = find_flag(&args, "repro-out").unwrap_or_else(|| "soak_repro.json".to_string());
     let (_, n_leaf, hosts_per_leaf) = scale.clos_dims();
     let horizon: Nanos = match (quick, scale) {
         (true, _) => 2 * MS,
@@ -584,7 +573,7 @@ fn main() {
             );
         }
     }
-    let digest = results.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, r| fnv(h, r.digest));
+    let digest = results.iter().fold(FNV_OFFSET, |h, r| fnv_u64(h, r.digest));
     let doc = soak_json(scale, horizon, window, &specs, &recipes, &results, digest);
     std::fs::write(&out_path, doc.render_pretty()).expect("write soak metrics");
     println!("\nresult metrics={out_path}");

@@ -12,7 +12,7 @@
 //! packets — the physical footing of the paper's claim that the control
 //! plane stays effectively lossless on fabrics that eat data.
 
-use dcp_bench::{run_entry_counters, sweep, ExportOpts, MetricsDoc};
+use dcp_bench::{run_entry_counters, sweep, ExportOpts, MetricsDoc, Scale};
 use dcp_core::{dcp_switch_config, effective_wrr_weight};
 use dcp_faults::{ber_packet_loss, FaultEngine, FaultPlan, LossModel};
 use dcp_netsim::packet::FlowId;
@@ -121,8 +121,10 @@ fn run_ber(fan_in: usize, ber: f64, with_entry: bool) -> (u64, u64, u64, Option<
 }
 
 fn main() {
-    let full = std::env::var("DCP_FULL").map(|v| v == "1").unwrap_or(false);
-    let incasts: &[usize] = if full { &[128, 255] } else { &[16, 32] };
+    let incasts: &[usize] = match Scale::from_env() {
+        Scale::Full => &[128, 255],
+        Scale::Quick => &[16, 32],
+    };
     println!("Table 5 — HO-packet loss ratio over a 20 ms sustained incast window");
     println!("(trim threshold 16 KB, 2 MB shared buffer, w = (N-1)/(r-N+1), fallback 8.0)");
     println!("{:<24}{:>14}{:>14}", "setting", "w/o CC", "w/ CC");

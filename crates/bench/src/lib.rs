@@ -16,86 +16,10 @@ use dcp_netsim::time::{Nanos, SEC, US};
 use dcp_netsim::{topology, Simulator, Topology};
 use dcp_workloads::{CcKind, TransportKind};
 
+pub mod digest;
 pub mod metrics;
 pub mod sweep;
 
-/// Opt-in (`--features alloc-stats`) counting global allocator. The hot
-/// path is supposed to be allocation-free at steady state — the slab pool
-/// recycles packets, the calendar queue recycles buckets, hosts reuse
-/// scratch buffers — and this is how a bench binary proves it: snapshot
-/// [`alloc_stats::allocations`] around a timed region and divide by the
-/// events processed.
-#[cfg(feature = "alloc-stats")]
-pub mod alloc_stats {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-    /// Passes through to [`System`], counting `alloc`/`realloc` calls and
-    /// tracking net resident heap bytes (alloc − dealloc).
-    pub struct CountingAlloc;
-
-    // SAFETY: defers entirely to `System`; the counters have no effect on
-    // the returned memory.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static COUNTING: CountingAlloc = CountingAlloc;
-
-    /// Total heap allocations (alloc + realloc) since process start.
-    pub fn allocations() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Net heap bytes currently allocated. Two snapshots bracket the
-    /// resident cost of whatever was built in between — how `qp_scale`
-    /// measures bytes per installed connection.
-    pub fn live_bytes() -> i64 {
-        LIVE_BYTES.load(Ordering::Relaxed)
-    }
-}
-
-/// Heap allocations so far, or 0 when `alloc-stats` is off — callers can
-/// subtract two snapshots unconditionally.
-pub fn allocations_now() -> u64 {
-    #[cfg(feature = "alloc-stats")]
-    {
-        alloc_stats::allocations()
-    }
-    #[cfg(not(feature = "alloc-stats"))]
-    {
-        0
-    }
-}
-
-/// Net resident heap bytes, or 0 when `alloc-stats` is off.
-pub fn live_bytes_now() -> i64 {
-    #[cfg(feature = "alloc-stats")]
-    {
-        alloc_stats::live_bytes()
-    }
-    #[cfg(not(feature = "alloc-stats"))]
-    {
-        0
-    }
-}
 pub use metrics::{
     run_entry, run_entry_counters, spans_doc, ExportOpts, MetricsDoc, METRICS_SCHEMA,
 };

@@ -70,24 +70,33 @@ impl ExportOpts {
         }
     }
 
-    /// Drains the armed probe's captured trace lines. Call at the end of a
-    /// run, inside the (possibly parallel) run closure; write them later
-    /// from the ordered report loop with [`ExportOpts::write_trace_lines`].
-    pub fn take_trace(&self, sim: &mut Simulator) -> Vec<String> {
-        match sim.probe_mut() {
-            Some(p) if self.capturing() => p.drain_jsonl(),
-            _ => Vec::new(),
+    /// Drains the armed probe's capture, warning on stderr when the log
+    /// filled and dropped events. Call at the end of a run, inside the
+    /// (possibly parallel) run closure; write it later from the ordered
+    /// report loop with [`ExportOpts::write_trace_lines`].
+    pub fn take_trace(&self, sim: &mut Simulator) -> Trace {
+        let Some(p) = sim.probe_mut().filter(|_| self.capturing()) else {
+            return Trace::default();
+        };
+        let trace = Trace { lines: p.drain_jsonl(), dropped: p.dropped() };
+        if trace.dropped > 0 {
+            eprintln!(
+                "warn: trace capture capped at {} events; the {} after them were dropped",
+                trace.lines.len(),
+                trace.dropped
+            );
         }
+        trace
     }
 
     /// Writes captured trace lines. `suffix` labels multi-run sweeps
     /// (`Some("seed2")` writes `PATH.seed2`, mirroring the `csv=`
     /// convention; figure binaries use scheme labels); pass `None` for
     /// single-run binaries.
-    pub fn write_trace_lines(&self, lines: &[String], suffix: Option<&str>) {
+    pub fn write_trace_lines(&self, trace: &Trace, suffix: Option<&str>) {
         let Some(path) = &self.trace_out else { return };
         let path = suffixed(path, suffix);
-        let mut out = lines.join("\n");
+        let mut out = trace.lines.join("\n");
         if !out.is_empty() {
             out.push('\n');
         }
@@ -99,19 +108,18 @@ impl ExportOpts {
     /// standard monitor set and writes the `dcp-trace/v1` document
     /// (`schemas/trace.schema.json`). Same `suffix` convention as
     /// [`ExportOpts::write_trace_lines`].
-    pub fn write_spans(&self, lines: &[String], suffix: Option<&str>) {
+    pub fn write_spans(&self, trace: &Trace, suffix: Option<&str>) {
         let Some(path) = &self.spans_out else { return };
-        let doc = spans_doc(lines.iter().map(String::as_str));
         let path = suffixed(path, suffix);
-        std::fs::write(&path, doc.render_pretty()).expect("write spans");
+        std::fs::write(&path, trace.spans_doc().render_pretty()).expect("write spans");
         println!("result spans={}", path.display());
     }
 
     /// Single-run convenience: drain and write in one step.
     pub fn write_trace(&self, sim: &mut Simulator) {
-        let lines = self.take_trace(sim);
-        self.write_trace_lines(&lines, None);
-        self.write_spans(&lines, None);
+        let trace = self.take_trace(sim);
+        self.write_trace_lines(&trace, None);
+        self.write_spans(&trace, None);
     }
 
     /// Renders and writes the finished metrics document.
@@ -119,6 +127,24 @@ impl ExportOpts {
         let Some(path) = &self.metrics_out else { return };
         std::fs::write(path, doc.finish().render_pretty()).expect("write metrics");
         println!("result metrics={}", path.display());
+    }
+}
+
+/// A drained capture: the JSONL lines the [`EventLog`] kept and the
+/// number of events it dropped once full.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    pub lines: Vec<String>,
+    pub dropped: u64,
+}
+
+impl Trace {
+    /// [`spans_doc`] of the kept lines, with the dropped events counted
+    /// into `truncated` so a capped capture never reads as complete.
+    pub fn spans_doc(&self) -> Json {
+        let doc = spans_doc(self.lines.iter().map(String::as_str));
+        let truncated = doc.get("truncated").and_then(Json::as_u64).unwrap_or(0) + self.dropped;
+        doc.set("truncated", truncated)
     }
 }
 
@@ -149,7 +175,9 @@ pub fn spans_doc<'a>(lines: impl Iterator<Item = &'a str>) -> Json {
     spans.to_json().set("monitors", monitors.to_json())
 }
 
-fn find_flag(argv: &[String], name: &str) -> Option<String> {
+/// The value of flag `name` in any of its three spellings: `--name PATH`,
+/// `--name=PATH`, or `dcp_sim`'s KEY=VALUE form with dashes as underscores.
+pub fn find_flag(argv: &[String], name: &str) -> Option<String> {
     let eq_dashed = format!("--{name}=");
     let bare = format!("--{name}");
     let eq_key = format!("{}=", name.replace('-', "_"));
@@ -314,6 +342,28 @@ mod tests {
         let storm = doc.get("monitors").and_then(|m| m.get("retx_storm")).unwrap();
         assert_eq!(storm.get("peak").and_then(Json::as_u64), Some(1));
         assert!(Json::parse(&doc.render_pretty()).is_ok());
+    }
+
+    #[test]
+    fn a_capped_capture_reports_what_it_dropped() {
+        let opts = ExportOpts { spans_out: Some("unused".into()), ..ExportOpts::default() };
+        let mut sim = Simulator::new(1);
+        sim.set_probe(Box::new(EventLog::new(3)));
+        let log = sim.probe_mut().expect("probe installed");
+        for psn in 0..5 {
+            log.record(
+                100 + u64::from(psn),
+                &ProbeEvent::Tx { node: 0, flow: 1, psn, bytes: 1064 },
+            );
+        }
+        let trace = opts.take_trace(&mut sim);
+        assert_eq!((trace.lines.len(), trace.dropped), (3, 2));
+        let doc = trace.spans_doc();
+        assert_eq!(doc.get("packets").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
+        assert_eq!(doc.get("truncated").and_then(Json::as_u64), Some(2));
+        // An uncapped capture of the same lines still reads 0.
+        let whole = Trace { dropped: 0, ..trace };
+        assert_eq!(whole.spans_doc().get("truncated").and_then(Json::as_u64), Some(0));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! a straggler ACK overtook (see [`perturb`]), so no digest of it under
 //! loss existed to pin.
 
+use dcp_bench::digest::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use dcp_bench::fabric_cables;
 use dcp_check::{Adversary, AdversaryProfile};
 use dcp_core::dcp_switch_config;
@@ -29,20 +30,6 @@ use dcp_transport::cc::NoCc;
 use dcp_transport::common::{FlowCfg, Placement};
 use dcp_transport::swtcp::{swtcp_pair, SwTcpConfig};
 use dcp_workloads::{endpoint_pair_opts, CcKind, RunOpts, TransportKind};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
 
 /// The eight protocols: a workload `TransportKind`, or the SwTcp model
 /// (which has no kind — Fig. 8 builds it through `swtcp_pair`).

@@ -21,8 +21,9 @@
 //!   bits `[12 + 6l, 12 + 6(l+1))` of their timestamp. An entry lives at
 //!   the *highest* level where its slot digit differs from `due_start`'s,
 //!   so each entry cascades down at most [`LEVELS`] times over its life.
-//!   Per-level occupancy bitmaps make "next expiring slot" a `ctz`.
-//! * `overflow`: min-heap past the 2^42 ns (~73 min) horizon.
+//!   Per-level occupancy bitmaps make "next expiring slot" a `ctz`. The
+//!   digits cover all 64 bits of a timestamp (the top level uses 4 of its
+//!   64 slots), so no timer is too far out for the wheel.
 //!
 //! Ordering contract — identical to the calendar queue's: keys are
 //! `(at, seq)` with `seq` unique and monotone (the owning shard's event
@@ -38,15 +39,14 @@
 
 use crate::time::Nanos;
 use crate::window::{Entry, SortedWindow};
-use std::collections::BinaryHeap;
 
 /// log2 of the due-window width: 4096 ns.
 const W0_LOG2: u32 = 12;
 /// log2 of the per-level fan-out (64 slots → one `u64` occupancy word).
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel horizon: 2^(12 + 6·5) = 2^42 ns ≈ 73 minutes.
-const LEVELS: usize = 5;
+/// 12 + 6·9 = 66 ≥ 64: nine digits cover every bit of a [`Nanos`].
+const LEVELS: usize = 9;
 
 #[inline]
 fn shift(level: usize) -> u32 {
@@ -59,24 +59,23 @@ fn digit(at: Nanos, level: usize) -> usize {
     ((at >> shift(level)) & (SLOTS as Nanos - 1)) as usize
 }
 
-/// Everything above the wheel horizon — entries whose top differs from the
-/// origin's wait in `overflow`.
+/// `at` with every bit below `bits` cleared (`bits` reaches 66 above the
+/// top level, where nothing is left).
 #[inline]
-fn top(at: Nanos) -> Nanos {
-    at >> shift(LEVELS)
+fn clear_below(at: Nanos, bits: u32) -> Nanos {
+    at.checked_shr(bits).map_or(0, |v| v << bits)
 }
 
 /// Deterministic hierarchical timer wheel keyed on `(time, seq)`; see
 /// module docs.
 pub struct TimerWheel<T> {
-    /// Wheel origin, W0-aligned. Every level/overflow entry is at or past
+    /// Wheel origin, W0-aligned. Every level entry is at or past
     /// `due_start + W0`; `due` holds everything earlier.
     due_start: Nanos,
     due: SortedWindow<T>,
     levels: Vec<Vec<Vec<Entry<T>>>>,
     /// Per-level slot-occupancy bitmaps.
     occ: [u64; LEVELS],
-    overflow: BinaryHeap<Entry<T>>,
     len: usize,
     peak_len: usize,
     /// Exact minimum key over all entries; `None` when empty.
@@ -96,7 +95,6 @@ impl<T> TimerWheel<T> {
             due: SortedWindow::new(),
             levels: (0..LEVELS).map(|_| (0..SLOTS).map(|_| Vec::new()).collect()).collect(),
             occ: [0; LEVELS],
-            overflow: BinaryHeap::new(),
             len: 0,
             peak_len: 0,
             cached_min: None,
@@ -123,26 +121,18 @@ impl<T> TimerWheel<T> {
         self.cached_min
     }
 
-    /// Routes an entry to `due`, a level slot, or overflow. Shared by
-    /// `insert` and cascades, so placement is always against the current
-    /// origin.
+    /// Routes an entry to `due` or a level slot. Shared by `insert` and
+    /// cascades, so placement is always against the current origin.
     fn place(&mut self, e: Entry<T>) {
         let at = e.at;
         if at < self.due_start + (1 << W0_LOG2) {
             self.due.push(e);
             return;
         }
-        if top(at) != top(self.due_start) {
-            self.overflow.push(e);
-            return;
-        }
-        // Highest level where the digit differs from the origin's; such a
-        // level exists because `at >= due_start + W0` with an equal top.
-        let mut l = LEVELS - 1;
-        while digit(at, l) == digit(self.due_start, l) {
-            debug_assert!(l > 0, "all digits equal but at >= due_start + W0");
-            l -= 1;
-        }
+        // Highest level where the digit differs from the origin's: the one
+        // holding the highest differing bit, which is at or above bit 12
+        // because `at >= due_start + W0` and the origin is W0-aligned.
+        let l = ((at ^ self.due_start).ilog2() - W0_LOG2) as usize / SLOT_BITS as usize;
         let s = digit(at, l);
         self.levels[l][s].push(e);
         self.occ[l] |= 1 << s;
@@ -186,22 +176,14 @@ impl<T> TimerWheel<T> {
     fn advance(&mut self) {
         debug_assert!(self.due.is_empty() && self.len > 0);
         loop {
-            let Some(l) = (0..LEVELS).find(|&l| self.occ[l] != 0) else {
-                // Only overflow left: jump the origin to its minimum and
-                // migrate everything sharing that top region.
-                let at = self.overflow.peek().expect("len > 0 with empty wheel").at;
-                self.due_start = (at >> W0_LOG2) << W0_LOG2;
-                self.migrate_overflow();
-                debug_assert!(!self.due.is_empty(), "overflow min lands in the due window");
-                return;
-            };
+            let l = (0..LEVELS)
+                .find(|&l| self.occ[l] != 0)
+                .expect("len > 0 and an empty due window leave an occupied slot");
             // Every occupied slot digit exceeds the origin's at its level
             // (placement invariant), so the raw ctz is the earliest slot.
             let s = self.occ[l].trailing_zeros() as usize;
             debug_assert!(s > digit(self.due_start, l));
-            let sh = shift(l);
-            let above = shift(l + 1);
-            self.due_start = ((self.due_start >> above) << above) | ((s as Nanos) << sh);
+            self.due_start = clear_below(self.due_start, shift(l + 1)) | ((s as Nanos) << shift(l));
             self.occ[l] &= !(1 << s);
             let v = std::mem::take(&mut self.levels[l][s]);
             if l == 0 {
@@ -235,16 +217,6 @@ impl<T> TimerWheel<T> {
             }
         }
     }
-
-    /// Pulls overflow entries that entered the wheel's top region back onto
-    /// the levels (or into `due`).
-    fn migrate_overflow(&mut self) {
-        let t = top(self.due_start);
-        while self.overflow.peek().is_some_and(|e| top(e.at) == t) {
-            let e = self.overflow.pop().expect("peeked");
-            self.place(e);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +224,7 @@ mod tests {
     use super::*;
 
     /// Interleaved insert/pop against a reference sort, mixing the due
-    /// window, every wheel level, and overflow. Inserts respect
+    /// window and every wheel level, the top one included. Inserts respect
     /// `at >= last popped time` like the engine does.
     #[test]
     fn interleaved_matches_reference_sort() {
@@ -268,6 +240,9 @@ mod tests {
         let mut seq = 0u64;
         let mut now: Nanos = 0;
         let mut popped = Vec::new();
+        // One timer in the top level (bits 60..64), popped last.
+        w.insert(Nanos::MAX / 2 + 12_345, seq, 0);
+        reference.push((Nanos::MAX / 2 + 12_345, seq));
         for _ in 0..20_000 {
             if rng() % 3 != 0 || w.is_empty() {
                 seq += 1;
@@ -276,7 +251,7 @@ mod tests {
                     3..=5 => rng() % 250_000,           // levels 0–1
                     6..=7 => rng() % 1_000_000_000,     // levels 2–4
                     8 => rng() % 100_000_000_000,       // level 4-ish
-                    _ => (1 << 42) + rng() % (1 << 43), // overflow
+                    _ => (1 << 42) + rng() % (1 << 43), // levels 5–6
                 };
                 let at = now + delta;
                 w.insert(at, seq, seq as u32);
@@ -332,14 +307,14 @@ mod tests {
     /// The wheel and a reference `BinaryHeap<Reverse<(at, seq)>>` driven in
     /// lock-step: every pop (and the peek before it) must agree.
     struct Lockstep {
-        model: BinaryHeap<std::cmp::Reverse<(Nanos, u64)>>,
+        model: std::collections::BinaryHeap<std::cmp::Reverse<(Nanos, u64)>>,
         wheel: TimerWheel<()>,
         seq: u64,
     }
 
     impl Lockstep {
         fn new() -> Self {
-            Lockstep { model: BinaryHeap::new(), wheel: TimerWheel::new(), seq: 0 }
+            Lockstep { model: Default::default(), wheel: TimerWheel::new(), seq: 0 }
         }
 
         fn insert(&mut self, at: Nanos) {

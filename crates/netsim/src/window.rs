@@ -52,8 +52,9 @@ impl<T> PartialOrd for Entry<T> {
     }
 }
 // Reversed on purpose: `BinaryHeap<Entry>` is a max-heap, so inverting the
-// key comparison makes it the min-queue the side heap and the far-future
-// overflow heaps need, without a `Reverse` wrapper around every entry.
+// key comparison makes it the min-queue the side heap and the calendar
+// queue's far-future overflow heap need, without a `Reverse` wrapper around
+// every entry.
 impl<T> Ord for Entry<T> {
     fn cmp(&self, o: &Self) -> std::cmp::Ordering {
         o.key().cmp(&self.key())

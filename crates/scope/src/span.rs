@@ -237,9 +237,9 @@ fn unpack(w0: u64, w1: u64) -> (u64, ProbeEvent) {
 ///
 /// Hot-path discipline: [`Probe::record`] only bit-packs the event into a
 /// 16-byte record and appends it to a chunked buffer — cheaper per event
-/// than `EventLog`'s JSONL formatting, so live capture stays within the
-/// perf_events overhead budget. The buffer folds into the sorted span
-/// maps on first read ([`SpanBuilder::packets`],
+/// than `EventLog`'s JSONL formatting (the benchmark's
+/// `scope.capture_overhead_pct` is the budget). The buffer folds into the
+/// sorted span maps on first read ([`SpanBuilder::packets`],
 /// [`SpanBuilder::to_json`], ...), off the simulator's critical path.
 pub struct SpanBuilder {
     /// Raw capture, folded lazily — the only thing `record` touches.

@@ -511,6 +511,12 @@ pub trait Probe: Send {
     fn drain_jsonl(&mut self) -> Vec<String> {
         Vec::new()
     }
+
+    /// Events offered to this probe that it discarded (a capped log), so
+    /// an exporter can say a capture is incomplete.
+    fn dropped(&self) -> u64 {
+        0
+    }
 }
 
 /// A probe that ignores everything — for zero-cost-proof tests ("telemetry
@@ -523,8 +529,7 @@ impl Probe for NullProbe {
     fn record(&mut self, _at: u64, _ev: &ProbeEvent) {}
 }
 
-/// Counts events per kind; the cheapest useful probe (one add per event),
-/// used by `perf_events` to price the probed hot path.
+/// Counts events per kind; the cheapest useful probe (one add per event).
 #[derive(Debug, Default, Clone)]
 pub struct CountingProbe {
     pub counts: [u64; EventKind::COUNT],
@@ -609,6 +614,10 @@ impl Probe for Fanout {
             out.extend(p.drain_jsonl());
         }
         out
+    }
+
+    fn dropped(&self) -> u64 {
+        self.entries.iter().map(|(_, p)| p.dropped()).sum()
     }
 }
 

@@ -146,6 +146,10 @@ impl Probe for EventLog {
         std::mem::take(&mut self.lines)
     }
 
+    fn dropped(&self) -> u64 {
+        self.truncated
+    }
+
     fn dump(&self) -> Option<String> {
         Some(format!("event log: {} lines ({} truncated)", self.lines.len(), self.truncated))
     }
@@ -201,6 +205,7 @@ mod tests {
         }
         assert_eq!(l.len(), 3);
         assert_eq!(l.truncated, 2);
+        assert_eq!(l.dropped(), 2);
         let lines = l.drain_jsonl();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("{\"at\":0,"));

@@ -15,6 +15,7 @@
 //!   oracle confirming exactly-once completion;
 //! * adversarial runs must be byte-identical across `DCP_THREADS`.
 
+use dcp_bench::digest::{fnv_u64, FNV_OFFSET};
 use dcp_bench::sweep_with_threads;
 use dcp_check::{
     pfc_deadlock_cycle, shrink_plan, shrink_repro, Adversary, AdversaryProfile, DeliveryOracle,
@@ -33,16 +34,6 @@ use dcp_transport::cc::NoCc;
 use dcp_transport::common::{FlowCfg, Placement};
 use dcp_transport::racktlp::{rack_pair, RackConfig};
 use dcp_workloads::{endpoint_pair_opts, CcKind, RunOpts, TransportKind};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn checkers(sim: &mut Simulator) -> (DeliveryOracle, Watchdog) {
     let oracle = DeliveryOracle::new();

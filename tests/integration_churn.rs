@@ -4,6 +4,7 @@
 //! recycled slot, and a fabric under continuous flow churn must still
 //! satisfy strict packet conservation at quiescence.
 
+use dcp_bench::digest::{fnv_u64, FNV_OFFSET};
 use dcp_core::dcp_switch_config;
 use dcp_netsim::packet::FlowId;
 use dcp_netsim::time::{Nanos, MS, SEC, US};
@@ -11,16 +12,6 @@ use dcp_netsim::{topology, CompletionKind, LoadBalance, QpRef, Simulator, Topolo
 use dcp_rdma::qp::WorkReqOp;
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
 use proptest::prelude::*;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for &b in &v.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn testbed(seed: u64) -> (Simulator, Topology) {
     let cfg = dcp_switch_config(LoadBalance::Ecmp, 4);

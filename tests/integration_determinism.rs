@@ -4,6 +4,7 @@
 //! fabric counters, event count and clock — across repeated runs and
 //! across sweep thread counts.
 
+use dcp_bench::digest::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use dcp_bench::sweep_with_threads;
 use dcp_core::dcp_switch_config;
 use dcp_netsim::packet::FlowId;
@@ -11,20 +12,6 @@ use dcp_netsim::time::{SEC, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::qp::WorkReqOp;
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
 
 /// A 4-to-1 DCP incast over adaptive routing — trimming, HO recovery and
 /// RNG-driven port choices all feed the trace. Returns an FNV-1a digest

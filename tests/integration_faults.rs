@@ -5,6 +5,7 @@
 //! the exact same trace, and adaptive routing must route *around* a downed
 //! uplink that blackholes static ECMP until the repair.
 
+use dcp_bench::digest::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use dcp_bench::sweep_with_threads;
 use dcp_core::dcp_switch_config;
 use dcp_faults::{FaultEngine, FaultEvent, FaultPlan, LossModel};
@@ -13,20 +14,6 @@ use dcp_netsim::time::{Nanos, MS, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::qp::WorkReqOp;
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
 
 /// The fault scenarios under test, one per mechanism the plane exposes.
 /// Each plan targets the first cross cable of a 2-sender two-switch

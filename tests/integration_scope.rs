@@ -18,6 +18,7 @@
 //! 5. **The Perfetto export is real JSON** with slices, instants and
 //!    matched flow-arrow pairs.
 
+use dcp_bench::digest::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use dcp_core::dcp_switch_config;
 use dcp_faults::engine::FaultEngine;
 use dcp_faults::loss::LossModel;
@@ -30,20 +31,6 @@ use dcp_rdma::qp::WorkReqOp;
 use dcp_scope::{chrome_trace, Monitors, ScopeProbe, SpanBuilder};
 use dcp_telemetry::{EventLog, Fanout, Json, Probe, ProbeEvent};
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
 
 /// The reference scenario: 2-spine/4-leaf CLOS, cross-leaf DCP flows under
 /// adaptive routing — trimming, header-only recovery and RNG port choices
@@ -130,9 +117,9 @@ fn span_document_is_identical_across_engines() {
 #[test]
 fn span_capture_does_not_change_the_digest() {
     let (bare, _) = run_reference(5, None, 1, 1);
-    // Once through the fused capture probe (what perf_events installs) and
-    // once through an explicit Fanout of the two halves: both must be
-    // invisible to the simulation.
+    // Once through the fused capture probe (what the benchmark's
+    // `incast_trim_scope` row installs) and once through an explicit Fanout
+    // of the two halves: both must be invisible to the simulation.
     let (fused, _) = run_reference(5, Some(Box::new(ScopeProbe::new())), 1, 1);
     assert_eq!(bare, fused, "fused span + monitor capture must be passive");
     let probe: Box<dyn Probe> = Box::new(Fanout::new(vec![

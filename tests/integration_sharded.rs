@@ -17,6 +17,7 @@
 //! adaptive routing: trimming, header-only recovery and RNG-driven port
 //! choices all feed the trace.
 
+use dcp_bench::digest::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use dcp_check::adversary::{Adversary, AdversaryProfile};
 use dcp_core::dcp_switch_config;
 use dcp_faults::engine::FaultEngine;
@@ -45,20 +46,6 @@ const GOLDEN_ADVERSARY: u64 = 0x46228f1527b7e1c0;
 const PROBE_PLAIN: u64 = 0x75e860b43c3c6eeb;
 const PROBE_FAULTED: u64 = 0x8582353584c200f8;
 const PROBE_ADVERSARY: u64 = 0x21123d31de72d490;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
 
 #[derive(Clone, Copy)]
 enum Mode {
