@@ -27,7 +27,7 @@
 //! counters, in a stable greppable format. With `runs=N` the seeds are
 //! simulated in parallel (see `DCP_THREADS`) and reported in seed order.
 
-use dcp_bench::{run_entry, sweep, ExportOpts, MetricsDoc};
+use dcp_bench::{run_entry, sweep, ExportOpts, MetricsDoc, METRICS_OUT, SPANS_OUT, TRACE_OUT};
 use dcp_core::dcp_switch_config;
 use dcp_netsim::switch::SwitchConfig;
 use dcp_netsim::time::{Nanos, SEC, US};
@@ -103,7 +103,7 @@ fn main() {
     let hosts: usize = get("hosts", "4").parse().unwrap();
     let incast: Option<usize> = args.get("incast").map(|n| n.parse().unwrap());
 
-    let export = ExportOpts::from_env_args();
+    let export = ExportOpts::from_env_args(&[METRICS_OUT, TRACE_OUT, SPANS_OUT]);
 
     // One fully independent simulation per seed; `runs=N` fans the seeds
     // out across the sweep executor and reports them in seed order, so

@@ -21,29 +21,6 @@ use dcp_bench::spans_doc;
 use dcp_scope::{chrome_trace, SpanBuilder};
 use dcp_telemetry::{Json, ProbeEvent};
 
-/// The flow an event belongs to, if it carries one (PFC and fault events
-/// are fabric-level and survive any `--flow` filter).
-fn event_flow(ev: &ProbeEvent) -> Option<u32> {
-    match *ev {
-        ProbeEvent::Enqueue { flow, .. }
-        | ProbeEvent::Dequeue { flow, .. }
-        | ProbeEvent::Trim { flow, .. }
-        | ProbeEvent::Drop { flow, .. }
-        | ProbeEvent::EcnMark { flow, .. }
-        | ProbeEvent::Tx { flow, .. }
-        | ProbeEvent::Retx { flow, .. }
-        | ProbeEvent::Timeout { flow, .. }
-        | ProbeEvent::HoReceived { flow, .. }
-        | ProbeEvent::Duplicate { flow, .. }
-        | ProbeEvent::MsgPosted { flow, .. }
-        | ProbeEvent::Delivery { flow, .. } => Some(flow),
-        ProbeEvent::PfcPause { .. }
-        | ProbeEvent::PfcResume { .. }
-        | ProbeEvent::Fault { .. }
-        | ProbeEvent::FaultCleared { .. } => None,
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: dcp_trace <trace.jsonl> [--perfetto PATH] [--spans PATH] [--flow N] [--stats]"
@@ -81,12 +58,8 @@ fn main() {
     let text = std::fs::read_to_string(&input).unwrap_or_else(|e| panic!("read {input}: {e}"));
     let mut events: Vec<(u64, ProbeEvent)> = Vec::new();
     let mut skipped = 0usize;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match Json::parse(line).ok().as_ref().and_then(ProbeEvent::from_json) {
+    for item in ProbeEvent::read_jsonl(&text) {
+        match item {
             Some(pair) => events.push(pair),
             None => skipped += 1,
         }
@@ -96,14 +69,8 @@ fn main() {
     // The flow filter for spans/stats keeps flow-less events (PFC, faults)
     // so the monitors still see fabric-level signals; the Perfetto
     // exporter applies the same rule internally.
-    let filtered: Vec<(u64, ProbeEvent)> = match flow_filter {
-        Some(f) => events
-            .iter()
-            .filter(|(_, ev)| event_flow(ev).is_none_or(|ef| ef == f))
-            .copied()
-            .collect(),
-        None => events.clone(),
-    };
+    let keep = |flow: u32| flow_filter.is_none_or(|f| f == flow);
+    let filtered = || events.iter().copied().filter(|(_, ev)| ev.flow().is_none_or(keep));
 
     if let Some(path) = &perfetto_out {
         let doc = chrome_trace(&events, flow_filter);
@@ -112,15 +79,14 @@ fn main() {
         println!("result perfetto={path} trace_events={n}");
     }
     if let Some(path) = &spans_out {
-        let lines: Vec<String> = filtered.iter().map(|(at, ev)| ev.to_jsonl(*at)).collect();
-        let doc = spans_doc(lines.iter().map(String::as_str));
+        let doc = spans_doc(filtered());
         std::fs::write(path, doc.render_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("result spans={path}");
     }
     if stats {
         let mut b = SpanBuilder::new();
-        for (at, ev) in &filtered {
-            dcp_telemetry::Probe::record(&mut b, *at, ev);
+        for (at, ev) in filtered() {
+            dcp_telemetry::Probe::record(&mut b, at, &ev);
         }
         // `stats_json` folds the capture buffer, so the dump line below
         // reports real span counts rather than a pending buffer.

@@ -6,7 +6,7 @@
 //! trim threshold while the control queue, drained by its WRR share, stays
 //! shallow — the visible reason HO packets never die.
 
-use dcp_bench::{run_entry_counters, ExportOpts, MetricsDoc};
+use dcp_bench::{run_entry_counters, ExportOpts, MetricsDoc, METRICS_OUT, SPANS_OUT, TRACE_OUT};
 use dcp_core::dcp_switch_config;
 use dcp_netsim::packet::FlowId;
 use dcp_netsim::time::{MS, US};
@@ -19,7 +19,7 @@ use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
 const FAN_IN: usize = 8;
 
 fn main() {
-    let export = ExportOpts::from_env_args();
+    let export = ExportOpts::from_env_args(&[METRICS_OUT, TRACE_OUT, SPANS_OUT]);
     let mut cfg = dcp_switch_config(LoadBalance::Ecmp, FAN_IN + 2);
     cfg.data_q_threshold = 64 * 1024;
     let mut sim = Simulator::new(53);

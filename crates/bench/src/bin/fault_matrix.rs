@@ -22,7 +22,9 @@
 //! the fabric to the paper's dimensions.
 
 use dcp_bench::metrics::find_flag;
-use dcp_bench::{build_clos, default_cc, run_entry, sweep, ExportOpts, MetricsDoc, Scale};
+use dcp_bench::{
+    build_clos, default_cc, run_entry, sweep, ExportOpts, MetricsDoc, Scale, METRICS_OUT,
+};
 use dcp_core::dcp_switch_config;
 use dcp_faults::{FaultEngine, FaultEvent, FaultPlan, LossModel, RecoveryTracker};
 use dcp_netsim::switch::SwitchConfig;
@@ -298,6 +300,7 @@ fn fmt_ns(v: Option<Nanos>) -> String {
 }
 
 fn main() {
+    let export = ExportOpts::from_env_args(&[METRICS_OUT]);
     let scale = Scale::from_env();
     let quick = std::env::args().any(|a| a == "--quick");
     // CI's EC gate: just the DCP/EC schemes through the two cells where
@@ -328,7 +331,6 @@ fn main() {
         FAULT_AT / MS,
         CLEAR_AT / MS
     );
-    let export = ExportOpts::from_env_args();
     let points: Vec<(&'static str, TransportKind, SwitchConfig, Scenario)> = schemes
         .iter()
         .flat_map(|&(label, kind, cfg)| scenarios.iter().map(move |&s| (label, kind, cfg, s)))

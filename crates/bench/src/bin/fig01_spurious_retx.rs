@@ -4,7 +4,9 @@
 //! (a) retransmission ratio by flow size; (b) share of flows with any
 //! spurious retransmission, per size class.
 
-use dcp_bench::{build_clos, default_cc, run_entry, ExportOpts, MetricsDoc, Scale, DEADLINE};
+use dcp_bench::{
+    build_clos, default_cc, run_entry, ExportOpts, MetricsDoc, Scale, DEADLINE, METRICS_OUT,
+};
 use dcp_core::dcp_switch_config;
 use dcp_netsim::switch::SwitchConfig;
 use dcp_netsim::LoadBalance;
@@ -13,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    let export = ExportOpts::from_env_args(&[METRICS_OUT]);
     let scale = Scale::from_env();
     println!("Fig. 1 — spurious retransmissions with adaptive routing ({})", scale.label());
     let (_, _, hosts_per_leaf) = scale.clos_dims();
@@ -25,7 +28,6 @@ fn main() {
     // receiver observes a duplicate. (In the paper's 256-host fabric there
     // is no real loss at 0.3 load, so retx ratio == spurious ratio; the
     // quick-scale fabric does congest, so we separate the two.)
-    let export = ExportOpts::from_env_args();
     let mut doc = MetricsDoc::new("fig01_spurious_retx").config("load", 0.3);
     let mut table: Vec<(String, Vec<f64>)> = Vec::new();
     let mut class_share: Vec<(String, [f64; 3])> = Vec::new();

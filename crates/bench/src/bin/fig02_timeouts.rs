@@ -3,7 +3,10 @@
 //! WebSearch at 0.3 plus N-to-1 incast at 0.1; IRN-ECMP, IRN-AR and DCP.
 //! Reports RTO counts for background and incast flows separately.
 
-use dcp_bench::{build_clos, default_cc, run_entry, ExportOpts, MetricsDoc, Scale, DEADLINE};
+use dcp_bench::{
+    build_clos, default_cc, run_entry, ExportOpts, MetricsDoc, Scale, DEADLINE, METRICS_OUT,
+    TRACE_OUT,
+};
 use dcp_core::dcp_switch_config;
 use dcp_netsim::switch::SwitchConfig;
 use dcp_netsim::LoadBalance;
@@ -12,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    let export = ExportOpts::from_env_args(&[METRICS_OUT, TRACE_OUT]);
     let scale = Scale::from_env();
     // Paper: 128-to-1 incast; quick scale uses the fabric's width.
     let fan_in = match scale {
@@ -29,7 +33,6 @@ fn main() {
     let inc = incast_flows(&mut rng, n_hosts, 100.0, 0.1, fan_in, 64 * 1024, horizon);
     let flows = merge(bg, inc);
 
-    let export = ExportOpts::from_env_args();
     let mut doc =
         MetricsDoc::new("fig02_timeouts").config("load", 0.3).config("fan_in", fan_in as f64);
     println!(

@@ -2,7 +2,7 @@
 //! MP-RDMA, DCP(AR) at loads 0.3 and 0.5, P50 and P95 per flow-size bucket.
 
 use dcp_bench::{
-    build_clos, default_cc, run_entry, sweep, ExportOpts, MetricsDoc, Scale, DEADLINE,
+    build_clos, default_cc, run_entry, sweep, ExportOpts, MetricsDoc, Scale, DEADLINE, METRICS_OUT,
 };
 use dcp_core::dcp_switch_config;
 use dcp_netsim::switch::SwitchConfig;
@@ -74,6 +74,7 @@ fn run_point(
 }
 
 fn main() {
+    let export = ExportOpts::from_env_args(&[METRICS_OUT]);
     let scale = Scale::from_env();
     println!("Fig. 13 — WebSearch FCT slowdown ({})", scale.label());
     const LOADS: [f64; 2] = [0.3, 0.5];
@@ -90,7 +91,6 @@ fn main() {
             })
         })
         .collect();
-    let export = ExportOpts::from_env_args();
     let with_entry = export.metrics_out.is_some();
     let mut doc = MetricsDoc::new("fig13_websearch");
     let results = sweep(points.clone(), |(load, label, kind, cfg)| {

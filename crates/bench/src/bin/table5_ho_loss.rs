@@ -12,7 +12,7 @@
 //! packets — the physical footing of the paper's claim that the control
 //! plane stays effectively lossless on fabrics that eat data.
 
-use dcp_bench::{run_entry_counters, sweep, ExportOpts, MetricsDoc, Scale};
+use dcp_bench::{run_entry_counters, sweep, ExportOpts, MetricsDoc, Scale, METRICS_OUT};
 use dcp_core::{dcp_switch_config, effective_wrr_weight};
 use dcp_faults::{ber_packet_loss, FaultEngine, FaultPlan, LossModel};
 use dcp_netsim::packet::FlowId;
@@ -121,6 +121,7 @@ fn run_ber(fan_in: usize, ber: f64, with_entry: bool) -> (u64, u64, u64, Option<
 }
 
 fn main() {
+    let export = ExportOpts::from_env_args(&[METRICS_OUT]);
     let incasts: &[usize] = match Scale::from_env() {
         Scale::Full => &[128, 255],
         Scale::Quick => &[16, 32],
@@ -134,7 +135,6 @@ fn main() {
             incasts.iter().flat_map(move |&fan| [(n_cfg, fan, false), (n_cfg, fan, true)])
         })
         .collect();
-    let export = ExportOpts::from_env_args();
     let with_entry = export.metrics_out.is_some();
     let mut doc = MetricsDoc::new("table5_ho_loss");
     let results =

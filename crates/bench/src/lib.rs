@@ -21,7 +21,8 @@ pub mod metrics;
 pub mod sweep;
 
 pub use metrics::{
-    run_entry, run_entry_counters, spans_doc, ExportOpts, MetricsDoc, METRICS_SCHEMA,
+    run_entry, run_entry_counters, spans_doc, ExportOpts, MetricsDoc, METRICS_OUT, METRICS_SCHEMA,
+    SPANS_OUT, TRACE_OUT,
 };
 pub use sweep::{sweep, sweep_with_threads};
 

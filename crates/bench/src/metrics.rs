@@ -9,22 +9,24 @@
 //! input (seed) order regardless of `DCP_THREADS` — so the exported file
 //! is byte-identical across thread counts.
 //!
-//! The trace file is JSON-lines, one [`dcp_telemetry::ProbeEvent`] per
-//! line, captured by installing an [`EventLog`] probe on the simulator.
-//! Tracing is passive (no RNG draws, no event reordering): a traced run
-//! produces the same simulation as an untraced one.
+//! Tracing arms one [`EventLog`] probe on the simulator — the 16-byte
+//! packed capture — and both exports read that log. `--trace-out` streams
+//! it to a file as JSON-lines, one [`dcp_telemetry::ProbeEvent`] per line
+//! (the only place an event becomes a string); `--spans-out <json>` folds
+//! it through `dcp-scope`'s span builder and anomaly monitors into the
+//! `dcp-trace/v1` document (schema `schemas/trace.schema.json`). Tracing
+//! is passive (no RNG draws, no event reordering): a traced run produces
+//! the same simulation as an untraced one.
 //!
-//! `--spans-out <json>` folds the same captured event stream through
-//! `dcp-scope`'s span builder and anomaly monitors and writes the
-//! resulting `dcp-trace/v1` document (schema `schemas/trace.schema.json`):
-//! per-packet causal spans, per-message latency brackets, and the
-//! retx-storm / PFC-tree / queue-high-water / SLO-burn verdicts.
+//! A binary names the export flags it honours and refuses the rest
+//! (exit 2) before it runs anything: no flag is accepted and then ignored.
 
 use dcp_netsim::stats::{Conservation, NetStats, TransportStats};
 use dcp_netsim::Simulator;
 use dcp_scope::{Monitors, SpanBuilder};
 use dcp_telemetry::{EventLog, Json, Probe, ProbeEvent};
 use dcp_workloads::FctSummary;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Version tag stamped into every metrics document.
@@ -42,15 +44,35 @@ pub struct ExportOpts {
     pub spans_out: Option<PathBuf>,
 }
 
+/// The export flags, by name — what a binary passes to
+/// [`ExportOpts::from_env_args`] to say which it honours.
+pub const METRICS_OUT: &str = "metrics-out";
+pub const TRACE_OUT: &str = "trace-out";
+pub const SPANS_OUT: &str = "spans-out";
+
 impl ExportOpts {
-    /// Scans `std::env::args()` for the export flags.
-    pub fn from_env_args() -> Self {
+    /// Scans `std::env::args()` for the export flags. `honoured` names the
+    /// ones this binary writes; given any other, the process exits 2 with
+    /// one line on stderr instead of running and writing nothing.
+    pub fn from_env_args(honoured: &[&str]) -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        ExportOpts {
-            metrics_out: find_flag(&argv, "metrics-out").map(PathBuf::from),
-            trace_out: find_flag(&argv, "trace-out").map(PathBuf::from),
-            spans_out: find_flag(&argv, "spans-out").map(PathBuf::from),
-        }
+        Self::parse(&argv, honoured).unwrap_or_else(|flag| {
+            eprintln!("error: this binary does not write --{flag}");
+            std::process::exit(2);
+        })
+    }
+
+    /// The flags in `argv`, or the name of the first one not in `honoured`.
+    fn parse(argv: &[String], honoured: &[&str]) -> Result<Self, &'static str> {
+        let find = |name: &'static str| match find_flag(argv, name) {
+            Some(_) if !honoured.contains(&name) => Err(name),
+            found => Ok(found.map(PathBuf::from)),
+        };
+        Ok(ExportOpts {
+            metrics_out: find(METRICS_OUT)?,
+            trace_out: find(TRACE_OUT)?,
+            spans_out: find(SPANS_OUT)?,
+        })
     }
 
     pub fn any(&self) -> bool {
@@ -70,7 +92,7 @@ impl ExportOpts {
         }
     }
 
-    /// Drains the armed probe's capture, warning on stderr when the log
+    /// Takes the armed probe's capture, warning on stderr when the log
     /// filled and dropped events. Call at the end of a run, inside the
     /// (possibly parallel) run closure; write it later from the ordered
     /// report loop with [`ExportOpts::write_trace_lines`].
@@ -78,34 +100,34 @@ impl ExportOpts {
         let Some(p) = sim.probe_mut().filter(|_| self.capturing()) else {
             return Trace::default();
         };
-        let trace = Trace { lines: p.drain_jsonl(), dropped: p.dropped() };
+        let trace = Trace { dropped: p.dropped(), log: p.take_log() };
         if trace.dropped > 0 {
             eprintln!(
                 "warn: trace capture capped at {} events; the {} after them were dropped",
-                trace.lines.len(),
+                trace.log.len(),
                 trace.dropped
             );
         }
         trace
     }
 
-    /// Writes captured trace lines. `suffix` labels multi-run sweeps
-    /// (`Some("seed2")` writes `PATH.seed2`, mirroring the `csv=`
-    /// convention; figure binaries use scheme labels); pass `None` for
-    /// single-run binaries.
+    /// Streams the capture to the trace file, one JSONL line per event.
+    /// `suffix` labels multi-run sweeps (`Some("seed2")` writes
+    /// `PATH.seed2`, mirroring the `csv=` convention; figure binaries use
+    /// scheme labels); pass `None` for single-run binaries.
     pub fn write_trace_lines(&self, trace: &Trace, suffix: Option<&str>) {
         let Some(path) = &self.trace_out else { return };
         let path = suffixed(path, suffix);
-        let mut out = trace.lines.join("\n");
-        if !out.is_empty() {
-            out.push('\n');
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&path).expect("write trace"));
+        for (at, ev) in trace.log.iter() {
+            writeln!(out, "{}", ev.to_jsonl(at)).expect("write trace");
         }
-        std::fs::write(&path, out).expect("write trace");
+        out.flush().expect("write trace");
         println!("result trace={}", path.display());
     }
 
-    /// Folds captured trace lines through the span builder and the
-    /// standard monitor set and writes the `dcp-trace/v1` document
+    /// Folds the capture through the span builder and the standard
+    /// monitor set and writes the `dcp-trace/v1` document
     /// (`schemas/trace.schema.json`). Same `suffix` convention as
     /// [`ExportOpts::write_trace_lines`].
     pub fn write_spans(&self, trace: &Trace, suffix: Option<&str>) {
@@ -130,19 +152,19 @@ impl ExportOpts {
     }
 }
 
-/// A drained capture: the JSONL lines the [`EventLog`] kept and the
-/// number of events it dropped once full.
-#[derive(Debug, Clone, Default)]
+/// A taken capture: the [`EventLog`] and the number of events it dropped
+/// once full.
+#[derive(Default)]
 pub struct Trace {
-    pub lines: Vec<String>,
+    pub log: EventLog,
     pub dropped: u64,
 }
 
 impl Trace {
-    /// [`spans_doc`] of the kept lines, with the dropped events counted
+    /// [`spans_doc`] of the kept events, with the dropped ones counted
     /// into `truncated` so a capped capture never reads as complete.
     pub fn spans_doc(&self) -> Json {
-        let doc = spans_doc(self.lines.iter().map(String::as_str));
+        let doc = spans_doc(self.log.iter());
         let truncated = doc.get("truncated").and_then(Json::as_u64).unwrap_or(0) + self.dropped;
         doc.set("truncated", truncated)
     }
@@ -155,22 +177,16 @@ fn suffixed(path: &Path, suffix: Option<&str>) -> PathBuf {
     }
 }
 
-/// Builds the `dcp-trace/v1` span document from JSONL trace lines: the
-/// span builder's packets/messages/flows/stats plus every monitor's
+/// Builds the `dcp-trace/v1` span document from a captured event stream:
+/// the span builder's packets/messages/flows/stats plus every monitor's
 /// verdict under `monitors`. Shared by `--spans-out` and the `dcp_trace`
 /// converter so both emit the same shape.
-pub fn spans_doc<'a>(lines: impl Iterator<Item = &'a str>) -> Json {
+pub fn spans_doc(events: impl Iterator<Item = (u64, ProbeEvent)>) -> Json {
     let mut spans = SpanBuilder::new();
     let mut monitors = Monitors::with_defaults();
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some((at, ev)) = Json::parse(line).ok().as_ref().and_then(ProbeEvent::from_json) {
-            spans.record(at, &ev);
-            monitors.record(at, &ev);
-        }
+    for (at, ev) in events {
+        spans.record(at, &ev);
+        monitors.record(at, &ev);
     }
     spans.to_json().set("monitors", monitors.to_json())
 }
@@ -325,16 +341,38 @@ mod tests {
         assert_eq!(find_flag(&kv, "trace-out"), None);
     }
 
+    /// A binary refuses the export flags it does not honour, in every
+    /// spelling, rather than accepting and ignoring them.
+    #[test]
+    fn unhonoured_flags_are_refused_in_every_spelling() {
+        const ALL: [&str; 3] = [METRICS_OUT, TRACE_OUT, SPANS_OUT];
+        for name in ALL {
+            let others: Vec<&str> = ALL.into_iter().filter(|n| *n != name).collect();
+            let key = name.replace('-', "_");
+            for argv in [
+                vec![format!("--{name}"), "p".to_string()],
+                vec![format!("--{name}=p")],
+                vec![format!("{key}=p")],
+            ] {
+                assert_eq!(ExportOpts::parse(&argv, &others).err(), Some(name), "{argv:?}");
+                assert!(ExportOpts::parse(&argv, &[name]).expect("honoured").any(), "{argv:?}");
+            }
+        }
+        // No export flag at all is fine whatever is honoured.
+        assert!(!ExportOpts::parse(&["flows=30".to_string()], &[]).expect("no flags").any());
+    }
+
     #[test]
     fn spans_doc_folds_lines_and_embeds_monitors() {
         use dcp_telemetry::RetxCause;
-        let evs = [
+        let text = [
             ProbeEvent::Tx { node: 0, flow: 1, psn: 0, bytes: 1064 }.to_jsonl(100),
             ProbeEvent::Retx { node: 0, flow: 1, psn: 0, bytes: 1064, cause: RetxCause::Ho }
                 .to_jsonl(900),
             "garbage line".to_string(),
-        ];
-        let doc = spans_doc(evs.iter().map(String::as_str));
+        ]
+        .join("\n");
+        let doc = spans_doc(ProbeEvent::read_jsonl(&text).flatten());
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some("dcp-trace/v1"));
         let packets = doc.get("packets").and_then(Json::as_arr).unwrap();
         assert_eq!(packets.len(), 1);
@@ -357,13 +395,43 @@ mod tests {
             );
         }
         let trace = opts.take_trace(&mut sim);
-        assert_eq!((trace.lines.len(), trace.dropped), (3, 2));
+        assert_eq!((trace.log.len(), trace.dropped), (3, 2));
         let doc = trace.spans_doc();
         assert_eq!(doc.get("packets").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
         assert_eq!(doc.get("truncated").and_then(Json::as_u64), Some(2));
-        // An uncapped capture of the same lines still reads 0.
+        // An uncapped capture of the same events still reads 0.
         let whole = Trace { dropped: 0, ..trace };
         assert_eq!(whole.spans_doc().get("truncated").and_then(Json::as_u64), Some(0));
+    }
+
+    /// The in-process document (`--spans-out`, folded from the live log)
+    /// and the offline one (`dcp_trace --spans`, folded from the written
+    /// lines read back) are the same bytes.
+    #[test]
+    fn live_spans_doc_equals_the_reread_trace() {
+        use dcp_telemetry::{QueueClass, RetxCause};
+        let mut log = EventLog::default();
+        let q = QueueClass::Data;
+        log.record(100, &ProbeEvent::Tx { node: 0, flow: 1, psn: 0, bytes: 1064 });
+        log.record(
+            200,
+            &ProbeEvent::Enqueue { node: 9, port: 2, queue: q, flow: 1, psn: 0, bytes: 1064 },
+        );
+        log.record(210, &ProbeEvent::Trim { node: 9, port: 2, flow: 1, psn: 0 });
+        log.record(400, &ProbeEvent::HoReceived { node: 0, flow: 1 });
+        log.record(
+            450,
+            &ProbeEvent::Retx { node: 0, flow: 1, psn: 0, bytes: 1064, cause: RetxCause::Ho },
+        );
+        // Past the packed lanes: travels through the escape side table.
+        log.record(
+            1 << 41,
+            &ProbeEvent::Delivery { node: 1, flow: 1, wr_id: 1 << 30, bytes: 1 << 24 },
+        );
+        let trace = Trace { log, dropped: 0 };
+        let written: String = trace.log.iter().map(|(at, ev)| ev.to_jsonl(at) + "\n").collect();
+        let reread = spans_doc(ProbeEvent::read_jsonl(&written).map(|ev| ev.expect("own line")));
+        assert_eq!(trace.spans_doc().render_pretty(), reread.render_pretty());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Three consumers sit on top:
 //!
-//! * [`SpanBuilder`] — a [`dcp_telemetry::Probe`] (or an offline JSONL
-//!   reader) producing a deterministic span document plus latency
-//!   breakdowns (time-in-queue vs time-in-recovery).
+//! * [`SpanBuilder`] — a [`dcp_telemetry::Probe`], fed live or replayed
+//!   from a capture, producing a deterministic span document plus latency
+//!   breakdowns (time-in-queue vs time-in-recovery). Its buffer is a
+//!   [`dcp_telemetry::EventLog`]; this crate owns no capture format.
 //! * [`perfetto::chrome_trace`] — renders a captured event stream as
 //!   Chrome-trace/Perfetto JSON: one track per node, queue-residency
 //!   slices, instant markers for trims/drops/retransmissions, and flow

@@ -52,21 +52,26 @@ pub fn chrome_trace(events: &[(u64, ProbeEvent)], flow_filter: Option<u32>) -> J
     let mut pending_arrow: Vec<(u32, u32, u64)> = Vec::new();
     let mut next_arrow_id: u64 = 1;
 
-    let keep = |flow: u32| flow_filter.is_none_or(|f| f == flow);
-
     for &(at, ev) in events {
+        // Kinds with no track of their own name no node either.
+        if matches!(
+            ev,
+            ProbeEvent::Duplicate { .. }
+                | ProbeEvent::MsgPosted { .. }
+                | ProbeEvent::Fault { .. }
+                | ProbeEvent::FaultCleared { .. }
+        ) {
+            continue;
+        }
+        nodes.insert(ev.node());
+        if ev.flow().is_some_and(|flow| flow_filter.is_some_and(|keep| keep != flow)) {
+            continue;
+        }
         match ev {
             ProbeEvent::Enqueue { node, port, flow, psn, .. } => {
-                nodes.insert(node);
-                if keep(flow) {
-                    open.push((node, port, flow, psn, at));
-                }
+                open.push((node, port, flow, psn, at));
             }
             ProbeEvent::Dequeue { node, port, queue, flow, psn, .. } => {
-                nodes.insert(node);
-                if !keep(flow) {
-                    continue;
-                }
                 if let Some(i) = open
                     .iter()
                     .rposition(|&(n, p, f, s, _)| (n, p, f, s) == (node, port, flow, psn))
@@ -79,53 +84,37 @@ pub fn chrome_trace(events: &[(u64, ProbeEvent)], flow_filter: Option<u32>) -> J
                 }
             }
             ProbeEvent::Trim { node, port, flow, psn } => {
-                nodes.insert(node);
-                if keep(flow) {
-                    out.push(instant(format!("TRIM f{flow} psn {psn}"), node, port, at));
-                    pending_arrow.push((flow, psn, next_arrow_id));
-                    out.push(
-                        base(format!("recover f{flow}/{psn}"), "s", node, port, at)
-                            .set("id", next_arrow_id)
-                            .set("cat", "recovery"),
-                    );
-                    next_arrow_id += 1;
-                }
+                out.push(instant(format!("TRIM f{flow} psn {psn}"), node, port, at));
+                pending_arrow.push((flow, psn, next_arrow_id));
+                out.push(
+                    base(format!("recover f{flow}/{psn}"), "s", node, port, at)
+                        .set("id", next_arrow_id)
+                        .set("cat", "recovery"),
+                );
+                next_arrow_id += 1;
             }
             ProbeEvent::Drop { node, port, flow, psn, class } => {
-                nodes.insert(node);
-                if keep(flow) {
-                    out.push(instant(
-                        format!("DROP({}) f{flow} psn {psn}", class.name()),
-                        node,
-                        port,
-                        at,
-                    ));
-                    pending_arrow.push((flow, psn, next_arrow_id));
-                    out.push(
-                        base(format!("recover f{flow}/{psn}"), "s", node, port, at)
-                            .set("id", next_arrow_id)
-                            .set("cat", "recovery"),
-                    );
-                    next_arrow_id += 1;
-                }
+                out.push(instant(
+                    format!("DROP({}) f{flow} psn {psn}", class.name()),
+                    node,
+                    port,
+                    at,
+                ));
+                pending_arrow.push((flow, psn, next_arrow_id));
+                out.push(
+                    base(format!("recover f{flow}/{psn}"), "s", node, port, at)
+                        .set("id", next_arrow_id)
+                        .set("cat", "recovery"),
+                );
+                next_arrow_id += 1;
             }
             ProbeEvent::EcnMark { node, port, flow, psn } => {
-                nodes.insert(node);
-                if keep(flow) {
-                    out.push(instant(format!("ECN f{flow} psn {psn}"), node, port, at));
-                }
+                out.push(instant(format!("ECN f{flow} psn {psn}"), node, port, at));
             }
             ProbeEvent::Tx { node, flow, psn, .. } => {
-                nodes.insert(node);
-                if keep(flow) {
-                    out.push(instant(format!("TX psn {psn}"), node, flow, at));
-                }
+                out.push(instant(format!("TX psn {psn}"), node, flow, at));
             }
             ProbeEvent::Retx { node, flow, psn, cause, .. } => {
-                nodes.insert(node);
-                if !keep(flow) {
-                    continue;
-                }
                 out.push(instant(format!("RETX({}) psn {psn}", cause.name()), node, flow, at));
                 if let Some(i) = pending_arrow.iter().position(|&(f, s, _)| (f, s) == (flow, psn)) {
                     let (.., id) = pending_arrow.remove(i);
@@ -138,29 +127,18 @@ pub fn chrome_trace(events: &[(u64, ProbeEvent)], flow_filter: Option<u32>) -> J
                 }
             }
             ProbeEvent::Timeout { node, flow } => {
-                nodes.insert(node);
-                if keep(flow) {
-                    out.push(instant("RTO".to_string(), node, flow, at));
-                }
+                out.push(instant("RTO".to_string(), node, flow, at));
             }
             ProbeEvent::HoReceived { node, flow } => {
-                nodes.insert(node);
-                if keep(flow) {
-                    out.push(instant("HO notify".to_string(), node, flow, at));
-                }
+                out.push(instant("HO notify".to_string(), node, flow, at));
             }
             ProbeEvent::Delivery { node, flow, wr_id, bytes } => {
-                nodes.insert(node);
-                if keep(flow) {
-                    out.push(instant(format!("DELIVER wr {wr_id} ({bytes} B)"), node, flow, at));
-                }
+                out.push(instant(format!("DELIVER wr {wr_id} ({bytes} B)"), node, flow, at));
             }
             ProbeEvent::PfcPause { node, port } => {
-                nodes.insert(node);
                 out.push(instant("PFC PAUSE".to_string(), node, port, at));
             }
             ProbeEvent::PfcResume { node, port } => {
-                nodes.insert(node);
                 out.push(instant("PFC RESUME".to_string(), node, port, at));
             }
             _ => {}

@@ -12,7 +12,7 @@
 //! time-ordered stream before any probe sees them.
 
 use dcp_telemetry::{
-    DropClass, EventKind, FaultKind, Json, KindMask, LogHistogram, Probe, ProbeEvent, QueueClass,
+    DropClass, EventKind, EventLog, Json, KindMask, LogHistogram, Probe, ProbeEvent, QueueClass,
     RetxCause,
 };
 use std::collections::BTreeMap;
@@ -83,170 +83,18 @@ impl MessageSpan {
     }
 }
 
-/// Capture-buffer chunk size: 4 Ki records = 64 KB per chunk. Chunking
-/// means a long run grows by appending chunks instead of doubling one
-/// giant `Vec` (growth never re-copies captured events), and 64 KB stays
-/// under glibc's mmap threshold so freed chunks return to the arena and
-/// later captures reuse already-faulted pages instead of paying fresh
-/// page faults.
-const CHUNK: usize = 1 << 12;
-
-/// Packed capture record: two words instead of the 40-byte
-/// `(u64, ProbeEvent)` tuple, which cuts the hot-path store traffic (and
-/// the page faults behind it) by more than half — measured ~19 ns → ~8 ns
-/// per recorded event.
+/// Builds spans from a probe stream — live (installed as a probe, alone
+/// or inside a `Fanout`) or replayed from a capture; both record the same
+/// events and produce the same document.
 ///
-/// Word 0: `tag(5) | node(19) | at(40)` where `tag` is `EventKind + 1`
-/// (0 marks an escape record). Word 1 is per-kind bit-packed fields; see
-/// [`pack`]. Events whose fields overflow a lane (sim time ≥ 2^40 ns,
-/// node ≥ 2^19, flow ≥ 2^18, psn ≥ 2^24, packet bytes ≥ 2^12, …) escape
-/// verbatim to a side buffer, with word 1 holding the side index — rare
-/// by construction, free to store.
-type Packed = (u64, u64);
-
-const TAG_BITS: u64 = 5;
-const NODE_SHIFT: u64 = TAG_BITS;
-const AT_SHIFT: u64 = 24;
-
-/// Bit-packs one event, or `None` when a field overflows its lane.
-#[inline]
-fn pack(at: u64, ev: &ProbeEvent) -> Option<Packed> {
-    use ProbeEvent as E;
-    let node = match *ev {
-        E::Enqueue { node, .. }
-        | E::Dequeue { node, .. }
-        | E::Trim { node, .. }
-        | E::Drop { node, .. }
-        | E::EcnMark { node, .. }
-        | E::PfcPause { node, .. }
-        | E::PfcResume { node, .. }
-        | E::Tx { node, .. }
-        | E::Retx { node, .. }
-        | E::Timeout { node, .. }
-        | E::HoReceived { node, .. }
-        | E::Duplicate { node, .. }
-        | E::MsgPosted { node, .. }
-        | E::Delivery { node, .. }
-        | E::Fault { node, .. }
-        | E::FaultCleared { node, .. } => node,
-    };
-    if at >= 1 << 40 || node >= 1 << 19 {
-        return None;
-    }
-    // flow/psn/bytes/port lanes shared by the packet-level kinds.
-    let fppb = |flow: u32, psn: u32, port: u32, bytes: u32| -> Option<u64> {
-        (flow < 1 << 18 && psn < 1 << 24 && port < 1 << 8 && bytes < 1 << 12).then(|| {
-            u64::from(flow) | u64::from(psn) << 18 | u64::from(bytes) << 42 | u64::from(port) << 54
-        })
-    };
-    let w1 = match *ev {
-        E::Enqueue { port, queue, flow, psn, bytes, .. }
-        | E::Dequeue { port, queue, flow, psn, bytes, .. } => {
-            fppb(flow, psn, port, bytes)? | (queue as u64) << 62
-        }
-        E::Trim { port, flow, psn, .. } | E::EcnMark { port, flow, psn, .. } => {
-            fppb(flow, psn, port, 0)?
-        }
-        E::Drop { port, flow, psn, class, .. } => fppb(flow, psn, port, 0)? | (class as u64) << 42,
-        E::Tx { flow, psn, bytes, .. } => fppb(flow, psn, 0, bytes)?,
-        E::Retx { flow, psn, bytes, cause, .. } => {
-            fppb(flow, psn, 0, bytes)? | (cause as u64) << 54
-        }
-        E::Timeout { flow, .. } | E::HoReceived { flow, .. } | E::Duplicate { flow, .. } => {
-            (flow < 1 << 18).then_some(u64::from(flow))?
-        }
-        E::MsgPosted { flow, wr_id, bytes, .. } | E::Delivery { flow, wr_id, bytes, .. } => {
-            (flow < 1 << 18 && wr_id < 1 << 22 && bytes < 1 << 24)
-                .then(|| u64::from(flow) | wr_id << 18 | bytes << 40)?
-        }
-        E::PfcPause { port, .. } | E::PfcResume { port, .. } => u64::from(port),
-        E::Fault { port, kind, .. } | E::FaultCleared { port, kind, .. } => {
-            u64::from(port) | (kind as u64) << 32
-        }
-    };
-    let tag = ev.kind() as u64 + 1;
-    Some((tag | u64::from(node) << NODE_SHIFT | at << AT_SHIFT, w1))
-}
-
-/// Inverse of [`pack`] for non-escape records.
-fn unpack(w0: u64, w1: u64) -> (u64, ProbeEvent) {
-    use ProbeEvent as E;
-    let at = w0 >> AT_SHIFT;
-    let node = (w0 >> NODE_SHIFT) as u32 & ((1 << 19) - 1);
-    let flow = w1 as u32 & ((1 << 18) - 1);
-    let psn = (w1 >> 18) as u32 & ((1 << 24) - 1);
-    let bytes = (w1 >> 42) as u32 & ((1 << 12) - 1);
-    let port = (w1 >> 54) as u32 & 0xFF;
-    let pfc_port = w1 as u32;
-    let queue = match w1 >> 62 {
-        0 => QueueClass::Data,
-        _ => QueueClass::Ctrl,
-    };
-    let drop_class = match (w1 >> 42) & 0x7 {
-        0 => DropClass::Data,
-        1 => DropClass::HeaderOnly,
-        2 => DropClass::Ack,
-        3 => DropClass::Buffer,
-        _ => DropClass::Fault,
-    };
-    let cause = match (w1 >> 54) & 0x7 {
-        0 => RetxCause::Unknown,
-        1 => RetxCause::Ho,
-        2 => RetxCause::Nack,
-        3 => RetxCause::Sack,
-        4 => RetxCause::Rack,
-        5 => RetxCause::DupAck,
-        6 => RetxCause::Tlp,
-        _ => RetxCause::Timeout,
-    };
-    let fault_kind = match (w1 >> 32) & 0x7 {
-        0 => FaultKind::Link,
-        1 => FaultKind::Degrade,
-        2 => FaultKind::Switch,
-        3 => FaultKind::LossModel,
-        _ => FaultKind::PauseStorm,
-    };
-    let (wr_id, msg_bytes) = ((w1 >> 18) & ((1 << 22) - 1), w1 >> 40);
-    let ev = match EventKind::ALL[(w0 & ((1 << TAG_BITS) - 1)) as usize - 1] {
-        EventKind::Enqueue => E::Enqueue { node, port, queue, flow, psn, bytes },
-        EventKind::Dequeue => E::Dequeue { node, port, queue, flow, psn, bytes },
-        EventKind::Trim => E::Trim { node, port, flow, psn },
-        EventKind::Drop => E::Drop { node, port, flow, psn, class: drop_class },
-        EventKind::EcnMark => E::EcnMark { node, port, flow, psn },
-        EventKind::PfcPause => E::PfcPause { node, port: pfc_port },
-        EventKind::PfcResume => E::PfcResume { node, port: pfc_port },
-        EventKind::Tx => E::Tx { node, flow, psn, bytes },
-        EventKind::Retx => E::Retx { node, flow, psn, bytes, cause },
-        EventKind::Timeout => E::Timeout { node, flow },
-        EventKind::HoReceived => E::HoReceived { node, flow },
-        EventKind::Duplicate => E::Duplicate { node, flow },
-        EventKind::MsgPosted => E::MsgPosted { node, flow, wr_id, bytes: msg_bytes },
-        EventKind::Delivery => E::Delivery { node, flow, wr_id, bytes: msg_bytes },
-        EventKind::Fault => E::Fault { node, port: pfc_port, kind: fault_kind },
-        EventKind::FaultCleared => E::FaultCleared { node, port: pfc_port, kind: fault_kind },
-    };
-    (at, ev)
-}
-
-/// Builds spans from a live probe stream or an offline JSONL trace.
-///
-/// Install as a probe (inside a `Fanout`) for in-process capture, or feed
-/// `--trace-out` lines through [`SpanBuilder::ingest_jsonl`] after the
-/// fact — both paths consume the same event vocabulary and produce the
-/// same document.
-///
-/// Hot-path discipline: [`Probe::record`] only bit-packs the event into a
-/// 16-byte record and appends it to a chunked buffer — cheaper per event
-/// than `EventLog`'s JSONL formatting (the benchmark's
-/// `scope.capture_overhead_pct` is the budget). The buffer folds into the
-/// sorted span maps on first read ([`SpanBuilder::packets`],
-/// [`SpanBuilder::to_json`], ...), off the simulator's critical path.
+/// Hot-path discipline: [`Probe::record`] only appends to an uncapped
+/// [`EventLog`] (the benchmark's `scope.capture_overhead_pct` is the
+/// budget). The log folds into the sorted span maps on first read
+/// ([`SpanBuilder::packets`], [`SpanBuilder::to_json`], ...), off the
+/// simulator's critical path.
 pub struct SpanBuilder {
     /// Raw capture, folded lazily — the only thing `record` touches.
-    /// Chunked so growth is O(1) amortized with no large re-allocations.
-    buf: Vec<Vec<Packed>>,
-    /// Verbatim storage for events [`pack`] rejected (escape records).
-    side: Vec<(u64, ProbeEvent)>,
+    log: EventLog,
     packets: BTreeMap<(u32, u32), PacketSpan>,
     messages: BTreeMap<(u32, u64), MessageSpan>,
     /// Per-flow (timeouts, header-only notifications) counters.
@@ -266,8 +114,7 @@ impl Default for SpanBuilder {
 impl SpanBuilder {
     pub fn new() -> Self {
         SpanBuilder {
-            buf: Vec::new(),
-            side: Vec::new(),
+            log: EventLog::new(usize::MAX),
             packets: BTreeMap::new(),
             messages: BTreeMap::new(),
             flows: BTreeMap::new(),
@@ -292,42 +139,11 @@ impl SpanBuilder {
         Some(self.packets.entry(key).or_default())
     }
 
-    /// Parses `--trace-out` JSONL text and records every recognized event.
-    /// Unknown or malformed lines are skipped (a trace may interleave
-    /// other JSONL streams); returns how many events were consumed.
-    pub fn ingest_jsonl(&mut self, text: &str) -> usize {
-        let mut n = 0;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some((at, ev)) = Json::parse(line).ok().as_ref().and_then(ProbeEvent::from_json)
-            {
-                self.apply(at, &ev);
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Drains the raw capture buffer into the span maps (idempotent; a
-    /// no-op when nothing was recorded since the last fold).
+    /// Drains the raw capture into the span maps (idempotent; a no-op
+    /// when nothing was recorded since the last fold).
     fn fold(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let buf = std::mem::take(&mut self.buf);
-        let side = std::mem::take(&mut self.side);
-        for chunk in &buf {
-            for &(w0, w1) in chunk {
-                let (at, ev) = if w0 & ((1 << TAG_BITS) - 1) == 0 {
-                    side[w1 as usize]
-                } else {
-                    unpack(w0, w1)
-                };
-                self.apply(at, &ev);
-            }
+        for (at, ev) in self.log.take_log().iter() {
+            self.apply(at, &ev);
         }
     }
 
@@ -503,11 +319,8 @@ impl SpanBuilder {
             .set("message_latency", hist(&msg_latency))
             .set("per_hop", Json::Arr(per_hop))
     }
-}
 
-impl SpanBuilder {
-    /// Folds one event into the span maps — the offline/ingest path.
-    /// Live capture goes through [`Probe::record`], which only buffers.
+    /// Folds one event into the span maps.
     fn apply(&mut self, at: u64, ev: &ProbeEvent) {
         match *ev {
             ProbeEvent::Tx { flow, psn, .. } => {
@@ -581,21 +394,7 @@ impl SpanBuilder {
 impl Probe for SpanBuilder {
     #[inline]
     fn record(&mut self, at: u64, ev: &ProbeEvent) {
-        let rec = match pack(at, ev) {
-            Some(rec) => rec,
-            None => {
-                self.side.push((at, *ev));
-                (0, (self.side.len() - 1) as u64)
-            }
-        };
-        match self.buf.last_mut() {
-            Some(c) if c.len() < CHUNK => c.push(rec),
-            _ => {
-                let mut c = Vec::with_capacity(CHUNK);
-                c.push(rec);
-                self.buf.push(c);
-            }
-        }
+        self.log.record(at, ev);
     }
 
     fn interest(&self) -> KindMask {
@@ -620,7 +419,7 @@ impl Probe for SpanBuilder {
             self.packets.len(),
             self.messages.len(),
             self.truncated,
-            self.buf.iter().map(Vec::len).sum::<usize>()
+            self.log.len()
         ))
     }
 }
@@ -629,64 +428,10 @@ impl Probe for SpanBuilder {
 mod tests {
     use super::*;
 
+    /// An event whose fields overflow the packed lanes reaches the fold
+    /// intact: a delivery with a 16 MB payload lands in its message span.
     #[test]
-    fn packed_records_roundtrip_every_variant() {
-        let q = QueueClass::Ctrl;
-        let evs: Vec<ProbeEvent> = vec![
-            ProbeEvent::Enqueue { node: 3, port: 200, queue: q, flow: 9, psn: 77, bytes: 4000 },
-            ProbeEvent::Dequeue {
-                node: 3,
-                port: 0,
-                queue: QueueClass::Data,
-                flow: 9,
-                psn: 77,
-                bytes: 64,
-            },
-            ProbeEvent::Trim { node: 1, port: 255, flow: (1 << 18) - 1, psn: (1 << 24) - 1 },
-            ProbeEvent::Drop { node: 2, port: 7, flow: 1, psn: 2, class: DropClass::Buffer },
-            ProbeEvent::EcnMark { node: 4, port: 1, flow: 5, psn: 6 },
-            ProbeEvent::PfcPause { node: 5, port: u32::MAX },
-            ProbeEvent::PfcResume { node: 5, port: 0 },
-            ProbeEvent::Tx { node: 6, flow: 7, psn: 8, bytes: 1064 },
-            ProbeEvent::Retx { node: 6, flow: 7, psn: 8, bytes: 64, cause: RetxCause::Timeout },
-            ProbeEvent::Timeout { node: 7, flow: 11 },
-            ProbeEvent::HoReceived { node: 8, flow: 12 },
-            ProbeEvent::Duplicate { node: 9, flow: 13 },
-            ProbeEvent::MsgPosted {
-                node: 10,
-                flow: 14,
-                wr_id: (1 << 22) - 1,
-                bytes: (1 << 24) - 1,
-            },
-            ProbeEvent::Delivery { node: 10, flow: 14, wr_id: 0, bytes: 0 },
-            ProbeEvent::Fault { node: 11, port: 3, kind: FaultKind::PauseStorm },
-            ProbeEvent::FaultCleared { node: 11, port: 3, kind: FaultKind::Link },
-        ];
-        for (i, ev) in evs.iter().enumerate() {
-            let at = (1 << 40) - 1 - i as u64;
-            let (w0, w1) = pack(at, ev).unwrap_or_else(|| panic!("{ev:?} must pack"));
-            assert_ne!(w0 & ((1 << TAG_BITS) - 1), 0, "{ev:?} must not look like an escape");
-            assert_eq!(unpack(w0, w1), (at, *ev), "{ev:?}");
-        }
-    }
-
-    #[test]
-    fn out_of_range_fields_escape_instead_of_truncating() {
-        let huge: Vec<(u64, ProbeEvent)> = vec![
-            (1 << 40, ProbeEvent::Timeout { node: 0, flow: 0 }),
-            (0, ProbeEvent::Timeout { node: 1 << 19, flow: 0 }),
-            (0, ProbeEvent::Timeout { node: 0, flow: 1 << 18 }),
-            (0, ProbeEvent::Tx { node: 0, flow: 0, psn: 1 << 24, bytes: 0 }),
-            (0, ProbeEvent::Tx { node: 0, flow: 0, psn: 0, bytes: 1 << 12 }),
-            (0, ProbeEvent::Trim { node: 0, port: 256, flow: 0, psn: 0 }),
-            (0, ProbeEvent::MsgPosted { node: 0, flow: 0, wr_id: 1 << 22, bytes: 0 }),
-            (0, ProbeEvent::Delivery { node: 0, flow: 0, wr_id: 0, bytes: 1 << 24 }),
-        ];
-        for (at, ev) in &huge {
-            assert!(pack(*at, ev).is_none(), "{ev:?} at {at} must escape");
-        }
-        // The escape path preserves the event verbatim through a fold: a
-        // delivery with a 16 MB payload lands in the message span intact.
+    fn escaped_records_fold_intact() {
         let mut b = SpanBuilder::new();
         let wr = (7u32, 1u64 << 30);
         b.record(50, &ProbeEvent::MsgPosted { node: 0, flow: wr.0, wr_id: wr.1, bytes: 1 << 24 });
@@ -697,11 +442,10 @@ mod tests {
         assert_eq!((m.posted, m.delivered), (Some(50), Some(90)));
     }
 
-    fn trimmed_then_recovered() -> SpanBuilder {
-        let mut b = SpanBuilder::new();
-        // PSN 3 of flow 7: sent, queued at switch 10, trimmed, header-only
-        // notification back, precise retransmission, second pass clean.
-        let evs: Vec<(u64, ProbeEvent)> = vec![
+    /// PSN 3 of flow 7: sent, queued at switch 10, trimmed, header-only
+    /// notification back, precise retransmission, second pass clean.
+    fn trim_recovery_events() -> Vec<(u64, ProbeEvent)> {
+        vec![
             (100, ProbeEvent::Tx { node: 0, flow: 7, psn: 3, bytes: 1064 }),
             (
                 200,
@@ -752,8 +496,12 @@ mod tests {
             ),
             (700, ProbeEvent::MsgPosted { node: 0, flow: 7, wr_id: 1, bytes: 1024 }),
             (900, ProbeEvent::Delivery { node: 1, flow: 7, wr_id: 1, bytes: 1024 }),
-        ];
-        for (at, ev) in &evs {
+        ]
+    }
+
+    fn trimmed_then_recovered() -> SpanBuilder {
+        let mut b = SpanBuilder::new();
+        for (at, ev) in &trim_recovery_events() {
             b.record(*at, ev);
         }
         b
@@ -780,66 +528,22 @@ mod tests {
     fn jsonl_ingest_matches_live_recording() {
         let mut live = trimmed_then_recovered();
         // Re-render the same events as JSONL and rebuild offline.
+        let evs = trim_recovery_events();
         let mut lines = String::new();
-        let evs: Vec<(u64, ProbeEvent)> = vec![
-            (100, ProbeEvent::Tx { node: 0, flow: 7, psn: 3, bytes: 1064 }),
-            (
-                200,
-                ProbeEvent::Enqueue {
-                    node: 10,
-                    port: 2,
-                    queue: QueueClass::Data,
-                    flow: 7,
-                    psn: 3,
-                    bytes: 1064,
-                },
-            ),
-            (210, ProbeEvent::Trim { node: 10, port: 2, flow: 7, psn: 3 }),
-            (
-                250,
-                ProbeEvent::Dequeue {
-                    node: 10,
-                    port: 2,
-                    queue: QueueClass::Ctrl,
-                    flow: 7,
-                    psn: 3,
-                    bytes: 64,
-                },
-            ),
-            (400, ProbeEvent::HoReceived { node: 0, flow: 7 }),
-            (450, ProbeEvent::Retx { node: 0, flow: 7, psn: 3, bytes: 1064, cause: RetxCause::Ho }),
-            (
-                500,
-                ProbeEvent::Enqueue {
-                    node: 10,
-                    port: 2,
-                    queue: QueueClass::Data,
-                    flow: 7,
-                    psn: 3,
-                    bytes: 1064,
-                },
-            ),
-            (
-                560,
-                ProbeEvent::Dequeue {
-                    node: 10,
-                    port: 2,
-                    queue: QueueClass::Data,
-                    flow: 7,
-                    psn: 3,
-                    bytes: 1064,
-                },
-            ),
-            (700, ProbeEvent::MsgPosted { node: 0, flow: 7, wr_id: 1, bytes: 1024 }),
-            (900, ProbeEvent::Delivery { node: 1, flow: 7, wr_id: 1, bytes: 1024 }),
-        ];
         for (at, ev) in &evs {
             lines.push_str(&ev.to_jsonl(*at));
             lines.push('\n');
         }
-        lines.push_str("not json\n{\"other\": \"stream\"}\n");
+        lines.push_str("not json\n\n{\"other\": \"stream\"}\n");
         let mut offline = SpanBuilder::new();
-        assert_eq!(offline.ingest_jsonl(&lines), evs.len());
+        let mut unrecognized = 0;
+        for item in ProbeEvent::read_jsonl(&lines) {
+            match item {
+                Some((at, ev)) => offline.record(at, &ev),
+                None => unrecognized += 1,
+            }
+        }
+        assert_eq!(unrecognized, 2, "foreign lines are reported, blank ones are not");
         assert_eq!(offline.to_json().render(), live.to_json().render());
     }
 

@@ -14,7 +14,10 @@
 //!   tests).
 //! * [`recorder`] — a bounded [`FlightRecorder`] ring buffer of recent
 //!   events, dumped automatically when a run fails to quiesce or a counter
-//!   invariant trips: silent hangs become actionable traces.
+//!   invariant trips: silent hangs become actionable traces; and
+//!   [`EventLog`], the one in-memory capture — 16-byte packed records.
+//!   JSONL ([`ProbeEvent::to_jsonl`] / [`ProbeEvent::read_jsonl`]) is only
+//!   how a capture is written to a file and read back.
 //! * [`hist`] — log-linear HDR-style [`LogHistogram`]s for FCT/latency/
 //!   queue-depth percentiles (p50/p99/p999) without full sorts.
 //! * [`json`] — a tiny dependency-free JSON value type with a renderer, a

@@ -7,6 +7,8 @@
 //! `ctx.emit(|| ProbeEvent::...)` — so with no probe installed the only cost
 //! is one branch on an `Option` discriminant.
 
+use crate::recorder::EventLog;
+
 /// Which egress queue a packet joined or left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueClass {
@@ -359,60 +361,95 @@ impl ProbeEvent {
         }
     }
 
+    /// The node (host or switch) the event happened at.
+    pub fn node(&self) -> u32 {
+        match *self {
+            ProbeEvent::Enqueue { node, .. }
+            | ProbeEvent::Dequeue { node, .. }
+            | ProbeEvent::Trim { node, .. }
+            | ProbeEvent::Drop { node, .. }
+            | ProbeEvent::EcnMark { node, .. }
+            | ProbeEvent::PfcPause { node, .. }
+            | ProbeEvent::PfcResume { node, .. }
+            | ProbeEvent::Tx { node, .. }
+            | ProbeEvent::Retx { node, .. }
+            | ProbeEvent::Timeout { node, .. }
+            | ProbeEvent::HoReceived { node, .. }
+            | ProbeEvent::Duplicate { node, .. }
+            | ProbeEvent::MsgPosted { node, .. }
+            | ProbeEvent::Delivery { node, .. }
+            | ProbeEvent::Fault { node, .. }
+            | ProbeEvent::FaultCleared { node, .. } => node,
+        }
+    }
+
+    /// The flow the event belongs to, if it carries one (PFC and fault
+    /// events are fabric-level).
+    pub fn flow(&self) -> Option<u32> {
+        match *self {
+            ProbeEvent::Enqueue { flow, .. }
+            | ProbeEvent::Dequeue { flow, .. }
+            | ProbeEvent::Trim { flow, .. }
+            | ProbeEvent::Drop { flow, .. }
+            | ProbeEvent::EcnMark { flow, .. }
+            | ProbeEvent::Tx { flow, .. }
+            | ProbeEvent::Retx { flow, .. }
+            | ProbeEvent::Timeout { flow, .. }
+            | ProbeEvent::HoReceived { flow, .. }
+            | ProbeEvent::Duplicate { flow, .. }
+            | ProbeEvent::MsgPosted { flow, .. }
+            | ProbeEvent::Delivery { flow, .. } => Some(flow),
+            ProbeEvent::PfcPause { .. }
+            | ProbeEvent::PfcResume { .. }
+            | ProbeEvent::Fault { .. }
+            | ProbeEvent::FaultCleared { .. } => None,
+        }
+    }
+
     /// One stable JSONL line (no trailing newline) for `--trace-out`.
     /// Key order is fixed so traces diff cleanly between runs.
     pub fn to_jsonl(&self, at: u64) -> String {
-        let head = |n: u32| format!("{{\"at\":{at},\"ev\":\"{}\",\"node\":{n}", self.kind().name());
+        let (ev, node) = (self.kind().name(), self.node());
+        let head = format!("{{\"at\":{at},\"ev\":\"{ev}\",\"node\":{node}");
         match *self {
-            ProbeEvent::Enqueue { node, port, queue, flow, psn, bytes }
-            | ProbeEvent::Dequeue { node, port, queue, flow, psn, bytes } => format!(
-                "{},\"port\":{port},\"queue\":\"{}\",\"flow\":{flow},\"psn\":{psn},\"bytes\":{bytes}}}",
-                head(node),
+            ProbeEvent::Enqueue { port, queue, flow, psn, bytes, .. }
+            | ProbeEvent::Dequeue { port, queue, flow, psn, bytes, .. } => format!(
+                "{head},\"port\":{port},\"queue\":\"{}\",\"flow\":{flow},\"psn\":{psn},\"bytes\":{bytes}}}",
                 queue.name()
             ),
-            ProbeEvent::Trim { node, port, flow, psn } => {
-                format!("{},\"port\":{port},\"flow\":{flow},\"psn\":{psn}}}", head(node))
+            ProbeEvent::Trim { port, flow, psn, .. } | ProbeEvent::EcnMark { port, flow, psn, .. } => {
+                format!("{head},\"port\":{port},\"flow\":{flow},\"psn\":{psn}}}")
             }
-            ProbeEvent::Drop { node, port, flow, psn, class } => format!(
-                "{},\"port\":{port},\"flow\":{flow},\"psn\":{psn},\"class\":\"{}\"}}",
-                head(node),
+            ProbeEvent::Drop { port, flow, psn, class, .. } => format!(
+                "{head},\"port\":{port},\"flow\":{flow},\"psn\":{psn},\"class\":\"{}\"}}",
                 class.name()
             ),
-            ProbeEvent::EcnMark { node, port, flow, psn } => {
-                format!("{},\"port\":{port},\"flow\":{flow},\"psn\":{psn}}}", head(node))
+            ProbeEvent::PfcPause { port, .. } | ProbeEvent::PfcResume { port, .. } => {
+                format!("{head},\"port\":{port}}}")
             }
-            ProbeEvent::PfcPause { node, port } | ProbeEvent::PfcResume { node, port } => {
-                format!("{},\"port\":{port}}}", head(node))
+            ProbeEvent::Tx { flow, psn, bytes, .. } => {
+                format!("{head},\"flow\":{flow},\"psn\":{psn},\"bytes\":{bytes}}}")
             }
-            ProbeEvent::Tx { node, flow, psn, bytes } => {
-                format!("{},\"flow\":{flow},\"psn\":{psn},\"bytes\":{bytes}}}", head(node))
-            }
-            ProbeEvent::Retx { node, flow, psn, bytes, cause } => format!(
-                "{},\"flow\":{flow},\"psn\":{psn},\"bytes\":{bytes},\"cause\":\"{}\"}}",
-                head(node),
+            ProbeEvent::Retx { flow, psn, bytes, cause, .. } => format!(
+                "{head},\"flow\":{flow},\"psn\":{psn},\"bytes\":{bytes},\"cause\":\"{}\"}}",
                 cause.name()
             ),
-            ProbeEvent::Timeout { node, flow }
-            | ProbeEvent::HoReceived { node, flow }
-            | ProbeEvent::Duplicate { node, flow } => {
-                format!("{},\"flow\":{flow}}}", head(node))
+            ProbeEvent::Timeout { flow, .. }
+            | ProbeEvent::HoReceived { flow, .. }
+            | ProbeEvent::Duplicate { flow, .. } => format!("{head},\"flow\":{flow}}}"),
+            ProbeEvent::MsgPosted { flow, wr_id, bytes, .. }
+            | ProbeEvent::Delivery { flow, wr_id, bytes, .. } => {
+                format!("{head},\"flow\":{flow},\"wr_id\":{wr_id},\"bytes\":{bytes}}}")
             }
-            ProbeEvent::MsgPosted { node, flow, wr_id, bytes }
-            | ProbeEvent::Delivery { node, flow, wr_id, bytes } => format!(
-                "{},\"flow\":{flow},\"wr_id\":{wr_id},\"bytes\":{bytes}}}",
-                head(node)
-            ),
-            ProbeEvent::Fault { node, port, kind }
-            | ProbeEvent::FaultCleared { node, port, kind } => {
-                format!("{},\"port\":{port},\"kind\":\"{}\"}}", head(node), kind.name())
+            ProbeEvent::Fault { port, kind, .. } | ProbeEvent::FaultCleared { port, kind, .. } => {
+                format!("{head},\"port\":{port},\"kind\":\"{}\"}}", kind.name())
             }
         }
     }
 
     /// Inverse of [`ProbeEvent::to_jsonl`]: rebuilds `(at, event)` from one
-    /// parsed trace line, so offline tools (`dcp_trace`, the span builder's
-    /// file path) consume exactly what `--trace-out` wrote. Returns `None`
-    /// for lines that are not probe events (unknown `ev`, missing fields).
+    /// parsed trace line. Returns `None` for lines that are not probe
+    /// events (unknown `ev`, missing fields).
     pub fn from_json(v: &crate::json::Json) -> Option<(u64, ProbeEvent)> {
         use crate::json::Json;
         let at = v.get("at").and_then(Json::as_u64)?;
@@ -479,6 +516,15 @@ impl ProbeEvent {
         };
         Some((at, ev))
     }
+
+    /// Reads `--trace-out` text back — the one place JSONL is parsed. One
+    /// item per non-blank line: the event, or `None` for a line that is
+    /// not one (a trace may interleave other JSONL streams).
+    pub fn read_jsonl(text: &str) -> impl Iterator<Item = Option<(u64, ProbeEvent)>> + '_ {
+        text.lines().map(str::trim).filter(|line| !line.is_empty()).map(|line| {
+            crate::json::Json::parse(line).ok().as_ref().and_then(ProbeEvent::from_json)
+        })
+    }
 }
 
 /// A consumer of probe events. Implementations must be passive observers:
@@ -506,10 +552,17 @@ pub trait Probe: Send {
         None
     }
 
-    /// Lines already rendered for `--trace-out` style JSONL export, if the
-    /// probe collects them.
+    /// The capture rendered as `--trace-out` JSONL lines, if the probe
+    /// holds one.
     fn drain_jsonl(&mut self) -> Vec<String> {
         Vec::new()
+    }
+
+    /// The capture itself, typed: how the packed [`EventLog`] leaves a
+    /// type-erased `Box<dyn Probe>` without a string or a lock per record.
+    /// Probes that hold no capture hand back an empty log.
+    fn take_log(&mut self) -> EventLog {
+        EventLog::default()
     }
 
     /// Events offered to this probe that it discarded (a capped log), so
@@ -614,6 +667,15 @@ impl Probe for Fanout {
             out.extend(p.drain_jsonl());
         }
         out
+    }
+
+    /// The first child's capture that holds anything.
+    fn take_log(&mut self) -> EventLog {
+        self.entries
+            .iter_mut()
+            .map(|(_, p)| p.take_log())
+            .find(|log| !log.is_empty())
+            .unwrap_or_default()
     }
 
     fn dropped(&self) -> u64 {

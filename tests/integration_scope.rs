@@ -90,13 +90,27 @@ fn run_reference(
     (h, lines)
 }
 
-/// Span document for one engine configuration of the reference scenario.
+/// Span document for one engine configuration of the reference scenario,
+/// rebuilt offline from the run's JSONL lines.
 fn span_doc(seed: u64, shards: usize, workers: usize) -> (u64, String) {
     let (digest, lines) = run_reference(seed, Some(Box::new(EventLog::default())), shards, workers);
+    let events = read_events(&lines);
+    assert!(!events.is_empty(), "trace must contain events");
     let mut b = SpanBuilder::new();
-    let joined = lines.join("\n");
-    assert!(b.ingest_jsonl(&joined) > 0, "trace must contain events");
+    for (at, ev) in &events {
+        b.record(*at, ev);
+    }
     (digest, b.to_json().render())
+}
+
+/// Trace lines back as `(at, event)` pairs; every line must be an event.
+fn read_events(lines: &[String]) -> Vec<(u64, ProbeEvent)> {
+    let text = lines.join("\n");
+    lines
+        .iter()
+        .zip(ProbeEvent::read_jsonl(&text))
+        .map(|(line, ev)| ev.unwrap_or_else(|| panic!("unparseable trace line: {line}")))
+        .collect()
 }
 
 #[test]
@@ -135,12 +149,7 @@ fn sharded_trace_lines_are_time_ordered() {
     let (_, lines) = run_reference(7, Some(Box::new(EventLog::default())), 2, 4);
     assert!(!lines.is_empty());
     let mut last = 0u64;
-    for line in &lines {
-        let (at, _) = Json::parse(line)
-            .ok()
-            .as_ref()
-            .and_then(ProbeEvent::from_json)
-            .unwrap_or_else(|| panic!("unparseable trace line: {line}"));
+    for (at, _) in read_events(&lines) {
         assert!(at >= last, "timestamps regressed: {at} after {last}");
         last = at;
     }
@@ -148,13 +157,7 @@ fn sharded_trace_lines_are_time_ordered() {
 
 /// Drains a run's `EventLog` into parsed `(at, event)` pairs.
 fn drain_events(sim: &mut Simulator) -> Vec<(u64, ProbeEvent)> {
-    let lines = sim.probe_mut().expect("probe installed").drain_jsonl();
-    let events: Vec<(u64, ProbeEvent)> = lines
-        .iter()
-        .filter_map(|l| Json::parse(l).ok().as_ref().and_then(ProbeEvent::from_json))
-        .collect();
-    assert_eq!(events.len(), lines.len(), "every trace line must parse");
-    events
+    read_events(&sim.probe_mut().expect("probe installed").drain_jsonl())
 }
 
 #[test]
@@ -279,11 +282,7 @@ fn perfetto_export_is_valid_and_causally_linked() {
         );
     }
     assert!(sim.run_to_quiescence(10 * SEC));
-    let lines = sim.probe_mut().unwrap().drain_jsonl();
-    let events: Vec<(u64, ProbeEvent)> = lines
-        .iter()
-        .filter_map(|l| Json::parse(l).ok().as_ref().and_then(ProbeEvent::from_json))
-        .collect();
+    let events = drain_events(&mut sim);
     assert!(!events.is_empty());
 
     let doc = chrome_trace(&events, None);

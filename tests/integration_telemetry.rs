@@ -1,8 +1,9 @@
 //! Telemetry integration tests: probes must be invisible to the
 //! simulation (same-seed digests identical with telemetry off, on, or
 //! absent), the flight recorder must capture the tail of a wedged run,
-//! and the strict conservation identities must hold at quiescence for
-//! every transport.
+//! the strict conservation identities must hold at quiescence for
+//! every transport, and the packed capture must hand back exactly what
+//! it was given — any variant, any field value, any length.
 
 use dcp_bench::digest::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use dcp_core::dcp_switch_config;
@@ -11,8 +12,13 @@ use dcp_netsim::switch::SwitchConfig;
 use dcp_netsim::time::{MS, SEC, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::qp::WorkReqOp;
-use dcp_telemetry::{EventLog, FlightRecorder, NullProbe, Probe};
+use dcp_telemetry::recorder::CHUNK;
+use dcp_telemetry::{
+    DropClass, EventKind, EventLog, Fanout, FaultKind, FlightRecorder, NullProbe, Probe,
+    ProbeEvent, QueueClass, RetxCause,
+};
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
+use proptest::prelude::*;
 
 /// The determinism-suite workload (4-to-1 DCP incast over adaptive
 /// routing: trimming, HO recovery and RNG port choices all active), with
@@ -147,5 +153,121 @@ fn strict_conservation_at_quiescence_for_every_transport() {
         assert!(sim.run_to_quiescence(10 * SEC), "{kind:?} must drain");
         let cons = sim.check_conservation(true);
         assert!(cons.is_ok(), "{kind:?}: {:?}", cons.violations);
+    }
+}
+
+/// A value for a `bits`-wide packed lane: inside it seven times in eight
+/// (the last in-lane value included), otherwise overflowing it — from
+/// exactly `2^bits` up to `max` — so the record escapes to the side table.
+fn lane(bits: u32, max: u64) -> impl Strategy<Value = u64> {
+    let edge = 1u64 << bits;
+    (0u8..16, 0..edge, edge..=max).prop_map(move |(pick, inside, outside)| match pick {
+        0 => outside,
+        1 => edge,
+        2 => edge - 1,
+        _ => inside,
+    })
+}
+
+prop_compose! {
+    /// Any variant with any field values, each field independently in or
+    /// out of its lane.
+    fn any_event()(
+        kind in 0..EventKind::COUNT,
+        at in lane(40, u64::MAX),
+        node in lane(19, u32::MAX.into()),
+        flow in lane(18, u32::MAX.into()),
+        psn in lane(24, u32::MAX.into()),
+        bytes in lane(12, u32::MAX.into()),
+        port in lane(8, u32::MAX.into()),
+        wr_id in lane(22, u64::MAX),
+        msg_bytes in lane(24, u64::MAX),
+        tag in 0usize..8,
+    ) -> (u64, ProbeEvent) {
+        use ProbeEvent as E;
+        let (node, flow, psn, bytes, port) =
+            (node as u32, flow as u32, psn as u32, bytes as u32, port as u32);
+        let queue = [QueueClass::Data, QueueClass::Ctrl][tag % 2];
+        let class = [
+            DropClass::Data,
+            DropClass::HeaderOnly,
+            DropClass::Ack,
+            DropClass::Buffer,
+            DropClass::Fault,
+        ][tag % 5];
+        let cause = [
+            RetxCause::Unknown,
+            RetxCause::Ho,
+            RetxCause::Nack,
+            RetxCause::Sack,
+            RetxCause::Rack,
+            RetxCause::DupAck,
+            RetxCause::Tlp,
+            RetxCause::Timeout,
+        ][tag];
+        let fault = [
+            FaultKind::Link,
+            FaultKind::Degrade,
+            FaultKind::Switch,
+            FaultKind::LossModel,
+            FaultKind::PauseStorm,
+        ][tag % 5];
+        let ev = match EventKind::ALL[kind] {
+            EventKind::Enqueue => E::Enqueue { node, port, queue, flow, psn, bytes },
+            EventKind::Dequeue => E::Dequeue { node, port, queue, flow, psn, bytes },
+            EventKind::Trim => E::Trim { node, port, flow, psn },
+            EventKind::Drop => E::Drop { node, port, flow, psn, class },
+            EventKind::EcnMark => E::EcnMark { node, port, flow, psn },
+            EventKind::PfcPause => E::PfcPause { node, port },
+            EventKind::PfcResume => E::PfcResume { node, port },
+            EventKind::Tx => E::Tx { node, flow, psn, bytes },
+            EventKind::Retx => E::Retx { node, flow, psn, bytes, cause },
+            EventKind::Timeout => E::Timeout { node, flow },
+            EventKind::HoReceived => E::HoReceived { node, flow },
+            EventKind::Duplicate => E::Duplicate { node, flow },
+            EventKind::MsgPosted => E::MsgPosted { node, flow, wr_id, bytes: msg_bytes },
+            EventKind::Delivery => E::Delivery { node, flow, wr_id, bytes: msg_bytes },
+            EventKind::Fault => E::Fault { node, port, kind: fault },
+            EventKind::FaultCleared => E::FaultCleared { node, port, kind: fault },
+        };
+        (at, ev)
+    }
+}
+
+/// Records `events` the way a simulator holds a capture — type-erased,
+/// behind a `Fanout` — and checks the log hands back the same sequence,
+/// typed and rendered.
+fn capture_roundtrips(events: &[(u64, ProbeEvent)]) {
+    let mut probe: Box<dyn Probe> =
+        Box::new(Fanout::new(vec![Box::new(NullProbe), Box::new(EventLog::default())]));
+    for (at, ev) in events {
+        probe.record(*at, ev);
+    }
+    let mut log = probe.take_log();
+    assert_eq!(log.len(), events.len());
+    assert!(log.iter().eq(events.iter().copied()), "iteration must return what was recorded");
+    let rendered: Vec<String> = events.iter().map(|(at, ev)| ev.to_jsonl(*at)).collect();
+    assert_eq!(log.drain_jsonl(), rendered);
+    assert!(log.is_empty() && probe.take_log().is_empty());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn event_log_returns_what_it_recorded(events in proptest::collection::vec(any_event(), 0..300)) {
+        capture_roundtrips(&events);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+    // Past one chunk, with escape records on both sides of the boundary.
+    #[test]
+    fn event_log_roundtrips_across_chunks(
+        events in proptest::collection::vec(any_event(), CHUNK + 1..2 * CHUNK + 2),
+    ) {
+        capture_roundtrips(&events);
     }
 }
