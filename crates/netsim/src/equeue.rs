@@ -18,9 +18,15 @@
 //! * `buckets`: a power-of-two wheel of unsorted `Vec`s covering
 //!   `[cur_start + WIDTH, cur_start + WIDTH * NBUCKETS)`; slot =
 //!   `(at / WIDTH) % NBUCKETS`. Inserts are a push; a bucket is sorted
-//!   wholesale only when the wheel rotates onto it, and the run it replaces
-//!   hands its (drained) storage back to the slot, so steady-state
-//!   rotations allocate nothing.
+//!   wholesale only when the wheel rotates onto it. A slot owns a buffer
+//!   only while it holds entries: the run a rotation replaces goes onto a
+//!   LIFO `spare` list, and the first push into an empty slot takes the
+//!   most recently freed buffer — still in cache — allocating only when the
+//!   list is empty. Buffers in circulation therefore track the peak number
+//!   of simultaneously non-empty buckets (tens), not `NBUCKETS`. Returning
+//!   the drained run to the rotated slot would leave every slot holding a
+//!   buffer sized to the largest bucket it ever saw, cold by the time the
+//!   wheel laps back to it. Steady-state rotations allocate nothing.
 //! * `overflow`: min-heap for everything at or past the wheel horizon.
 //!   Entries migrate onto the wheel as the horizon advances past them.
 //!
@@ -72,7 +78,10 @@ pub struct EventQueue<T> {
     cur_start: Nanos,
     /// All entries with `at < cur_start + width`, earliest first.
     cur: SortedWindow<T>,
+    /// An empty slot owns no buffer (capacity 0).
     buckets: Vec<Vec<Entry<T>>>,
+    /// Empty buffers freed by rotations and re-bucketing, most recent last.
+    spare: Vec<Vec<Entry<T>>>,
     /// Total entries across `buckets`.
     in_buckets: usize,
     overflow: BinaryHeap<Entry<T>>,
@@ -102,6 +111,9 @@ impl<T> EventQueue<T> {
             cur_start: 0,
             cur: SortedWindow::new(),
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
+            // At most one buffer per slot plus the run's ever exists, so
+            // freeing one never grows the list.
+            spare: Vec::with_capacity(NBUCKETS + 1),
             in_buckets: 0,
             overflow: BinaryHeap::new(),
             len: 0,
@@ -153,7 +165,11 @@ impl<T> EventQueue<T> {
         if e.at < self.cur_start + self.width() {
             self.cur.push(e);
         } else if e.at < self.horizon() {
-            self.buckets[(e.at >> self.width_log2) as usize & (NBUCKETS - 1)].push(e);
+            let b = &mut self.buckets[(e.at >> self.width_log2) as usize & (NBUCKETS - 1)];
+            if b.capacity() == 0 {
+                *b = self.spare.pop().unwrap_or_default();
+            }
+            b.push(e);
             self.in_buckets += 1;
         } else {
             self.overflow.push(e);
@@ -179,7 +195,10 @@ impl<T> EventQueue<T> {
         // earlier entries that later inserts put in the buckets in between.
         self.cur.drain_into(&mut all);
         for b in &mut self.buckets {
-            all.append(b);
+            if b.capacity() > 0 {
+                all.append(b);
+                self.spare.push(std::mem::take(b));
+            }
         }
         all.extend(std::mem::take(&mut self.overflow));
         self.in_buckets = 0;
@@ -229,9 +248,12 @@ impl<T> EventQueue<T> {
                 self.in_buckets -= v.len();
                 let rotated = v.len();
                 self.peak_rotated = self.peak_rotated.max(rotated);
-                // Sort in place and hand the drained run's storage back to
-                // the slot so bucket capacity is recycled.
-                self.buckets[idx] = self.cur.load(v);
+                // Sort in place; the drained run's storage becomes the next
+                // spare, and the rotated slot stays empty.
+                let run = self.cur.load(v);
+                if run.capacity() > 0 {
+                    self.spare.push(run);
+                }
                 self.migrate_overflow();
                 self.adapt(rotated);
             } else {
@@ -289,9 +311,20 @@ mod tests {
     use super::*;
 
     impl<T> EventQueue<T> {
-        /// Capacity, in entries, of the current window and every bucket.
+        /// Capacity, in entries, of the current window, every bucket and
+        /// every spare buffer.
         fn storage(&self) -> usize {
-            self.cur.capacity() + self.buckets.iter().map(Vec::capacity).sum::<usize>()
+            let held = |v: &Vec<Vec<Entry<T>>>| v.iter().map(Vec::capacity).sum::<usize>();
+            self.cur.capacity() + held(&self.buckets) + held(&self.spare)
+        }
+
+        /// Bucket buffers in circulation: slots holding capacity plus spares.
+        fn bucket_buffers(&self) -> usize {
+            self.buckets.iter().filter(|b| b.capacity() > 0).count() + self.spare.len()
+        }
+
+        fn nonempty_buckets(&self) -> usize {
+            self.buckets.iter().filter(|b| !b.is_empty()).count()
         }
     }
 
@@ -390,8 +423,8 @@ mod tests {
     /// cost — and the pop order must still exactly match a reference sort.
     /// Every fourth pop also schedules a late insert into the current
     /// window, so the sorted run *and* its side heap are in play; once the
-    /// churn is steady neither they nor the buckets may grow (the run hands
-    /// its buffer back to the slot it drained, the side heap keeps its own).
+    /// churn is steady neither they nor the buckets may grow (drained runs
+    /// return to the spare list, the side heap keeps its own).
     #[test]
     fn dense_churn_adapts_width_and_bounds_rotations() {
         let mut q = EventQueue::new();
@@ -472,6 +505,38 @@ mod tests {
             q.width_log2() > shrunk,
             "sparse phase must grow the width back (still {})",
             q.width_log2()
+        );
+    }
+
+    /// Bucket storage follows occupancy, not the wheel size: a narrow steady
+    /// churn (a few buckets ahead of the cursor ever occupied) lapping the
+    /// wheel several times keeps only about as many buffers as buckets it
+    /// ever had occupied at once, not one per slot it passed over.
+    #[test]
+    fn lapping_churn_keeps_buffers_to_peak_occupancy() {
+        let mut q = EventQueue::new();
+        let mut seq = 0u64;
+        // 16 pending entries each rescheduled ~4 µs out: ~4 entries per
+        // 1024 ns bucket, between the grow and shrink triggers.
+        for i in 0..16u64 {
+            seq += 1;
+            q.insert(i * 256, seq, 0u32);
+        }
+        let horizon = (NBUCKETS as Nanos) << DEFAULT_WIDTH_LOG2;
+        let mut peak_nonempty = q.nonempty_buckets();
+        let mut now = 0;
+        while now < 3 * horizon + 1 {
+            let (at, s, _) = q.pop().unwrap();
+            now = at;
+            seq += 1;
+            q.insert(at + 3_500 + s % 7 * 150, seq, 0);
+            peak_nonempty = peak_nonempty.max(q.nonempty_buckets());
+        }
+        assert_eq!(q.width_log2(), DEFAULT_WIDTH_LOG2, "the churn must not re-adapt the width");
+        assert!(
+            q.bucket_buffers() <= peak_nonempty + 2,
+            "{} bucket buffers for at most {peak_nonempty} occupied buckets",
+            q.bucket_buffers()
         );
     }
 

@@ -25,6 +25,17 @@
 //!   digits cover all 64 bits of a timestamp (the top level uses 4 of its
 //!   64 slots), so no timer is too far out for the wheel.
 //!
+//! Slot storage recycles along the slot cycle, not through a spare list as
+//! the calendar queue's buckets do: a drained level-0 slot takes back the
+//! due window's previous run, and a drained higher-level slot hands its
+//! buffer to the following slot when that one has none (see `advance`).
+//! The calendar queue's LIFO spare list was tried here too and measured
+//! worse on the benchmark's `churn_qp` row (Poisson flow lifetimes, one RTO
+//! re-armed per ACK): peak RSS 41 → 50 MB and 1.4 steady-state allocations
+//! per million events instead of 0. One list shared by every level mixes
+//! buffers grown for slots whose spans differ 64× per level, while the
+//! cycle hands each buffer to the slot that fills next at the same level.
+//!
 //! Ordering contract — identical to the calendar queue's: keys are
 //! `(at, seq)` with `seq` unique and monotone (the owning shard's event
 //! counter, shared with its calendar queue so the two structures merge into

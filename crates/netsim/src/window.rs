@@ -18,9 +18,11 @@
 //! Pop order is a pure function of the keys (unique, `seq` breaks `at`
 //! ties), never of which of the two containers an entry waited in.
 //!
-//! Storage is recycled, not dropped: [`SortedWindow::load`] hands back the
-//! drained run's buffer for the slot it just emptied, and the side heap
-//! keeps its capacity, so a steady-state rotation allocates nothing.
+//! Storage is recycled, not dropped: [`SortedWindow::load`] returns the
+//! drained run's buffer to its caller, which decides where it goes next (the
+//! calendar queue's spare list, the timer wheel's level-0 slot), and the
+//! side heap keeps its capacity, so a steady-state rotation allocates
+//! nothing.
 
 use crate::time::Nanos;
 use std::cmp::Reverse;
@@ -117,8 +119,8 @@ impl<T> SortedWindow<T> {
     }
 
     /// Makes `slot`'s entries the window: sorts them into the run and
-    /// returns the previous run's (empty) buffer for the slot to reuse. The
-    /// window must be empty — a wheel only rotates once it has drained.
+    /// returns the previous run's (empty) buffer for the caller to reuse.
+    /// The window must be empty — a wheel only rotates once it has drained.
     pub(crate) fn load(&mut self, mut slot: Vec<Entry<T>>) -> Vec<Entry<T>> {
         debug_assert!(self.is_empty(), "rotating onto a window that still holds entries");
         slot.sort_unstable_by_key(|e| Reverse(e.key()));

@@ -294,6 +294,15 @@ pub fn run_flows_hooked(
         // lookahead windows when the engine is sharded).
         if next < order.len() {
             let next_start = flows[order[next]].start.min(next_barrier);
+            // Everything strictly before the next arrival, barrier and
+            // deadline runs in one call: no injection, barrier or deadline
+            // check can fire in between, and completions keep their times.
+            // The step below then meets `next_start` on the same clock as
+            // per-event stepping would.
+            let before = next_start.min(deadline).saturating_sub(1);
+            if before > sim.now() {
+                sim.run_until(before);
+            }
             if sim.advance_bounded(next_start).is_none() {
                 // Queue empty or next event beyond the bound: jump.
                 sim.run_until(next_start.min(deadline));

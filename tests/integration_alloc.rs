@@ -86,10 +86,10 @@ fn install_qps(sim: &mut Simulator, topo: &Topology, kind: TransportKind, n: usi
 
 /// Poisson flow arrivals on the 8-host testbed, each flow one 16 KB write
 /// through install → post → complete → remove → recycle, endpoints reused
-/// through FIFO pools after a grace period. Returns the allocator calls and
-/// engine events of the steady window (past every warm-up, up to the last
-/// retirement).
-fn churn(target: u64) -> (u64, u64) {
+/// through FIFO pools after a grace period, on `shards` shards driven by one
+/// worker. Returns the allocator calls and engine events of the steady
+/// window (past every warm-up, up to the last retirement).
+fn churn(target: u64, shards: usize) -> (u64, u64) {
     const MSG: u64 = 16 << 10;
     /// Removal happens this long after both completions — covers any
     /// control packet still on the wire (~3× the testbed RTT).
@@ -111,13 +111,17 @@ fn churn(target: u64) -> (u64, u64) {
     }
 
     let mut sim = Simulator::new(29);
-    // The zero is a connection-plane claim, pinned on the unsharded engine:
-    // under `DCP_SHARDS=2` (one worker) each shard's calendar queue adapts
-    // its bucket width to half the event density and still first-touches
-    // buckets in the steady window — 306 allocations over 8.9 M events, all
-    // in `EventQueue::place`, none in install/post/remove/recycle.
+    // The shard count is the caller's, never `DCP_SHARDS`'. One worker:
+    // with two, every parallel window session spawns its threads, which
+    // allocates (3 848 times over the steady window) — a cost of the
+    // session model, not of the connection plane or the engine's
+    // structures.
     sim.disable_auto_partition();
     let topo = two_switch(&mut sim, 4, 400.0);
+    if shards > 1 {
+        assert!(sim.partition(&topo, shards), "the testbed must split into {shards} shards");
+        sim.set_workers(1);
+    }
     let n_hosts = topo.hosts.len();
     let mut free_ids: VecDeque<u32> = (1..=IDS).collect();
     let mut live: Vec<Option<LiveFlow>> = (0..=IDS).map(|_| None).collect();
@@ -258,7 +262,19 @@ fn churn(target: u64) -> (u64, u64) {
 /// timers reuse wheel slots. Deterministic seed, so the zero is exact.
 #[test]
 fn dcp_flow_churn_allocates_nothing_at_steady_state() {
-    let (allocs, events) = churn(300_000);
+    let (allocs, events) = churn(300_000, 1);
+    assert!(events > 1_000_000, "steady window too short to mean anything: {events} events");
+    assert_eq!(allocs, 0, "{allocs} allocations over {events} steady-state events");
+}
+
+/// The same zero on two shards (one worker): each shard's calendar queue
+/// settles at its own bucket width, and bucket buffers follow occupancy
+/// through the spare list, so no bucket is first-touched in the steady
+/// window (306 allocations, all in `EventQueue::place`, when drained runs
+/// went back to their slots).
+#[test]
+fn dcp_flow_churn_allocates_nothing_at_steady_state_on_two_shards() {
+    let (allocs, events) = churn(300_000, 2);
     assert!(events > 1_000_000, "steady window too short to mean anything: {events} events");
     assert_eq!(allocs, 0, "{allocs} allocations over {events} steady-state events");
 }
