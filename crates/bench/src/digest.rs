@@ -1,5 +1,5 @@
 //! The one FNV-1a (64-bit) behind every pinned digest in this crate's
-//! binaries and tests: fold bytes or little-endian `u64`s into a running
+//! rows and tests: fold bytes or little-endian `u64`s into a running
 //! hash that starts at [`FNV_OFFSET`].
 
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

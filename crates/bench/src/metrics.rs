@@ -1,10 +1,10 @@
 //! Structured metrics and trace export — the `--metrics-out <json>` /
-//! `--trace-out <jsonl>` flags shared by `dcp_sim` and the figure/table
-//! binaries.
+//! `--trace-out <jsonl>` / `--spans-out <json>` flags shared by `dcp_sim`
+//! and the figure/table rows.
 //!
 //! The metrics document is a single JSON object (schema
 //! `schemas/metrics.schema.json`, validated by the `validate_metrics`
-//! binary) with one entry per run/sweep point. Runs are appended in the
+//! row) with one entry per run/sweep point. Runs are appended in the
 //! caller's iteration order, which the sweep executor already fixes to
 //! input (seed) order regardless of `DCP_THREADS` — so the exported file
 //! is byte-identical across thread counts.
@@ -16,27 +16,24 @@
 //! it through `dcp-scope`'s span builder and anomaly monitors into the
 //! `dcp-trace/v1` document (schema `schemas/trace.schema.json`). Tracing
 //! is passive (no RNG draws, no event reordering): a traced run produces
-//! the same simulation as an untraced one.
-//!
-//! A binary names the export flags it honours and refuses the rest
-//! (exit 2) before it runs anything: no flag is accepted and then ignored.
+//! the same simulation as an untraced one. A row lists the export flags
+//! it writes; the dispatcher refuses the rest.
 
+use crate::cli::{Args, Flag};
 use dcp_netsim::stats::{Conservation, NetStats, TransportStats};
 use dcp_netsim::Simulator;
 use dcp_scope::{Monitors, SpanBuilder};
 use dcp_telemetry::{EventLog, Json, Probe, ProbeEvent};
-use dcp_workloads::FctSummary;
+use dcp_workloads::{FctSummary, FlowRecord, IdealFct};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Version tag stamped into every metrics document.
 pub const METRICS_SCHEMA: &str = "dcp-metrics/v1";
 
-/// Export destinations scanned from the command line.
-///
-/// Accepts `--metrics-out PATH`, `--metrics-out=PATH` and the
-/// `metrics_out=PATH` KEY=VALUE spelling (`dcp_sim`'s native argument
-/// style), and the same for `trace-out` and `spans-out`.
+/// Export destinations from a row's command line: `--metrics-out PATH`,
+/// `--metrics-out=PATH` or `metrics_out=PATH`, and the same for
+/// `trace-out` and `spans-out`.
 #[derive(Debug, Clone, Default)]
 pub struct ExportOpts {
     pub metrics_out: Option<PathBuf>,
@@ -44,39 +41,19 @@ pub struct ExportOpts {
     pub spans_out: Option<PathBuf>,
 }
 
-/// The export flags, by name — what a binary passes to
-/// [`ExportOpts::from_env_args`] to say which it honours.
-pub const METRICS_OUT: &str = "metrics-out";
-pub const TRACE_OUT: &str = "trace-out";
-pub const SPANS_OUT: &str = "spans-out";
+/// The export flags, as a row lists them.
+pub const METRICS_OUT: Flag = Flag::Value("metrics-out");
+pub const TRACE_OUT: Flag = Flag::Value("trace-out");
+pub const SPANS_OUT: Flag = Flag::Value("spans-out");
 
 impl ExportOpts {
-    /// Scans `std::env::args()` for the export flags. `honoured` names the
-    /// ones this binary writes; given any other, the process exits 2 with
-    /// one line on stderr instead of running and writing nothing.
-    pub fn from_env_args(honoured: &[&str]) -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&argv, honoured).unwrap_or_else(|flag| {
-            eprintln!("error: this binary does not write --{flag}");
-            std::process::exit(2);
-        })
-    }
-
-    /// The flags in `argv`, or the name of the first one not in `honoured`.
-    fn parse(argv: &[String], honoured: &[&str]) -> Result<Self, &'static str> {
-        let find = |name: &'static str| match find_flag(argv, name) {
-            Some(_) if !honoured.contains(&name) => Err(name),
-            found => Ok(found.map(PathBuf::from)),
-        };
-        Ok(ExportOpts {
-            metrics_out: find(METRICS_OUT)?,
-            trace_out: find(TRACE_OUT)?,
-            spans_out: find(SPANS_OUT)?,
-        })
-    }
-
-    pub fn any(&self) -> bool {
-        self.metrics_out.is_some() || self.trace_out.is_some() || self.spans_out.is_some()
+    pub fn from_args(args: &Args) -> Self {
+        let path = |name| args.get(name).map(PathBuf::from);
+        ExportOpts {
+            metrics_out: path("metrics-out"),
+            trace_out: path("trace-out"),
+            spans_out: path("spans-out"),
+        }
     }
 
     fn capturing(&self) -> bool {
@@ -85,7 +62,7 @@ impl ExportOpts {
 
     /// Installs an [`EventLog`] probe when a trace or span export was
     /// requested. Call before driving the simulation; pair with
-    /// [`ExportOpts::write_trace`] / [`ExportOpts::write_spans`].
+    /// [`ExportOpts::take_trace`] and [`ExportOpts::write_trace`].
     pub fn arm_trace(&self, sim: &mut Simulator) {
         if self.capturing() {
             sim.set_probe(Box::new(EventLog::default()));
@@ -95,7 +72,7 @@ impl ExportOpts {
     /// Takes the armed probe's capture, warning on stderr when the log
     /// filled and dropped events. Call at the end of a run, inside the
     /// (possibly parallel) run closure; write it later from the ordered
-    /// report loop with [`ExportOpts::write_trace_lines`].
+    /// report loop with [`ExportOpts::write_trace`].
     pub fn take_trace(&self, sim: &mut Simulator) -> Trace {
         let Some(p) = sim.probe_mut().filter(|_| self.capturing()) else {
             return Trace::default();
@@ -111,37 +88,29 @@ impl ExportOpts {
         trace
     }
 
-    /// Streams the capture to the trace file, one JSONL line per event.
-    /// `suffix` labels multi-run sweeps (`Some("seed2")` writes
-    /// `PATH.seed2`, mirroring the `csv=` convention; figure binaries use
-    /// scheme labels); pass `None` for single-run binaries.
-    pub fn write_trace_lines(&self, trace: &Trace, suffix: Option<&str>) {
-        let Some(path) = &self.trace_out else { return };
-        let path = suffixed(path, suffix);
-        let mut out = std::io::BufWriter::new(std::fs::File::create(&path).expect("write trace"));
-        for (at, ev) in trace.log.iter() {
-            writeln!(out, "{}", ev.to_jsonl(at)).expect("write trace");
+    /// Writes the capture to whichever of `--trace-out` (one JSONL line per
+    /// event) and `--spans-out` (the capture folded through the span
+    /// builder and the standard monitor set into the `dcp-trace/v1`
+    /// document, `schemas/trace.schema.json`) were given. `suffix` labels
+    /// multi-run sweeps (`Some("seed2")` writes `PATH.seed2`, mirroring the
+    /// `csv=` convention; figure rows use scheme labels); pass `None` for
+    /// single-run rows.
+    pub fn write_trace(&self, trace: &Trace, suffix: Option<&str>) {
+        if let Some(path) = &self.trace_out {
+            let path = suffixed(path, suffix);
+            let mut out =
+                std::io::BufWriter::new(std::fs::File::create(&path).expect("write trace"));
+            for (at, ev) in trace.log.iter() {
+                writeln!(out, "{}", ev.to_jsonl(at)).expect("write trace");
+            }
+            out.flush().expect("write trace");
+            println!("result trace={}", path.display());
         }
-        out.flush().expect("write trace");
-        println!("result trace={}", path.display());
-    }
-
-    /// Folds the capture through the span builder and the standard
-    /// monitor set and writes the `dcp-trace/v1` document
-    /// (`schemas/trace.schema.json`). Same `suffix` convention as
-    /// [`ExportOpts::write_trace_lines`].
-    pub fn write_spans(&self, trace: &Trace, suffix: Option<&str>) {
-        let Some(path) = &self.spans_out else { return };
-        let path = suffixed(path, suffix);
-        std::fs::write(&path, trace.spans_doc().render_pretty()).expect("write spans");
-        println!("result spans={}", path.display());
-    }
-
-    /// Single-run convenience: drain and write in one step.
-    pub fn write_trace(&self, sim: &mut Simulator) {
-        let trace = self.take_trace(sim);
-        self.write_trace_lines(&trace, None);
-        self.write_spans(&trace, None);
+        if let Some(path) = &self.spans_out {
+            let path = suffixed(path, suffix);
+            std::fs::write(&path, trace.spans_doc().render_pretty()).expect("write spans");
+            println!("result spans={}", path.display());
+        }
     }
 
     /// Renders and writes the finished metrics document.
@@ -149,6 +118,23 @@ impl ExportOpts {
         let Some(path) = &self.metrics_out else { return };
         std::fs::write(path, doc.finish().render_pretty()).expect("write metrics");
         println!("result metrics={}", path.display());
+    }
+
+    /// The standard entry for a finished run — the simulator's counters
+    /// and lenient conservation, plus, for a flow run, the FCT summary of
+    /// `flows` (records and ideal) — or `None`, computing nothing, without
+    /// `--metrics-out`.
+    pub fn entry(
+        &self,
+        label: &str,
+        seed: u64,
+        sim: &Simulator,
+        flows: Option<(&[FlowRecord], &IdealFct)>,
+    ) -> Option<Json> {
+        self.metrics_out.as_ref()?;
+        let fct = flows.map(|(records, ideal)| FctSummary::from_records(records, ideal));
+        let (net, ep) = (sim.net_stats(), sim.all_endpoint_stats());
+        Some(run_entry(label, seed, fct.as_ref(), &net, &ep, &sim.check_conservation(false)))
     }
 }
 
@@ -191,28 +177,9 @@ pub fn spans_doc(events: impl Iterator<Item = (u64, ProbeEvent)>) -> Json {
     spans.to_json().set("monitors", monitors.to_json())
 }
 
-/// The value of flag `name` in any of its three spellings: `--name PATH`,
-/// `--name=PATH`, or `dcp_sim`'s KEY=VALUE form with dashes as underscores.
-pub fn find_flag(argv: &[String], name: &str) -> Option<String> {
-    let eq_dashed = format!("--{name}=");
-    let bare = format!("--{name}");
-    let eq_key = format!("{}=", name.replace('-', "_"));
-    for (i, a) in argv.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&eq_dashed) {
-            return Some(v.to_string());
-        }
-        if a == &bare {
-            return argv.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&eq_key) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 /// Builder for the metrics JSON document: top-level identity plus a `runs`
-/// array of per-run entries (see [`run_entry`] for the standard shape).
+/// array of per-run entries (see [`run_entry`] for the standard shape),
+/// added with `extend`.
 pub struct MetricsDoc {
     binary: String,
     config: Json,
@@ -230,10 +197,6 @@ impl MetricsDoc {
         self
     }
 
-    pub fn push_run(&mut self, run: Json) {
-        self.runs.push(run);
-    }
-
     pub fn finish(self) -> Json {
         Json::obj()
             .set("schema", METRICS_SCHEMA)
@@ -243,48 +206,40 @@ impl MetricsDoc {
     }
 }
 
-/// The standard per-run entry: FCT/slowdown percentiles, fabric and
-/// endpoint counters, and the conservation report. `label` distinguishes
-/// sweep points (scheme names, loss rates); `seed` the RNG seed.
+impl Extend<Json> for MetricsDoc {
+    fn extend<I: IntoIterator<Item = Json>>(&mut self, runs: I) {
+        self.runs.extend(runs);
+    }
+}
+
+/// The standard per-run entry: FCT/slowdown percentiles when the run has
+/// per-flow FCTs (queue deep-dives and control-plane stress tables do not),
+/// fabric and endpoint counters, and the conservation report. `label`
+/// distinguishes sweep points (scheme names, loss rates); `seed` the RNG
+/// seed.
 pub fn run_entry(
     label: &str,
     seed: u64,
-    fct: &FctSummary,
+    fct: Option<&FctSummary>,
     net: &NetStats,
     ep: &TransportStats,
     cons: &Conservation,
 ) -> Json {
-    Json::obj()
-        .set("label", label)
-        .set("seed", seed as f64)
-        .set("flows", fct.flows() as f64)
-        .set("unfinished", fct.unfinished as f64)
-        .set("fct_ns", fct_json(fct))
-        .set("slowdown", slowdown_json(fct))
-        .set("net", counters_json(net.fields()))
-        .set("transport", counters_json(ep.fields()))
-        .set("conservation", conservation_json(cons))
-}
-
-/// Per-run entry for binaries without per-flow FCTs (queue deep-dives,
-/// control-plane stress tables): counters and conservation only.
-pub fn run_entry_counters(
-    label: &str,
-    seed: u64,
-    net: &NetStats,
-    ep: &TransportStats,
-    cons: &Conservation,
-) -> Json {
-    Json::obj()
-        .set("label", label)
-        .set("seed", seed as f64)
-        .set("net", counters_json(net.fields()))
+    let mut e = Json::obj().set("label", label).set("seed", seed as f64);
+    if let Some(fct) = fct {
+        e = e
+            .set("flows", fct.flows() as f64)
+            .set("unfinished", fct.unfinished as f64)
+            .set("fct_ns", fct_json(fct))
+            .set("slowdown", slowdown_json(fct));
+    }
+    e.set("net", counters_json(net.fields()))
         .set("transport", counters_json(ep.fields()))
         .set("conservation", conservation_json(cons))
 }
 
 /// FCT percentiles in nanoseconds.
-pub fn fct_json(s: &FctSummary) -> Json {
+fn fct_json(s: &FctSummary) -> Json {
     let (p50, p99, p999) = s.fct_p50_p99_p999();
     Json::obj()
         .set("p50", p50 as f64)
@@ -294,7 +249,7 @@ pub fn fct_json(s: &FctSummary) -> Json {
 }
 
 /// Slowdown percentiles (unitless, ≥ 1).
-pub fn slowdown_json(s: &FctSummary) -> Json {
+fn slowdown_json(s: &FctSummary) -> Json {
     Json::obj()
         .set("p50", s.slowdown_p(50.0))
         .set("p99", s.slowdown_p(99.0))
@@ -304,7 +259,7 @@ pub fn slowdown_json(s: &FctSummary) -> Json {
 
 /// Any `counters!`-generated struct as a JSON object, field order fixed
 /// by the struct's declaration order.
-pub fn counters_json(fields: impl Iterator<Item = (&'static str, u64)>) -> Json {
+fn counters_json(fields: impl Iterator<Item = (&'static str, u64)>) -> Json {
     let mut o = Json::obj();
     for (name, value) in fields {
         o = o.set(name, value as f64);
@@ -314,7 +269,7 @@ pub fn counters_json(fields: impl Iterator<Item = (&'static str, u64)>) -> Json 
 
 /// Conservation report: `ok`, the two in-flight terms, and any violation
 /// strings verbatim.
-pub fn conservation_json(c: &Conservation) -> Json {
+fn conservation_json(c: &Conservation) -> Json {
     Json::obj()
         .set("ok", c.is_ok())
         .set("data_in_flight", c.data_in_flight as f64)
@@ -328,38 +283,43 @@ mod tests {
 
     #[test]
     fn flag_spellings_all_parse() {
-        let argv: Vec<String> = ["--metrics-out=m.json", "--trace-out", "t.jsonl"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(find_flag(&argv, "metrics-out").as_deref(), Some("m.json"));
-        assert_eq!(find_flag(&argv, "trace-out").as_deref(), Some("t.jsonl"));
-        let kv: Vec<String> =
-            ["metrics_out=x.json", "spans_out=s.json"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(find_flag(&kv, "metrics-out").as_deref(), Some("x.json"));
-        assert_eq!(find_flag(&kv, "spans-out").as_deref(), Some("s.json"));
-        assert_eq!(find_flag(&kv, "trace-out"), None);
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let flags = [METRICS_OUT, TRACE_OUT, SPANS_OUT];
+        let dashed =
+            Args::parse(&flags, &argv(&["--metrics-out=m.json", "--trace-out", "t.jsonl"]));
+        let dashed = ExportOpts::from_args(&dashed.expect("listed flags"));
+        assert_eq!(dashed.metrics_out, Some("m.json".into()));
+        assert_eq!(dashed.trace_out, Some("t.jsonl".into()));
+        let kv = Args::parse(&flags, &argv(&["metrics_out=x.json", "spans_out=s.json"]));
+        let kv = ExportOpts::from_args(&kv.expect("listed keys"));
+        assert_eq!((kv.metrics_out, kv.spans_out), (Some("x.json".into()), Some("s.json".into())));
+        assert_eq!(kv.trace_out, None);
     }
 
-    /// A binary refuses the export flags it does not honour, in every
-    /// spelling, rather than accepting and ignoring them.
+    /// A row refuses the export flags it does not list, in every spelling,
+    /// rather than accepting and ignoring them.
     #[test]
     fn unhonoured_flags_are_refused_in_every_spelling() {
-        const ALL: [&str; 3] = [METRICS_OUT, TRACE_OUT, SPANS_OUT];
-        for name in ALL {
-            let others: Vec<&str> = ALL.into_iter().filter(|n| *n != name).collect();
+        const ALL: [Flag; 3] = [METRICS_OUT, TRACE_OUT, SPANS_OUT];
+        for flag in ALL {
+            let others: Vec<Flag> = ALL.into_iter().filter(|f| *f != flag).collect();
+            let Flag::Value(name) = flag else { unreachable!() };
             let key = name.replace('-', "_");
             for argv in [
                 vec![format!("--{name}"), "p".to_string()],
                 vec![format!("--{name}=p")],
                 vec![format!("{key}=p")],
             ] {
-                assert_eq!(ExportOpts::parse(&argv, &others).err(), Some(name), "{argv:?}");
-                assert!(ExportOpts::parse(&argv, &[name]).expect("honoured").any(), "{argv:?}");
+                assert!(Args::parse(&others, &argv).is_err(), "{argv:?}");
+                let e = ExportOpts::from_args(&Args::parse(&[flag], &argv).expect("honoured"));
+                let paths = [e.metrics_out, e.trace_out, e.spans_out];
+                assert_eq!(paths.iter().flatten().count(), 1, "{argv:?}");
             }
         }
         // No export flag at all is fine whatever is honoured.
-        assert!(!ExportOpts::parse(&["flows=30".to_string()], &[]).expect("no flags").any());
+        assert!(ExportOpts::from_args(&Args::parse(&[], &[]).expect("no flags"))
+            .metrics_out
+            .is_none());
     }
 
     #[test]
@@ -441,7 +401,7 @@ mod tests {
         let net = NetStats::default();
         let ep = TransportStats::default();
         let cons = Conservation::check(&net, &ep, true);
-        doc.push_run(run_entry("dcp", 1, &fct, &net, &ep, &cons));
+        doc.extend([run_entry("dcp", 1, Some(&fct), &net, &ep, &cons)]);
         let j = doc.finish();
         assert_eq!(j.get("schema").unwrap().as_str(), Some(METRICS_SCHEMA));
         assert_eq!(j.get("binary").unwrap().as_str(), Some("test_bin"));

@@ -1,0 +1,57 @@
+//! Ablation: batched vs per-HO retransmission fetch (§4.3 challenge #1).
+//!
+//! Streams data through a forced-loss link and reports recovery goodput for
+//! the per-HO strawman (two serialized PCIe round trips per retransmitted
+//! packet — footnote 9's ≈4 Gbps bound at 1 µs PCIe RTT) against the
+//! batched design, across PCIe latencies.
+
+use super::prelude::*;
+use dcp_core::{DcpConfig, PcieConfig, RetransMode};
+use dcp_workloads::{endpoint_pair_opts, RunOpts};
+
+fn batch_goodput(mode: RetransMode, pcie_rtt: Nanos, loss: f64) -> Option<f64> {
+    let mut cfg = dcp_switch_config(LoadBalance::Ecmp, 16);
+    cfg.forced_loss_rate = loss;
+    let mut sim = Simulator::new(47);
+    let topo = topology::two_switch_testbed(&mut sim, cfg, 1, 100.0, &[100.0], US, US);
+    let pcie = PcieConfig { rtt: pcie_rtt, batch: 16 };
+    let dcp = DcpConfig { retrans_mode: mode, pcie, ..Default::default() };
+    let opts = RunOpts { dcp, ..Default::default() };
+    let pair = |f, s, d| endpoint_pair_opts(TransportKind::Dcp, CcKind::None, f, s, d, opts);
+    let hosts = [(topo.hosts[0], topo.hosts[1])];
+    goodput(16 * MB, stream(&mut sim, &hosts, pair, &[MB; 16], 600 * SEC)[0])
+}
+
+pub fn run(_: &Args) -> Report {
+    let mut r = Report::default();
+    println!("Ablation — HO retransmission fetch strategy (16 MB stream, 5% forced loss)");
+    println!("{:>12}{:>16}{:>14}", "PCIe RTT", "per-HO (Gbps)", "batched (Gbps)");
+    const RTTS: [Nanos; 3] = [500, 1_000, 2_000];
+    let modes = [RetransMode::PerHo, RetransMode::Batched];
+    let results = grid(&RTTS, &modes, |rtt, mode| batch_goodput(mode, rtt, 0.05));
+    for (row, &rtt) in results.iter().zip(&RTTS) {
+        println!("{rtt:>9} ns{:>16}{:>14}", fmt_opt(row[0], 1), fmt_opt(row[1], 1));
+        r.put("per-HO", [(rtt, row[0])]);
+        r.put("batched", [(rtt, row[1])]);
+    }
+    println!();
+    println!("Design-claim shape: batched fetches keep recovery near line rate regardless");
+    println!("of PCIe latency; the per-HO strawman degrades as loss forces serialized");
+    println!("round trips (§4.3, footnote 9).");
+    r
+}
+
+/// Batched recovery above 80 Gbps at every PCIe RTT; per-HO below it and
+/// falling as the RTT doubles.
+pub fn shape(r: &Report) -> Result<(), String> {
+    let mut last = f64::INFINITY;
+    for rtt in ["500", "1000", "2000"] {
+        let (per_ho, batched) = (r.get("per-HO", rtt), r.get("batched", rtt));
+        ensure!(
+            batched > 80.0 && per_ho < batched && per_ho < last,
+            "{rtt} ns: per-HO {per_ho:.1}, batched {batched:.1}"
+        );
+        last = per_ho;
+    }
+    Ok(())
+}

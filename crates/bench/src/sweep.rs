@@ -1,6 +1,6 @@
 //! Deterministic parallel execution of independent experiment points.
 //!
-//! Every figure/table binary is a grid of completely independent simulator
+//! Every figure/table row is a grid of completely independent simulator
 //! runs — each point builds its own `Simulator` from its own seed, so runs
 //! share no state and their results cannot depend on scheduling. [`sweep`]
 //! fans the points out over scoped worker threads and returns results in
@@ -13,25 +13,31 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Number of worker threads a sweep will use: `DCP_THREADS` if set and
-/// valid, else `std::thread::available_parallelism`. Parsed once per
-/// process (cached behind a `OnceLock` in `dcp-netsim`) — the same knob
-/// also sizes the sharded engine's window workers.
-pub fn threads() -> usize {
-    dcp_netsim::env_threads()
-}
-
-/// Runs `f` over every point, in parallel across [`threads`] workers, and
-/// returns the results in input order. See [`sweep_with_threads`] for the
-/// determinism contract.
+/// Runs `f` over every point across [`dcp_netsim::env_threads`] workers
+/// (`DCP_THREADS`, default all cores) and returns the results in input
+/// order. See [`sweep_with_threads`] for the determinism contract.
 pub fn sweep<P, R, F>(points: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,
     R: Send,
     F: Fn(P) -> R + Sync,
 {
-    let n = threads();
-    sweep_with_threads(points, n, f)
+    sweep_with_threads(points, dcp_netsim::env_threads(), f)
+}
+
+/// [`sweep`] over every `(row, col)` pair of two axes, returned as one row
+/// of results per `rows` value, in `cols` order within it.
+pub(crate) fn grid<A, B, R, F>(rows: &[A], cols: &[B], f: F) -> Vec<Vec<R>>
+where
+    A: Copy + Send,
+    B: Copy + Send,
+    R: Send,
+    F: Fn(A, B) -> R + Sync,
+{
+    let points: Vec<(A, B)> =
+        rows.iter().flat_map(|&a| cols.iter().map(move |&b| (a, b))).collect();
+    let mut results = sweep(points, |(a, b)| f(a, b)).into_iter();
+    rows.iter().map(|_| results.by_ref().take(cols.len()).collect()).collect()
 }
 
 /// [`sweep`] with an explicit worker count (used by tests to compare thread

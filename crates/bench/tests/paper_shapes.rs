@@ -1,0 +1,58 @@
+//! The paper's shapes at quick scale, for every row cheap enough for
+//! tier-1: each row runs through the library exactly as `dcp <row>` runs
+//! it, and its predicate must hold. The expensive rows are checked by
+//! `dcp all` in CI.
+
+use dcp_bench::rows::ROWS;
+use dcp_bench::Args;
+
+/// Rows whose quick scale costs more than a few seconds each.
+const EXPENSIVE: [&str; 5] =
+    ["fig02_timeouts", "fig14_ai_sim", "fig15_cross_dc", "fig16_incast_cc", "table5_ho_loss"];
+
+fn holds(name: &str) {
+    let row = ROWS.iter().find(|r| r.name == name).expect("row in table");
+    let shape = row.shape.expect("row has a shape");
+    if let Err(e) = shape(&(row.run)(&Args::default())) {
+        panic!("{name}: paper shape does not hold: {e}");
+    }
+}
+
+macro_rules! shapes {
+    ($($row:ident),* $(,)?) => {
+        const CHEAP: &[&str] = &[$(stringify!($row)),*];
+        $(#[test] fn $row() { holds(stringify!($row)); })*
+    };
+}
+
+shapes!(
+    table1_lossless_distance,
+    table3_tracking_memory,
+    table4_resources,
+    fig07_packet_rate,
+    fig01_spurious_retx,
+    fig08_perftest,
+    fig10_loss_recovery,
+    fig11_unequal_paths,
+    fig12_testbed_ai,
+    fig13_websearch,
+    fig17_loss_schemes,
+    ablation_retrans_batch,
+    ablation_wrr_weight,
+    ablation_lb_compat,
+    ablation_ho_return,
+    deepdive_queues,
+);
+
+/// Every figure, table and ablation row has a shape, and each is checked
+/// here or named as expensive.
+#[test]
+fn every_paper_row_has_a_shape_checked_somewhere() {
+    for row in ROWS {
+        let paper =
+            ["fig", "table", "ablation", "deepdive"].iter().any(|p| row.name.starts_with(p));
+        assert_eq!(row.shape.is_some(), paper, "{}", row.name);
+        let covered = CHEAP.contains(&row.name) || EXPENSIVE.contains(&row.name);
+        assert_eq!(covered, paper, "{}", row.name);
+    }
+}
