@@ -27,43 +27,85 @@ pub enum LoadBalance {
 
 /// Destination-based routing table with equal-cost candidate sets.
 ///
-/// `NodeId`s are dense simulator indices, so the table is a CSR-style pair
-/// of flat arrays indexed by destination — a lookup is two array reads on
-/// the per-packet path instead of a hash. Spans of length zero mean "no
-/// route", so absent destinations still report `None`.
+/// A fabric switch routes hundreds of destinations through a handful of
+/// distinct candidate sets (a leaf: its own access ports plus one uplink
+/// set), so each distinct set is stored once and every destination holds a
+/// 4-byte offset to it. `NodeId`s are dense simulator indices, so the
+/// offset is a flat array read, not a hash; the set it points at is stored
+/// length-first, so a lookup's length and ports share a cache line.
 #[derive(Debug, Default, Clone)]
 pub struct RoutingTable {
-    /// `(offset, len)` into `ports`, indexed by `NodeId`; `len == 0` ⇒ no
-    /// route installed.
-    spans: Vec<(u32, u32)>,
-    ports: Vec<PortId>,
+    /// Offset into `sets` per `NodeId`; [`NO_ROUTE`] ⇒ no route installed.
+    set_of: Vec<u32>,
+    /// Each distinct candidate set once, in first-installed order, as its
+    /// length followed by its ports.
+    sets: Vec<PortId>,
 }
+
+const NO_ROUTE: u32 = u32::MAX;
 
 impl RoutingTable {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Installs (or replaces) the candidate set for `dst`. Replacement
-    /// leaves the old span's storage in place — tables are built once at
-    /// topology setup, so the waste is bounded and irrelevant.
-    pub fn add_route(&mut self, dst: NodeId, ports: Vec<PortId>) {
+    /// Installs (or replaces) the candidate set for `dst`. A set equal (in
+    /// order, which ECMP and AR tie-breaking depend on) to one already
+    /// stored is shared, not copied. The search is linear in the distinct
+    /// sets — a switch has about as many as it has ports, and tables are
+    /// built once at topology setup.
+    pub fn add_route(&mut self, dst: NodeId, ports: impl AsRef<[PortId]>) {
+        let ports = ports.as_ref();
         assert!(!ports.is_empty(), "route to {dst:?} needs at least one port");
+        let found = self.offsets().find(|&at| self.set_at(at) == ports);
+        let at = match found {
+            Some(at) => at,
+            None => {
+                let at = self.sets.len();
+                self.sets.push(ports.len());
+                self.sets.extend_from_slice(ports);
+                at
+            }
+        };
+        assert!(at < NO_ROUTE as usize, "route sets overflow u32 offsets");
         let d = dst.0 as usize;
-        if d >= self.spans.len() {
-            self.spans.resize(d + 1, (0, 0));
+        if d >= self.set_of.len() {
+            self.set_of.resize(d + 1, NO_ROUTE);
         }
-        let offset = self.ports.len() as u32;
-        self.spans[d] = (offset, ports.len() as u32);
-        self.ports.extend_from_slice(&ports);
+        self.set_of[d] = at as u32;
     }
 
     pub fn candidates(&self, dst: NodeId) -> Option<&[PortId]> {
-        let &(offset, len) = self.spans.get(dst.0 as usize)?;
-        if len == 0 {
+        let &at = self.set_of.get(dst.0 as usize)?;
+        if at == NO_ROUTE {
             return None;
         }
-        Some(&self.ports[offset as usize..(offset + len) as usize])
+        Some(self.set_at(at as usize))
+    }
+
+    /// Distinct candidate sets stored.
+    pub fn distinct_sets(&self) -> usize {
+        self.offsets().count()
+    }
+
+    /// Heap bytes the table holds (capacity, not length).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.set_of.capacity() * size_of::<u32>() + self.sets.capacity() * size_of::<PortId>()
+    }
+
+    /// Offsets of the stored sets, in `sets` order.
+    fn offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        let first = (!self.sets.is_empty()).then_some(0);
+        std::iter::successors(first, |&at| {
+            let next = at + 1 + self.sets[at];
+            (next < self.sets.len()).then_some(next)
+        })
+    }
+
+    /// The set stored at offset `at` of `sets`.
+    fn set_at(&self, at: usize) -> &[PortId] {
+        &self.sets[at + 1..at + 1 + self.sets[at]]
     }
 }
 
@@ -255,5 +297,34 @@ mod tests {
         rt.add_route(NodeId(7), vec![1, 2]);
         assert_eq!(rt.candidates(NodeId(7)), Some(&[1, 2][..]));
         assert_eq!(rt.candidates(NodeId(8)), None);
+        assert_eq!(rt.candidates(NodeId(3)), None, "below the highest routed id");
+    }
+
+    #[test]
+    fn equal_sets_are_stored_once() {
+        let mut rt = RoutingTable::new();
+        for d in 0..100 {
+            rt.add_route(NodeId(d), [4, 5, 6]);
+        }
+        rt.add_route(NodeId(100), [9]);
+        // Order is part of a set's identity: ECMP indexes it and AR breaks
+        // ties in it.
+        rt.add_route(NodeId(101), [6, 5, 4]);
+        assert_eq!(rt.distinct_sets(), 3);
+        assert_eq!(rt.sets.len(), 3 + 7, "three lengths, seven ports");
+        assert_eq!(rt.candidates(NodeId(42)), Some(&[4, 5, 6][..]));
+        assert_eq!(rt.candidates(NodeId(101)), Some(&[6, 5, 4][..]));
+    }
+
+    #[test]
+    fn replacing_a_route_repoints_it() {
+        let mut rt = RoutingTable::new();
+        rt.add_route(NodeId(1), [1, 2]);
+        rt.add_route(NodeId(2), [3]);
+        rt.add_route(NodeId(1), [3]);
+        assert_eq!(rt.candidates(NodeId(1)), Some(&[3][..]));
+        rt.add_route(NodeId(1), [1, 2]);
+        assert_eq!(rt.candidates(NodeId(1)), Some(&[1, 2][..]));
+        assert_eq!(rt.distinct_sets(), 2, "a re-installed set is found, not copied");
     }
 }

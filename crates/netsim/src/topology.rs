@@ -174,12 +174,12 @@ pub fn two_switch_testbed(
     // Routing: local hosts via their access port, remote hosts via the
     // cross-switch candidate set.
     for &(h, port) in &s1_host_ports {
-        sim.switch_mut(s1).routing.add_route(h, vec![port]);
-        sim.switch_mut(s2).routing.add_route(h, cross_s2.clone());
+        sim.switch_mut(s1).routing.add_route(h, [port]);
+        sim.switch_mut(s2).routing.add_route(h, &cross_s2);
     }
     for &(h, port) in &s2_host_ports {
-        sim.switch_mut(s2).routing.add_route(h, vec![port]);
-        sim.switch_mut(s1).routing.add_route(h, cross_s1.clone());
+        sim.switch_mut(s2).routing.add_route(h, [port]);
+        sim.switch_mut(s1).routing.add_route(h, &cross_s1);
     }
     let topo = Topology::flat(hosts, vec![s1, s2], vec![], host_gbps);
     sim.auto_partition(&topo);
@@ -233,21 +233,12 @@ pub fn clos(
 
     // Leaf routing: local hosts down their access port; remote hosts up via
     // all spines. Spine routing: each host down via its leaf's port.
-    for (l, leaf) in leaves.iter().enumerate() {
-        for (l2, locals) in host_ports.iter().enumerate() {
-            for &(h, port) in locals {
-                if l2 == l {
-                    sim.switch_mut(*leaf).routing.add_route(h, vec![port]);
-                } else {
-                    sim.switch_mut(*leaf).routing.add_route(h, leaf_uplinks[l].clone());
-                }
-            }
-        }
-    }
-    for (s, spine) in spines.iter().enumerate() {
+    route_leaves(sim, &leaves, &host_ports, &leaf_uplinks);
+    for (s, &spine) in spines.iter().enumerate() {
+        let table = &mut sim.switch_mut(spine).routing;
         for (l, locals) in host_ports.iter().enumerate() {
             for &(h, _) in locals {
-                sim.switch_mut(*spine).routing.add_route(h, vec![spine_downlinks[s][l]]);
+                table.add_route(h, [spine_downlinks[s][l]]);
             }
         }
     }
@@ -337,29 +328,20 @@ pub fn clos3(
     }
 
     // Leaf routing: local hosts down, everything else up the pod aggs.
-    for (l, &leaf) in leaves.iter().enumerate() {
-        for (l2, locals) in leaf_hosts.iter().enumerate() {
-            for &(h, port) in locals {
-                if l2 == l {
-                    sim.switch_mut(leaf).routing.add_route(h, vec![port]);
-                } else {
-                    sim.switch_mut(leaf).routing.add_route(h, leaf_ups[l].clone());
-                }
-            }
-        }
-    }
+    route_leaves(sim, &leaves, &leaf_hosts, &leaf_ups);
     // Agg routing: pod-local hosts down the leaf port, foreign hosts up.
     for (a, &agg) in aggs.iter().enumerate() {
+        let table = &mut sim.switch_mut(agg).routing;
         for (l, locals) in leaf_hosts.iter().enumerate() {
             if pod_of_leaf[l] == pod_of_agg[a] {
                 let down =
                     agg_leaf_port[a].iter().find(|&&(li, _)| li == l).expect("pod leaf wired").1;
                 for &(h, _) in locals {
-                    sim.switch_mut(agg).routing.add_route(h, vec![down]);
+                    table.add_route(h, [down]);
                 }
             } else {
                 for &(h, _) in locals {
-                    sim.switch_mut(agg).routing.add_route(h, agg_ups[a].clone());
+                    table.add_route(h, &agg_ups[a]);
                 }
             }
         }
@@ -370,9 +352,10 @@ pub fn clos3(
         for (a, &p) in core_agg_port[c].iter().enumerate() {
             pod_ports[pod_of_agg[a]].push(p);
         }
+        let table = &mut sim.switch_mut(core).routing;
         for (l, locals) in leaf_hosts.iter().enumerate() {
             for &(h, _) in locals {
-                sim.switch_mut(core).routing.add_route(h, pod_ports[pod_of_leaf[l]].clone());
+                table.add_route(h, &pod_ports[pod_of_leaf[l]]);
             }
         }
     }
@@ -389,6 +372,29 @@ pub fn clos3(
     };
     sim.auto_partition(&topo);
     topo
+}
+
+/// Leaf routing shared by both CLOS builders: leaf `l` sends the hosts of
+/// `leaf_hosts[l]` down their access port and every other host up the
+/// uplink set `ups[l]`.
+fn route_leaves(
+    sim: &mut Simulator,
+    leaves: &[NodeId],
+    leaf_hosts: &[Vec<(NodeId, usize)>],
+    ups: &[Vec<usize>],
+) {
+    for (l, &leaf) in leaves.iter().enumerate() {
+        let table = &mut sim.switch_mut(leaf).routing;
+        for (l2, locals) in leaf_hosts.iter().enumerate() {
+            for &(h, port) in locals {
+                if l2 == l {
+                    table.add_route(h, [port]);
+                } else {
+                    table.add_route(h, &ups[l]);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -496,6 +502,46 @@ mod tests {
         for &leaf in &topo.leaves {
             assert_eq!(sim.switch(leaf).ports.len(), 4);
         }
+    }
+
+    /// The 1024-host fabric of the `allreduce_1024_sh8` benchmark row: every
+    /// switch stores each distinct candidate set once, so the tables hold a
+    /// small fraction of what a per-destination copy of each set would.
+    #[test]
+    fn clos3_tables_store_each_candidate_set_once() {
+        let mut sim = Simulator::new(1);
+        let topo = clos3(
+            &mut sim,
+            SwitchConfig::lossy(LoadBalance::AdaptiveRouting),
+            8,
+            4,
+            8,
+            16,
+            8,
+            100.0,
+            400.0,
+            1000,
+            1000,
+        );
+        assert_eq!(topo.hosts.len(), 1024);
+        let sets = |tier: &[NodeId]| -> Vec<usize> {
+            tier.iter().map(|&s| sim.switch(s).routing.distinct_sets()).collect()
+        };
+        // Leaf: 16 access ports + the pod-agg uplink set. Agg: 8 pod-leaf
+        // downlinks + the core uplink set. Core: one agg set per pod.
+        assert!(sets(&topo.leaves).iter().all(|&n| n == 17));
+        assert!(sets(&topo.aggs).iter().all(|&n| n == 9));
+        assert!(sets(&topo.cores).iter().all(|&n| n == 8));
+
+        let switches = || topo.leaves.iter().chain(&topo.aggs).chain(&topo.cores);
+        let held: usize = switches().map(|&s| sim.switch(s).routing.heap_bytes()).sum();
+        let copied: usize = switches()
+            .flat_map(|&s| topo.hosts.iter().map(move |&h| (s, h)))
+            .map(|(s, h)| sim.switch(s).routing.candidates(h).unwrap().len())
+            .sum::<usize>()
+            * std::mem::size_of::<crate::packet::PortId>();
+        assert_eq!(copied, 4_202_496, "port entries a per-destination copy holds");
+        assert!(held * 4 < copied, "tables hold {held} B; copies would be {copied} B");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests over fabric construction: any CLOS dimensions yield
-//! complete routing, and delivery + determinism hold for arbitrary host
-//! pairs and seeds.
+//! complete routing, any install sequence reads back from a routing table,
+//! and delivery + determinism hold for arbitrary host pairs and seeds.
 
 use dcp_netsim::switch::SwitchConfig;
 use dcp_netsim::time::{SEC, US};
@@ -125,6 +125,26 @@ proptest! {
                 prop_assert_eq!(sim.switch(spine).routing.candidates(h).map(|c| c.len()), Some(1));
             }
         }
+    }
+
+    // Sharing equal candidate sets is invisible to lookups: any install
+    // sequence, replacements included, reads back exactly what a
+    // per-destination copy of each set would.
+    #[test]
+    fn routing_table_reads_back_every_install(
+        installs in prop::collection::vec((0u32..48, prop::collection::vec(0usize..6, 1..4)), 0..200),
+    ) {
+        let mut table = routing::RoutingTable::new();
+        let mut copies = std::collections::HashMap::new();
+        for (dst, ports) in &installs {
+            table.add_route(NodeId(*dst), ports);
+            copies.insert(*dst, ports.clone());
+        }
+        for dst in 0..64 {
+            prop_assert_eq!(table.candidates(NodeId(dst)), copies.get(&dst).map(Vec::as_slice));
+        }
+        let distinct: std::collections::HashSet<_> = installs.iter().map(|(_, p)| p).collect();
+        prop_assert_eq!(table.distinct_sets(), distinct.len());
     }
 
     #[test]

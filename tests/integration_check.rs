@@ -86,9 +86,9 @@ fn cyclic_lossless_ring_deadlocks_and_the_cycle_detector_names_the_ring() {
         for (i, &h) in hosts.iter().enumerate() {
             if i / 2 == s {
                 let (_, _, port) = access[i];
-                sim.switch_mut(sw[s]).routing.add_route(h, vec![port]);
+                sim.switch_mut(sw[s]).routing.add_route(h, [port]);
             } else {
-                sim.switch_mut(sw[s]).routing.add_route(h, vec![cw[s]]);
+                sim.switch_mut(sw[s]).routing.add_route(h, [cw[s]]);
             }
         }
     }
