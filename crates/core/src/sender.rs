@@ -328,11 +328,11 @@ mod tests {
         }
         let (at, tok) = t.iter().find(|(_, tok)| tokens::kind(*tok) == FETCH).copied().unwrap();
         s.on_timer(tok, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
-        let mut n = 0;
-        while pull_owned(&mut s, &mut pool, at, &mut t, &mut c, &mut r).is_some() {
-            n += 1;
+        let mut psns = vec![];
+        while let Some(p) = pull_owned(&mut s, &mut pool, at, &mut t, &mut c, &mut r) {
+            psns.push(p.psn());
         }
-        assert_eq!(n, 8, "whole batch retransmitted after a single fetch");
+        assert_eq!(psns, (0..8).collect::<Vec<_>>(), "whole batch retransmitted in HO order");
         assert_eq!(s.pcie_fetches, 1);
     }
 

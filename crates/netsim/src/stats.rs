@@ -1,7 +1,7 @@
 //! Counters collected by the fabric and by transports, plus the
 //! flow-conservation checker that cross-validates them.
 //!
-//! Counter structs are generated by the [`counters!`] macro so the merge
+//! Counter structs are generated by the `counters!` macro so the merge
 //! function, the field-name table and the `(name, value)` iterator can never
 //! drift from the struct definition — adding a counter is one line, and a
 //! size regression test pins `size_of == 8 × FIELDS.len()` so a field that

@@ -12,10 +12,8 @@
 //! * [`wire`] — byte-level encode/decode of those headers with the exact
 //!   field widths of the specification (24-bit PSN/QPN/MSN and so on), used
 //!   to validate the 57-byte header-only packet size the paper relies on.
-//! * [`qp`] — Queue Pair descriptors: send/receive Work Queue Elements,
-//!   Completion Queue entries, and the queue containers an RNIC schedules.
-//! * [`verbs`] — a small `libibverbs`-flavoured API (`post_send`,
-//!   `post_recv`, `poll_cq`) that examples and workloads program against.
+//! * [`qp`] — Queue Pair descriptors: send/receive Work Queue Elements, the
+//!   SSN-matched Receive Queue and the RetransQ entry.
 //! * [`memory`] — registered memory regions and the Memory Translation Table
 //!   (MTT) used for order-tolerant direct placement.
 //! * [`segment`] — message segmentation: turning a Work Request into the
@@ -25,16 +23,14 @@ pub mod headers;
 pub mod memory;
 pub mod qp;
 pub mod segment;
-pub mod verbs;
 pub mod wire;
 
 pub use headers::{
     Aeth, Bth, DcpTag, EthHeader, Ipv4Header, PacketHeader, RdmaOpcode, Reth, UdpHeader,
 };
 pub use memory::{MemoryRegion, Mtt, PatternGen};
-pub use qp::{Cqe, CqeKind, QpEndpointId, Qpn, RecvWqe, SendWqe, WorkReqOp};
+pub use qp::{Qpn, RecvWqe, SendWqe, WorkReqOp};
 pub use segment::{segment_message, PacketDescriptor};
-pub use verbs::{QueuePair, VerbsError};
 
 /// Maximum Transmission Unit used throughout the reproduction.
 ///

@@ -1,11 +1,13 @@
-//! Queue Pair descriptors: Work Queue Elements, Completion Queue entries and
-//! the queue containers an RNIC schedules over.
+//! Queue Pair descriptors: Work Queue Elements, the Receive Queue and the
+//! RetransQ entry.
 //!
 //! A Reliable-Connection QP in this reproduction is the pair of endpoints a
-//! transport instance drives: the requester holds the Send Queue (SQ) and —
-//! under DCP — the host-memory Retransmission Queue (RetransQ, §4.3); the
-//! responder holds the Receive Queue (RQ). Both sides own a Completion Queue
-//! (CQ).
+//! transport instance drives. The requester's posted messages live in the
+//! transport's send book (`dcp_transport::common::TxBook`) and, under DCP,
+//! its host-memory Retransmission Queue (RetransQ, §4.3) is a queue of
+//! [`RetransEntry`] in the DCP sender; the responder holds the Receive Queue
+//! ([`RecvQueue`]), matched by SSN (§4.4). Completions are reported through
+//! the simulator's endpoint interface, not a per-QP Completion Queue.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -13,13 +15,6 @@ use std::collections::VecDeque;
 /// Queue Pair Number (24 bits on the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Qpn(pub u32);
-
-/// Identifies one endpoint of a connection: the host and the QP on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct QpEndpointId {
-    pub host: u32,
-    pub qpn: Qpn,
-}
 
 /// The operation a send Work Request performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,111 +75,6 @@ pub struct RecvWqe {
     pub len: u64,
 }
 
-/// What a completion describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CqeKind {
-    /// A send-side WQE finished (message fully acknowledged).
-    SendComplete,
-    /// A receive-side WQE finished (message fully arrived, in MSN order).
-    RecvComplete,
-}
-
-/// A Completion Queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Cqe {
-    pub wr_id: u64,
-    pub qpn: Qpn,
-    pub kind: CqeKind,
-    pub byte_len: u64,
-    /// Immediate value for `WriteImm`, zero otherwise.
-    pub imm: u32,
-}
-
-/// Send queue: WQEs awaiting transmission or acknowledgment, in MSN order.
-///
-/// The RNIC's fetch-and-drop strategy (§4.3) is modelled by transports
-/// reading entries by index without removing them; entries are retired only
-/// when the message is acknowledged.
-#[derive(Debug, Default, Clone)]
-pub struct SendQueue {
-    entries: VecDeque<SendWqe>,
-    next_msn: u32,
-    next_ssn: u32,
-}
-
-impl SendQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Posts a Work Request, assigning its MSN (and SSN if two-sided).
-    /// Returns the assigned MSN.
-    pub fn post(
-        &mut self,
-        wr_id: u64,
-        op: WorkReqOp,
-        local_addr: u64,
-        len: u64,
-        signaled: bool,
-    ) -> u32 {
-        let msn = self.next_msn;
-        self.next_msn += 1;
-        let ssn = if op.consumes_recv_wqe() {
-            let s = self.next_ssn;
-            self.next_ssn += 1;
-            Some(s)
-        } else {
-            None
-        };
-        self.entries.push_back(SendWqe { wr_id, op, local_addr, len, msn, ssn, signaled });
-        msn
-    }
-
-    /// Looks up the WQE with the given MSN, if still outstanding.
-    pub fn by_msn(&self, msn: u32) -> Option<&SendWqe> {
-        let front = self.entries.front()?.msn;
-        let ix = msn.checked_sub(front)? as usize;
-        self.entries.get(ix)
-    }
-
-    /// Retires all WQEs with `msn < emsn` (cumulative acknowledgment),
-    /// returning them oldest-first so completions can be generated.
-    pub fn retire_below(&mut self, emsn: u32) -> Vec<SendWqe> {
-        let mut done = Vec::new();
-        while let Some(front) = self.entries.front() {
-            if front.msn < emsn {
-                done.push(self.entries.pop_front().unwrap());
-            } else {
-                break;
-            }
-        }
-        done
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// MSN that the next posted WQE would receive.
-    pub fn next_msn(&self) -> u32 {
-        self.next_msn
-    }
-
-    /// Oldest outstanding (unacknowledged) MSN, if any — the `unaMSN` the
-    /// DCP coarse timeout fallback tracks (§4.5).
-    pub fn una_msn(&self) -> Option<u32> {
-        self.entries.front().map(|w| w.msn)
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &SendWqe> {
-        self.entries.iter()
-    }
-}
-
 /// Receive queue: buffers posted by the application, consumed in SSN order.
 #[derive(Debug, Default, Clone)]
 pub struct RecvQueue {
@@ -241,72 +131,9 @@ pub struct RetransEntry {
     pub psn: u32,
 }
 
-/// Host-memory retransmission queue, one per QP (§4.3).
-///
-/// Allocated alongside the SQ/RQ/CQ at QP creation and managed exclusively
-/// by the RNIC; its length is mirrored in the QPC so the Tx path can check
-/// emptiness without a PCIe round trip.
-#[derive(Debug, Default, Clone)]
-pub struct RetransQueue {
-    entries: VecDeque<RetransEntry>,
-}
-
-impl RetransQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, e: RetransEntry) {
-        self.entries.push_back(e);
-    }
-
-    /// Fetches up to `n` entries — the batched-fetch of §4.3, bounded by
-    /// `min(16, len, awin/MTU)` at the call site.
-    pub fn fetch(&mut self, n: usize) -> Vec<RetransEntry> {
-        let take = n.min(self.entries.len());
-        self.entries.drain(..take).collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn post_assigns_monotonic_msn_and_ssn_only_for_two_sided() {
-        let mut sq = SendQueue::new();
-        let m0 = sq.post(1, WorkReqOp::Send, 0, 100, true);
-        let m1 = sq.post(2, WorkReqOp::Write { remote_addr: 0x100, rkey: 1 }, 0, 100, true);
-        let m2 =
-            sq.post(3, WorkReqOp::WriteImm { remote_addr: 0x200, rkey: 1, imm: 7 }, 0, 100, true);
-        assert_eq!((m0, m1, m2), (0, 1, 2));
-        assert_eq!(sq.by_msn(0).unwrap().ssn, Some(0));
-        assert_eq!(sq.by_msn(1).unwrap().ssn, None);
-        assert_eq!(sq.by_msn(2).unwrap().ssn, Some(1));
-    }
-
-    #[test]
-    fn retire_below_is_cumulative() {
-        let mut sq = SendQueue::new();
-        for i in 0..5 {
-            sq.post(i, WorkReqOp::Send, 0, 10, true);
-        }
-        let done = sq.retire_below(3);
-        assert_eq!(done.len(), 3);
-        assert_eq!(sq.una_msn(), Some(3));
-        assert!(sq.by_msn(2).is_none());
-        assert!(sq.by_msn(3).is_some());
-        // Retiring below an already-retired point is a no-op.
-        assert!(sq.retire_below(2).is_empty());
-    }
 
     #[test]
     fn packet_count_rounds_up_and_handles_zero_len() {
@@ -338,19 +165,5 @@ mod tests {
         // After consuming SSN 0, SSN 1 is at the front.
         assert_eq!(rq.by_ssn(1).unwrap().wr_id, 1);
         assert_eq!(rq.by_ssn(0), None, "consumed SSN no longer matches");
-    }
-
-    #[test]
-    fn retransq_fetch_is_fifo_and_bounded() {
-        let mut rq = RetransQueue::new();
-        for psn in 0..10 {
-            rq.push(RetransEntry { msn: 0, psn });
-        }
-        let batch = rq.fetch(4);
-        assert_eq!(batch.iter().map(|e| e.psn).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        assert_eq!(rq.len(), 6);
-        let rest = rq.fetch(100);
-        assert_eq!(rest.len(), 6);
-        assert!(rq.is_empty());
     }
 }

@@ -7,8 +7,10 @@
 //!
 //! Field widths follow the IBTA/RoCEv2 layouts: QPN, PSN and MSN are 24-bit
 //! fields; the DCP extensions are packed exactly as Fig. 4 lays them out
-//! (MSN after the BTH; sRetryNo and SSN after the MSN on full data packets;
-//! RETH after those for one-sided operations; AETH after the BTH for ACKs).
+//! (DCP tag in the IPv4 ToS bits and sRetryNo in the low byte of the IPv4
+//! identification field, so both survive trimming; MSN after the BTH; SSN
+//! after the MSN on full two-sided data packets; RETH after those for
+//! one-sided operations; AETH after the BTH for ACKs).
 
 use crate::headers::*;
 use bytes::{Bytes, BytesMut};
@@ -116,9 +118,10 @@ pub fn encode(h: &PacketHeader) -> Bytes {
 ///
 /// The layout after the BTH is not self-describing on the real wire (it is
 /// implied by opcode + DCP tag), and the decoder applies the same rules:
-/// ACK opcodes parse an AETH; data opcodes parse MSN, sRetryNo, SSN (Send
-/// family and immediate-carrying Writes) and RETH (Write family); header-only
-/// tags stop at the MSN.
+/// ACK opcodes parse an AETH; data opcodes parse MSN, SSN (Send family and
+/// immediate-carrying Writes) and RETH (Write family); header-only tags stop
+/// at the MSN. sRetryNo has no field of its own: it comes back inside the
+/// IPv4 identification field (see [`Ipv4Header::sretry_no`]).
 pub fn decode(bytes: &Bytes) -> Result<PacketHeader, WireError> {
     let mut buf = bytes.clone();
     if buf.remaining()

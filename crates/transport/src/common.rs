@@ -442,6 +442,31 @@ mod tests {
     }
 
     #[test]
+    fn msn_spans_all_ops_and_ssn_only_two_sided() {
+        let mut b = TxBook::new();
+        let write = WorkReqOp::Write { remote_addr: 0x100, rkey: 1 };
+        let write_imm = WorkReqOp::WriteImm { remote_addr: 0x200, rkey: 1, imm: 7 };
+        let posted: Vec<_> = [WorkReqOp::Send, write, write_imm, WorkReqOp::Send]
+            .into_iter()
+            .map(|op| b.post(0, op, 100, 1024).wqe)
+            .map(|w| (w.msn, w.ssn))
+            .collect();
+        assert_eq!(posted, [(0, Some(0)), (1, None), (2, Some(1)), (3, Some(2))]);
+        assert_eq!(b.next_msn(), 4);
+
+        let mut done = Vec::new();
+        b.retire_below_into(3, &mut done);
+        assert_eq!(done.len(), 3);
+        b.retire_below_into(2, &mut done);
+        assert_eq!(done.len(), 3, "re-retiring below a retired MSN is a no-op");
+        assert_eq!(b.una_msn(), Some(3));
+
+        b.clear();
+        let m = b.post(0, write_imm, 100, 1024).wqe;
+        assert_eq!((m.msn, m.ssn), (0, Some(0)), "clear rewinds MSN and SSN");
+    }
+
+    #[test]
     fn retire_below_msn_and_locate_after() {
         let mut b = book_with(&[1024, 3000, 500]);
         let mut done = Vec::new();

@@ -139,29 +139,3 @@ fn per_ho_mode_is_pcie_bound_batched_is_not() {
         "batched fetch must outperform per-HO fetches: {batched:.1} vs {per_ho:.1} Gbps"
     );
 }
-
-#[test]
-fn verbs_layer_round_trip() {
-    // The dcp-rdma verbs surface works standalone: post, segment, complete.
-    use dcp_rdma::qp::{CqeKind, Qpn};
-    use dcp_rdma::verbs::QueuePair;
-    let mut qp = QueuePair::new(Qpn(1), Qpn(2));
-    qp.register_memory(0x1000, 1 << 20);
-    let msn = qp
-        .post_send(42, WorkReqOp::Write { remote_addr: 0x9000, rkey: 3 }, 0x1000, 4096, true)
-        .unwrap();
-    assert_eq!(msn, 0);
-    let wqe = *qp.sq.by_msn(0).unwrap();
-    let pkts = dcp_rdma::segment::segment_message(&wqe, dcp_rdma::MTU);
-    assert_eq!(pkts.len(), 4);
-    qp.push_cqe(dcp_rdma::qp::Cqe {
-        wr_id: 42,
-        qpn: Qpn(1),
-        kind: CqeKind::SendComplete,
-        byte_len: 4096,
-        imm: 0,
-    });
-    let done = qp.poll_cq(8);
-    assert_eq!(done.len(), 1);
-    assert_eq!(done[0].wr_id, 42);
-}
