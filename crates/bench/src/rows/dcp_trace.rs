@@ -64,8 +64,6 @@ pub fn run(args: &Args) -> Report {
         for (at, ev) in filtered() {
             dcp_telemetry::Probe::record(&mut b, at, &ev);
         }
-        // `stats_json` folds the capture buffer, so the dump line below
-        // reports real span counts rather than a pending buffer.
         let s = b.stats_json();
         if let Some(d) = dcp_telemetry::Probe::dump(&b) {
             println!("{d}");

@@ -10,8 +10,10 @@
 //!
 //! * [`SpanBuilder`] — a [`dcp_telemetry::Probe`], fed live or replayed
 //!   from a capture, producing a deterministic span document plus latency
-//!   breakdowns (time-in-queue vs time-in-recovery). Its buffer is a
-//!   [`dcp_telemetry::EventLog`]; this crate owns no capture format.
+//!   breakdowns (time-in-queue vs time-in-recovery). It keeps no raw
+//!   capture: each event folds on arrival into a compact per-packet span
+//!   store (a head per `(flow, psn)`, one record per queue visit or
+//!   mark), and spans are built from it on read.
 //! * [`perfetto::chrome_trace`] — renders a captured event stream as
 //!   Chrome-trace/Perfetto JSON: one track per node, queue-residency
 //!   slices, instant markers for trims/drops/retransmissions, and flow

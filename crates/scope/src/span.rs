@@ -6,16 +6,16 @@
 //! stamped), every queue visit (Enqueue→Dequeue pair per switch/port),
 //! and every trim, drop, and ECN mark along the way. A *message span*
 //! pairs `MsgPosted` with `Delivery` for one `(flow, wr_id)`. Both are
-//! kept in `BTreeMap`s so the exported document is sorted — and therefore
-//! byte-identical across `DCP_THREADS`/`DCP_SHARDS` settings, since the
-//! sharded engine merges per-shard probe buffers into one globally
-//! time-ordered stream before any probe sees them.
+//! read back in key order, so the exported document is sorted — and
+//! therefore byte-identical across `DCP_THREADS`/`DCP_SHARDS` settings,
+//! since the sharded engine merges per-shard probe buffers into one
+//! globally time-ordered stream before any probe sees them.
 
 use dcp_telemetry::{
-    DropClass, EventKind, EventLog, Json, KindMask, LogHistogram, Probe, ProbeEvent, QueueClass,
-    RetxCause,
+    DropClass, EventKind, Json, KindMask, LogHistogram, Probe, ProbeEvent, QueueClass, RetxCause,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One visit to an egress queue: admitted at `enqueue`, on the wire at
 /// `dequeue` (`None` if the packet died in the queue or the trace ended).
@@ -83,22 +83,419 @@ impl MessageSpan {
     }
 }
 
+/// A chain or residency lane with no value: an open hop's `res`, the end
+/// of a hop or mark chain.
+const NONE: u32 = u32::MAX;
+/// A hop's `res` when the visit lives verbatim in the escape table.
+const ESCAPED: u32 = u32::MAX - 1;
+/// Lane widths of a compact hop's `loc` (`node | port << 19 | queue << 31`)
+/// and a mark's node; wider values escape.
+const NODE_BITS: u32 = 19;
+const PORT_BITS: u32 = 12;
+/// Records per arena chunk: a full run grows by appending chunks (no
+/// doubling `Vec` re-copying what was folded), each under glibc's mmap
+/// threshold.
+const CHUNK: usize = 1 << 12;
+/// A dense PSN window may grow to twice its live heads plus this much;
+/// a PSN further out goes to the flow's sparse map instead.
+const DENSE_SLACK: usize = 64;
+
+/// One `(flow, psn)` packet: `Tx` folds in here and stores nothing else;
+/// the rest of its story hangs off two newest-first chains.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// Time of the packet's first event of any kind: compact offsets count
+    /// from here.
+    base: u64,
+    /// Valid once `transmissions > 0` (the first Tx or Retx sets both).
+    first_tx: u64,
+    transmissions: u32,
+    /// Newest hop / mark, `NONE` when there is none.
+    hop: u32,
+    mark: u32,
+    /// False for a vacant slot of a flow's dense window.
+    live: bool,
+}
+
+impl Head {
+    const VACANT: Head =
+        Head { base: 0, first_tx: 0, transmissions: 0, hop: NONE, mark: NONE, live: false };
+
+    fn new(base: u64) -> Head {
+        Head { base, live: true, ..Head::VACANT }
+    }
+
+    /// `at` as a compact offset from `base`, if it fits the lane.
+    #[inline]
+    fn offset(&self, at: u64) -> Option<u32> {
+        at.checked_sub(self.base).and_then(|d| u32::try_from(d).ok())
+    }
+}
+
+/// One queue visit: an `Enqueue` and its matched `Dequeue` share it.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    /// Enqueue time − `Head::base`; the escape index when `res == ESCAPED`.
+    enq: u32,
+    /// Dequeue − enqueue; `NONE` while open, `ESCAPED` when escaped.
+    res: u32,
+    /// `node | port << 19 | queue << 31`.
+    loc: u32,
+    /// The packet's previous hop.
+    prev: u32,
+}
+
+/// A retransmission, trim, drop or ECN mark.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Event time − `Head::base`; the escape index when escaped.
+    at: u32,
+    /// `kind | code << 2 | MARK_ESCAPED | node << 6`; `code` is the
+    /// retransmission cause or the drop class.
+    info: u32,
+    /// The packet's previous mark.
+    prev: u32,
+}
+
+const MARK_RETX: u32 = 0;
+const MARK_TRIM: u32 = 1;
+const MARK_DROP: u32 = 2;
+const MARK_ECN: u32 = 3;
+const MARK_ESCAPED: u32 = 1 << 5;
+const MARK_NODE_SHIFT: u32 = 6;
+
+const CAUSES: [RetxCause; 8] = [
+    RetxCause::Unknown,
+    RetxCause::Ho,
+    RetxCause::Nack,
+    RetxCause::Sack,
+    RetxCause::Rack,
+    RetxCause::DupAck,
+    RetxCause::Tlp,
+    RetxCause::Timeout,
+];
+const DROP_CLASSES: [DropClass; 5] =
+    [DropClass::Data, DropClass::HeaderOnly, DropClass::Ack, DropClass::Buffer, DropClass::Fault];
+
+/// Append-only chunked storage addressed by `u32` index.
+struct Arena<T> {
+    chunks: Vec<Vec<T>>,
+    len: u32,
+}
+
+impl<T> Arena<T> {
+    fn new() -> Self {
+        Arena { chunks: Vec::new(), len: 0 }
+    }
+
+    #[inline]
+    fn push(&mut self, x: T) -> u32 {
+        let ix = self.len;
+        if (ix as usize).is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks.last_mut().expect("opened above").push(x);
+        self.len =
+            ix.checked_add(1).filter(|&n| n != NONE).expect("span store holds < 2^32 records");
+        ix
+    }
+
+    #[inline]
+    fn get(&self, i: u32) -> &T {
+        &self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: u32) -> &mut T {
+        &mut self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    }
+}
+
+/// One flow's packet heads plus its `Timeout` / `HoReceived` counters.
+#[derive(Default)]
+struct FlowIx {
+    /// PSN of `dense[0]`.
+    lo: u32,
+    /// Heads of PSNs `lo..lo + dense.len()`, vacant slots included.
+    dense: Vec<Head>,
+    /// Live heads in `dense`.
+    live: usize,
+    /// Heads whose PSN fell below `lo` or too far past the window.
+    sparse: BTreeMap<u32, Head>,
+    timeouts: u64,
+    ho_received: u64,
+}
+
+impl FlowIx {
+    /// Admits a new head for `psn`: into the dense window when that keeps
+    /// the window at most twice the live heads (plus slack), else sparse.
+    fn insert(&mut self, psn: u32, head: Head) -> &mut Head {
+        if self.dense.is_empty() {
+            self.lo = psn;
+        }
+        match psn.checked_sub(self.lo).map(|d| d as usize) {
+            Some(i) if i < 2 * self.live + DENSE_SLACK => {
+                if i >= self.dense.len() {
+                    self.dense.resize(i + 1, Head::VACANT);
+                }
+                self.live += 1;
+                self.dense[i] = head;
+                &mut self.dense[i]
+            }
+            _ => self.sparse.entry(psn).or_insert(head),
+        }
+    }
+}
+
+/// Flow-id hash: the murmur3 64-bit finalizer. Its full avalanche keeps
+/// structured ids (strided, or differing only in high bits) out of one
+/// bucket. Flow ids come from the simulator or from the user's own
+/// capture, so no key is chosen to collide, and SipHash would cost more
+/// than the rest of a fold step.
+#[derive(Default)]
+struct FlowHasher(u64);
+
+impl Hasher for FlowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let mut h = self.0 ^ x;
+        h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        self.0 = h ^ h >> 33;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Every packet head, by flow.
+#[derive(Default)]
+struct Heads {
+    flows: HashMap<u32, FlowIx, BuildHasherDefault<FlowHasher>>,
+    /// Live heads over all flows.
+    len: usize,
+}
+
+impl Heads {
+    /// The head of `(flow, psn)`, admitted with base `at` if new — or
+    /// `None` when it is new and `cap` heads are already held.
+    #[inline]
+    fn get(&mut self, flow: u32, psn: u32, at: u64, cap: usize) -> Option<&mut Head> {
+        let f = if self.len < cap {
+            self.flows.entry(flow).or_default()
+        } else {
+            self.flows.get_mut(&flow)?
+        };
+        let i = psn.wrapping_sub(f.lo) as usize;
+        if f.dense.get(i).is_some_and(|h| h.live) {
+            return Some(&mut f.dense[i]);
+        }
+        if f.sparse.contains_key(&psn) {
+            return f.sparse.get_mut(&psn);
+        }
+        if self.len >= cap {
+            return None;
+        }
+        self.len += 1;
+        Some(f.insert(psn, Head::new(at)))
+    }
+
+    /// Every live head in `(flow, psn)` order.
+    fn sorted(&self) -> Vec<((u32, u32), &Head)> {
+        let mut flows: Vec<_> = self.flows.iter().collect();
+        flows.sort_unstable_by_key(|&(&flow, _)| flow);
+        let mut out = Vec::with_capacity(self.len);
+        for (&flow, f) in flows {
+            let from = out.len();
+            let dense = f.dense.iter().enumerate().filter(|(_, h)| h.live);
+            out.extend(dense.map(|(i, h)| ((flow, f.lo + i as u32), h)));
+            if !f.sparse.is_empty() {
+                out.extend(f.sparse.iter().map(|(&psn, h)| ((flow, psn), h)));
+                out[from..].sort_unstable_by_key(|&(key, _)| key);
+            }
+        }
+        out
+    }
+}
+
+/// Queue visits: compact records chained newest-first per packet, plus
+/// the verbatim visits whose fields overflow a lane.
+struct Hops {
+    recs: Arena<Hop>,
+    escapes: Vec<HopVisit>,
+}
+
+impl Hops {
+    #[inline]
+    fn enqueue(&mut self, h: &mut Head, at: u64, node: u32, port: u32, queue: QueueClass) {
+        let rec = match h.offset(at) {
+            Some(enq) if node < 1 << NODE_BITS && port < 1 << PORT_BITS => Hop {
+                enq,
+                res: NONE,
+                loc: node | port << NODE_BITS | (queue as u32) << 31,
+                prev: h.hop,
+            },
+            _ => {
+                let visit = HopVisit { node, port, queue, enqueue: at, dequeue: None };
+                Hop { enq: escape(&mut self.escapes, visit), res: ESCAPED, loc: 0, prev: h.hop }
+            }
+        };
+        h.hop = self.recs.push(rec);
+    }
+
+    /// Closes the newest open visit to `(node, port)` — re-routed
+    /// retransmissions can pass the same switch twice — or nothing.
+    #[inline]
+    fn dequeue(&mut self, h: &Head, at: u64, node: u32, port: u32) {
+        let want =
+            (node < 1 << NODE_BITS && port < 1 << PORT_BITS).then_some(node | port << NODE_BITS);
+        let mut i = h.hop;
+        while i != NONE {
+            let hop = self.recs.get_mut(i);
+            if hop.res == ESCAPED {
+                let v = &mut self.escapes[hop.enq as usize];
+                if v.node == node && v.port == port && v.dequeue.is_none() {
+                    v.dequeue = Some(at);
+                    return;
+                }
+            } else if hop.res == NONE && Some(hop.loc & !(1 << 31)) == want {
+                let enqueue = h.base + u64::from(hop.enq);
+                match at.checked_sub(enqueue).and_then(|r| u32::try_from(r).ok()) {
+                    Some(res) if res < ESCAPED => hop.res = res,
+                    _ => {
+                        let queue = queue_of(hop.loc);
+                        let visit = HopVisit { node, port, queue, enqueue, dequeue: Some(at) };
+                        hop.enq = escape(&mut self.escapes, visit);
+                        hop.res = ESCAPED;
+                    }
+                }
+                return;
+            }
+            i = hop.prev;
+        }
+    }
+
+    /// `h`'s visits in arrival order.
+    fn read(&self, h: &Head) -> Vec<HopVisit> {
+        let mut out = Vec::new();
+        let mut i = h.hop;
+        while i != NONE {
+            let hop = self.recs.get(i);
+            out.push(if hop.res == ESCAPED {
+                self.escapes[hop.enq as usize]
+            } else {
+                let enqueue = h.base + u64::from(hop.enq);
+                HopVisit {
+                    node: hop.loc & ((1 << NODE_BITS) - 1),
+                    port: (hop.loc >> NODE_BITS) & ((1 << PORT_BITS) - 1),
+                    queue: queue_of(hop.loc),
+                    enqueue,
+                    dequeue: (hop.res != NONE).then(|| enqueue + u64::from(hop.res)),
+                }
+            });
+            i = hop.prev;
+        }
+        out.reverse();
+        out
+    }
+}
+
+fn queue_of(loc: u32) -> QueueClass {
+    if loc >> 31 == 0 {
+        QueueClass::Data
+    } else {
+        QueueClass::Ctrl
+    }
+}
+
+/// Retransmissions, trims, drops and ECN marks: compact records chained
+/// newest-first per packet, plus the `(at, node)` of those that overflow
+/// a lane.
+struct Marks {
+    recs: Arena<Mark>,
+    escapes: Vec<(u64, u32)>,
+}
+
+impl Marks {
+    /// Chains a mark onto `h`; `code` is the retransmission cause or the
+    /// drop class.
+    #[inline]
+    fn push(&mut self, h: &mut Head, at: u64, kind: u32, code: u32, node: u32) {
+        let info = kind | code << 2;
+        let rec = match h.offset(at) {
+            Some(off) if node < 1 << NODE_BITS => {
+                Mark { at: off, info: info | node << MARK_NODE_SHIFT, prev: h.mark }
+            }
+            _ => {
+                let at = escape(&mut self.escapes, (at, node));
+                Mark { at, info: info | MARK_ESCAPED, prev: h.mark }
+            }
+        };
+        h.mark = self.recs.push(rec);
+    }
+
+    /// Fills `s`'s empty per-kind mark lists from `h`'s chain, each in
+    /// record order.
+    fn read(&self, h: &Head, s: &mut PacketSpan) {
+        let mut i = h.mark;
+        while i != NONE {
+            let m = self.recs.get(i);
+            let (at, node) = if m.info & MARK_ESCAPED != 0 {
+                self.escapes[m.at as usize]
+            } else {
+                (h.base + u64::from(m.at), m.info >> MARK_NODE_SHIFT)
+            };
+            let code = (m.info >> 2) as usize & 0x7;
+            match m.info & 0x3 {
+                MARK_RETX => s.retx.push((at, CAUSES[code])),
+                MARK_TRIM => s.trims.push((at, node)),
+                MARK_DROP => s.drops.push((at, node, DROP_CLASSES[code])),
+                _ => s.ecn.push((at, node)),
+            }
+            i = m.prev;
+        }
+        s.retx.reverse();
+        s.trims.reverse();
+        s.drops.reverse();
+        s.ecn.reverse();
+    }
+}
+
+/// Appends `v` to an escape table, returning its index.
+fn escape<T>(table: &mut Vec<T>, v: T) -> u32 {
+    table.push(v);
+    u32::try_from(table.len() - 1).expect("span store holds < 2^32 escapes")
+}
+
 /// Builds spans from a probe stream — live (installed as a probe, alone
 /// or inside a `Fanout`) or replayed from a capture; both record the same
 /// events and produce the same document.
 ///
-/// Hot-path discipline: [`Probe::record`] only appends to an uncapped
-/// [`EventLog`] (the benchmark's `scope.capture_overhead_pct` is the
-/// budget). The log folds into the sorted span maps on first read
-/// ([`SpanBuilder::packets`], [`SpanBuilder::to_json`], ...), off the
-/// simulator's critical path.
+/// [`Probe::record`] folds each event into a compact span store while the
+/// run is live: one head per `(flow, psn)` (`Tx` only bumps it), one
+/// 16-byte record per queue visit (the `Dequeue` patches its `Enqueue`'s),
+/// one 12-byte record per retransmission, trim, drop or ECN mark, and
+/// per-flow timeout / header-only counters. Fields too wide for their
+/// lanes escape verbatim to side tables. Spans are built on read
+/// ([`SpanBuilder::packets`], [`SpanBuilder::to_json`], ...), sorted by
+/// key.
 pub struct SpanBuilder {
-    /// Raw capture, folded lazily — the only thing `record` touches.
-    log: EventLog,
-    packets: BTreeMap<(u32, u32), PacketSpan>,
+    heads: Heads,
+    hops: Hops,
+    marks: Marks,
     messages: BTreeMap<(u32, u64), MessageSpan>,
-    /// Per-flow (timeouts, header-only notifications) counters.
-    flows: BTreeMap<u32, (u64, u64)>,
     /// New-key admission cap: spans beyond it are dropped (counted), so a
     /// runaway trace cannot exhaust memory.
     cap: usize,
@@ -114,10 +511,10 @@ impl Default for SpanBuilder {
 impl SpanBuilder {
     pub fn new() -> Self {
         SpanBuilder {
-            log: EventLog::new(usize::MAX),
-            packets: BTreeMap::new(),
+            heads: Heads::default(),
+            hops: Hops { recs: Arena::new(), escapes: Vec::new() },
+            marks: Marks { recs: Arena::new(), escapes: Vec::new() },
             messages: BTreeMap::new(),
-            flows: BTreeMap::new(),
             cap: 1 << 20,
             truncated: 0,
         }
@@ -130,41 +527,33 @@ impl SpanBuilder {
         self
     }
 
-    fn packet(&mut self, flow: u32, psn: u32) -> Option<&mut PacketSpan> {
-        let key = (flow, psn);
-        if !self.packets.contains_key(&key) && self.packets.len() >= self.cap {
-            self.truncated += 1;
-            return None;
-        }
-        Some(self.packets.entry(key).or_default())
+    /// Every packet span, in `(flow, psn)` order.
+    pub fn packets(&self) -> impl Iterator<Item = ((u32, u32), PacketSpan)> + '_ {
+        self.heads.sorted().into_iter().map(|(key, h)| (key, self.span(h)))
     }
 
-    /// Drains the raw capture into the span maps (idempotent; a no-op
-    /// when nothing was recorded since the last fold).
-    fn fold(&mut self) {
-        for (at, ev) in self.log.take_log().iter() {
-            self.apply(at, &ev);
-        }
-    }
-
-    pub fn packets(&mut self) -> impl Iterator<Item = (&(u32, u32), &PacketSpan)> {
-        self.fold();
-        self.packets.iter()
-    }
-
-    pub fn messages(&mut self) -> impl Iterator<Item = (&(u32, u64), &MessageSpan)> {
-        self.fold();
+    pub fn messages(&self) -> impl Iterator<Item = (&(u32, u64), &MessageSpan)> {
         self.messages.iter()
+    }
+
+    /// `h`'s span, rebuilt from its chains.
+    fn span(&self, h: &Head) -> PacketSpan {
+        let mut s = PacketSpan {
+            first_tx: (h.transmissions > 0).then_some(h.first_tx),
+            transmissions: h.transmissions,
+            hops: self.hops.read(h),
+            ..PacketSpan::default()
+        };
+        self.marks.read(h, &mut s);
+        s
     }
 
     /// The full span document (`dcp-trace/v1`), sorted by key so output is
     /// byte-identical across thread/shard settings of the same run.
-    pub fn to_json(&mut self) -> Json {
-        self.fold();
-        let packets: Vec<Json> = self
-            .packets
-            .iter()
-            .map(|(&(flow, psn), s)| {
+    pub fn to_json(&self) -> Json {
+        let mut packets = Vec::with_capacity(self.heads.len);
+        for ((flow, psn), s) in self.packets() {
+            packets.push(
                 Json::obj()
                     .set("flow", u64::from(flow))
                     .set("psn", u64::from(psn))
@@ -223,9 +612,9 @@ impl SpanBuilder {
                         ),
                     )
                     .set("time_in_queue", s.time_in_queue())
-                    .set("time_in_recovery", s.time_in_recovery())
-            })
-            .collect();
+                    .set("time_in_recovery", s.time_in_recovery()),
+            );
+        }
         let messages: Vec<Json> = self
             .messages
             .iter()
@@ -239,10 +628,17 @@ impl SpanBuilder {
                     .set("latency", m.latency().map_or(Json::Null, Json::from))
             })
             .collect();
-        let flows: Vec<Json> = self
+        let mut flows: Vec<_> = self
+            .heads
             .flows
             .iter()
-            .map(|(&flow, &(timeouts, ho))| {
+            .filter(|(_, f)| f.timeouts + f.ho_received > 0)
+            .map(|(&flow, f)| (flow, f.timeouts, f.ho_received))
+            .collect();
+        flows.sort_unstable();
+        let flows: Vec<Json> = flows
+            .into_iter()
+            .map(|(flow, timeouts, ho)| {
                 Json::obj()
                     .set("flow", u64::from(flow))
                     .set("timeouts", timeouts)
@@ -260,14 +656,13 @@ impl SpanBuilder {
 
     /// Aggregate latency breakdown: where packet time went (queueing vs
     /// recovery), per-hop queue-wait percentiles, message latency.
-    pub fn stats_json(&mut self) -> Json {
-        self.fold();
+    pub fn stats_json(&self) -> Json {
         let mut queue_wait = LogHistogram::new(6);
         let mut recovery = LogHistogram::new(6);
         let mut msg_latency = LogHistogram::new(6);
         let mut per_node: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
         let mut retx_pkts = 0u64;
-        for s in self.packets.values() {
+        for (_, s) in self.packets() {
             let q = s.time_in_queue();
             if q > 0 {
                 queue_wait.record(q);
@@ -311,7 +706,7 @@ impl SpanBuilder {
             })
             .collect();
         Json::obj()
-            .set("packet_spans", self.packets.len())
+            .set("packet_spans", self.heads.len)
             .set("retx_packets", retx_pkts)
             .set("message_spans", self.messages.len())
             .set("queue_wait", hist(&queue_wait))
@@ -320,56 +715,53 @@ impl SpanBuilder {
             .set("per_hop", Json::Arr(per_hop))
     }
 
-    /// Folds one event into the span maps.
-    fn apply(&mut self, at: u64, ev: &ProbeEvent) {
+    /// Folds one packet-level event into `(flow, psn)`'s head and chains.
+    #[inline]
+    fn fold_packet(&mut self, at: u64, flow: u32, psn: u32, ev: &ProbeEvent) {
+        let Some(h) = self.heads.get(flow, psn, at, self.cap) else {
+            self.truncated += 1;
+            return;
+        };
         match *ev {
-            ProbeEvent::Tx { flow, psn, .. } => {
-                if let Some(s) = self.packet(flow, psn) {
-                    s.first_tx.get_or_insert(at);
-                    s.transmissions += 1;
-                }
+            ProbeEvent::Tx { .. } => transmit(h, at),
+            ProbeEvent::Retx { cause, .. } => {
+                transmit(h, at);
+                self.marks.push(h, at, MARK_RETX, cause as u32, 0);
             }
-            ProbeEvent::Retx { flow, psn, cause, .. } => {
-                if let Some(s) = self.packet(flow, psn) {
-                    s.first_tx.get_or_insert(at);
-                    s.transmissions += 1;
-                    s.retx.push((at, cause));
-                }
+            ProbeEvent::Enqueue { node, port, queue, .. } => {
+                self.hops.enqueue(h, at, node, port, queue);
             }
-            ProbeEvent::Enqueue { node, port, queue, flow, psn, .. } => {
-                if let Some(s) = self.packet(flow, psn) {
-                    s.hops.push(HopVisit { node, port, queue, enqueue: at, dequeue: None });
-                }
+            ProbeEvent::Dequeue { node, port, .. } => self.hops.dequeue(h, at, node, port),
+            ProbeEvent::Trim { node, .. } => self.marks.push(h, at, MARK_TRIM, 0, node),
+            ProbeEvent::Drop { node, class, .. } => {
+                self.marks.push(h, at, MARK_DROP, class as u32, node);
             }
-            ProbeEvent::Dequeue { node, port, flow, psn, .. } => {
-                if let Some(s) = self.packet(flow, psn) {
-                    // Match the newest open visit to this queue: re-routed
-                    // retransmissions can pass the same switch twice.
-                    if let Some(h) = s
-                        .hops
-                        .iter_mut()
-                        .rev()
-                        .find(|h| h.node == node && h.port == port && h.dequeue.is_none())
-                    {
-                        h.dequeue = Some(at);
-                    }
-                }
-            }
-            ProbeEvent::Trim { node, flow, psn, .. } => {
-                if let Some(s) = self.packet(flow, psn) {
-                    s.trims.push((at, node));
-                }
-            }
-            ProbeEvent::Drop { node, flow, psn, class, .. } => {
-                if let Some(s) = self.packet(flow, psn) {
-                    s.drops.push((at, node, class));
-                }
-            }
-            ProbeEvent::EcnMark { node, flow, psn, .. } => {
-                if let Some(s) = self.packet(flow, psn) {
-                    s.ecn.push((at, node));
-                }
-            }
+            ProbeEvent::EcnMark { node, .. } => self.marks.push(h, at, MARK_ECN, 0, node),
+            _ => unreachable!("not a packet-level event"),
+        }
+    }
+}
+
+/// A wire transmission of `h`: the first one sets `first_tx`.
+#[inline]
+fn transmit(h: &mut Head, at: u64) {
+    if h.transmissions == 0 {
+        h.first_tx = at;
+    }
+    h.transmissions += 1;
+}
+
+impl Probe for SpanBuilder {
+    #[inline]
+    fn record(&mut self, at: u64, ev: &ProbeEvent) {
+        match *ev {
+            ProbeEvent::Tx { flow, psn, .. }
+            | ProbeEvent::Retx { flow, psn, .. }
+            | ProbeEvent::Enqueue { flow, psn, .. }
+            | ProbeEvent::Dequeue { flow, psn, .. }
+            | ProbeEvent::Trim { flow, psn, .. }
+            | ProbeEvent::Drop { flow, psn, .. }
+            | ProbeEvent::EcnMark { flow, psn, .. } => self.fold_packet(at, flow, psn, ev),
             ProbeEvent::MsgPosted { flow, wr_id, bytes, .. } => {
                 let m = self.messages.entry((flow, wr_id)).or_default();
                 m.bytes = bytes;
@@ -381,20 +773,13 @@ impl SpanBuilder {
                 m.delivered.get_or_insert(at);
             }
             ProbeEvent::Timeout { flow, .. } => {
-                self.flows.entry(flow).or_default().0 += 1;
+                self.heads.flows.entry(flow).or_default().timeouts += 1;
             }
             ProbeEvent::HoReceived { flow, .. } => {
-                self.flows.entry(flow).or_default().1 += 1;
+                self.heads.flows.entry(flow).or_default().ho_received += 1;
             }
             _ => {}
         }
-    }
-}
-
-impl Probe for SpanBuilder {
-    #[inline]
-    fn record(&mut self, at: u64, ev: &ProbeEvent) {
-        self.log.record(at, ev);
     }
 
     fn interest(&self) -> KindMask {
@@ -415,11 +800,10 @@ impl Probe for SpanBuilder {
 
     fn dump(&self) -> Option<String> {
         Some(format!(
-            "span builder: {} packet spans, {} message spans ({} truncated, {} buffered)",
-            self.packets.len(),
+            "span builder: {} packet spans, {} message spans ({} truncated)",
+            self.heads.len,
             self.messages.len(),
             self.truncated,
-            self.log.len()
         ))
     }
 }
@@ -428,8 +812,8 @@ impl Probe for SpanBuilder {
 mod tests {
     use super::*;
 
-    /// An event whose fields overflow the packed lanes reaches the fold
-    /// intact: a delivery with a 16 MB payload lands in its message span.
+    /// Fields wider than a packed lane reach the span intact: a 2^30
+    /// work-request id with a 16 MB payload lands in its message span.
     #[test]
     fn escaped_records_fold_intact() {
         let mut b = SpanBuilder::new();
@@ -509,7 +893,7 @@ mod tests {
 
     #[test]
     fn span_reconstructs_trim_and_recovery() {
-        let mut b = trimmed_then_recovered();
+        let b = trimmed_then_recovered();
         let (_, s) = b.packets().next().unwrap();
         assert_eq!(s.first_tx, Some(100));
         assert_eq!(s.transmissions, 2);
@@ -526,7 +910,7 @@ mod tests {
 
     #[test]
     fn jsonl_ingest_matches_live_recording() {
-        let mut live = trimmed_then_recovered();
+        let live = trimmed_then_recovered();
         // Re-render the same events as JSONL and rebuild offline.
         let evs = trim_recovery_events();
         let mut lines = String::new();
@@ -564,7 +948,7 @@ mod tests {
 
     #[test]
     fn stats_breakdown_is_populated() {
-        let mut b = trimmed_then_recovered();
+        let b = trimmed_then_recovered();
         let stats = b.stats_json();
         assert_eq!(stats.get("packet_spans").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("retx_packets").and_then(Json::as_u64), Some(1));
@@ -572,5 +956,289 @@ mod tests {
         assert_eq!(per_hop.len(), 1);
         assert_eq!(per_hop[0].get("visits").and_then(Json::as_u64), Some(2));
         assert_eq!(per_hop[0].get("mean_queue_wait").and_then(Json::as_u64), Some(55));
+    }
+
+    type Spans = Vec<((u32, u32), PacketSpan)>;
+
+    /// The fold the span store replaced, kept as its specification: every
+    /// packet-level event applied in record order to a sorted map of full
+    /// spans, new keys refused (and counted) once `cap` are held.
+    fn reference_fold(events: &[(u64, ProbeEvent)], cap: usize) -> (Spans, u64) {
+        use ProbeEvent as E;
+        let mut spans: BTreeMap<(u32, u32), PacketSpan> = BTreeMap::new();
+        let mut truncated = 0;
+        for &(at, ev) in events {
+            let (flow, psn) = match ev {
+                E::Tx { flow, psn, .. }
+                | E::Retx { flow, psn, .. }
+                | E::Enqueue { flow, psn, .. }
+                | E::Dequeue { flow, psn, .. }
+                | E::Trim { flow, psn, .. }
+                | E::Drop { flow, psn, .. }
+                | E::EcnMark { flow, psn, .. } => (flow, psn),
+                _ => continue,
+            };
+            if !spans.contains_key(&(flow, psn)) && spans.len() >= cap {
+                truncated += 1;
+                continue;
+            }
+            let s = spans.entry((flow, psn)).or_default();
+            match ev {
+                E::Tx { .. } | E::Retx { .. } => {
+                    s.first_tx.get_or_insert(at);
+                    s.transmissions += 1;
+                    if let E::Retx { cause, .. } = ev {
+                        s.retx.push((at, cause));
+                    }
+                }
+                E::Enqueue { node, port, queue, .. } => {
+                    s.hops.push(HopVisit { node, port, queue, enqueue: at, dequeue: None });
+                }
+                E::Dequeue { node, port, .. } => {
+                    if let Some(h) = s
+                        .hops
+                        .iter_mut()
+                        .rev()
+                        .find(|h| h.node == node && h.port == port && h.dequeue.is_none())
+                    {
+                        h.dequeue = Some(at);
+                    }
+                }
+                E::Trim { node, .. } => s.trims.push((at, node)),
+                E::Drop { node, class, .. } => s.drops.push((at, node, class)),
+                E::EcnMark { node, .. } => s.ecn.push((at, node)),
+                _ => unreachable!(),
+            }
+        }
+        (spans.into_iter().collect(), truncated)
+    }
+
+    /// Records `events` into a store capped at `cap` and asserts it reads
+    /// back exactly the reference fold's spans and truncation count.
+    fn fold_both(events: &[(u64, ProbeEvent)], cap: usize) -> SpanBuilder {
+        let mut b = SpanBuilder::new().with_cap(cap);
+        for (at, ev) in events {
+            b.record(*at, ev);
+        }
+        let (want, truncated) = reference_fold(events, cap);
+        assert_eq!(b.packets().collect::<Vec<_>>(), want);
+        assert_eq!(b.truncated, truncated);
+        b
+    }
+
+    fn enq(node: u32, port: u32, flow: u32, psn: u32) -> ProbeEvent {
+        ProbeEvent::Enqueue { node, port, queue: QueueClass::Data, flow, psn, bytes: 1064 }
+    }
+
+    fn deq(node: u32, port: u32, flow: u32, psn: u32) -> ProbeEvent {
+        ProbeEvent::Dequeue { node, port, queue: QueueClass::Ctrl, flow, psn, bytes: 64 }
+    }
+
+    fn tx(flow: u32, psn: u32) -> ProbeEvent {
+        ProbeEvent::Tx { node: 0, flow, psn, bytes: 1064 }
+    }
+
+    fn retx(flow: u32, psn: u32, cause: RetxCause) -> ProbeEvent {
+        ProbeEvent::Retx { node: 0, flow, psn, bytes: 1064, cause }
+    }
+
+    /// Every lane a compact record has: a hop's enqueue offset (≥ 2^32
+    /// past the head's first event, or before it), node (≥ 2^19), port
+    /// (≥ 2^12) and residency (≥ 2^32 − 2, or a dequeue before its
+    /// enqueue); a mark's time offset (both ways) and node. Each escapes
+    /// verbatim and reads back as the old fold's span.
+    #[test]
+    fn every_escape_lane_reads_back_verbatim() {
+        let far = 1000 + (1u64 << 32);
+        let events = vec![
+            (1000, tx(1, 0)),
+            (1010, enq(1 << 19, 2, 1, 0)),
+            (1020, enq(4, 1 << 12, 1, 0)),
+            (1030, deq(1 << 19, 2, 1, 0)),
+            (1040, deq(4, 1 << 12, 1, 0)),
+            (far, enq(4, 2, 1, 0)),
+            (far + 5, deq(4, 2, 1, 0)),
+            (500, enq(5, 2, 1, 0)),
+            (600, deq(5, 2, 1, 0)),
+            (2000, enq(6, 2, 1, 0)),
+            (2000 + u64::from(u32::MAX), deq(6, 2, 1, 0)),
+            (3000, enq(7, 2, 1, 0)),
+            (2500, deq(7, 2, 1, 0)),
+            (1100, ProbeEvent::Trim { node: 1 << 19, port: 0, flow: 1, psn: 0 }),
+            (far, ProbeEvent::Drop { node: 3, port: 0, flow: 1, psn: 0, class: DropClass::Fault }),
+            (400, retx(1, 0, RetxCause::Tlp)),
+            (1200, ProbeEvent::EcnMark { node: 3, port: 0, flow: 1, psn: 0 }),
+        ];
+        let b = fold_both(&events, usize::MAX);
+        assert_eq!(b.hops.escapes.len(), 6, "every hop but none stays compact");
+        assert_eq!(b.marks.escapes.len(), 3, "trim, drop and retx escape; ECN fits");
+        let (_, s) = b.packets().next().unwrap();
+        assert_eq!(s.hops[0].node, 1 << 19);
+        assert_eq!(s.hops[4].dequeue, Some(2000 + u64::from(u32::MAX)));
+        assert_eq!(s.hops[5].dequeue, Some(2500), "a dequeue before its enqueue stays verbatim");
+        assert_eq!(s.retx, vec![(400, RetxCause::Tlp)]);
+    }
+
+    /// Replayed out of order — reversed, then shuffled — every event can
+    /// precede its head's first event and every dequeue its enqueue.
+    #[test]
+    fn out_of_order_replay_matches_the_old_fold() {
+        let mut events = trim_recovery_events();
+        events.extend([(120, tx(7, 4)), (130, enq(10, 2, 7, 4)), (140, deq(10, 2, 7, 4))]);
+        events.reverse();
+        fold_both(&events, usize::MAX);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..events.len()).rev() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            events.swap(i, (rng % (i as u64 + 1)) as usize);
+        }
+        fold_both(&events, usize::MAX);
+    }
+
+    /// A dequeue that finds no open visit to its queue — on a new key, on
+    /// a different port, or a second dequeue — patches nothing but still
+    /// opens the span, as the old fold did.
+    #[test]
+    fn dequeue_without_open_visit_patches_nothing() {
+        let events = vec![
+            (10, deq(3, 1, 2, 9)),
+            (20, enq(3, 1, 2, 8)),
+            (30, deq(3, 2, 2, 8)),
+            (40, deq(4, 1, 2, 8)),
+            (50, deq(3, 1, 2, 8)),
+            (60, deq(3, 1, 2, 8)),
+        ];
+        let b = fold_both(&events, usize::MAX);
+        let spans: Vec<_> = b.packets().collect();
+        assert_eq!(spans[0].1.hops[0].dequeue, Some(50));
+        assert_eq!(spans[1].0, (2, 9));
+        assert!(spans[1].1.hops.is_empty() && spans[1].1.first_tx.is_none());
+    }
+
+    /// A re-routed retransmission enters the same switch port while the
+    /// first copy still waits there: dequeues close the newest open visit
+    /// first, and visits elsewhere in between are skipped over.
+    #[test]
+    fn retransmission_through_one_switch_twice() {
+        let events = vec![
+            (100, tx(5, 0)),
+            (200, enq(10, 2, 5, 0)),
+            (300, retx(5, 0, RetxCause::Timeout)),
+            (310, enq(11, 0, 5, 0)),
+            (400, enq(10, 2, 5, 0)),
+            (410, deq(10, 2, 5, 0)),
+            (420, deq(11, 0, 5, 0)),
+            (430, deq(10, 2, 5, 0)),
+        ];
+        let b = fold_both(&events, usize::MAX);
+        let (_, s) = b.packets().next().unwrap();
+        let deqs: Vec<_> = s.hops.iter().map(|h| (h.enqueue, h.dequeue)).collect();
+        assert_eq!(deqs, vec![(200, Some(430)), (310, Some(420)), (400, Some(410))]);
+        assert_eq!(s.time_in_recovery(), 200);
+    }
+
+    /// At the cap, every event on a new key is refused and counted — each
+    /// kind, repeatedly — while held keys keep folding and per-flow
+    /// counters still count.
+    #[test]
+    fn cap_hit_on_a_new_key_is_counted_per_event() {
+        let events = vec![
+            (1, tx(1, 0)),
+            (2, tx(2, 0)),
+            (3, enq(3, 1, 3, 0)),
+            (4, deq(3, 1, 3, 0)),
+            (5, ProbeEvent::Trim { node: 3, port: 1, flow: 3, psn: 0 }),
+            (6, retx(1, 0, RetxCause::Ho)),
+            (7, tx(1, 1)),
+            (8, ProbeEvent::HoReceived { node: 0, flow: 3 }),
+            (9, tx(4, 0)),
+        ];
+        let b = fold_both(&events, 2);
+        assert_eq!(b.truncated, 5);
+        assert!(!b.heads.flows.contains_key(&4), "a refused key opens no flow");
+        let doc = b.to_json();
+        let flows = doc.get("flows").and_then(Json::as_arr).unwrap();
+        assert_eq!(flows.len(), 1, "counters are not capped");
+    }
+
+    /// Flow ids are sparse and unbounded, PSNs reach 2^24 and beyond:
+    /// storage follows the number of packets, never an id's value.
+    #[test]
+    fn huge_ids_allocate_by_count_not_value() {
+        let flow = u32::MAX - 1;
+        let mut events = Vec::new();
+        for (i, psn) in [0, (1 << 24) - 1, 1, u32::MAX, 2, 1 << 23].into_iter().enumerate() {
+            let at = 10 * i as u64;
+            events.extend([(at, tx(flow, psn)), (at + 1, enq(1, 1, flow, psn))]);
+            events.push((at + 2, deq(1, 1, flow, psn)));
+        }
+        events.push((100, tx(u32::MAX, u32::MAX)));
+        let b = fold_both(&events, usize::MAX);
+        let f = &b.heads.flows[&flow];
+        assert_eq!((f.dense.len(), f.sparse.len()), (3, 3), "far PSNs go sparse");
+        assert!(f.dense.capacity() <= 2 * DENSE_SLACK);
+        assert_eq!(b.heads.flows.len(), 2);
+    }
+
+    /// A pseudo-random mix of every packet-level kind over a handful of
+    /// keys — times mostly rising with jumps back and past 2^32, lanes
+    /// sometimes overflowing — agrees with the old fold at several caps.
+    #[test]
+    fn random_streams_match_the_old_fold() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut at = 0u64;
+        let mut events = Vec::new();
+        for _ in 0..20_000 {
+            at = match next(50) {
+                0 => at.saturating_sub(next(1000)),
+                1 => at + (1 << 32) + next(10),
+                _ => at + next(300),
+            };
+            let (flow, psn) = (next(4) as u32 * 0x4000_0000, next(40) as u32 * 3);
+            let node = if next(20) == 0 { 1 << 19 } else { next(3) as u32 };
+            let port = if next(20) == 0 { 1 << 12 } else { next(2) as u32 };
+            let ev = match next(8) {
+                0 => tx(flow, psn),
+                1 => retx(flow, psn, CAUSES[next(8) as usize]),
+                2 | 3 => enq(node, port, flow, psn),
+                4 | 5 => deq(node, port, flow, psn),
+                6 => ProbeEvent::Trim { node, port, flow, psn },
+                _ => ProbeEvent::Drop {
+                    node,
+                    port,
+                    flow,
+                    psn,
+                    class: DROP_CLASSES[next(5) as usize],
+                },
+            };
+            events.push((at, ev));
+        }
+        for cap in [usize::MAX, 100, 7] {
+            fold_both(&events, cap);
+        }
+    }
+
+    /// Strided flow ids — multiples of 2^22, or consecutive — spread over
+    /// the low bits a hash table indexes by, as random keys would.
+    #[test]
+    fn flow_hash_spreads_strided_ids() {
+        for stride in [1u32, 1 << 12, 1 << 22] {
+            let buckets: std::collections::BTreeSet<u64> = (0..1024u32)
+                .map(|i| {
+                    let mut h = FlowHasher::default();
+                    h.write_u32(i.wrapping_mul(stride));
+                    h.finish() & 1023
+                })
+                .collect();
+            assert!(buckets.len() > 550, "stride {stride}: {} of 1024 buckets", buckets.len());
+        }
     }
 }

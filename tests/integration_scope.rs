@@ -17,6 +17,10 @@
 //!    plan on a lossless fabric trips the PFC pause-tree monitor.
 //! 5. **The Perfetto export is real JSON** with slices, instants and
 //!    matched flow-arrow pairs.
+//! 6. **The span document's bytes are pinned.** FNV-1a digests of the
+//!    rendered `dcp-trace/v1` document for the serial reference run and
+//!    the BER-storm run (drops, timeouts, RTO retransmissions): a change
+//!    to how spans are stored or folded must not move a byte.
 
 use dcp_bench::digest::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use dcp_core::dcp_switch_config;
@@ -160,10 +164,10 @@ fn drain_events(sim: &mut Simulator) -> Vec<(u64, ProbeEvent)> {
     read_events(&sim.probe_mut().expect("probe installed").drain_jsonl())
 }
 
-#[test]
-fn retx_storm_monitor_fires_under_a_ber_storm() {
-    // Purpose-built fault plan: a brutal BER on every sender access link
-    // turns GBN's whole-window rewinds into a retransmission storm.
+/// Purpose-built fault plan: a brutal BER on every sender access link
+/// turns GBN's whole-window rewinds into a retransmission storm. Returns
+/// the run's events.
+fn ber_storm_events() -> Vec<(u64, ProbeEvent)> {
     let cfg = SwitchConfig::lossy(LoadBalance::Ecmp);
     let mut sim = Simulator::new(21);
     sim.set_probe(Box::new(EventLog::default()));
@@ -188,8 +192,12 @@ fn retx_storm_monitor_fires_under_a_ber_storm() {
         );
     }
     sim.run_until(200 * MS);
-    let events = drain_events(&mut sim);
+    drain_events(&mut sim)
+}
 
+#[test]
+fn retx_storm_monitor_fires_under_a_ber_storm() {
+    let events = ber_storm_events();
     let mut monitors = Monitors::with_defaults();
     monitors.retx_storm = dcp_scope::RetxStormMonitor::new(MS, 32);
     for (at, ev) in &events {
@@ -207,7 +215,7 @@ fn retx_storm_monitor_fires_under_a_ber_storm() {
         b.record(*at, ev);
     }
     let causes: Vec<&'static str> =
-        b.packets().flat_map(|(_, s)| s.retx.iter().map(|&(_, c)| c.name())).collect();
+        b.packets().flat_map(|(_, s)| s.retx.into_iter().map(|(_, c)| c.name())).collect();
     assert!(!causes.is_empty(), "BER storm must retransmit");
     assert!(causes.iter().all(|&c| c != "unknown"), "unattributed retx in {causes:?}");
 }
@@ -303,7 +311,25 @@ fn perfetto_export_is_valid_and_causally_linked() {
         b.record(*at, ev);
     }
     let retx_causes: Vec<&'static str> =
-        b.packets().flat_map(|(_, s)| s.retx.iter().map(|&(_, c)| c.name())).collect();
+        b.packets().flat_map(|(_, s)| s.retx.into_iter().map(|(_, c)| c.name())).collect();
     assert!(!retx_causes.is_empty(), "forced loss must retransmit");
     assert!(retx_causes.iter().all(|&c| c != "unknown"), "causes: {retx_causes:?}");
+}
+
+/// FNV-1a of the rendered span document folded from `events`.
+fn span_doc_digest(events: &[(u64, ProbeEvent)]) -> u64 {
+    let mut b = SpanBuilder::new();
+    for (at, ev) in events {
+        b.record(*at, ev);
+    }
+    fnv_bytes(FNV_OFFSET, b.to_json().render().as_bytes())
+}
+
+#[test]
+fn span_document_bytes_are_pinned() {
+    let (_, lines) = run_reference(3, Some(Box::new(EventLog::default())), 1, 1);
+    let reference = span_doc_digest(&read_events(&lines));
+    let storm = span_doc_digest(&ber_storm_events());
+    assert_eq!(reference, 0x6a49_2e3e_4dd8_0658, "serial reference (seed 3) span document moved");
+    assert_eq!(storm, 0x69e5_d9d7_a2f8_4266, "BER-storm span document moved");
 }
