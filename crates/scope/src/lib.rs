@@ -56,6 +56,31 @@ impl ScopeProbe {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Heap bytes held by the span store and the monitors.
+    pub fn heap_bytes(&self) -> usize {
+        self.spans.heap_bytes() + self.monitors.heap_bytes()
+    }
+}
+
+/// Heap bytes of a `HashMap<K, V>` reporting `capacity`: a power-of-two
+/// bucket count (`capacity` is 7/8 of it, or one less below 8 buckets),
+/// each bucket a `(K, V)` plus one control byte, and a 16-byte control
+/// tail.
+fn hash_map_bytes<K, V>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        1..=7 => (capacity + 1).next_power_of_two(),
+        _ => (capacity / 7 * 8).next_power_of_two(),
+    };
+    buckets * (size_of::<(K, V)>() + 1) + 16
+}
+
+/// Heap bytes of a `BTreeMap<K, V>` of `len` entries, estimated: a leaf
+/// holds up to 11 keys and 11 values plus a parent link, and ascending
+/// inserts — what these maps mostly see — split leaves about half full.
+fn btree_map_bytes<K, V>(len: usize) -> usize {
+    len.div_ceil(6) * (16 + 11 * (size_of::<K>() + size_of::<V>()))
 }
 
 impl Probe for ScopeProbe {

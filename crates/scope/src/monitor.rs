@@ -45,6 +45,11 @@ impl RetxStormMonitor {
         self.tripped_at.is_some()
     }
 
+    /// Heap bytes held: the rolling window.
+    pub fn heap_bytes(&self) -> usize {
+        self.recent.capacity() * size_of::<u64>()
+    }
+
     /// The cause with the most retransmissions, for the verdict line.
     pub fn dominant_cause(&self) -> Option<RetxCause> {
         const CAUSES: [RetxCause; 8] = [
@@ -140,6 +145,11 @@ impl PfcTreeMonitor {
 
     pub fn tripped(&self) -> bool {
         self.tripped_at.is_some()
+    }
+
+    /// Heap bytes held: the paused-port set.
+    pub fn heap_bytes(&self) -> usize {
+        crate::btree_map_bytes::<(u32, u32), u64>(self.active.len())
     }
 
     fn distinct_nodes(&self) -> usize {
@@ -315,6 +325,11 @@ impl QueueHighWaterMonitor {
         }
     }
 
+    /// Heap bytes held: the open-addressing table.
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * size_of::<u64>() + self.vals.capacity() * size_of::<(u64, u64)>()
+    }
+
     /// The deepest queue anywhere, as `(node, port, bytes)`.
     pub fn deepest(&self) -> Option<(u32, u32, u64)> {
         self.entries().into_iter().max_by_key(|&(.., hw)| hw)
@@ -371,6 +386,13 @@ impl SloBurnMonitor {
             delivered: 0,
             breached: 0,
         }
+    }
+
+    /// Heap bytes held: the pending posts and the per-flow histograms.
+    pub fn heap_bytes(&self) -> usize {
+        crate::btree_map_bytes::<(u32, u64), u64>(self.pending.len())
+            + crate::btree_map_bytes::<u32, LogHistogram>(self.flows.len())
+            + self.flows.values().map(LogHistogram::heap_bytes).sum::<usize>()
     }
 
     /// Fraction of deliveries that exceeded the SLO (0.0 when none
@@ -467,6 +489,14 @@ impl Monitors {
             queue_high_water: QueueHighWaterMonitor::new(),
             slo_burn: SloBurnMonitor::new(10_000_000),
         }
+    }
+
+    /// Heap bytes held by the four monitors.
+    pub fn heap_bytes(&self) -> usize {
+        self.retx_storm.heap_bytes()
+            + self.pfc_tree.heap_bytes()
+            + self.queue_high_water.heap_bytes()
+            + self.slo_burn.heap_bytes()
     }
 
     /// One structured document with every monitor's verdict, embedded in

@@ -14,6 +14,7 @@
 use dcp_telemetry::{
     DropClass, EventKind, Json, KindMask, LogHistogram, Probe, ProbeEvent, QueueClass, RetxCause,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -83,15 +84,17 @@ impl MessageSpan {
     }
 }
 
-/// A chain or residency lane with no value: an open hop's `res`, the end
-/// of a hop or mark chain.
+/// The end of a hop or mark chain.
 const NONE: u32 = u32::MAX;
-/// A hop's `res` when the visit lives verbatim in the escape table.
-const ESCAPED: u32 = u32::MAX - 1;
-/// Lane widths of a compact hop's `loc` (`node | port << 19 | queue << 31`)
-/// and a mark's node; wider values escape.
+/// A hop's `res` while its visit is open.
+const OPEN: u16 = u16::MAX;
+/// A hop's `loc` is a [`Locs`] index below this, with the queue class in
+/// bit 15; this index itself marks a visit kept verbatim in the escape
+/// table, so the table holds at most this many pairs.
+const LOC_ESCAPED: u16 = (1 << 15) - 1;
+const LOC_CTRL: u16 = 1 << 15;
+/// Lane width of a mark's node; wider values escape.
 const NODE_BITS: u32 = 19;
-const PORT_BITS: u32 = 12;
 /// Records per arena chunk: a full run grows by appending chunks (no
 /// doubling `Vec` re-copying what was folded), each under glibc's mmap
 /// threshold.
@@ -135,14 +138,15 @@ impl Head {
 /// One queue visit: an `Enqueue` and its matched `Dequeue` share it.
 #[derive(Debug, Clone, Copy)]
 struct Hop {
-    /// Enqueue time − `Head::base`; the escape index when `res == ESCAPED`.
+    /// Enqueue time − `Head::base`; the escape index when escaped.
     enq: u32,
-    /// Dequeue − enqueue; `NONE` while open, `ESCAPED` when escaped.
-    res: u32,
-    /// `node | port << 19 | queue << 31`.
-    loc: u32,
     /// The packet's previous hop.
     prev: u32,
+    /// Dequeue − enqueue; `OPEN` until the dequeue.
+    res: u16,
+    /// The `(node, port)`'s [`Locs`] index, `| LOC_CTRL` for the control
+    /// queue; `LOC_ESCAPED` when the visit is in the escape table.
+    loc: u16,
 }
 
 /// A retransmission, trim, drop or ECN mark.
@@ -208,6 +212,11 @@ impl<T> Arena<T> {
     #[inline]
     fn get_mut(&mut self, i: u32) -> &mut T {
         &mut self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.chunks.capacity() * size_of::<Vec<T>>()
+            + self.chunks.iter().map(|c| c.capacity() * size_of::<T>()).sum::<usize>()
     }
 }
 
@@ -312,6 +321,14 @@ impl Heads {
         Some(f.insert(psn, Head::new(at)))
     }
 
+    fn heap_bytes(&self) -> usize {
+        let flows = self.flows.values().map(|f| {
+            f.dense.capacity() * size_of::<Head>()
+                + crate::btree_map_bytes::<u32, Head>(f.sparse.len())
+        });
+        crate::hash_map_bytes::<u32, FlowIx>(self.flows.capacity()) + flows.sum::<usize>()
+    }
+
     /// Every live head in `(flow, psn)` order.
     fn sorted(&self) -> Vec<((u32, u32), &Head)> {
         let mut flows: Vec<_> = self.flows.iter().collect();
@@ -330,26 +347,56 @@ impl Heads {
     }
 }
 
+/// The switch egress `(node, port)` pairs hops have visited, each once,
+/// in first-seen order: a hop stores its pair's index. Sized by distinct
+/// pairs, never by an id's value.
+#[derive(Default)]
+struct Locs {
+    pairs: Vec<(u32, u32)>,
+    index: HashMap<u64, u16, BuildHasherDefault<FlowHasher>>,
+}
+
+impl Locs {
+    /// `(node, port)`'s index, interned if new — `None` once the table
+    /// holds `LOC_ESCAPED` pairs.
+    #[inline]
+    fn intern(&mut self, node: u32, port: u32) -> Option<u16> {
+        match self.index.entry(u64::from(node) << 32 | u64::from(port)) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) => {
+                let ix = u16::try_from(self.pairs.len()).ok().filter(|&ix| ix < LOC_ESCAPED)?;
+                self.pairs.push((node, port));
+                Some(*e.insert(ix))
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.pairs.capacity() * size_of::<(u32, u32)>()
+            + crate::hash_map_bytes::<u64, u16>(self.index.capacity())
+    }
+}
+
 /// Queue visits: compact records chained newest-first per packet, plus
 /// the verbatim visits whose fields overflow a lane.
 struct Hops {
     recs: Arena<Hop>,
+    locs: Locs,
     escapes: Vec<HopVisit>,
 }
 
 impl Hops {
     #[inline]
     fn enqueue(&mut self, h: &mut Head, at: u64, node: u32, port: u32, queue: QueueClass) {
-        let rec = match h.offset(at) {
-            Some(enq) if node < 1 << NODE_BITS && port < 1 << PORT_BITS => Hop {
-                enq,
-                res: NONE,
-                loc: node | port << NODE_BITS | (queue as u32) << 31,
-                prev: h.hop,
-            },
+        let rec = match (h.offset(at), self.locs.intern(node, port)) {
+            (Some(enq), Some(ix)) => {
+                let loc = if queue == QueueClass::Ctrl { ix | LOC_CTRL } else { ix };
+                Hop { enq, prev: h.hop, res: OPEN, loc }
+            }
             _ => {
                 let visit = HopVisit { node, port, queue, enqueue: at, dequeue: None };
-                Hop { enq: escape(&mut self.escapes, visit), res: ESCAPED, loc: 0, prev: h.hop }
+                let enq = escape(&mut self.escapes, visit);
+                Hop { enq, prev: h.hop, res: OPEN, loc: LOC_ESCAPED }
             }
         };
         h.hop = self.recs.push(rec);
@@ -359,26 +406,25 @@ impl Hops {
     /// retransmissions can pass the same switch twice — or nothing.
     #[inline]
     fn dequeue(&mut self, h: &Head, at: u64, node: u32, port: u32) {
-        let want =
-            (node < 1 << NODE_BITS && port < 1 << PORT_BITS).then_some(node | port << NODE_BITS);
         let mut i = h.hop;
         while i != NONE {
             let hop = self.recs.get_mut(i);
-            if hop.res == ESCAPED {
+            let ix = hop.loc & !LOC_CTRL;
+            if ix == LOC_ESCAPED {
                 let v = &mut self.escapes[hop.enq as usize];
                 if v.node == node && v.port == port && v.dequeue.is_none() {
                     v.dequeue = Some(at);
                     return;
                 }
-            } else if hop.res == NONE && Some(hop.loc & !(1 << 31)) == want {
+            } else if hop.res == OPEN && self.locs.pairs[ix as usize] == (node, port) {
                 let enqueue = h.base + u64::from(hop.enq);
-                match at.checked_sub(enqueue).and_then(|r| u32::try_from(r).ok()) {
-                    Some(res) if res < ESCAPED => hop.res = res,
+                match at.checked_sub(enqueue).and_then(|r| u16::try_from(r).ok()) {
+                    Some(res) if res != OPEN => hop.res = res,
                     _ => {
                         let queue = queue_of(hop.loc);
                         let visit = HopVisit { node, port, queue, enqueue, dequeue: Some(at) };
                         hop.enq = escape(&mut self.escapes, visit);
-                        hop.res = ESCAPED;
+                        hop.loc = LOC_ESCAPED;
                     }
                 }
                 return;
@@ -387,22 +433,30 @@ impl Hops {
         }
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.recs.heap_bytes()
+            + self.locs.heap_bytes()
+            + self.escapes.capacity() * size_of::<HopVisit>()
+    }
+
     /// `h`'s visits in arrival order.
     fn read(&self, h: &Head) -> Vec<HopVisit> {
         let mut out = Vec::new();
         let mut i = h.hop;
         while i != NONE {
             let hop = self.recs.get(i);
-            out.push(if hop.res == ESCAPED {
+            let ix = hop.loc & !LOC_CTRL;
+            out.push(if ix == LOC_ESCAPED {
                 self.escapes[hop.enq as usize]
             } else {
+                let (node, port) = self.locs.pairs[ix as usize];
                 let enqueue = h.base + u64::from(hop.enq);
                 HopVisit {
-                    node: hop.loc & ((1 << NODE_BITS) - 1),
-                    port: (hop.loc >> NODE_BITS) & ((1 << PORT_BITS) - 1),
+                    node,
+                    port,
                     queue: queue_of(hop.loc),
                     enqueue,
-                    dequeue: (hop.res != NONE).then(|| enqueue + u64::from(hop.res)),
+                    dequeue: (hop.res != OPEN).then(|| enqueue + u64::from(hop.res)),
                 }
             });
             i = hop.prev;
@@ -412,8 +466,8 @@ impl Hops {
     }
 }
 
-fn queue_of(loc: u32) -> QueueClass {
-    if loc >> 31 == 0 {
+fn queue_of(loc: u16) -> QueueClass {
+    if loc & LOC_CTRL == 0 {
         QueueClass::Data
     } else {
         QueueClass::Ctrl
@@ -444,6 +498,10 @@ impl Marks {
             }
         };
         h.mark = self.recs.push(rec);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.recs.heap_bytes() + self.escapes.capacity() * size_of::<(u64, u32)>()
     }
 
     /// Fills `s`'s empty per-kind mark lists from `h`'s chain, each in
@@ -485,10 +543,12 @@ fn escape<T>(table: &mut Vec<T>, v: T) -> u32 {
 ///
 /// [`Probe::record`] folds each event into a compact span store while the
 /// run is live: one head per `(flow, psn)` (`Tx` only bumps it), one
-/// 16-byte record per queue visit (the `Dequeue` patches its `Enqueue`'s),
-/// one 12-byte record per retransmission, trim, drop or ECN mark, and
-/// per-flow timeout / header-only counters. Fields too wide for their
-/// lanes escape verbatim to side tables. Spans are built on read
+/// 12-byte record per queue visit (the `Dequeue` patches its `Enqueue`'s;
+/// the switch egress `(node, port)` is an index into a table of the pairs
+/// seen so far), one 12-byte record per retransmission, trim, drop or ECN
+/// mark, and per-flow timeout / header-only counters. Fields too wide for
+/// their lanes — and visits past the pair table's 32 767 entries — escape
+/// verbatim to side tables. Spans are built on read
 /// ([`SpanBuilder::packets`], [`SpanBuilder::to_json`], ...), sorted by
 /// key.
 pub struct SpanBuilder {
@@ -512,7 +572,7 @@ impl SpanBuilder {
     pub fn new() -> Self {
         SpanBuilder {
             heads: Heads::default(),
-            hops: Hops { recs: Arena::new(), escapes: Vec::new() },
+            hops: Hops { recs: Arena::new(), locs: Locs::default(), escapes: Vec::new() },
             marks: Marks { recs: Arena::new(), escapes: Vec::new() },
             messages: BTreeMap::new(),
             cap: 1 << 20,
@@ -525,6 +585,14 @@ impl SpanBuilder {
     pub fn with_cap(mut self, cap: usize) -> Self {
         self.cap = cap;
         self
+    }
+
+    /// Heap bytes held by the span store and the message spans.
+    pub fn heap_bytes(&self) -> usize {
+        self.heads.heap_bytes()
+            + self.hops.heap_bytes()
+            + self.marks.heap_bytes()
+            + crate::btree_map_bytes::<(u32, u64), MessageSpan>(self.messages.len())
     }
 
     /// Every packet span, in `(flow, psn)` order.
@@ -1043,12 +1111,14 @@ mod tests {
     }
 
     /// Every lane a compact record has: a hop's enqueue offset (≥ 2^32
-    /// past the head's first event, or before it), node (≥ 2^19), port
-    /// (≥ 2^12) and residency (≥ 2^32 − 2, or a dequeue before its
-    /// enqueue); a mark's time offset (both ways) and node. Each escapes
-    /// verbatim and reads back as the old fold's span.
+    /// past the head's first event, or before it) and residency (≥ 2^16 − 1,
+    /// or a dequeue before its enqueue); a mark's time offset (both ways)
+    /// and node. Each escapes verbatim and reads back as the old fold's
+    /// span. A hop's node and port are a pair-table index, so node 2^19
+    /// and port 2^12 stay compact.
     #[test]
     fn every_escape_lane_reads_back_verbatim() {
+        assert_eq!(size_of::<Hop>(), 12);
         let far = 1000 + (1u64 << 32);
         let events = vec![
             (1000, tx(1, 0)),
@@ -1061,7 +1131,9 @@ mod tests {
             (500, enq(5, 2, 1, 0)),
             (600, deq(5, 2, 1, 0)),
             (2000, enq(6, 2, 1, 0)),
-            (2000 + u64::from(u32::MAX), deq(6, 2, 1, 0)),
+            (2000 + u64::from(u16::MAX), deq(6, 2, 1, 0)),
+            (3000, enq(8, 2, 1, 0)),
+            (3000 + u64::from(u16::MAX) - 1, deq(8, 2, 1, 0)),
             (3000, enq(7, 2, 1, 0)),
             (2500, deq(7, 2, 1, 0)),
             (1100, ProbeEvent::Trim { node: 1 << 19, port: 0, flow: 1, psn: 0 }),
@@ -1070,13 +1142,44 @@ mod tests {
             (1200, ProbeEvent::EcnMark { node: 3, port: 0, flow: 1, psn: 0 }),
         ];
         let b = fold_both(&events, usize::MAX);
-        assert_eq!(b.hops.escapes.len(), 6, "every hop but none stays compact");
+        assert_eq!(
+            b.hops.escapes.len(),
+            4,
+            "offset past 2^32, before the head, residency 2^16 − 1, dequeue before enqueue"
+        );
+        assert!(b.hops.locs.pairs.contains(&(1 << 19, 2)), "node 2^19 stays compact");
+        assert!(b.hops.locs.pairs.contains(&(4, 1 << 12)), "port 2^12 stays compact");
         assert_eq!(b.marks.escapes.len(), 3, "trim, drop and retx escape; ECN fits");
         let (_, s) = b.packets().next().unwrap();
         assert_eq!(s.hops[0].node, 1 << 19);
-        assert_eq!(s.hops[4].dequeue, Some(2000 + u64::from(u32::MAX)));
-        assert_eq!(s.hops[5].dequeue, Some(2500), "a dequeue before its enqueue stays verbatim");
+        assert_eq!(s.hops[1].port, 1 << 12);
+        assert_eq!(s.hops[4].dequeue, Some(2000 + u64::from(u16::MAX)));
+        assert_eq!(s.hops[5].dequeue, Some(3000 + u64::from(u16::MAX) - 1));
+        assert_eq!(s.hops[6].dequeue, Some(2500), "a dequeue before its enqueue stays verbatim");
         assert_eq!(s.retx, vec![(400, RetxCause::Tlp)]);
+    }
+
+    /// The pair table holds 32 767 distinct `(node, port)` pairs: a visit
+    /// to the 32 768th escapes verbatim, and pairs already held stay
+    /// compact after the table fills.
+    #[test]
+    fn pair_table_overflow_escapes_verbatim() {
+        let full = u32::from(LOC_ESCAPED);
+        let mut events: Vec<_> = (0..full).map(|k| (u64::from(k), enq(k, 7, 2, 0))).collect();
+        events.extend([
+            (40_000, enq(full, 7, 2, 0)),
+            (40_010, enq(3, 7, 2, 0)),
+            (40_020, deq(full, 7, 2, 0)),
+            (40_030, deq(3, 7, 2, 0)),
+            (40_040, deq(3, 7, 2, 0)),
+        ]);
+        let b = fold_both(&events, usize::MAX);
+        assert_eq!(b.hops.locs.pairs.len(), full as usize);
+        assert_eq!(b.hops.escapes.len(), 1, "only the 32 768th pair escapes");
+        let (_, s) = b.packets().next().unwrap();
+        assert_eq!(s.hops[full as usize].dequeue, Some(40_020));
+        assert_eq!(s.hops[full as usize + 1].dequeue, Some(40_030));
+        assert_eq!(s.hops[3].dequeue, Some(40_040));
     }
 
     /// Replayed out of order — reversed, then shuffled — every event can

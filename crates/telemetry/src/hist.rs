@@ -3,10 +3,16 @@
 //! Values `< 2^sub_bits` get exact unit buckets; above that, each power-of-
 //! two octave is split into `2^sub_bits` linear sub-buckets, bounding the
 //! relative quantization error at `2^-sub_bits` (≈1.6% for the default 6
-//! bits) while keeping the whole histogram a few KB. Recording is O(1)
-//! (a leading-zeros count and an add), percentile queries are one walk —
-//! no full sort of the sample set, which is what lets the workload stats
-//! report p999 over millions of FCTs without holding or sorting them.
+//! bits). Recording is O(1) (a leading-zeros count, one range check and
+//! an add), percentile queries are one walk — no full sort of the sample
+//! set, which is what lets the workload stats report p999 over millions
+//! of FCTs without holding or sorting them.
+//!
+//! Memory is O(occupied range): a histogram stores counts only for the
+//! buckets between its lowest and highest recorded value, starting empty
+//! and widening when a record lands outside them. The full table would
+//! be `(65 − sub_bits) << sub_bits` buckets — 3 776 (30 KB) at the default
+//! 6 bits — which a per-flow histogram holding one latency never needs.
 
 /// Default sub-bucket resolution: 64 linear buckets per octave.
 pub const DEFAULT_SUB_BITS: u32 = 6;
@@ -15,6 +21,10 @@ pub const DEFAULT_SUB_BITS: u32 = 6;
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
     sub_bits: u32,
+    /// Bucket index of `counts[0]`.
+    lo: usize,
+    /// Counts of buckets `lo..lo + counts.len()`; empty before the first
+    /// record.
     counts: Vec<u64>,
     total: u64,
     min: u64,
@@ -31,10 +41,10 @@ impl Default for LogHistogram {
 impl LogHistogram {
     pub fn new(sub_bits: u32) -> Self {
         assert!((1..=16).contains(&sub_bits), "sub_bits must be in 1..=16");
-        let n_buckets = (65 - sub_bits as usize) << sub_bits;
         LogHistogram {
             sub_bits,
-            counts: vec![0; n_buckets],
+            lo: 0,
+            counts: Vec::new(),
             total: 0,
             min: u64::MAX,
             max: 0,
@@ -74,6 +84,14 @@ impl LogHistogram {
         self.bucket_low(i) + ((1u64 << (octave - 1)) - 1)
     }
 
+    /// Widens the stored range to take bucket `ix`. Always inlined: the
+    /// compiler does not inline into a cold path on its own, and an
+    /// outlined call taking `&mut self` would pin every field in memory.
+    #[inline(always)]
+    fn widen(&mut self, ix: usize) {
+        (self.lo, self.counts) = widened(self.lo, std::mem::take(&mut self.counts), ix);
+    }
+
     #[inline]
     pub fn record(&mut self, v: u64) {
         self.record_n(v, 1);
@@ -82,7 +100,13 @@ impl LogHistogram {
     #[inline]
     pub fn record_n(&mut self, v: u64, n: u64) {
         let ix = self.index(v);
-        self.counts[ix] += n;
+        match self.counts.get_mut(ix.wrapping_sub(self.lo)) {
+            Some(c) => *c += n,
+            None => {
+                self.widen(ix);
+                self.counts[ix - self.lo] += n;
+            }
+        }
         self.total += n;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
@@ -119,6 +143,11 @@ impl LogHistogram {
         }
     }
 
+    /// Heap bytes held: the stored bucket range.
+    pub fn heap_bytes(&self) -> usize {
+        self.counts.capacity() * size_of::<u64>()
+    }
+
     /// Nearest-rank percentile (`p` in 0..=100): the highest equivalent
     /// value of the bucket holding the ⌈p% · count⌉-th smallest sample —
     /// within one bucket width of the exact sorted answer, clamped to the
@@ -133,7 +162,7 @@ impl LogHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return self.bucket_high(i).clamp(self.min, self.max);
+                return self.bucket_high(self.lo + i).clamp(self.min, self.max);
             }
         }
         self.max
@@ -142,8 +171,13 @@ impl LogHistogram {
     /// Merges another histogram (same resolution) into this one.
     pub fn merge(&mut self, o: &LogHistogram) {
         assert_eq!(self.sub_bits, o.sub_bits, "histogram resolutions differ");
-        for (a, b) in self.counts.iter_mut().zip(&o.counts) {
-            *a += b;
+        if let Some(last) = o.counts.len().checked_sub(1) {
+            self.widen(o.lo);
+            self.widen(o.lo + last);
+            let from = o.lo - self.lo;
+            for (a, b) in self.counts[from..].iter_mut().zip(&o.counts) {
+                *a += b;
+            }
         }
         self.total += o.total;
         self.min = self.min.min(o.min);
@@ -156,7 +190,8 @@ impl LogHistogram {
     /// quantization rule the percentile queries use. Exact when `v` is a
     /// bucket edge (always, below `2^sub_bits`).
     pub fn count_above(&self, v: u64) -> u64 {
-        self.counts[self.index(v) + 1..].iter().sum()
+        let from = (self.index(v) + 1).saturating_sub(self.lo).min(self.counts.len());
+        self.counts[from..].iter().sum()
     }
 
     /// Non-empty `(bucket_low, bucket_high, count)` triples, ascending.
@@ -165,7 +200,7 @@ impl LogHistogram {
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (self.bucket_low(i), self.bucket_high(i), c))
+            .map(|(i, &c)| (self.bucket_low(self.lo + i), self.bucket_high(self.lo + i), c))
             .collect()
     }
 
@@ -177,6 +212,31 @@ impl LogHistogram {
             self.value_at_percentile(99.9),
         )
     }
+}
+
+/// `counts` stored from bucket `lo`, widened to take bucket `ix`. Upward
+/// it grows like a `Vec`; downward it at least doubles the stored length,
+/// so a falling stream re-copies the counts only O(log range) times.
+/// Out of line and by value: the record path's call then cannot touch a
+/// histogram's other fields, which stay in registers across a loop of
+/// records.
+#[cold]
+#[inline(never)]
+fn widened(lo: usize, mut counts: Vec<u64>, ix: usize) -> (usize, Vec<u64>) {
+    if counts.is_empty() {
+        return (ix, vec![0]);
+    }
+    if ix < lo {
+        let new_lo = ix.min(lo.saturating_sub(counts.len()));
+        let mut out = Vec::with_capacity(lo + counts.len() - new_lo);
+        out.resize(lo - new_lo, 0);
+        out.extend_from_slice(&counts);
+        return (new_lo, out);
+    }
+    if ix >= lo + counts.len() {
+        counts.resize(ix - lo + 1, 0);
+    }
+    (lo, counts)
 }
 
 #[cfg(test)]
@@ -450,5 +510,187 @@ mod tests {
         let mut fine = LogHistogram::new(16);
         fine.record(u64::MAX);
         assert_eq!(fine.value_at_percentile(50.0), u64::MAX);
+    }
+
+    /// The dense layout the occupancy-following one replaced, kept as its
+    /// specification: every bucket of the full table, zero-filled up
+    /// front. Bucket edges come from an empty histogram of the same
+    /// resolution.
+    struct Dense {
+        shape: LogHistogram,
+        counts: Vec<u64>,
+        total: u64,
+        min: u64,
+        max: u64,
+        sum: u128,
+    }
+
+    impl Dense {
+        fn new(sub_bits: u32) -> Self {
+            let n_buckets = (65 - sub_bits as usize) << sub_bits;
+            Dense {
+                shape: LogHistogram::new(sub_bits),
+                counts: vec![0; n_buckets],
+                total: 0,
+                min: u64::MAX,
+                max: 0,
+                sum: 0,
+            }
+        }
+
+        fn record(&mut self, v: u64) {
+            self.counts[self.shape.index(v)] += 1;
+            self.total += 1;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+            self.sum += v as u128;
+        }
+
+        fn merge(&mut self, o: &Dense) {
+            for (a, b) in self.counts.iter_mut().zip(&o.counts) {
+                *a += b;
+            }
+            self.total += o.total;
+            self.min = self.min.min(o.min);
+            self.max = self.max.max(o.max);
+            self.sum += o.sum;
+        }
+
+        fn value_at_percentile(&self, p: f64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
+            let mut seen = 0u64;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return self.shape.bucket_high(i).clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+
+        fn count_above(&self, v: u64) -> u64 {
+            self.counts[self.shape.index(v) + 1..].iter().sum()
+        }
+
+        fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
+            let s = &self.shape;
+            let nonzero = self.counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+            nonzero.map(|(i, &c)| (s.bucket_low(i), s.bucket_high(i), c)).collect()
+        }
+    }
+
+    fn both(sub_bits: u32, vals: &[u64]) -> (LogHistogram, Dense) {
+        let (mut h, mut d) = (LogHistogram::new(sub_bits), Dense::new(sub_bits));
+        for &v in vals {
+            h.record(v);
+            d.record(v);
+        }
+        (h, d)
+    }
+
+    /// Every query of `h` answers as the dense reference `d` does: a
+    /// p0…p100 percentile grid, `count_above` at, around, below and above
+    /// every stored value, the bucket triples and the exact summaries.
+    fn assert_same(h: &LogHistogram, d: &Dense) {
+        let grid = (0..=40).map(|k| f64::from(k) * 2.5).chain([0.1, 1.0, 99.0, 99.9, 99.99]);
+        for p in grid {
+            assert_eq!(h.value_at_percentile(p), d.value_at_percentile(p), "p{p}");
+        }
+        let buckets = d.nonzero_buckets();
+        assert_eq!(h.nonzero_buckets(), buckets);
+        // Every edge of up to ~32 buckets: the dense sum walks the whole
+        // table per call.
+        let step = buckets.len().div_ceil(32).max(1);
+        let edges = buckets.iter().step_by(step).flat_map(|&(lo, hi, _)| [lo, hi]);
+        let around = edges.flat_map(|e| [e.saturating_sub(1), e, e.saturating_add(1)]);
+        for v in around.chain([0, 1, d.min, d.max, u64::MAX - 1, u64::MAX]) {
+            assert_eq!(h.count_above(v), d.count_above(v), "count_above({v})");
+        }
+        let mean = if d.total == 0 { 0.0 } else { d.sum as f64 / d.total as f64 };
+        let min = if d.total == 0 { 0 } else { d.min };
+        assert_eq!((h.count(), h.min(), h.max(), h.mean()), (d.total, min, d.max, mean));
+        let p = |q| d.value_at_percentile(q);
+        assert_eq!(h.p50_p99_p999(), (p(50.0), p(99.0), p(99.9)));
+    }
+
+    /// Streams at each resolution: random over three ranges, the
+    /// adversarial shapes above, and falling values that widen the stored
+    /// range downward (one stream starts at the top of `u64`).
+    fn oracle_streams() -> Vec<Vec<u64>> {
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut streams: Vec<Vec<u64>> = [1u64 << 10, 1 << 20, 1 << 40]
+            .iter()
+            .map(|&range| (0..2_000).map(|_| rng.random::<u64>() % range).collect())
+            .collect();
+        streams.extend([
+            vec![7; 100],
+            (0..64).map(|k| 1u64 << k).collect(),
+            (6..40).flat_map(|k| [(1u64 << k) - 1, 1 << k, (1 << k) + 1]).collect(),
+            std::iter::repeat_n(100u64, 990).chain([u64::MAX / 2; 10]).collect(),
+            vec![0, 0, 0, u64::MAX],
+            (0..64).rev().map(|k| 1u64 << k).collect(),
+            (0..500u64).rev().map(|k| k * k * 1_000).collect(),
+            vec![u64::MAX, 1 << 40, 1 << 20, 1 << 10, 100, 3, 0],
+            vec![],
+        ]);
+        streams
+    }
+
+    #[test]
+    fn occupancy_layout_matches_the_dense_reference() {
+        for sub_bits in [1, DEFAULT_SUB_BITS, 16] {
+            for vals in oracle_streams() {
+                let (h, d) = both(sub_bits, &vals);
+                assert_same(&h, &d);
+            }
+        }
+    }
+
+    /// Merges in both directions over disjoint, overlapping, nested and
+    /// empty ranges answer as the dense merge does.
+    #[test]
+    fn occupancy_merge_matches_the_dense_reference() {
+        let span = |lo: u64, hi: u64, n: u64| -> Vec<u64> {
+            (0..n).map(|k| lo + (hi - lo) * k / n.max(2).saturating_sub(1).max(1)).collect()
+        };
+        let pairs: Vec<(Vec<u64>, Vec<u64>)> = vec![
+            (span(0, 90, 90), span(1 << 40, (1 << 40) + 9, 10)),
+            (span(1_000, 50_000, 200), span(20_000, 900_000, 300)),
+            (span(10, 1 << 30, 400), span(5_000, 6_000, 50)),
+            (span(3, 70_000, 30), vec![]),
+            (vec![], vec![]),
+            (vec![u64::MAX], vec![0]),
+        ];
+        for sub_bits in [1, DEFAULT_SUB_BITS, 16] {
+            for (a, b) in &pairs {
+                for (x, y) in [(a, b), (b, a)] {
+                    let (mut h, mut d) = both(sub_bits, x);
+                    let (h2, d2) = both(sub_bits, y);
+                    h.merge(&h2);
+                    d.merge(&d2);
+                    assert_same(&h, &d);
+                }
+            }
+        }
+    }
+
+    /// Storage follows the recorded range, not the resolution: one sample
+    /// holds one bucket at every `sub_bits`, and a value below the stored
+    /// range widens it without moving any count.
+    #[test]
+    fn storage_follows_the_occupied_range() {
+        for sub_bits in [1, DEFAULT_SUB_BITS, 16] {
+            let mut h = LogHistogram::new(sub_bits);
+            assert_eq!(h.heap_bytes(), 0);
+            h.record(123_456);
+            assert_eq!(h.heap_bytes(), size_of::<u64>());
+            h.record(5);
+            let buckets: Vec<u64> = h.nonzero_buckets().iter().map(|&(.., c)| c).collect();
+            assert_eq!(buckets, vec![1, 1]);
+            assert_eq!(h.counts.len(), h.index(123_456) - h.index(5) + 1);
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! What the connection plane costs a host in heap: the §4.3 / Table 4
 //! claim that DCP's per-QP state stays GBN-sized, and the allocation-free
 //! connection churn a million-QP host needs (slab slots, flow ids, timer
-//! wheel slots and endpoint structures are all reused). Measured with a
-//! counting `#[global_allocator]` local to this test binary; the counters
-//! are per thread, so the harness's other test threads do not leak into a
-//! measurement.
+//! wheel slots and endpoint structures are all reused) — and that the
+//! `dcp-scope` capture's owners report the heap they hold. Measured with
+//! a counting `#[global_allocator]` local to this test binary; the
+//! counters are per thread, so the harness's other test threads do not
+//! leak into a measurement.
 
 use dcp_core::dcp_switch_config;
 use dcp_netsim::packet::{FlowId, NodeId};
@@ -13,6 +14,8 @@ use dcp_netsim::{
     topology, Completion, CompletionKind, Endpoint, LoadBalance, QpRef, Simulator, Topology,
 };
 use dcp_rdma::qp::WorkReqOp;
+use dcp_scope::{ScopeProbe, SloBurnMonitor};
+use dcp_telemetry::{EventLog, Probe, ProbeEvent};
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -318,4 +321,69 @@ fn drain_cost_follows_active_qps_not_installed() {
         assert!(sim.run_to_quiescence(60 * SEC), "scheduler point must drain");
         assert_eq!(sim.events_processed(), events, "{active} active of {n} installed");
     }
+}
+
+/// A trimming incast, captured: eight DCP senders behind one switch each
+/// write 256 KB to one host behind the other, through a single 100 G
+/// cross link that trims most of what it queues.
+fn trimming_incast_capture() -> EventLog {
+    let mut sim = Simulator::new(17);
+    sim.disable_auto_partition();
+    sim.set_probe(Box::new(EventLog::new(usize::MAX)));
+    let topo = two_switch(&mut sim, 8, 100.0);
+    let victim = topo.hosts[8];
+    for i in 0..8 {
+        let flow = FlowId(i as u32 + 1);
+        let (tx, rx) = endpoint_pair(TransportKind::Dcp, CcKind::None, flow, topo.hosts[i], victim);
+        sim.install_endpoint(topo.hosts[i], flow, tx);
+        sim.install_endpoint(victim, flow, rx);
+        sim.post(topo.hosts[i], flow, 0, WRITE, 256 << 10);
+    }
+    assert!(sim.run_to_quiescence(SEC), "the incast must drain");
+    sim.probe_mut().expect("capture installed").take_log()
+}
+
+/// `ScopeProbe::heap_bytes` accounts for what the capture holds: replayed
+/// on this thread, the span store and monitors report within 10 % of the
+/// allocator's live-byte delta. An owner that stops reporting, or a
+/// store that grows past its own account, fails here.
+#[test]
+fn scope_probe_heap_bytes_match_the_allocator() {
+    let log = trimming_incast_capture();
+    let trims = log.iter().filter(|(_, ev)| matches!(ev, ProbeEvent::Trim { .. })).count();
+    assert!(trims > 1_000, "the incast must trim ({trims} trims)");
+    let before = live_bytes();
+    let mut scope = ScopeProbe::new();
+    for (at, ev) in log.iter() {
+        scope.record(at, &ev);
+    }
+    let live = (live_bytes() - before) as f64;
+    let reported = scope.heap_bytes() as f64;
+    assert!(
+        (reported - live).abs() <= 0.1 * live,
+        "ScopeProbe reports {reported} heap bytes, the allocator holds {live}"
+    );
+}
+
+/// Per-flow SLO histograms hold only their occupied buckets: a thousand
+/// flows delivering one message each cost the monitor under 256 KB (a
+/// dense 6-bit histogram is 30 KB a flow).
+#[test]
+fn slo_burn_monitor_holds_occupied_buckets_only() {
+    let before = live_bytes();
+    let mut slo = SloBurnMonitor::new(10 * US);
+    for flow in 0..1_000u32 {
+        let at = u64::from(flow) * 1_000;
+        slo.record(at, &ProbeEvent::MsgPosted { node: 0, flow, wr_id: 0, bytes: 4096 });
+        let latency = 2_000 + u64::from(flow) * 37;
+        slo.record(at + latency, &ProbeEvent::Delivery { node: 1, flow, wr_id: 0, bytes: 4096 });
+    }
+    assert_eq!(slo.delivered, 1_000);
+    let cost = live_bytes() - before;
+    assert!(cost < 256 << 10, "1 000 single-delivery flows cost the monitor {cost} bytes");
+    let reported = slo.heap_bytes() as f64;
+    assert!(
+        (reported - cost as f64).abs() <= 0.1 * cost as f64,
+        "the monitor reports {reported} heap bytes, the allocator holds {cost}"
+    );
 }
