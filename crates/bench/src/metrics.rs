@@ -9,23 +9,27 @@
 //! input (seed) order regardless of `DCP_THREADS` — so the exported file
 //! is byte-identical across thread counts.
 //!
-//! Tracing arms one [`EventLog`] probe on the simulator — the 16-byte
-//! packed capture — and both exports read that log. `--trace-out` streams
-//! it to a file as JSON-lines, one [`dcp_telemetry::ProbeEvent`] per line
-//! (the only place an event becomes a string); `--spans-out <json>` folds
-//! it through `dcp-scope`'s span builder and anomaly monitors into the
-//! `dcp-trace/v1` document (schema `schemas/trace.schema.json`). Tracing
-//! is passive (no RNG draws, no event reordering): a traced run produces
-//! the same simulation as an untraced one. A row lists the export flags
-//! it writes; the dispatcher refuses the rest.
+//! Tracing arms one probe on the simulator that writes as the run goes,
+//! holding no capture: `--trace-out` writes each event's JSONL line
+//! ([`dcp_telemetry::ProbeEvent::to_jsonl`], the only place an event
+//! becomes a string) through a buffered file as it arrives, and
+//! `--spans-out <json>` folds each event live through `dcp-scope`'s
+//! [`ScopeProbe`] (span builder plus anomaly monitors), then writes the
+//! `dcp-trace/v1` document (schema `schemas/trace.schema.json`) packet by
+//! packet when the run ends. Nothing is capped, so nothing is dropped.
+//! Tracing is passive (no RNG draws, no event reordering): a traced run
+//! produces the same simulation as an untraced one. A row lists the export
+//! flags it writes; the dispatcher refuses the rest.
 
 use crate::cli::{Args, Flag};
 use dcp_netsim::stats::{Conservation, NetStats, TransportStats};
 use dcp_netsim::Simulator;
-use dcp_scope::{Monitors, SpanBuilder};
-use dcp_telemetry::{EventLog, Json, Probe, ProbeEvent};
+use dcp_scope::ScopeProbe;
+use dcp_telemetry::{Json, Probe, ProbeEvent};
 use dcp_workloads::{FctSummary, FlowRecord, IdealFct};
-use std::io::Write;
+use std::any::Any;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Version tag stamped into every metrics document.
@@ -60,57 +64,47 @@ impl ExportOpts {
         self.trace_out.is_some() || self.spans_out.is_some()
     }
 
-    /// Installs an [`EventLog`] probe when a trace or span export was
-    /// requested. Call before driving the simulation; pair with
-    /// [`ExportOpts::take_trace`] and [`ExportOpts::write_trace`].
-    pub fn arm_trace(&self, sim: &mut Simulator) {
-        if self.capturing() {
-            sim.set_probe(Box::new(EventLog::default()));
+    /// Installs the export probe when a trace or span export was
+    /// requested: `--trace-out` (one JSONL line per event) is created now
+    /// and written as events arrive; `--spans-out` folds them live. `suffix`
+    /// labels multi-run sweeps (`Some("seed2")` writes `PATH.seed2`,
+    /// mirroring the `csv=` convention; figure rows use scheme labels); pass
+    /// `None` for single-run rows. Call before driving the simulation; pair
+    /// with [`ExportOpts::finish_trace`].
+    pub fn arm_trace(&self, sim: &mut Simulator, suffix: Option<&str>) {
+        if !self.capturing() {
+            return;
         }
+        let trace = self.trace_out.as_ref().map(|path| {
+            let path = suffixed(path, suffix);
+            let out = BufWriter::new(File::create(&path).expect("write trace"));
+            (path, out)
+        });
+        let spans = self.spans_out.as_ref().map(|path| (suffixed(path, suffix), ScopeProbe::new()));
+        sim.set_probe(Box::new(Exporter { trace, spans }));
     }
 
-    /// Takes the armed probe's capture, warning on stderr when the log
-    /// filled and dropped events. Call at the end of a run, inside the
-    /// (possibly parallel) run closure; write it later from the ordered
-    /// report loop with [`ExportOpts::write_trace`].
-    pub fn take_trace(&self, sim: &mut Simulator) -> Trace {
-        let Some(p) = sim.probe_mut().filter(|_| self.capturing()) else {
-            return Trace::default();
+    /// Finishes the armed exports: flushes `--trace-out` and writes the
+    /// `--spans-out` document. Call at the end of a run, inside the
+    /// (possibly parallel) run closure; report the files from the ordered
+    /// report loop with [`Written::print`].
+    pub fn finish_trace(&self, sim: &mut Simulator) -> Written {
+        let Some(probe) = sim.probe_mut().filter(|_| self.capturing()) else {
+            return Written::default();
         };
-        let trace = Trace { dropped: p.dropped(), log: p.take_log() };
-        if trace.dropped > 0 {
-            eprintln!(
-                "warn: trace capture capped at {} events; the {} after them were dropped",
-                trace.log.len(),
-                trace.dropped
-            );
-        }
-        trace
-    }
-
-    /// Writes the capture to whichever of `--trace-out` (one JSONL line per
-    /// event) and `--spans-out` (the capture folded through the span
-    /// builder and the standard monitor set into the `dcp-trace/v1`
-    /// document, `schemas/trace.schema.json`) were given. `suffix` labels
-    /// multi-run sweeps (`Some("seed2")` writes `PATH.seed2`, mirroring the
-    /// `csv=` convention; figure rows use scheme labels); pass `None` for
-    /// single-run rows.
-    pub fn write_trace(&self, trace: &Trace, suffix: Option<&str>) {
-        if let Some(path) = &self.trace_out {
-            let path = suffixed(path, suffix);
-            let mut out =
-                std::io::BufWriter::new(std::fs::File::create(&path).expect("write trace"));
-            for (at, ev) in trace.log.iter() {
-                writeln!(out, "{}", ev.to_jsonl(at)).expect("write trace");
-            }
+        let probe: &mut dyn Any = probe;
+        let ex = probe.downcast_mut::<Exporter>().expect("arm_trace installed the exporter");
+        let mut written = Vec::new();
+        if let Some((path, out)) = &mut ex.trace {
             out.flush().expect("write trace");
-            println!("result trace={}", path.display());
+            written.push(format!("result trace={}", path.display()));
         }
-        if let Some(path) = &self.spans_out {
-            let path = suffixed(path, suffix);
-            std::fs::write(&path, trace.spans_doc().render_pretty()).expect("write spans");
-            println!("result spans={}", path.display());
+        if let Some((path, scope)) = &ex.spans {
+            let out = BufWriter::new(File::create(path).expect("write spans"));
+            scope.write_doc(out).and_then(|mut out| out.flush()).expect("write spans");
+            written.push(format!("result spans={}", path.display()));
         }
+        Written(written)
     }
 
     /// Renders and writes the finished metrics document.
@@ -138,21 +132,36 @@ impl ExportOpts {
     }
 }
 
-/// A taken capture: the [`EventLog`] and the number of events it dropped
-/// once full.
-#[derive(Default)]
-pub struct Trace {
-    pub log: EventLog,
-    pub dropped: u64,
+/// The probe [`ExportOpts::arm_trace`] installs: each event goes out as
+/// its `--trace-out` line on arrival and into the live `--spans-out` fold.
+struct Exporter {
+    trace: Option<(PathBuf, BufWriter<File>)>,
+    spans: Option<(PathBuf, ScopeProbe)>,
 }
 
-impl Trace {
-    /// [`spans_doc`] of the kept events, with the dropped ones counted
-    /// into `truncated` so a capped capture never reads as complete.
-    pub fn spans_doc(&self) -> Json {
-        let doc = spans_doc(self.log.iter());
-        let truncated = doc.get("truncated").and_then(Json::as_u64).unwrap_or(0) + self.dropped;
-        doc.set("truncated", truncated)
+impl Probe for Exporter {
+    fn record(&mut self, at: u64, ev: &ProbeEvent) {
+        if let Some((_, out)) = &mut self.trace {
+            let mut line = ev.to_jsonl(at);
+            line.push('\n');
+            out.write_all(line.as_bytes()).expect("write trace");
+        }
+        if let Some((_, scope)) = &mut self.spans {
+            scope.record(at, ev);
+        }
+    }
+}
+
+/// The files a finished export wrote, as `result trace=…` /
+/// `result spans=…` lines.
+#[derive(Debug, Default)]
+pub struct Written(Vec<String>);
+
+impl Written {
+    pub fn print(&self) {
+        for line in &self.0 {
+            println!("{line}");
+        }
     }
 }
 
@@ -161,20 +170,6 @@ fn suffixed(path: &Path, suffix: Option<&str>) -> PathBuf {
         Some(s) => PathBuf::from(format!("{}.{s}", path.display())),
         None => path.to_path_buf(),
     }
-}
-
-/// Builds the `dcp-trace/v1` span document from a captured event stream:
-/// the span builder's packets/messages/flows/stats plus every monitor's
-/// verdict under `monitors`. Shared by `--spans-out` and the `dcp_trace`
-/// converter so both emit the same shape.
-pub fn spans_doc(events: impl Iterator<Item = (u64, ProbeEvent)>) -> Json {
-    let mut spans = SpanBuilder::new();
-    let mut monitors = Monitors::with_defaults();
-    for (at, ev) in events {
-        spans.record(at, &ev);
-        monitors.record(at, &ev);
-    }
-    spans.to_json().set("monitors", monitors.to_json())
 }
 
 /// Builder for the metrics JSON document: top-level identity plus a `runs`
@@ -280,6 +275,7 @@ fn conservation_json(c: &Conservation) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcp_telemetry::CountingProbe;
 
     #[test]
     fn flag_spellings_all_parse() {
@@ -322,6 +318,17 @@ mod tests {
             .is_none());
     }
 
+    /// `probe`'s `dcp-trace/v1` document, parsed back.
+    fn doc_of(probe: &ScopeProbe) -> Json {
+        let bytes = probe.write_doc(Vec::new()).expect("write to memory");
+        Json::parse(std::str::from_utf8(&bytes).expect("UTF-8")).expect("the document parses")
+    }
+
+    /// A fresh path under the system temp directory for this test process.
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("dcp-metrics-{}-{name}", std::process::id()))
+    }
+
     #[test]
     fn spans_doc_folds_lines_and_embeds_monitors() {
         use dcp_telemetry::RetxCause;
@@ -332,66 +339,135 @@ mod tests {
             "garbage line".to_string(),
         ]
         .join("\n");
-        let doc = spans_doc(ProbeEvent::read_jsonl(&text).flatten());
+        let mut probe = ScopeProbe::new();
+        for (at, ev) in ProbeEvent::read_jsonl(&text).flatten() {
+            probe.record(at, &ev);
+        }
+        let doc = doc_of(&probe);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some("dcp-trace/v1"));
         let packets = doc.get("packets").and_then(Json::as_arr).unwrap();
         assert_eq!(packets.len(), 1);
         assert_eq!(packets[0].get("transmissions").and_then(Json::as_u64), Some(2));
         let storm = doc.get("monitors").and_then(|m| m.get("retx_storm")).unwrap();
         assert_eq!(storm.get("peak").and_then(Json::as_u64), Some(1));
-        assert!(Json::parse(&doc.render_pretty()).is_ok());
     }
 
+    /// A probe that saw nothing still writes a valid document: empty
+    /// arrays render as `[]`, and the schema accepts it.
     #[test]
-    fn a_capped_capture_reports_what_it_dropped() {
-        let opts = ExportOpts { spans_out: Some("unused".into()), ..ExportOpts::default() };
-        let mut sim = Simulator::new(1);
-        sim.set_probe(Box::new(EventLog::new(3)));
-        let log = sim.probe_mut().expect("probe installed");
-        for psn in 0..5 {
-            log.record(
-                100 + u64::from(psn),
-                &ProbeEvent::Tx { node: 0, flow: 1, psn, bytes: 1064 },
-            );
+    fn an_empty_scope_probe_writes_a_valid_document() {
+        let schema =
+            include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../schemas/trace.schema.json"));
+        let doc = doc_of(&ScopeProbe::new());
+        assert_eq!(doc.validate(&Json::parse(schema).unwrap()), Vec::<String>::new());
+        for key in ["packets", "messages", "flows"] {
+            assert_eq!(doc.get(key).and_then(Json::as_arr).map(<[Json]>::len), Some(0), "{key}");
         }
-        let trace = opts.take_trace(&mut sim);
-        assert_eq!((trace.log.len(), trace.dropped), (3, 2));
-        let doc = trace.spans_doc();
-        assert_eq!(doc.get("packets").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
-        assert_eq!(doc.get("truncated").and_then(Json::as_u64), Some(2));
-        // An uncapped capture of the same events still reads 0.
-        let whole = Trace { dropped: 0, ..trace };
-        assert_eq!(whole.spans_doc().get("truncated").and_then(Json::as_u64), Some(0));
     }
 
-    /// The in-process document (`--spans-out`, folded from the live log)
-    /// and the offline one (`dcp_trace --spans`, folded from the written
-    /// lines read back) are the same bytes.
+    /// A small `dcp_sim`-style run — DCP over adaptive routing on a 2×2×2
+    /// CLOS, 20 WebSearch flows at load 0.4 with 1 % forced loss —
+    /// after `arm` set its probe.
+    fn small_run(arm: impl FnOnce(&mut Simulator)) -> Simulator {
+        use dcp_workloads::{poisson_flows, run_flows, SizeDist, TransportKind};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut cfg = dcp_core::dcp_switch_config(dcp_netsim::LoadBalance::AdaptiveRouting, 20);
+        cfg.forced_loss_rate = 0.01;
+        let mut sim = Simulator::new(3);
+        arm(&mut sim);
+        let us = dcp_netsim::US;
+        let topo = dcp_netsim::topology::clos(&mut sim, cfg, 2, 2, 2, 100.0, 100.0, us, us);
+        let mut rng = StdRng::seed_from_u64(3);
+        let flows =
+            poisson_flows(&mut rng, &SizeDist::websearch(), topo.hosts.len(), 100.0, 0.4, 20);
+        let kind = TransportKind::Dcp;
+        let records = run_flows(
+            &mut sim,
+            &topo,
+            kind,
+            crate::default_cc(kind),
+            &flows,
+            600 * dcp_netsim::SEC,
+        );
+        assert_eq!(dcp_workloads::unfinished(&records), 0);
+        sim
+    }
+
+    /// With both exports armed, the trace holds one line per event the run
+    /// emitted — as many as a counting probe sees on the same seed — and
+    /// the span document reads complete.
+    #[test]
+    fn exports_write_every_event_the_run_emits() {
+        let mut counted = small_run(|sim| sim.set_probe(Box::new(CountingProbe::default())));
+        let probe: &mut dyn Any = counted.probe_mut().expect("probe installed");
+        let events = probe.downcast_mut::<CountingProbe>().expect("the counting probe").total();
+
+        let (trace, spans) = (scratch("every.jsonl"), scratch("every.json"));
+        let opts = ExportOpts {
+            trace_out: Some(trace.clone()),
+            spans_out: Some(spans.clone()),
+            ..ExportOpts::default()
+        };
+        let mut sim = small_run(|sim| opts.arm_trace(sim, None));
+        let written = opts.finish_trace(&mut sim);
+        assert_eq!(
+            written.0,
+            [
+                format!("result trace={}", trace.display()),
+                format!("result spans={}", spans.display())
+            ]
+        );
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let doc = Json::parse(&std::fs::read_to_string(&spans).unwrap()).unwrap();
+        std::fs::remove_file(&trace).unwrap();
+        std::fs::remove_file(&spans).unwrap();
+        assert!(events > 10_000, "the run must do something ({events} events)");
+        assert_eq!(text.lines().count() as u64, events);
+        assert_eq!(doc.get("truncated").and_then(Json::as_u64), Some(0));
+    }
+
+    /// The in-process document (`--spans-out`, folded live as the events
+    /// arrive) and the offline one (`dcp_trace --spans`, the written lines
+    /// read back and replayed) are the same bytes.
     #[test]
     fn live_spans_doc_equals_the_reread_trace() {
         use dcp_telemetry::{QueueClass, RetxCause};
-        let mut log = EventLog::default();
         let q = QueueClass::Data;
-        log.record(100, &ProbeEvent::Tx { node: 0, flow: 1, psn: 0, bytes: 1064 });
-        log.record(
-            200,
-            &ProbeEvent::Enqueue { node: 9, port: 2, queue: q, flow: 1, psn: 0, bytes: 1064 },
+        let events = [
+            (100, ProbeEvent::Tx { node: 0, flow: 1, psn: 0, bytes: 1064 }),
+            (200, ProbeEvent::Enqueue { node: 9, port: 2, queue: q, flow: 1, psn: 0, bytes: 1064 }),
+            (210, ProbeEvent::Trim { node: 9, port: 2, flow: 1, psn: 0 }),
+            (400, ProbeEvent::HoReceived { node: 0, flow: 1 }),
+            (450, ProbeEvent::Retx { node: 0, flow: 1, psn: 0, bytes: 1064, cause: RetxCause::Ho }),
+            (1 << 41, ProbeEvent::Delivery { node: 1, flow: 1, wr_id: 1 << 30, bytes: 1 << 24 }),
+        ];
+        let (trace, spans) = (scratch("live.jsonl"), scratch("live.json"));
+        let opts = ExportOpts {
+            trace_out: Some(trace.clone()),
+            spans_out: Some(spans.clone()),
+            ..ExportOpts::default()
+        };
+        let mut sim = Simulator::new(1);
+        opts.arm_trace(&mut sim, None);
+        let probe = sim.probe_mut().expect("probe installed");
+        for (at, ev) in &events {
+            probe.record(*at, ev);
+        }
+        opts.finish_trace(&mut sim);
+        let written = std::fs::read_to_string(&trace).unwrap();
+        let live = std::fs::read(&spans).unwrap();
+        std::fs::remove_file(&trace).unwrap();
+        std::fs::remove_file(&spans).unwrap();
+        let mut reread = ScopeProbe::new();
+        for ev in ProbeEvent::read_jsonl(&written) {
+            let (at, ev) = ev.expect("own line");
+            reread.record(at, &ev);
+        }
+        assert_eq!(written.lines().count(), events.len());
+        assert_eq!(
+            String::from_utf8(live).unwrap(),
+            String::from_utf8(reread.write_doc(Vec::new()).unwrap()).unwrap()
         );
-        log.record(210, &ProbeEvent::Trim { node: 9, port: 2, flow: 1, psn: 0 });
-        log.record(400, &ProbeEvent::HoReceived { node: 0, flow: 1 });
-        log.record(
-            450,
-            &ProbeEvent::Retx { node: 0, flow: 1, psn: 0, bytes: 1064, cause: RetxCause::Ho },
-        );
-        // Past the packed lanes: travels through the escape side table.
-        log.record(
-            1 << 41,
-            &ProbeEvent::Delivery { node: 1, flow: 1, wr_id: 1 << 30, bytes: 1 << 24 },
-        );
-        let trace = Trace { log, dropped: 0 };
-        let written: String = trace.log.iter().map(|(at, ev)| ev.to_jsonl(at) + "\n").collect();
-        let reread = spans_doc(ProbeEvent::read_jsonl(&written).map(|ev| ev.expect("own line")));
-        assert_eq!(trace.spans_doc().render_pretty(), reread.render_pretty());
     }
 
     #[test]

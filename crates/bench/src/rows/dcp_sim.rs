@@ -104,7 +104,7 @@ pub fn run(args: &Args) -> Report {
     let ideal = IdealFct { base_delay: 2 * US + 2 * delay, gbps: 100.0, mtu: 1024, header: 74 };
     let run_one = |seed: u64| {
         let mut sim = Simulator::new(seed);
-        export.arm_trace(&mut sim);
+        export.arm_trace(&mut sim, (runs > 1).then(|| format!("seed{seed}")).as_deref());
         let topo = if topo_kind == "testbed" {
             topology::two_switch_testbed(&mut sim, cfg, 8, 100.0, &[100.0; 8], US, delay)
         } else {
@@ -122,8 +122,8 @@ pub fn run(args: &Args) -> Report {
         }
         let records = run_flows(&mut sim, &topo, transport, cc, &flows, 600 * SEC);
         let entry = export.entry(&format!("{transport:?}"), seed, &sim, Some((&records, &ideal)));
-        let trace = export.take_trace(&mut sim);
-        (seed, flows.len(), sim.now(), sim.net_stats(), records, entry, trace)
+        let written = export.finish_trace(&mut sim);
+        (seed, flows.len(), sim.now(), sim.net_stats(), records, entry, written)
     };
 
     let seeds: Vec<u64> = (0..runs.max(1)).map(|i| seed + i).collect();
@@ -137,7 +137,7 @@ pub fn run(args: &Args) -> Report {
         .config("loss", loss)
         .config("flows", n_flows)
         .config("runs", runs);
-    for (seed, n_flows, now, ns, records, entry, trace) in results {
+    for (seed, n_flows, now, ns, records, entry, written) in results {
         let retx: u64 = records.iter().map(|r| r.tx.retx_pkts).sum();
         let rtos: u64 = records.iter().map(|r| r.tx.timeouts).sum();
         let dups: u64 = records.iter().map(|r| r.rx.duplicates).sum();
@@ -163,8 +163,7 @@ pub fn run(args: &Args) -> Report {
             std::fs::write(&path, csv).expect("write csv");
             println!("result csv={path}");
         }
-        let suffix = (runs > 1).then(|| format!("seed{seed}"));
-        export.write_trace(&trace, suffix.as_deref());
+        written.print();
         doc.extend(entry);
     }
     export.write_metrics(doc);

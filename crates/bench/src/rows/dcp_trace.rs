@@ -17,10 +17,10 @@
 //! With no output flags, `--stats` is implied — pointing the tool at a
 //! trace always tells you something.
 
-use crate::metrics::spans_doc;
 use crate::{Args, Report};
-use dcp_scope::{chrome_trace, SpanBuilder};
-use dcp_telemetry::{Json, ProbeEvent};
+use dcp_scope::{chrome_trace, ScopeProbe};
+use dcp_telemetry::{Json, Probe, ProbeEvent};
+use std::io::{BufWriter, Write};
 
 fn usage() -> ! {
     eprintln!(
@@ -42,30 +42,34 @@ pub fn run(args: &Args) -> Report {
     let skipped = lines.len() - events.len();
     println!("{input}: {} events ({skipped} unrecognized lines)", events.len());
 
-    // The flow filter for spans/stats keeps flow-less events (PFC, faults)
-    // so the monitors still see fabric-level signals; the Perfetto
-    // exporter applies the same rule internally.
-    let keep = |flow: u32| flow_filter.is_none_or(|f| f == flow);
-    let filtered = || events.iter().copied().filter(|(_, ev)| ev.flow().is_none_or(keep));
-
     if let Some(path) = &perfetto_out {
         let doc = chrome_trace(&events, flow_filter);
         std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         let n = doc.get("traceEvents").and_then(Json::as_arr).map_or(0, |a| a.len());
         println!("result perfetto={path} trace_events={n}");
     }
+    if spans_out.is_none() && !stats {
+        return Report::default();
+    }
+    // One replay serves both the span document and the statistics. The
+    // flow filter keeps flow-less events (PFC, faults) so the monitors
+    // still see fabric-level signals; the Perfetto exporter applies the
+    // same rule internally.
+    let mut scope = ScopeProbe::new();
+    for (at, ev) in &events {
+        if ev.flow().is_none_or(|flow| flow_filter.is_none_or(|f| f == flow)) {
+            scope.record(*at, ev);
+        }
+    }
     if let Some(path) = &spans_out {
-        let doc = spans_doc(filtered());
-        std::fs::write(path, doc.render_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        let out = std::fs::File::create(path).map(BufWriter::new);
+        out.and_then(|out| scope.write_doc(out)?.flush())
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("result spans={path}");
     }
     if stats {
-        let mut b = SpanBuilder::new();
-        for (at, ev) in filtered() {
-            dcp_telemetry::Probe::record(&mut b, at, &ev);
-        }
-        let s = b.stats_json();
-        if let Some(d) = dcp_telemetry::Probe::dump(&b) {
+        let s = scope.spans.stats_json();
+        if let Some(d) = scope.spans.dump() {
             println!("{d}");
         }
         for (label, key) in [

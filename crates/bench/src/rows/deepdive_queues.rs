@@ -22,7 +22,7 @@ pub fn run(args: &Args) -> Report {
     // unsharded engine's `advance` is that fine (a sharded one returns at
     // completion boundaries), so `DCP_SHARDS` must not split this run.
     sim.disable_auto_partition();
-    export.arm_trace(&mut sim);
+    export.arm_trace(&mut sim, None);
     let topo = incast(&mut sim, cfg, FAN_IN, CcKind::None, 8);
     // The bottleneck is switch 1's cross-link egress (all senders funnel
     // through it): port FAN_IN, the first port added after the host ports.
@@ -79,7 +79,7 @@ pub fn run(args: &Args) -> Report {
         doc.extend([entry.set("queue_depth_bytes", depth)]);
         export.write_metrics(doc);
     }
-    export.write_trace(&export.take_trace(&mut sim), None);
+    export.finish_trace(&mut sim).print();
     r
 }
 

@@ -27,7 +27,7 @@ pub fn run(args: &Args) -> Report {
         ("DCP", TransportKind::Dcp, dcp_switch_config(LoadBalance::AdaptiveRouting, 20)),
     ] {
         let (mut sim, topo) = build_clos(2, cfg, scale, dcp_netsim::US);
-        export.arm_trace(&mut sim);
+        export.arm_trace(&mut sim, Some(label));
         let records = run_flows(&mut sim, &topo, kind, default_cc(kind), &flows, DEADLINE);
         assert_eq!(unfinished(&records), 0, "{label}");
         let rtos = |incast| {
@@ -41,7 +41,7 @@ pub fn run(args: &Args) -> Report {
         let rtos = [("bg", bg_rtos), ("incast", inc_rtos), ("max", peak)];
         r.put(label, rtos.map(|(c, v)| (c, v as f64)));
         doc.extend(export.entry(label, 2, &sim, Some((&records, &IdealFct::intra_dc_100g()))));
-        export.write_trace(&export.take_trace(&mut sim), Some(label));
+        export.finish_trace(&mut sim).print();
     }
     export.write_metrics(doc);
     println!();

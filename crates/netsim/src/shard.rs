@@ -142,23 +142,6 @@ pub(crate) struct MailEntry {
     pub(crate) pkt: Option<Packet>,
 }
 
-/// Per-shard probe buffer: a sharded engine's `record` calls append here and
-/// it drains the buffers into the real probe at each window close — merged
-/// by timestamp with a stable shard-index tie-break (see
-/// [`merge_probe_buffers`]), the same order whether a window ran serially
-/// or on worker threads.
-#[derive(Default)]
-pub(crate) struct BufProbe {
-    pub(crate) buf: Vec<(Nanos, ProbeEvent)>,
-}
-
-impl Probe for BufProbe {
-    #[inline]
-    fn record(&mut self, at: u64, ev: &ProbeEvent) {
-        self.buf.push((at, *ev));
-    }
-}
-
 /// One partition of the fabric: its own clock, queue, pool, RNG stream and
 /// output buffers. An unsharded simulator's whole engine state is one of
 /// these.
@@ -173,7 +156,12 @@ pub(crate) struct Shard {
     pub(crate) events: u64,
     pub(crate) fault_stats: NetStats,
     pub(crate) fault_immune: HashSet<PktRef>,
-    pub(crate) bufp: BufProbe,
+    /// Per-shard probe buffer: a sharded engine's `record` calls append
+    /// here and it drains the buffers into the real probe at each window
+    /// close — merged by timestamp with a stable shard-index tie-break (see
+    /// [`merge_probe_buffers`]), the same order whether a window ran
+    /// serially or on worker threads.
+    pub(crate) bufp: Vec<(Nanos, ProbeEvent)>,
     /// Emission counter for cross-shard mail keys.
     pub(crate) mail_seq: u64,
     /// Reused staging vector for sorting incoming mail at delivery.
@@ -200,7 +188,7 @@ impl Shard {
             events: 0,
             fault_stats: NetStats::default(),
             fault_immune: HashSet::new(),
-            bufp: BufProbe::default(),
+            bufp: Vec::new(),
             mail_seq: 0,
             mail_scratch: Vec::new(),
             twheel: TimerWheel::new(),
@@ -305,7 +293,7 @@ impl NodesView {
 pub(crate) enum ProbeTap<'a> {
     /// No probe attached: records are not even constructed.
     Off,
-    /// Into the walked shard's [`BufProbe`], merged at the window close.
+    /// Into the walked shard's probe buffer, merged at the window close.
     Staged,
     /// Straight into the attached probe.
     Direct(&'a mut (dyn Probe + 'static)),
@@ -313,7 +301,10 @@ pub(crate) enum ProbeTap<'a> {
 
 impl ProbeTap<'_> {
     #[inline]
-    fn sink<'s>(&'s mut self, staged: &'s mut BufProbe) -> Option<&'s mut (dyn Probe + 'static)> {
+    fn sink<'s>(
+        &'s mut self,
+        staged: &'s mut Vec<(Nanos, ProbeEvent)>,
+    ) -> Option<&'s mut (dyn Probe + 'static)> {
         match self {
             ProbeTap::Off => None,
             ProbeTap::Staged => Some(staged),
@@ -659,7 +650,7 @@ impl Simulator {
     pub(crate) fn flush_probes_serial(&mut self) {
         let Some(m) = self.probe.as_mut() else { return };
         for shard in &mut self.shards {
-            self.probe_merge.append(&mut shard.bufp.buf);
+            self.probe_merge.append(&mut shard.bufp);
         }
         merge_probe_buffers(&mut self.probe_merge, &mut **m.get_mut().unwrap());
     }
@@ -1064,7 +1055,7 @@ fn session_worker(
         for (ix, shard) in group.iter_mut() {
             deliver_mail(shard, *ix, &w);
             if probe_on {
-                std::mem::swap(&mut shard.bufp.buf, &mut *slots[*ix].lock().unwrap());
+                std::mem::swap(&mut shard.bufp, &mut *slots[*ix].lock().unwrap());
             }
             next_at[*ix].store(shard.next_at().unwrap_or(IDLE), Ordering::Relaxed);
             comp_len[*ix].store(shard.completions.len(), Ordering::Relaxed);

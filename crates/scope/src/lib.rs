@@ -9,10 +9,10 @@
 //! Three consumers sit on top:
 //!
 //! * [`SpanBuilder`] — a [`dcp_telemetry::Probe`], fed live or replayed
-//!   from a capture, producing a deterministic span document plus latency
-//!   breakdowns (time-in-queue vs time-in-recovery). It keeps no raw
-//!   capture: each event folds on arrival into a compact per-packet span
-//!   store (a head per `(flow, psn)`, one record per queue visit or
+//!   from a JSONL trace, producing a deterministic span document plus
+//!   latency breakdowns (time-in-queue vs time-in-recovery). It keeps no
+//!   raw capture: each event folds on arrival into a compact per-packet
+//!   span store (a head per `(flow, psn)`, one record per queue visit or
 //!   mark), and spans are built from it on read.
 //! * [`perfetto::chrome_trace`] — renders a captured event stream as
 //!   Chrome-trace/Perfetto JSON: one track per node, queue-residency
@@ -23,6 +23,12 @@
 //!   high-water, per-flow SLO burn). Each is a probe with a narrow
 //!   [`dcp_telemetry::KindMask`], so an uninstalled or uninterested
 //!   monitor costs nothing on the hot path.
+//!
+//! [`ScopeProbe`] fuses the span builder with the standard monitor set and
+//! is the one place the `dcp-trace/v1` document is produced
+//! ([`ScopeProbe::write_doc`]): `--spans-out` writes it from the live
+//! fold, `dcp_trace --spans` from a replay of the written trace, packet by
+//! packet in both cases.
 //!
 //! Everything here is a passive observer over `Copy` events; nothing
 //! feeds back into the simulation, which is what keeps traced runs
@@ -38,7 +44,8 @@ pub use monitor::{
 pub use perfetto::chrome_trace;
 pub use span::{MessageSpan, PacketSpan, SpanBuilder};
 
-use dcp_telemetry::{KindMask, Probe, ProbeEvent};
+use dcp_telemetry::{KindMask, ObjWriter, Probe, ProbeEvent};
+use std::io::{self, Write};
 
 /// The full live-capture configuration: span reconstruction plus the
 /// standard monitor set behind *one* probe. A `Fanout` of the two parts
@@ -60,6 +67,17 @@ impl ScopeProbe {
     /// Heap bytes held by the span store and the monitors.
     pub fn heap_bytes(&self) -> usize {
         self.spans.heap_bytes() + self.monitors.heap_bytes()
+    }
+
+    /// Writes the `dcp-trace/v1` document (`schemas/trace.schema.json`) to
+    /// `out`, pretty-printed and packet by packet: the span builder's
+    /// fields, then every monitor's verdict under `monitors`. Hands `out`
+    /// back for the caller to flush.
+    pub fn write_doc<W: Write>(&self, out: W) -> io::Result<W> {
+        let mut doc = ObjWriter::new(out, Some(2));
+        self.spans.write_fields(&mut doc)?;
+        doc.field("monitors", self.monitors.to_json())?;
+        doc.finish()
     }
 }
 

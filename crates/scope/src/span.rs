@@ -12,11 +12,13 @@
 //! globally time-ordered stream before any probe sees them.
 
 use dcp_telemetry::{
-    DropClass, EventKind, Json, KindMask, LogHistogram, Probe, ProbeEvent, QueueClass, RetxCause,
+    DropClass, EventKind, Json, KindMask, LogHistogram, ObjWriter, Probe, ProbeEvent, QueueClass,
+    RetxCause,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::io::{self, Write};
 
 /// One visit to an egress queue: admitted at `enqueue`, on the wire at
 /// `dequeue` (`None` if the packet died in the queue or the trace ended).
@@ -537,6 +539,36 @@ fn escape<T>(table: &mut Vec<T>, v: T) -> u32 {
     u32::try_from(table.len() - 1).expect("span store holds < 2^32 escapes")
 }
 
+/// One packet span as its document entry.
+fn packet_json(flow: u32, psn: u32, s: &PacketSpan) -> Json {
+    let retx =
+        s.retx.iter().map(|&(at, cause)| Json::obj().set("at", at).set("cause", cause.name()));
+    let hops = s.hops.iter().map(|h| {
+        Json::obj()
+            .set("node", u64::from(h.node))
+            .set("port", u64::from(h.port))
+            .set("queue", h.queue.name())
+            .set("enqueue", h.enqueue)
+            .set("dequeue", h.dequeue.map_or(Json::Null, Json::from))
+    });
+    let trims =
+        s.trims.iter().map(|&(at, node)| Json::obj().set("at", at).set("node", u64::from(node)));
+    let drops = s.drops.iter().map(|&(at, node, class)| {
+        Json::obj().set("at", at).set("node", u64::from(node)).set("class", class.name())
+    });
+    Json::obj()
+        .set("flow", u64::from(flow))
+        .set("psn", u64::from(psn))
+        .set("first_tx", s.first_tx.map_or(Json::Null, Json::from))
+        .set("transmissions", u64::from(s.transmissions))
+        .set("retx", Json::Arr(retx.collect()))
+        .set("hops", Json::Arr(hops.collect()))
+        .set("trims", Json::Arr(trims.collect()))
+        .set("drops", Json::Arr(drops.collect()))
+        .set("time_in_queue", s.time_in_queue())
+        .set("time_in_recovery", s.time_in_recovery())
+}
+
 /// Builds spans from a probe stream — live (installed as a probe, alone
 /// or inside a `Fanout`) or replayed from a capture; both record the same
 /// events and produce the same document.
@@ -549,8 +581,8 @@ fn escape<T>(table: &mut Vec<T>, v: T) -> u32 {
 /// mark, and per-flow timeout / header-only counters. Fields too wide for
 /// their lanes — and visits past the pair table's 32 767 entries — escape
 /// verbatim to side tables. Spans are built on read
-/// ([`SpanBuilder::packets`], [`SpanBuilder::to_json`], ...), sorted by
-/// key.
+/// ([`SpanBuilder::packets`], [`SpanBuilder::write_fields`], ...), sorted
+/// by key.
 pub struct SpanBuilder {
     heads: Heads,
     hops: Hops,
@@ -616,77 +648,18 @@ impl SpanBuilder {
         s
     }
 
-    /// The full span document (`dcp-trace/v1`), sorted by key so output is
-    /// byte-identical across thread/shard settings of the same run.
-    pub fn to_json(&self) -> Json {
-        let mut packets = Vec::with_capacity(self.heads.len);
-        for ((flow, psn), s) in self.packets() {
-            packets.push(
-                Json::obj()
-                    .set("flow", u64::from(flow))
-                    .set("psn", u64::from(psn))
-                    .set("first_tx", s.first_tx.map_or(Json::Null, Json::from))
-                    .set("transmissions", u64::from(s.transmissions))
-                    .set(
-                        "retx",
-                        Json::Arr(
-                            s.retx
-                                .iter()
-                                .map(|&(at, cause)| {
-                                    Json::obj().set("at", at).set("cause", cause.name())
-                                })
-                                .collect(),
-                        ),
-                    )
-                    .set(
-                        "hops",
-                        Json::Arr(
-                            s.hops
-                                .iter()
-                                .map(|h| {
-                                    Json::obj()
-                                        .set("node", u64::from(h.node))
-                                        .set("port", u64::from(h.port))
-                                        .set("queue", h.queue.name())
-                                        .set("enqueue", h.enqueue)
-                                        .set("dequeue", h.dequeue.map_or(Json::Null, Json::from))
-                                })
-                                .collect(),
-                        ),
-                    )
-                    .set(
-                        "trims",
-                        Json::Arr(
-                            s.trims
-                                .iter()
-                                .map(|&(at, node)| {
-                                    Json::obj().set("at", at).set("node", u64::from(node))
-                                })
-                                .collect(),
-                        ),
-                    )
-                    .set(
-                        "drops",
-                        Json::Arr(
-                            s.drops
-                                .iter()
-                                .map(|&(at, node, class)| {
-                                    Json::obj()
-                                        .set("at", at)
-                                        .set("node", u64::from(node))
-                                        .set("class", class.name())
-                                })
-                                .collect(),
-                        ),
-                    )
-                    .set("time_in_queue", s.time_in_queue())
-                    .set("time_in_recovery", s.time_in_recovery()),
-            );
-        }
-        let messages: Vec<Json> = self
-            .messages
-            .iter()
-            .map(|(&(flow, wr_id), m)| {
+    /// Writes the span document's fields (`dcp-trace/v1`: schema,
+    /// truncated, packets, messages, flows, stats) into `doc`, packet by
+    /// packet and sorted by key, so the output is byte-identical across
+    /// thread/shard settings of the same run. [`crate::ScopeProbe`]
+    /// completes the document with its monitors.
+    pub fn write_fields<W: Write>(&self, doc: &mut ObjWriter<W>) -> io::Result<()> {
+        doc.field("schema", "dcp-trace/v1")?;
+        doc.field("truncated", self.truncated)?;
+        doc.array("packets", self.packets().map(|((flow, psn), s)| packet_json(flow, psn, &s)))?;
+        doc.array(
+            "messages",
+            self.messages.iter().map(|(&(flow, wr_id), m)| {
                 Json::obj()
                     .set("flow", u64::from(flow))
                     .set("wr_id", wr_id)
@@ -694,8 +667,8 @@ impl SpanBuilder {
                     .set("posted", m.posted.map_or(Json::Null, Json::from))
                     .set("delivered", m.delivered.map_or(Json::Null, Json::from))
                     .set("latency", m.latency().map_or(Json::Null, Json::from))
-            })
-            .collect();
+            }),
+        )?;
         let mut flows: Vec<_> = self
             .heads
             .flows
@@ -704,22 +677,16 @@ impl SpanBuilder {
             .map(|(&flow, f)| (flow, f.timeouts, f.ho_received))
             .collect();
         flows.sort_unstable();
-        let flows: Vec<Json> = flows
-            .into_iter()
-            .map(|(flow, timeouts, ho)| {
+        doc.array(
+            "flows",
+            flows.into_iter().map(|(flow, timeouts, ho)| {
                 Json::obj()
                     .set("flow", u64::from(flow))
                     .set("timeouts", timeouts)
                     .set("ho_received", ho)
-            })
-            .collect();
-        Json::obj()
-            .set("schema", "dcp-trace/v1")
-            .set("truncated", self.truncated)
-            .set("packets", Json::Arr(packets))
-            .set("messages", Json::Arr(messages))
-            .set("flows", Json::Arr(flows))
-            .set("stats", self.stats_json())
+            }),
+        )?;
+        doc.field("stats", self.stats_json())
     }
 
     /// Aggregate latency breakdown: where packet time went (queueing vs
@@ -880,6 +847,13 @@ impl Probe for SpanBuilder {
 mod tests {
     use super::*;
 
+    /// `b`'s span fields as one compact JSON object.
+    fn doc(b: &SpanBuilder) -> String {
+        let mut w = ObjWriter::new(Vec::new(), None);
+        b.write_fields(&mut w).unwrap();
+        String::from_utf8(w.finish().unwrap()).unwrap()
+    }
+
     /// Fields wider than a packed lane reach the span intact: a 2^30
     /// work-request id with a 16 MB payload lands in its message span.
     #[test]
@@ -996,7 +970,7 @@ mod tests {
             }
         }
         assert_eq!(unrecognized, 2, "foreign lines are reported, blank ones are not");
-        assert_eq!(offline.to_json().render(), live.to_json().render());
+        assert_eq!(doc(&offline), doc(&live));
     }
 
     #[test]
@@ -1261,7 +1235,7 @@ mod tests {
         let b = fold_both(&events, 2);
         assert_eq!(b.truncated, 5);
         assert!(!b.heads.flows.contains_key(&4), "a refused key opens no flow");
-        let doc = b.to_json();
+        let doc = Json::parse(&doc(&b)).expect("the document parses");
         let flows = doc.get("flows").and_then(Json::as_arr).unwrap();
         assert_eq!(flows.len(), 1, "counters are not capped");
     }

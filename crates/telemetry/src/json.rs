@@ -1,4 +1,6 @@
-//! A tiny, dependency-free JSON value: build, render, parse, validate.
+//! A tiny, dependency-free JSON value: build, render, parse, validate —
+//! plus [`ObjWriter`], which writes one large object field by field in
+//! the same bytes, for documents too big to hold as a tree.
 //!
 //! The vendored `serde` is a no-op stub (no registry in this build
 //! environment), so structured export is hand-rolled — but once, here,
@@ -139,10 +141,6 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -159,19 +157,10 @@ impl Json {
                 }
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                        if indent.is_none() {
-                            out.push(' ');
-                        }
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    open_item(out, i, indent, depth + 1);
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push(']');
+                close(out, ']', indent, depth);
             }
             Json::Obj(fields) => {
                 if fields.is_empty() {
@@ -180,22 +169,11 @@ impl Json {
                 }
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                        if indent.is_none() {
-                            out.push(' ');
-                        }
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    out.push('"');
-                    out.push_str(&escape(k));
-                    out.push_str("\": ");
+                    open_item(out, i, indent, depth + 1);
+                    push_key(out, k);
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
+                close(out, '}', indent, depth);
             }
         }
     }
@@ -219,6 +197,115 @@ impl Json {
         let mut errs = Vec::new();
         validate_at(self, schema, "$", &mut errs);
         errs
+    }
+}
+
+/// Starts item `i` of a container whose items sit at `depth`: a comma
+/// after the first, then a newline and indent (pretty) or a space
+/// (compact).
+fn open_item(out: &mut String, i: usize, indent: Option<usize>, depth: usize) {
+    if i > 0 {
+        out.push(',');
+    }
+    match indent {
+        Some(w) => {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', w * depth));
+        }
+        None if i > 0 => out.push(' '),
+        None => {}
+    }
+}
+
+/// Ends a non-empty container opened at `depth` with `bracket`.
+fn close(out: &mut String, bracket: char, indent: Option<usize>, depth: usize) {
+    if let Some(w) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', w * depth));
+    }
+    out.push(bracket);
+}
+
+fn push_key(out: &mut String, key: &str) {
+    out.push('"');
+    out.push_str(&escape(key));
+    out.push_str("\": ");
+}
+
+/// One JSON object written to `out` field by field, in the same bytes as
+/// rendering the whole tree ([`Json::render_pretty`] with `indent`
+/// `Some(2)`, [`Json::render`] with `None`) — for documents too large to
+/// hold as one tree. A field's value is a small tree, or an array whose
+/// items are rendered and written one at a time.
+pub struct ObjWriter<W: std::io::Write> {
+    out: W,
+    indent: Option<usize>,
+    fields: usize,
+    buf: String,
+}
+
+impl<W: std::io::Write> ObjWriter<W> {
+    /// Opens the object.
+    pub fn new(out: W, indent: Option<usize>) -> Self {
+        ObjWriter { out, indent, fields: 0, buf: String::from("{") }
+    }
+
+    pub fn field(&mut self, key: &str, value: impl Into<Json>) -> std::io::Result<()> {
+        self.key(key);
+        value.into().write(&mut self.buf, self.indent, 1);
+        self.flush()
+    }
+
+    /// An array-valued field, its items written as they are produced.
+    pub fn array(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = Json>,
+    ) -> std::io::Result<()> {
+        self.key(key);
+        let mut n = 0;
+        for item in items {
+            if n == 0 {
+                self.buf.push('[');
+            }
+            open_item(&mut self.buf, n, self.indent, 2);
+            item.write(&mut self.buf, self.indent, 2);
+            self.flush()?;
+            n += 1;
+        }
+        if n == 0 {
+            self.buf.push_str("[]");
+        } else {
+            close(&mut self.buf, ']', self.indent, 1);
+        }
+        self.flush()
+    }
+
+    /// Closes the object (a pretty one ends in a newline, as
+    /// [`Json::render_pretty`] does) and hands `out` back.
+    pub fn finish(mut self) -> std::io::Result<W> {
+        if self.fields == 0 {
+            self.buf.push('}');
+        } else {
+            close(&mut self.buf, '}', self.indent, 0);
+        }
+        if self.indent.is_some() {
+            self.buf.push('\n');
+        }
+        self.flush()?;
+        Ok(self.out)
+    }
+
+    fn key(&mut self, key: &str) {
+        open_item(&mut self.buf, self.fields, self.indent, 1);
+        push_key(&mut self.buf, key);
+        self.fields += 1;
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        Ok(())
     }
 }
 
@@ -511,6 +598,32 @@ mod tests {
         for rendered in [d.render(), d.render_pretty()] {
             let back = Json::parse(&rendered).expect("parses");
             assert_eq!(back, d, "round trip through {rendered}");
+        }
+    }
+
+    /// Streaming the fields of `doc()` — with its array fed item by item,
+    /// empty and not — writes the bytes of rendering the tree, in both
+    /// layouts.
+    #[test]
+    fn obj_writer_matches_the_rendered_tree() {
+        for indent in [Some(2), None] {
+            let mut w = ObjWriter::new(Vec::new(), indent);
+            let mut tree = Json::obj();
+            let Json::Obj(fields) = doc() else { unreachable!() };
+            for (k, v) in fields {
+                match &v {
+                    Json::Arr(items) => w.array(&k, items.iter().cloned()).unwrap(),
+                    v => w.field(&k, v.clone()).unwrap(),
+                }
+                tree = tree.set(&k, v);
+            }
+            w.array("none", std::iter::empty()).unwrap();
+            tree = tree.set("none", Json::Arr(Vec::new()));
+            let want = if indent.is_some() { tree.render_pretty() } else { tree.render() };
+            assert_eq!(String::from_utf8(w.finish().unwrap()).unwrap(), want);
+            let empty = ObjWriter::new(Vec::new(), indent).finish().unwrap();
+            let want = if indent.is_some() { "{}\n" } else { "{}" };
+            assert_eq!(String::from_utf8(empty).unwrap(), want);
         }
     }
 

@@ -14,15 +14,17 @@
 //!   tests).
 //! * [`recorder`] — a bounded [`FlightRecorder`] ring buffer of recent
 //!   events, dumped automatically when a run fails to quiesce or a counter
-//!   invariant trips: silent hangs become actionable traces; and
-//!   [`EventLog`], the one in-memory capture — 16-byte packed records.
-//!   JSONL ([`ProbeEvent::to_jsonl`] / [`ProbeEvent::read_jsonl`]) is only
-//!   how a capture is written to a file and read back.
+//!   invariant trips: silent hangs become actionable traces. Nothing here
+//!   keeps a whole run: exports write as the run goes, and the one
+//!   in-memory capture is a plain `Vec<(u64, ProbeEvent)>`. JSONL
+//!   ([`ProbeEvent::to_jsonl`] / [`ProbeEvent::read_jsonl`]) is how a
+//!   capture is written to a file and read back.
 //! * [`hist`] — log-linear HDR-style [`LogHistogram`]s for FCT/latency/
 //!   queue-depth percentiles (p50/p99/p999) without full sorts.
 //! * [`json`] — a tiny dependency-free JSON value type with a renderer, a
-//!   parser and a mini schema validator, backing `--metrics-out` /
-//!   `--trace-out` structured export (the vendored `serde` is a no-op stub,
+//!   field-by-field [`ObjWriter`] for documents too large to hold as one
+//!   tree, a parser and a mini schema validator, backing `--metrics-out` /
+//!   `--spans-out` structured export (the vendored `serde` is a no-op stub,
 //!   so serialization is hand-rolled here once instead of per call site).
 
 pub mod hist;
@@ -31,9 +33,9 @@ pub mod probe;
 pub mod recorder;
 
 pub use hist::LogHistogram;
-pub use json::Json;
+pub use json::{Json, ObjWriter};
 pub use probe::{
     CountingProbe, DropClass, EventKind, Fanout, FaultKind, KindMask, NullProbe, Probe, ProbeEvent,
     QueueClass, RetxCause,
 };
-pub use recorder::{EventLog, FlightRecorder};
+pub use recorder::FlightRecorder;

@@ -6,8 +6,15 @@
 //! pass events in registers. Emission sites construct events *lazily* —
 //! `ctx.emit(|| ProbeEvent::...)` — so with no probe installed the only cost
 //! is one branch on an `Option` discriminant.
+//!
+//! A probe keeps whatever it was built to keep — counters, a ring, a live
+//! span fold, a file it writes as the run goes — and no probe keeps every
+//! event unless asked: `Vec<(u64, ProbeEvent)>` is the one in-memory
+//! capture, for tests and the sharded engine's per-window buffers. JSONL
+//! ([`ProbeEvent::to_jsonl`] / [`ProbeEvent::read_jsonl`]) is how a
+//! capture leaves the process and comes back.
 
-use crate::recorder::EventLog;
+use std::any::Any;
 
 /// Which egress queue a packet joined or left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -449,12 +456,16 @@ impl ProbeEvent {
 
     /// Inverse of [`ProbeEvent::to_jsonl`]: rebuilds `(at, event)` from one
     /// parsed trace line. Returns `None` for lines that are not probe
-    /// events (unknown `ev`, missing fields).
+    /// events (unknown `ev`, missing fields) and for lines whose integers
+    /// could not come back exactly: a `u32` field past `u32::MAX`, or any
+    /// field at or past 2^53 — JSON numbers parse through `f64`, which
+    /// cannot tell such a value from its neighbours.
     pub fn from_json(v: &crate::json::Json) -> Option<(u64, ProbeEvent)> {
         use crate::json::Json;
-        let at = v.get("at").and_then(Json::as_u64)?;
+        let u64_of = |key: &str| v.get(key).and_then(Json::as_u64).filter(|&x| x < 1 << 53);
+        let at = u64_of("at")?;
         let kind = EventKind::from_name(v.get("ev").and_then(Json::as_str)?)?;
-        let u = |key: &str| v.get(key).and_then(Json::as_u64).map(|x| x as u32);
+        let u = |key: &str| u64_of(key).and_then(|x| u32::try_from(x).ok());
         let node = u("node")?;
         let ev = match kind {
             EventKind::Enqueue | EventKind::Dequeue => {
@@ -496,8 +507,7 @@ impl ProbeEvent {
             EventKind::Duplicate => ProbeEvent::Duplicate { node, flow: u("flow")? },
             EventKind::MsgPosted | EventKind::Delivery => {
                 let flow = u("flow")?;
-                let wr_id = v.get("wr_id").and_then(Json::as_u64)?;
-                let bytes = v.get("bytes").and_then(Json::as_u64)?;
+                let (wr_id, bytes) = (u64_of("wr_id")?, u64_of("bytes")?);
                 if kind == EventKind::MsgPosted {
                     ProbeEvent::MsgPosted { node, flow, wr_id, bytes }
                 } else {
@@ -530,8 +540,10 @@ impl ProbeEvent {
 /// A consumer of probe events. Implementations must be passive observers:
 /// they may not influence the simulation (no RNG draws, no event
 /// scheduling), which is what keeps probed runs trace-identical to bare
-/// runs.
-pub trait Probe: Send {
+/// runs. The `Any` supertrait lets whoever installed a probe read it back
+/// typed from the simulator's `Box<dyn Probe>` (upcast to `&mut dyn Any`,
+/// then `downcast_mut`) — no shared handle, no lock per record.
+pub trait Probe: Any + Send {
     /// Called from the hot paths with the simulation time and the event.
     fn record(&mut self, at: u64, ev: &ProbeEvent);
 
@@ -557,18 +569,18 @@ pub trait Probe: Send {
     fn drain_jsonl(&mut self) -> Vec<String> {
         Vec::new()
     }
+}
 
-    /// The capture itself, typed: how the packed [`EventLog`] leaves a
-    /// type-erased `Box<dyn Probe>` without a string or a lock per record.
-    /// Probes that hold no capture hand back an empty log.
-    fn take_log(&mut self) -> EventLog {
-        EventLog::default()
+/// The in-memory capture: every event, verbatim, in record order.
+impl Probe for Vec<(u64, ProbeEvent)> {
+    #[inline]
+    fn record(&mut self, at: u64, ev: &ProbeEvent) {
+        self.push((at, *ev));
     }
 
-    /// Events offered to this probe that it discarded (a capped log), so
-    /// an exporter can say a capture is incomplete.
-    fn dropped(&self) -> u64 {
-        0
+    /// Renders the capture as JSONL lines and clears it.
+    fn drain_jsonl(&mut self) -> Vec<String> {
+        self.drain(..).map(|(at, ev)| ev.to_jsonl(at)).collect()
     }
 }
 
@@ -667,19 +679,6 @@ impl Probe for Fanout {
             out.extend(p.drain_jsonl());
         }
         out
-    }
-
-    /// The first child's capture that holds anything.
-    fn take_log(&mut self) -> EventLog {
-        self.entries
-            .iter_mut()
-            .map(|(_, p)| p.take_log())
-            .find(|log| !log.is_empty())
-            .unwrap_or_default()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.entries.iter().map(|(_, p)| p.dropped()).sum()
     }
 }
 
@@ -808,6 +807,51 @@ mod tests {
             assert_eq!(ProbeEvent::from_json(&v), Some((42, e)));
         }
         assert_eq!(ProbeEvent::from_json(&crate::json::Json::obj()), None);
+    }
+
+    /// A line whose integers `f64` cannot carry exactly reads as `None`,
+    /// never as a neighbouring event: `u64` fields at 2^53 and past it,
+    /// `u32` fields past `u32::MAX`. The last exact values still read.
+    #[test]
+    fn out_of_range_fields_read_as_none() {
+        let read = |line: &str| ProbeEvent::read_jsonl(line).next().flatten();
+        let edge = 1u64 << 53;
+        let ok = ProbeEvent::Delivery { node: 1, flow: 2, wr_id: edge - 1, bytes: edge - 1 };
+        assert_eq!(read(&ok.to_jsonl(edge - 1)), Some((edge - 1, ok)));
+        for (at, ev) in [
+            (edge, ProbeEvent::Timeout { node: 0, flow: 0 }),
+            (edge + 1, ProbeEvent::Timeout { node: 0, flow: 0 }),
+            (0, ProbeEvent::MsgPosted { node: 0, flow: 0, wr_id: edge + 1, bytes: 0 }),
+            (0, ProbeEvent::Delivery { node: 0, flow: 0, wr_id: 0, bytes: u64::MAX }),
+        ] {
+            assert_eq!(read(&ev.to_jsonl(at)), None, "{ev:?} at {at}");
+        }
+        let max = ProbeEvent::Timeout { node: u32::MAX, flow: u32::MAX };
+        assert_eq!(read(&max.to_jsonl(7)), Some((7, max)));
+        for line in [
+            r#"{"at":7,"ev":"timeout","node":4294967296,"flow":1}"#,
+            r#"{"at":7,"ev":"timeout","node":0,"flow":4294967297}"#,
+            r#"{"at":7,"ev":"pfc_pause","node":0,"port":4294967296}"#,
+        ] {
+            assert_eq!(read(line), None, "{line}");
+        }
+    }
+
+    /// The Vec capture holds events verbatim and drains them as JSONL.
+    #[test]
+    fn vec_capture_drains_what_it_recorded() {
+        let mut v: Vec<(u64, ProbeEvent)> = Vec::new();
+        let evs = [
+            (3, ProbeEvent::Timeout { node: 0, flow: 1 }),
+            (u64::MAX, ProbeEvent::PfcPause { node: 1, port: 2 }),
+        ];
+        for (at, ev) in &evs {
+            Probe::record(&mut v, *at, ev);
+        }
+        assert_eq!(v, evs);
+        let lines = v.drain_jsonl();
+        assert_eq!(lines, evs.map(|(at, ev)| ev.to_jsonl(at)));
+        assert!(v.is_empty());
     }
 
     #[test]

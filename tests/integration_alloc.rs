@@ -15,11 +15,12 @@ use dcp_netsim::{
 };
 use dcp_rdma::qp::WorkReqOp;
 use dcp_scope::{ScopeProbe, SloBurnMonitor};
-use dcp_telemetry::{EventLog, Probe, ProbeEvent};
+use dcp_telemetry::{Probe, ProbeEvent};
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 
@@ -326,10 +327,10 @@ fn drain_cost_follows_active_qps_not_installed() {
 /// A trimming incast, captured: eight DCP senders behind one switch each
 /// write 256 KB to one host behind the other, through a single 100 G
 /// cross link that trims most of what it queues.
-fn trimming_incast_capture() -> EventLog {
+fn trimming_incast_capture() -> Vec<(u64, ProbeEvent)> {
     let mut sim = Simulator::new(17);
     sim.disable_auto_partition();
-    sim.set_probe(Box::new(EventLog::new(usize::MAX)));
+    sim.set_probe(Box::new(Vec::<(u64, ProbeEvent)>::new()));
     let topo = two_switch(&mut sim, 8, 100.0);
     let victim = topo.hosts[8];
     for i in 0..8 {
@@ -340,7 +341,8 @@ fn trimming_incast_capture() -> EventLog {
         sim.post(topo.hosts[i], flow, 0, WRITE, 256 << 10);
     }
     assert!(sim.run_to_quiescence(SEC), "the incast must drain");
-    sim.probe_mut().expect("capture installed").take_log()
+    let probe: &mut dyn Any = sim.probe_mut().expect("capture installed");
+    std::mem::take(probe.downcast_mut::<Vec<(u64, ProbeEvent)>>().expect("the Vec capture"))
 }
 
 /// `ScopeProbe::heap_bytes` accounts for what the capture holds: replayed
@@ -354,8 +356,8 @@ fn scope_probe_heap_bytes_match_the_allocator() {
     assert!(trims > 1_000, "the incast must trim ({trims} trims)");
     let before = live_bytes();
     let mut scope = ScopeProbe::new();
-    for (at, ev) in log.iter() {
-        scope.record(at, &ev);
+    for (at, ev) in &log {
+        scope.record(*at, ev);
     }
     let live = (live_bytes() - before) as f64;
     let reported = scope.heap_bytes() as f64;

@@ -27,7 +27,7 @@ use dcp_netsim::packet::{FlowId, NodeId};
 use dcp_netsim::time::{SEC, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::qp::WorkReqOp;
-use dcp_telemetry::{EventLog, Probe, ProbeEvent};
+use dcp_telemetry::{Probe, ProbeEvent};
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
 use std::sync::{Arc, Mutex};
 
@@ -162,7 +162,8 @@ fn one_shard_probe_stream_goldens() {
         (Mode::Faulted, "faulted", PROBE_FAULTED),
         (Mode::Adversarial, "adversarial", PROBE_ADVERSARY),
     ] {
-        let (mut sim, _) = build_probed(11, mode, 1, 1, Some(Box::new(EventLog::default())));
+        let (mut sim, _) =
+            build_probed(11, mode, 1, 1, Some(Box::new(Vec::<(u64, ProbeEvent)>::new())));
         while sim.advance().is_some() {}
         let lines = sim.probe_mut().expect("probe attached").drain_jsonl();
         assert!(lines.len() > 10_000, "{name}: only {} records", lines.len());

@@ -2,8 +2,8 @@
 //! simulation (same-seed digests identical with telemetry off, on, or
 //! absent), the flight recorder must capture the tail of a wedged run,
 //! the strict conservation identities must hold at quiescence for
-//! every transport, and the packed capture must hand back exactly what
-//! it was given — any variant, any field value, any length.
+//! every transport, and a JSONL trace line must read back as exactly the
+//! event it was written from, or as nothing — any variant, any field value.
 
 use dcp_bench::digest::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use dcp_core::dcp_switch_config;
@@ -12,10 +12,9 @@ use dcp_netsim::switch::SwitchConfig;
 use dcp_netsim::time::{MS, SEC, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::qp::WorkReqOp;
-use dcp_telemetry::recorder::CHUNK;
 use dcp_telemetry::{
-    DropClass, EventKind, EventLog, Fanout, FaultKind, FlightRecorder, NullProbe, Probe,
-    ProbeEvent, QueueClass, RetxCause,
+    DropClass, EventKind, FaultKind, FlightRecorder, NullProbe, Probe, ProbeEvent, QueueClass,
+    RetxCause,
 };
 use dcp_workloads::{endpoint_pair, CcKind, TransportKind};
 use proptest::prelude::*;
@@ -23,7 +22,7 @@ use proptest::prelude::*;
 /// The determinism-suite workload (4-to-1 DCP incast over adaptive
 /// routing: trimming, HO recovery and RNG port choices all active), with
 /// an optional probe installed. Returns the completion-stream digest and
-/// the number of trace lines the probe captured (0 without an `EventLog`).
+/// the number of trace lines the probe captured (0 without a capture).
 fn run_digest(seed: u64, probe: Option<Box<dyn Probe>>) -> (u64, usize) {
     let fan_in = 4;
     let cfg = dcp_switch_config(LoadBalance::AdaptiveRouting, fan_in + 2);
@@ -74,11 +73,11 @@ fn telemetry_does_not_perturb_the_simulation() {
     let (bare, n0) = run_digest(5, None);
     let (with_null, n1) = run_digest(5, Some(Box::new(NullProbe)));
     let (with_recorder, n2) = run_digest(5, Some(Box::new(FlightRecorder::default())));
-    let (with_log, n3) = run_digest(5, Some(Box::new(EventLog::default())));
+    let (with_log, n3) = run_digest(5, Some(Box::new(Vec::<(u64, ProbeEvent)>::new())));
     assert_eq!(bare, with_null, "NullProbe must not change the trace");
     assert_eq!(bare, with_recorder, "FlightRecorder must not change the trace");
-    assert_eq!(bare, with_log, "EventLog must not change the trace");
-    assert_eq!((n0, n1, n2), (0, 0, 0), "only EventLog retains lines");
+    assert_eq!(bare, with_log, "a full capture must not change the trace");
+    assert_eq!((n0, n1, n2), (0, 0, 0), "only the capture retains lines");
     assert!(n3 > 0, "the probes must actually have fired ({n3} lines)");
 }
 
@@ -156,9 +155,9 @@ fn strict_conservation_at_quiescence_for_every_transport() {
     }
 }
 
-/// A value for a `bits`-wide packed lane: inside it seven times in eight
-/// (the last in-lane value included), otherwise overflowing it — from
-/// exactly `2^bits` up to `max` — so the record escapes to the side table.
+/// A value for a field whose usual range is `bits` wide: inside it seven
+/// times in eight (the last in-range value included), otherwise past it —
+/// from exactly `2^bits` up to `max`, the type's whole range.
 fn lane(bits: u32, max: u64) -> impl Strategy<Value = u64> {
     let edge = 1u64 << bits;
     (0u8..16, 0..edge, edge..=max).prop_map(move |(pick, inside, outside)| match pick {
@@ -171,7 +170,7 @@ fn lane(bits: u32, max: u64) -> impl Strategy<Value = u64> {
 
 prop_compose! {
     /// Any variant with any field values, each field independently in or
-    /// out of its lane.
+    /// past its usual range.
     fn any_event()(
         kind in 0..EventKind::COUNT,
         at in lane(40, u64::MAX),
@@ -234,40 +233,34 @@ prop_compose! {
     }
 }
 
-/// Records `events` the way a simulator holds a capture — type-erased,
-/// behind a `Fanout` — and checks the log hands back the same sequence,
-/// typed and rendered.
-fn capture_roundtrips(events: &[(u64, ProbeEvent)]) {
-    let mut probe: Box<dyn Probe> =
-        Box::new(Fanout::new(vec![Box::new(NullProbe), Box::new(EventLog::default())]));
-    for (at, ev) in events {
-        probe.record(*at, ev);
-    }
-    let mut log = probe.take_log();
-    assert_eq!(log.len(), events.len());
-    assert!(log.iter().eq(events.iter().copied()), "iteration must return what was recorded");
-    let rendered: Vec<String> = events.iter().map(|(at, ev)| ev.to_jsonl(*at)).collect();
-    assert_eq!(log.drain_jsonl(), rendered);
-    assert!(log.is_empty() && probe.take_log().is_empty());
+/// Whether `f64` — what a JSON number parses through — carries every
+/// integer of `(at, ev)` exactly: each `u64` field below 2^53 (`u32`
+/// fields always fit).
+fn exact(at: u64, ev: &ProbeEvent) -> bool {
+    let widest = match *ev {
+        ProbeEvent::MsgPosted { wr_id, bytes, .. } | ProbeEvent::Delivery { wr_id, bytes, .. } => {
+            wr_id.max(bytes)
+        }
+        _ => 0,
+    };
+    at.max(widest) < 1 << 53
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
+    // Writes `events` as `--trace-out` does and reads the text back: each
+    // line returns its event exactly when every field is in range, and
+    // reads as `None` otherwise — never as a different event.
     #[test]
-    fn event_log_returns_what_it_recorded(events in proptest::collection::vec(any_event(), 0..300)) {
-        capture_roundtrips(&events);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
-
-    // Past one chunk, with escape records on both sides of the boundary.
-    #[test]
-    fn event_log_roundtrips_across_chunks(
-        events in proptest::collection::vec(any_event(), CHUNK + 1..2 * CHUNK + 2),
+    fn jsonl_reads_back_what_was_written(
+        events in proptest::collection::vec(any_event(), 0..300),
     ) {
-        capture_roundtrips(&events);
+        let text: String = events.iter().map(|(at, ev)| ev.to_jsonl(*at) + "\n").collect();
+        let back: Vec<_> = ProbeEvent::read_jsonl(&text).collect();
+        prop_assert_eq!(back.len(), events.len());
+        for (&(at, ev), got) in events.iter().zip(back) {
+            prop_assert_eq!(got, exact(at, &ev).then_some((at, ev)), "{}", ev.to_jsonl(at));
+        }
     }
 }
