@@ -2,7 +2,7 @@
 //! [`FaultPlan`] against a live simulator.
 //!
 //! Installation schedules one `Event::Control { token: i }` per plan entry
-//! through the simulator's calendar queue, so faults fire in the same
+//! through the simulator's event wheel, so faults fire in the same
 //! deterministic `(time, sequence)` total order as packets. On the arrival
 //! hot path the engine keeps two small maps — failed switches and per-link
 //! state keyed by the *arrival* `(node, port)` endpoint — and early-outs

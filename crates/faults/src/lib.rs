@@ -18,7 +18,7 @@
 //! * [`engine`] — the [`FaultEngine`] implementing netsim's
 //!   [`dcp_netsim::FaultPlane`]: rules Deliver/Drop/Corrupt on every
 //!   arrival and executes plan entries via `Event::Control` through the
-//!   simulator's own calendar queue. Corrupt DCP data at a trimming switch
+//!   simulator's own event wheel. Corrupt DCP data at a trimming switch
 //!   becomes a header-only notification — DCP's congestion-loss recovery
 //!   machinery, reused verbatim for wire loss.
 //! * [`recovery`] — the [`RecoveryTracker`] probe: time-to-first-retransmit

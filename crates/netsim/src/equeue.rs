@@ -1,127 +1,134 @@
-//! Calendar queue for the event engine's hot path.
-//!
-//! The simulator's pending-event set is dominated by near-future events
-//! (packet arrivals and port-free events a few hundred nanoseconds out)
-//! plus a thin tail of far-future timers (RTOs, deadlines seconds away). A
-//! global binary heap pays `O(log n)` per operation on everything; this
-//! queue gives the near-future majority `O(1)` inserts by spreading them
-//! over a wheel of time buckets, and orders only the current bucket — a
-//! handful of events — once, when the wheel reaches it.
+//! The event engine's pending-event set: one hierarchical timing wheel per
+//! shard (Varghese & Lauck, SOSP '87) that holds every event, endpoint
+//! timers included.
 //!
 //! Layout, from soonest to latest:
 //!
-//! * `cur`: every pending event before `cur_start + WIDTH` (the *current
-//!   bucket*), as a `SortedWindow`: a run sorted once per rotation and
-//!   popped from its end, plus a side heap for inserts that land inside
-//!   the window while it drains. `next_key`/`pop` only ever touch `cur`,
-//!   and on the common path are a `Vec::last`/`Vec::pop`.
-//! * `buckets`: a power-of-two wheel of unsorted `Vec`s covering
-//!   `[cur_start + WIDTH, cur_start + WIDTH * NBUCKETS)`; slot =
-//!   `(at / WIDTH) % NBUCKETS`. Inserts are a push; a bucket is sorted
-//!   wholesale only when the wheel rotates onto it. A slot owns a buffer
-//!   only while it holds entries: the run a rotation replaces goes onto a
-//!   LIFO `spare` list, and the first push into an empty slot takes the
-//!   most recently freed buffer — still in cache — allocating only when the
-//!   list is empty. Buffers in circulation therefore track the peak number
-//!   of simultaneously non-empty buckets (tens), not `NBUCKETS`. Returning
-//!   the drained run to the rotated slot would leave every slot holding a
-//!   buffer sized to the largest bucket it ever saw, cold by the time the
-//!   wheel laps back to it. Steady-state rotations allocate nothing.
-//! * `overflow`: min-heap for everything at or past the wheel horizon.
-//!   Entries migrate onto the wheel as the horizon advances past them.
+//! * Level 0: 4 096 slots of exactly one nanosecond, each a FIFO list,
+//!   covering the 4 096-ns block that holds the wheel's *origin*. A
+//!   two-word occupancy bitmap (a summary word over 64 leaf words) finds
+//!   the first occupied slot with two `tzcnt`s.
+//! * Nine digit levels of 64 slots above it: level `l` buckets entries by
+//!   bits `[12 + 6l, 12 + 6(l+1))` of their timestamp. An entry lives at
+//!   the highest level where its digit differs from the origin's, so it
+//!   cascades down at most nine times over its life — the engine's bulk,
+//!   a few µs to a few hundred µs out, once or twice. The digits cover all
+//!   64 bits of a timestamp (the top level uses 16 of its 64 slots), so no
+//!   event is too far out for the wheel. Each slot caches its minimum key,
+//!   so a peek never walks a list.
+//! * Every entry is a node in one arena, linked by index. A popped node
+//!   goes onto an intrusive LIFO free list and the next insert takes it
+//!   back while it is still in cache, so steady-state churn allocates
+//!   nothing and the arena tracks the peak pending count.
 //!
 //! Ordering contract — the part determinism rests on: keys are `(at, seq)`
-//! with `seq` a unique insertion counter, and `pop` returns entries in
-//! exactly ascending `(at, seq)` order, byte-for-byte the order one global
-//! binary heap over `Reverse<(at, seq)>` produces
-//! (`tests/equeue_equivalence.rs` holds the two side by side). The
-//! structure only changes *where* an entry waits, never how ties break:
-//! same-`at` entries always share a bucket window, so they meet again in
-//! `cur` before either can be popped, and `cur` orders by the full key
-//! whichever of its two containers an entry sits in.
+//! with `seq` rising on every insert (the owning shard's event counter;
+//! `insert` debug-asserts it), and `pop` returns entries in exactly
+//! ascending `(at, seq)` order, the order one global binary heap over
+//! `Reverse<(at, seq)>` produces (`tests/equeue_equivalence.rs` holds the
+//! two side by side). No operation compares keys to get there:
 //!
-//! The bucket width adapts to the pending-event density (deterministically:
-//! the triggers are pure functions of the operation sequence). Sustained
-//! crowded rotations — the >20k-pending incast regime, where a fixed-width
-//! bucket would hold hundreds of entries and every rotation pays a big
-//! sort — halve the width; long runs of empty rotations double it back. A
-//! width change re-buckets all pending entries in one O(n) pass and is
-//! rare by hysteresis; it never affects pop order.
+//! * every list is in `seq` order: an insert appends the newest `seq`, and
+//!   a cascade moves one list, in order, into slots that were empty (every
+//!   level below the cascading one is);
+//! * a level-0 slot holds a single nanosecond, so its `seq` order *is*
+//!   `(at, seq)` order, and slots, levels and digits order the rest.
+//!
+//! Both rest on one rule: no insert lands before the origin. The origin
+//! moves only inside `pop`, and never past the entry popped; inserts may
+//! not precede the last popped time. So [`EventQueue::next_key`] is a
+//! `&self` peek — it reads the first occupied slot's cached minimum while
+//! level 0 is empty, and never cascades ahead of the clock.
 
 use crate::time::Nanos;
-use crate::window::{Entry, SortedWindow};
-use std::collections::BinaryHeap;
 
-/// log2 of the starting bucket width: 1024 ns per bucket.
-const DEFAULT_WIDTH_LOG2: u32 = 10;
-/// Adaptive width bounds: 16 ns (dense incast) to ~1 ms (sparse timers).
-const MIN_WIDTH_LOG2: u32 = 4;
-const MAX_WIDTH_LOG2: u32 = 20;
-/// Wheel size (power of two): horizon = width * NBUCKETS (≈1 ms at the
-/// default width).
-const NBUCKETS: usize = 1024;
-/// A rotation sorting more entries than this counts as crowded.
-const CROWDED_BUCKET: usize = 64;
-/// Consecutive crowded rotations before the width halves.
-const SHRINK_AFTER: u32 = 8;
-/// Rotation window over which average occupancy is evaluated; the width
-/// doubles when it falls below one entry per rotated bucket (rotations are
-/// mostly wasted). The band between 1 and `CROWDED_BUCKET` entries per
-/// bucket is the hysteresis that keeps mixed workloads still.
-const GROW_WINDOW: u32 = 4096;
+/// log2 of level 0's span: 4 096 one-nanosecond slots.
+const L0_BITS: u32 = 12;
+const L0_SLOTS: usize = 1 << L0_BITS;
+/// log2 of every digit level's fan-out (64 slots: one `u64` of occupancy).
+const SLOT_BITS: u32 = 6;
+const SLOTS: usize = 1 << SLOT_BITS;
+/// 12 + 6·9 = 66 ≥ 64: nine digits cover every bit of a [`Nanos`].
+const LEVELS: usize = 9;
+/// End of a list / no node. Links are arena index + 1, so the slot arrays
+/// start out as zeroed memory.
+const NIL: u32 = 0;
 
-/// Deterministic timer queue keyed on `(time, seq)`; see module docs.
-pub struct EventQueue<T> {
-    /// log2 of the current bucket width (adaptive; see module docs).
-    width_log2: u32,
-    /// Start of the current bucket's window; multiple of the width.
-    cur_start: Nanos,
-    /// All entries with `at < cur_start + width`, earliest first.
-    cur: SortedWindow<T>,
-    /// An empty slot owns no buffer (capacity 0).
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Empty buffers freed by rotations and re-bucketing, most recent last.
-    spare: Vec<Vec<Entry<T>>>,
-    /// Total entries across `buckets`.
-    in_buckets: usize,
-    overflow: BinaryHeap<Entry<T>>,
-    len: usize,
-    peak_len: usize,
-    /// Consecutive crowded rotations (shrink trigger).
-    crowded_rotations: u32,
-    /// Rotations and total entries sorted in the current grow-evaluation
-    /// window.
-    window_rotations: u32,
-    window_rotated: u64,
-    /// Largest bucket ever sorted in one rotation — the structure's actual
-    /// per-rotation sort exposure, which adaptation exists to bound.
-    peak_rotated: usize,
+/// Lowest timestamp bit of digit level `l`.
+#[inline]
+fn shift(l: usize) -> u32 {
+    L0_BITS + SLOT_BITS * l as u32
 }
 
-impl<T> Default for EventQueue<T> {
+/// `at` with every bit below `bits` cleared (`bits` reaches 66 above the
+/// top level, where nothing is left).
+#[inline]
+fn clear_below(at: Nanos, bits: u32) -> Nanos {
+    at.checked_shr(bits).map_or(0, |v| v << bits)
+}
+
+/// One pending entry, or a free node (then `next` links the free list and
+/// the rest is stale).
+struct Node<T> {
+    at: Nanos,
+    seq: u64,
+    next: u32,
+    item: T,
+}
+
+/// Deterministic event queue keyed on `(time, seq)`; see module docs.
+/// Payloads are `Copy` handles (the engine's `Event`): a freed node keeps a
+/// stale copy until an insert overwrites it.
+pub struct EventQueue<T> {
+    /// Every entry is at or past it; level 0 covers its 4 096-ns block.
+    origin: Nanos,
+    /// List heads and tails: level 0's slots first, then digit level `l`'s
+    /// slot `s` at `L0_SLOTS + l * SLOTS + s`. A tail is stale while its
+    /// head is `NIL`.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Level-0 occupancy: slot `s` is bit `s % 64` of word `s / 64`, and
+    /// `l0_sum` has bit `w` set while word `w` is non-zero.
+    l0_occ: [u64; L0_SLOTS / 64],
+    l0_sum: u64,
+    /// Digit-level occupancy, and `up_sum` bit `l` while `occ[l]` is
+    /// non-zero.
+    occ: [u64; LEVELS],
+    up_sum: u64,
+    /// `(at, seq)` minimum of each occupied digit-level slot.
+    min: Vec<(Nanos, u64)>,
+    nodes: Vec<Node<T>>,
+    /// Head of the free-node list.
+    free: u32,
+    len: usize,
+    peak_len: usize,
+    /// Lowest `seq` the next insert may carry.
+    seq_floor: u64,
+}
+
+impl<T: Copy> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> EventQueue<T> {
+impl<T: Copy> EventQueue<T> {
     pub fn new() -> Self {
+        const LISTS: usize = L0_SLOTS + LEVELS * SLOTS;
         EventQueue {
-            width_log2: DEFAULT_WIDTH_LOG2,
-            cur_start: 0,
-            cur: SortedWindow::new(),
-            buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
-            // At most one buffer per slot plus the run's ever exists, so
-            // freeing one never grows the list.
-            spare: Vec::with_capacity(NBUCKETS + 1),
-            in_buckets: 0,
-            overflow: BinaryHeap::new(),
+            origin: 0,
+            head: vec![NIL; LISTS],
+            tail: vec![NIL; LISTS],
+            l0_occ: [0; L0_SLOTS / 64],
+            l0_sum: 0,
+            occ: [0; LEVELS],
+            up_sum: 0,
+            min: vec![(0, 0); LEVELS * SLOTS],
+            nodes: Vec::new(),
+            free: NIL,
             len: 0,
             peak_len: 0,
-            crowded_rotations: 0,
-            window_rotations: 0,
-            window_rotated: 0,
-            peak_rotated: 0,
+            seq_floor: 0,
         }
     }
 
@@ -138,170 +145,175 @@ impl<T> EventQueue<T> {
         self.peak_len
     }
 
-    /// Current (adaptive) log2 bucket width.
-    pub fn width_log2(&self) -> u32 {
-        self.width_log2
+    /// Heap the queue holds: the node arena plus the slot arrays.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node<T>>()
+            + (self.head.capacity() + self.tail.capacity()) * std::mem::size_of::<u32>()
+            + self.min.capacity() * std::mem::size_of::<(Nanos, u64)>()
     }
 
-    /// Largest single-rotation sort so far — bounded by adaptation even
-    /// when tens of thousands of events are pending.
-    pub fn peak_rotated(&self) -> usize {
-        self.peak_rotated
-    }
-
-    #[inline]
-    fn width(&self) -> Nanos {
-        1 << self.width_log2
-    }
-
-    fn horizon(&self) -> Nanos {
-        self.cur_start + ((NBUCKETS as Nanos) << self.width_log2)
-    }
-
-    /// Routes an entry to `cur`, the wheel or overflow. No accounting —
-    /// shared by `insert` and width-change re-bucketing.
-    #[inline]
-    fn place(&mut self, e: Entry<T>) {
-        if e.at < self.cur_start + self.width() {
-            self.cur.push(e);
-        } else if e.at < self.horizon() {
-            let b = &mut self.buckets[(e.at >> self.width_log2) as usize & (NBUCKETS - 1)];
-            if b.capacity() == 0 {
-                *b = self.spare.pop().unwrap_or_default();
-            }
-            b.push(e);
-            self.in_buckets += 1;
-        } else {
-            self.overflow.push(e);
-        }
-    }
-
-    /// Inserts an entry. `(at, seq)` pairs must be unique and `seq`
-    /// monotonically increasing across calls (the simulator's event
-    /// counter); `at` may not precede the last popped time.
+    /// Inserts an entry. `seq` must rise on every call (the simulator's
+    /// event counter) and `at` may not precede the last popped time.
     pub fn insert(&mut self, at: Nanos, seq: u64, item: T) {
+        debug_assert!(
+            seq >= self.seq_floor,
+            "insert seq {seq} does not rise: the 1-ns FIFO slots order ties by insertion"
+        );
+        debug_assert!(at >= self.origin, "insert at {at} precedes the last pop ({})", self.origin);
+        self.seq_floor = seq.saturating_add(1);
+        let node = Node { at, seq, next: NIL, item };
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len()).expect("node links are u32: under 2^32 pending events")
+        } else {
+            let i = self.free;
+            let slot = &mut self.nodes[i as usize - 1];
+            self.free = slot.next;
+            *slot = node;
+            i
+        };
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
-        self.place(Entry { at, seq, item });
+        self.place(i, at, seq);
     }
 
-    /// Re-buckets every pending entry under a new width: one O(n) pass,
-    /// rare by hysteresis. Pop order is unaffected — only *where* entries
-    /// wait changes.
-    fn set_width(&mut self, new_log2: u32) {
-        let mut all: Vec<Entry<T>> = Vec::with_capacity(self.len);
-        // `cur` must be re-placed too: when the width shrinks, entries it
-        // holds beyond the new window would otherwise be popped ahead of
-        // earlier entries that later inserts put in the buckets in between.
-        self.cur.drain_into(&mut all);
-        for b in &mut self.buckets {
-            if b.capacity() > 0 {
-                all.append(b);
-                self.spare.push(std::mem::take(b));
+    /// Appends node `i` to its slot's list against the current origin.
+    /// Shared by `insert` and cascades.
+    #[inline]
+    fn place(&mut self, i: u32, at: Nanos, seq: u64) {
+        let diff = at ^ self.origin;
+        let list = if diff < L0_SLOTS as Nanos {
+            let s = at as usize & (L0_SLOTS - 1);
+            self.l0_occ[s / 64] |= 1 << (s % 64);
+            self.l0_sum |= 1 << (s / 64);
+            s
+        } else {
+            // The highest differing bit is at or above bit 12, so the
+            // entry waits at that bit's digit level.
+            let l = ((diff.ilog2() - L0_BITS) / SLOT_BITS) as usize;
+            let s = (at >> shift(l)) as usize & (SLOTS - 1);
+            let u = l * SLOTS + s;
+            if self.occ[l] & (1 << s) == 0 {
+                self.occ[l] |= 1 << s;
+                self.up_sum |= 1 << l;
+                self.min[u] = (at, seq);
+            } else if at < self.min[u].0 {
+                // A tie keeps the earlier entry: lists are in `seq` order.
+                self.min[u] = (at, seq);
             }
+            L0_SLOTS + u
+        };
+        self.nodes[i as usize - 1].next = NIL;
+        match self.head[list] {
+            NIL => self.head[list] = i,
+            _ => self.nodes[self.tail[list] as usize - 1].next = i,
         }
-        all.extend(std::mem::take(&mut self.overflow));
-        self.in_buckets = 0;
-        self.width_log2 = new_log2;
-        // Realign the current window. Entries below `cur_start` (late
-        // inserts after the wheel advanced) re-enter `cur` via `place`'s
-        // `< cur_start + width` test, so nothing is stranded.
-        self.cur_start = (self.cur_start >> new_log2) << new_log2;
-        for e in all {
-            self.place(e);
-        }
-        self.crowded_rotations = 0;
-        self.window_rotations = 0;
-        self.window_rotated = 0;
+        self.tail[list] = i;
     }
 
-    /// Timestamp of the earliest pending entry. `&mut` because reaching the
-    /// next entry may rotate the wheel (a reorganization, not a removal).
-    pub fn next_at(&mut self) -> Option<Nanos> {
+    /// First occupied level-0 slot.
+    #[inline]
+    fn l0_first(&self) -> usize {
+        let w = self.l0_sum.trailing_zeros() as usize;
+        w * 64 + self.l0_occ[w].trailing_zeros() as usize
+    }
+
+    /// First occupied digit-level slot as `(level, slot)`. Every occupied
+    /// slot's digit exceeds the origin's at its level, so the lowest level's
+    /// lowest slot holds the earliest entries.
+    #[inline]
+    fn up_first(&self) -> Option<(usize, usize)> {
+        if self.up_sum == 0 {
+            return None;
+        }
+        let l = self.up_sum.trailing_zeros() as usize;
+        Some((l, self.occ[l].trailing_zeros() as usize))
+    }
+
+    /// Timestamp of level-0 slot `s`.
+    #[inline]
+    fn l0_at(&self, s: usize) -> Nanos {
+        (self.origin & !(L0_SLOTS as Nanos - 1)) | s as Nanos
+    }
+
+    /// Timestamp of the earliest pending entry.
+    pub fn next_at(&self) -> Option<Nanos> {
         self.next_key().map(|(at, _)| at)
     }
 
-    /// Full `(at, seq)` key of the earliest pending entry — what lets a
-    /// shard merge this queue with its timer wheel into one total order.
-    pub fn next_key(&mut self) -> Option<(Nanos, u64)> {
-        self.advance();
-        self.cur.next_key()
+    /// Full `(at, seq)` key of the earliest pending entry — O(1), and it
+    /// never moves the origin.
+    pub fn next_key(&self) -> Option<(Nanos, u64)> {
+        if self.l0_sum != 0 {
+            let s = self.l0_first();
+            Some((self.l0_at(s), self.nodes[self.head[s] as usize - 1].seq))
+        } else {
+            self.up_first().map(|(l, s)| self.min[l * SLOTS + s])
+        }
     }
 
     /// Removes and returns the earliest entry as `(at, seq, item)`.
     pub fn pop(&mut self) -> Option<(Nanos, u64, T)> {
-        self.advance();
-        let e = self.cur.pop()?;
-        self.len -= 1;
-        Some((e.at, e.seq, e.item))
+        self.pop_due(Nanos::MAX)
     }
 
-    /// Rotates the wheel until the current bucket holds the next entry (or
-    /// the queue is empty). No-op while `cur` is non-empty: everything in
-    /// later buckets/overflow is strictly after the current window.
-    fn advance(&mut self) {
-        while self.cur.is_empty() && self.len > 0 {
-            if self.in_buckets > 0 {
-                self.cur_start += self.width();
-                let idx = (self.cur_start >> self.width_log2) as usize & (NBUCKETS - 1);
-                let v = std::mem::take(&mut self.buckets[idx]);
-                self.in_buckets -= v.len();
-                let rotated = v.len();
-                self.peak_rotated = self.peak_rotated.max(rotated);
-                // Sort in place; the drained run's storage becomes the next
-                // spare, and the rotated slot stays empty.
-                let run = self.cur.load(v);
-                if run.capacity() > 0 {
-                    self.spare.push(run);
-                }
-                self.migrate_overflow();
-                self.adapt(rotated);
-            } else {
-                // Only overflow left: jump the wheel straight to its min
-                // instead of rotating through empty buckets (a far-future
-                // RTO would otherwise cost millions of rotations).
-                let at = self.overflow.peek().expect("len>0 with empty wheel").at;
-                self.cur_start = (at >> self.width_log2) << self.width_log2;
-                self.migrate_overflow();
+    /// Removes and returns the earliest entry if it is due at or before
+    /// `limit`: one search decides both whether and what to pop.
+    #[inline]
+    pub fn pop_due(&mut self, limit: Nanos) -> Option<(Nanos, u64, T)> {
+        if self.l0_sum == 0 {
+            let (l, s) = self.up_first()?;
+            if self.min[l * SLOTS + s].0 > limit {
+                return None;
+            }
+            self.cascade(l, s);
+        }
+        let s = self.l0_first();
+        let at = self.l0_at(s);
+        if at > limit {
+            return None;
+        }
+        let i = self.head[s];
+        let node = &mut self.nodes[i as usize - 1];
+        let (seq, item, next) = (node.seq, node.item, node.next);
+        node.next = self.free;
+        self.free = i;
+        self.head[s] = next;
+        if next == NIL {
+            let w = s / 64;
+            self.l0_occ[w] &= !(1 << (s % 64));
+            if self.l0_occ[w] == 0 {
+                self.l0_sum &= !(1 << w);
             }
         }
+        self.origin = at;
+        self.len -= 1;
+        Some((at, seq, item))
     }
 
-    /// Width adaptation, fed one rotation's bucket size. Sustained crowded
-    /// rotations halve the width (big per-rotation sorts otherwise); a window
-    /// averaging under one entry per rotated bucket doubles it back (the
-    /// rotations are mostly wasted work).
-    fn adapt(&mut self, rotated: usize) {
-        if rotated > CROWDED_BUCKET {
-            self.crowded_rotations += 1;
-            if self.crowded_rotations >= SHRINK_AFTER && self.width_log2 > MIN_WIDTH_LOG2 {
-                self.set_width(self.width_log2 - 1);
+    /// Moves the origin to the start of digit slot `(l, s)` — the first
+    /// occupied one, with level 0 empty — and re-places its list against
+    /// it, lower down; repeats on the next first slot until level 0 holds
+    /// an entry. The origin stays at or below every entry, the one about
+    /// to pop included.
+    fn cascade(&mut self, mut l: usize, mut s: usize) {
+        loop {
+            self.origin = clear_below(self.origin, shift(l + 1)) | (s as Nanos) << shift(l);
+            self.occ[l] &= !(1 << s);
+            if self.occ[l] == 0 {
+                self.up_sum &= !(1 << l);
+            }
+            let mut i = std::mem::replace(&mut self.head[L0_SLOTS + l * SLOTS + s], NIL);
+            while i != NIL {
+                let node = &self.nodes[i as usize - 1];
+                let (at, seq, next) = (node.at, node.seq, node.next);
+                self.place(i, at, seq);
+                i = next;
+            }
+            if self.l0_sum != 0 {
                 return;
             }
-        } else {
-            self.crowded_rotations = 0;
-        }
-        self.window_rotations += 1;
-        self.window_rotated += rotated as u64;
-        if self.window_rotations >= GROW_WINDOW {
-            if self.window_rotated < u64::from(self.window_rotations)
-                && self.width_log2 < MAX_WIDTH_LOG2
-            {
-                self.set_width(self.width_log2 + 1);
-            } else {
-                self.window_rotations = 0;
-                self.window_rotated = 0;
-            }
-        }
-    }
-
-    /// Moves overflow entries that fell inside the (advanced) horizon onto
-    /// the wheel.
-    fn migrate_overflow(&mut self) {
-        let horizon = self.horizon();
-        while self.overflow.peek().is_some_and(|e| e.at < horizon) {
-            let e = self.overflow.pop().expect("peeked");
-            self.place(e);
+            (l, s) = self.up_first().expect("a cascade re-places its entries below it");
         }
     }
 }
@@ -309,24 +321,6 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl<T> EventQueue<T> {
-        /// Capacity, in entries, of the current window, every bucket and
-        /// every spare buffer.
-        fn storage(&self) -> usize {
-            let held = |v: &Vec<Vec<Entry<T>>>| v.iter().map(Vec::capacity).sum::<usize>();
-            self.cur.capacity() + held(&self.buckets) + held(&self.spare)
-        }
-
-        /// Bucket buffers in circulation: slots holding capacity plus spares.
-        fn bucket_buffers(&self) -> usize {
-            self.buckets.iter().filter(|b| b.capacity() > 0).count() + self.spare.len()
-        }
-
-        fn nonempty_buckets(&self) -> usize {
-            self.buckets.iter().filter(|b| !b.is_empty()).count()
-        }
-    }
 
     /// Drains `q` and checks strict ascending (at, seq) order.
     fn drain_sorted(q: &mut EventQueue<u32>) -> Vec<(Nanos, u64)> {
@@ -343,17 +337,10 @@ mod tests {
     #[test]
     fn orders_across_buckets_and_overflow() {
         let mut q = EventQueue::new();
-        // Same-time entries (seq tiebreak), near bucket, far bucket, and a
-        // far-future overflow entry, inserted shuffled.
-        let inserts: &[(Nanos, u64)] = &[
-            (5_000, 3),
-            (10, 1),
-            (10, 2),
-            (3_000_000_000, 4), // 3 s: overflow
-            (900_000, 5),       // within horizon
-            (0, 6),
-            (5_000, 7),
-        ];
+        // Same-time entries (seq tiebreak) in level 0 and in digit levels 0
+        // and 1, and a 3 s entry at digit level 3.
+        let inserts: &[(Nanos, u64)] =
+            &[(5_000, 3), (10, 4), (10, 5), (3_000_000_000, 6), (900_000, 7), (0, 8), (5_000, 9)];
         for &(at, seq) in inserts {
             q.insert(at, seq, seq as u32);
         }
@@ -363,13 +350,13 @@ mod tests {
         assert_eq!(
             order,
             vec![
-                (0, 6),
-                (10, 1),
-                (10, 2),
+                (0, 8),
+                (10, 4),
+                (10, 5),
                 (5_000, 3),
-                (5_000, 7),
-                (900_000, 5),
-                (3_000_000_000, 4)
+                (5_000, 9),
+                (900_000, 7),
+                (3_000_000_000, 6)
             ]
         );
         assert!(q.is_empty());
@@ -394,7 +381,7 @@ mod tests {
         for _ in 0..5_000 {
             if rng() % 3 != 0 || q.is_empty() {
                 seq += 1;
-                // Mix of near (same bucket), mid (wheel) and far (overflow).
+                // Mix of level 0, the first digit levels and far timers.
                 let delta = match rng() % 10 {
                     0..=5 => rng() % 800,
                     6..=8 => rng() % 500_000,
@@ -416,130 +403,6 @@ mod tests {
         assert_eq!(popped, reference);
     }
 
-    /// The >20k-pending incast regime: sustained density far above the
-    /// default bucket capacity. The width must shrink (deterministically),
-    /// per-rotation sorts must stay bounded instead of scaling with the
-    /// pending count — the structural guarantee behind non-super-linear
-    /// cost — and the pop order must still exactly match a reference sort.
-    /// Every fourth pop also schedules a late insert into the current
-    /// window, so the sorted run *and* its side heap are in play; once the
-    /// churn is steady neither they nor the buckets may grow (drained runs
-    /// return to the spare list, the side heap keeps its own).
-    #[test]
-    fn dense_churn_adapts_width_and_bounds_rotations() {
-        let mut q = EventQueue::new();
-        let mut reference: Vec<(Nanos, u64)> = Vec::new();
-        let pending = 30_000u64;
-        let span = pending * 10; // ~100 entries/µs: crowded at 1024 ns
-        let mut seq = 0u64;
-        for i in 0..pending {
-            seq += 1;
-            let at = (i * 7_919) % span;
-            q.insert(at, seq, seq as u32);
-            reference.push((at, seq));
-        }
-        // Steady churn: every pop schedules a successor one span ahead,
-        // keeping the pending set at 30k while the wheel rotates through
-        // the dense region.
-        let mut popped = Vec::new();
-        let mut steady_storage = 0;
-        for i in 0..100_000 {
-            if i == 50_000 {
-                steady_storage = q.storage();
-            }
-            let (at, s, late) = q.pop().unwrap();
-            popped.push((at, s));
-            if late == 0 {
-                continue; // a late insert has no successor
-            }
-            seq += 1;
-            q.insert(at + span, seq, seq as u32);
-            reference.push((at + span, seq));
-            if i % 4 == 0 {
-                seq += 1;
-                q.insert(at + 1, seq, 0);
-                reference.push((at + 1, seq));
-            }
-        }
-        assert_eq!(q.storage(), steady_storage, "steady churn must recycle storage, not grow it");
-        while let Some((at, s, _)) = q.pop() {
-            popped.push((at, s));
-        }
-        reference.sort_unstable();
-        assert_eq!(popped, reference, "adaptation must never change pop order");
-        assert!(
-            q.width_log2() < DEFAULT_WIDTH_LOG2,
-            "a 100-entries/µs regime must shrink the bucket width (still {})",
-            q.width_log2()
-        );
-        assert!(
-            q.peak_rotated() < 2_048,
-            "per-rotation sort must stay bounded with 30k pending, saw {}",
-            q.peak_rotated()
-        );
-    }
-
-    /// After a dense phase, a sparse phase (entries a couple of µs apart)
-    /// must grow the width back so rotations stop burning empty cycles.
-    #[test]
-    fn sparse_phase_grows_width_back() {
-        let mut q = EventQueue::new();
-        let mut seq = 0u64;
-        // Dense phase: force a shrink.
-        for i in 0..40_000u64 {
-            seq += 1;
-            q.insert(i * 10, seq, 0u32);
-        }
-        while q.pop().is_some() {}
-        let shrunk = q.width_log2();
-        assert!(shrunk < DEFAULT_WIDTH_LOG2, "dense phase must shrink, still {shrunk}");
-        // Sparse phase: one entry per 2 µs, always within the wheel.
-        let mut now: Nanos = 500_000;
-        for _ in 0..40_000u64 {
-            seq += 1;
-            q.insert(now + 2_000, seq, 0u32);
-            let (at, ..) = q.pop().unwrap();
-            now = at;
-        }
-        assert!(
-            q.width_log2() > shrunk,
-            "sparse phase must grow the width back (still {})",
-            q.width_log2()
-        );
-    }
-
-    /// Bucket storage follows occupancy, not the wheel size: a narrow steady
-    /// churn (a few buckets ahead of the cursor ever occupied) lapping the
-    /// wheel several times keeps only about as many buffers as buckets it
-    /// ever had occupied at once, not one per slot it passed over.
-    #[test]
-    fn lapping_churn_keeps_buffers_to_peak_occupancy() {
-        let mut q = EventQueue::new();
-        let mut seq = 0u64;
-        // 16 pending entries each rescheduled ~4 µs out: ~4 entries per
-        // 1024 ns bucket, between the grow and shrink triggers.
-        for i in 0..16u64 {
-            seq += 1;
-            q.insert(i * 256, seq, 0u32);
-        }
-        let horizon = (NBUCKETS as Nanos) << DEFAULT_WIDTH_LOG2;
-        let mut peak_nonempty = q.nonempty_buckets();
-        let mut now = 0;
-        while now < 3 * horizon + 1 {
-            let (at, s, _) = q.pop().unwrap();
-            now = at;
-            seq += 1;
-            q.insert(at + 3_500 + s % 7 * 150, seq, 0);
-            peak_nonempty = peak_nonempty.max(q.nonempty_buckets());
-        }
-        assert_eq!(q.width_log2(), DEFAULT_WIDTH_LOG2, "the churn must not re-adapt the width");
-        assert!(
-            q.bucket_buffers() <= peak_nonempty + 2,
-            "{} bucket buffers for at most {peak_nonempty} occupied buckets",
-            q.bucket_buffers()
-        );
-    }
-
     #[test]
     fn next_at_does_not_consume() {
         let mut q = EventQueue::new();
@@ -548,5 +411,202 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().map(|(at, ..)| at), Some(7_000));
         assert_eq!(q.next_at(), None);
+    }
+
+    /// Same-timestamp entries must come out in seq order (the determinism
+    /// tiebreak), whichever level they were stored at.
+    #[test]
+    fn seq_breaks_ties() {
+        let mut q = EventQueue::new();
+        for seq in 1..=50u64 {
+            q.insert(1_000_000, seq, ());
+        }
+        for expect in 1..=50u64 {
+            assert_eq!(q.pop().map(|(_, s, _)| s), Some(expect));
+        }
+    }
+
+    /// After a pop moved the origin to 10 ms, inserts just past it land in
+    /// level 0 and digit levels alike and still come out in exact order.
+    #[test]
+    fn late_inserts_after_origin_advance() {
+        let mut q = EventQueue::new();
+        q.insert(10_000_000, 1, 1u32);
+        assert_eq!(q.pop().map(|(at, ..)| at), Some(10_000_000));
+        q.insert(10_000_100, 2, 2);
+        q.insert(10_000_050, 3, 3);
+        q.insert(12_000_000, 4, 4);
+        assert_eq!(q.next_key(), Some((10_000_050, 3)));
+        assert_eq!(q.pop().map(|(at, seq, _)| (at, seq)), Some((10_000_050, 3)));
+        assert_eq!(q.pop().map(|(at, seq, _)| (at, seq)), Some((10_000_100, 2)));
+        assert_eq!(q.pop().map(|(at, seq, _)| (at, seq)), Some((12_000_000, 4)));
+    }
+
+    /// The queue and a reference `BinaryHeap<Reverse<(at, seq)>>` driven in
+    /// lock-step: every pop (and the peek before it) must agree.
+    struct Lockstep {
+        model: std::collections::BinaryHeap<std::cmp::Reverse<(Nanos, u64)>>,
+        queue: EventQueue<()>,
+        seq: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep { model: Default::default(), queue: EventQueue::new(), seq: 0 }
+        }
+
+        fn insert(&mut self, at: Nanos) {
+            self.seq += 1;
+            self.model.push(std::cmp::Reverse((at, self.seq)));
+            self.queue.insert(at, self.seq, ());
+        }
+
+        fn pop(&mut self) -> Nanos {
+            let std::cmp::Reverse(want) = self.model.pop().expect("pop on an empty pair");
+            assert_eq!(self.queue.next_key(), Some(want));
+            assert_eq!(self.queue.pop().map(|(at, seq, ())| (at, seq)), Some(want));
+            want.0
+        }
+
+        fn drain(&mut self) {
+            while !self.model.is_empty() {
+                self.pop();
+            }
+            assert!(self.queue.is_empty() && self.queue.next_key().is_none());
+        }
+    }
+
+    /// 100 k entries at one instant fire in `seq` order — with the instant
+    /// in a digit-level slot (one cascade moves the whole list) and at the
+    /// origin itself (every insert appends to the live level-0 slot).
+    #[test]
+    fn same_instant_flood_matches_reference_heap() {
+        for warm in [false, true] {
+            let mut p = Lockstep::new();
+            if warm {
+                p.insert(1_000_000);
+                p.pop();
+            }
+            for _ in 0..100_000 {
+                p.insert(1_000_000);
+            }
+            p.drain();
+        }
+    }
+
+    /// Inserts into a crowded 4 096-ns block while it drains: ascending,
+    /// descending, at the clock, and after the origin jumped 40 ms.
+    #[test]
+    fn late_inserts_into_a_crowded_due_window() {
+        let mut p = Lockstep::new();
+        // 2 000 entries in one level-1 slot, [40960, 45056).
+        for i in 0..2_000u64 {
+            p.insert(40_960 + (i * 7) % 4_096);
+        }
+        let mut now = p.pop(); // cascades the crowded slot into level 0
+        for i in 0..500 {
+            p.insert(now + 1 + i * 5);
+        }
+        for _ in 0..700 {
+            now = p.pop();
+        }
+        for at in (now..now + 500).rev() {
+            p.insert(at);
+        }
+        for _ in 0..400 {
+            p.pop();
+            let now = p.pop();
+            p.insert(now);
+            p.insert(now + 1);
+        }
+        p.drain();
+        p.insert(50_000_000);
+        p.insert(90_000_000);
+        let now = p.pop();
+        for i in 0..1_000u64 {
+            p.insert(now + (i * 7_919) % 3_000_000);
+        }
+        p.drain();
+    }
+
+    /// `next_key` never reorganizes: a far-future minimum peeked many times
+    /// must not stop near-future inserts from ordering correctly.
+    #[test]
+    fn peek_does_not_advance_origin() {
+        let mut q = EventQueue::new();
+        q.insert(3_000_000_000, 1, 1u32); // 3 s out
+        for _ in 0..100 {
+            assert_eq!(q.next_key(), Some((3_000_000_000, 1)));
+        }
+        // A near-future entry inserted after all that peeking still wins.
+        q.insert(5_000, 2, 2);
+        assert_eq!(q.next_key(), Some((5_000, 2)));
+        assert_eq!(q.pop().map(|(at, ..)| at), Some(5_000));
+        assert_eq!(q.pop().map(|(at, ..)| at), Some(3_000_000_000));
+    }
+
+    /// `pop_due` leaves an entry past its limit where it is: neither a
+    /// digit-level cascade nor the origin may move toward it, so an insert
+    /// before it that arrives afterwards still pops first.
+    #[test]
+    fn pop_due_past_the_limit_moves_nothing() {
+        let mut q = EventQueue::new();
+        q.insert(10_000_000, 1, 1u32);
+        assert!(q.pop_due(5_000_000).is_none());
+        q.insert(1_000, 2, 2);
+        assert!(q.pop_due(999).is_none());
+        assert_eq!(q.pop_due(1_000), Some((1_000, 2, 2)));
+        q.insert(4_000_000, 3, 3);
+        assert_eq!(q.pop_due(9_999_999), Some((4_000_000, 3, 3)));
+        assert_eq!(q.pop_due(10_000_000), Some((10_000_000, 1, 1)));
+    }
+
+    /// A million far-future entries (a fleet of armed RTOs over ~4 ms):
+    /// inserts are list appends and the wheel drains them in exact order.
+    #[test]
+    fn million_timers_drain_in_order() {
+        let mut q = EventQueue::new();
+        let n = 1_000_000u64;
+        for i in 0..n {
+            let at = 1_000_000 + (i * 2_654_435_761) % 4_000_000;
+            q.insert(at, i + 1, ());
+        }
+        assert_eq!(q.len(), n as usize);
+        let mut last = (0, 0);
+        let mut count = 0u64;
+        while let Some((at, seq, _)) = q.pop() {
+            assert!((at, seq) > last, "out of order at entry {count}");
+            last = (at, seq);
+            count += 1;
+        }
+        assert_eq!(count, n);
+    }
+
+    /// Popped nodes are reused: a hold model at a fixed depth keeps the
+    /// arena at that depth.
+    #[test]
+    fn hold_model_recycles_nodes() {
+        let mut q = EventQueue::new();
+        for i in 0..1_000u64 {
+            q.insert(i * 10, i, ());
+        }
+        let bytes = q.heap_bytes();
+        for seq in 1_000..101_000 {
+            let (at, ..) = q.pop().unwrap();
+            q.insert(at + 10_000, seq, ());
+        }
+        assert_eq!(q.heap_bytes(), bytes, "steady churn must recycle nodes, not grow the arena");
+        assert_eq!(q.nodes.len(), 1_000);
+    }
+
+    /// The insert contract the FIFO slots rest on: `seq` must rise.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not rise")]
+    fn insert_rejects_a_seq_that_does_not_rise() {
+        let mut q = EventQueue::new();
+        q.insert(5_000, 7, ());
+        q.pop();
+        q.insert(5_000, 7, ());
     }
 }

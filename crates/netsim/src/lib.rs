@@ -4,7 +4,9 @@
 //! packet-level simulation fabric (§6.2) plus the mechanisms the paper adds
 //! to switches. It provides:
 //!
-//! * an event loop with stable `(time, sequence)` ordering ([`sim`]);
+//! * an event loop with stable `(time, sequence)` ordering ([`sim`]) over
+//!   one hierarchical timing wheel per shard that holds every event,
+//!   endpoint timers included ([`equeue`]);
 //! * output-queued switches with separate data and control queues, a
 //!   weighted-round-robin egress scheduler, DCP packet trimming, ECN
 //!   marking, PFC pause/resume and forced-loss injection ([`switch`]);
@@ -40,8 +42,6 @@ pub mod switch;
 pub mod time;
 pub mod topology;
 pub mod trace;
-pub mod twheel;
-mod window;
 
 pub use dcp_telemetry::RetxCause;
 pub use endpoint::{deliver, pull_owned, Completion, CompletionKind, Endpoint, EndpointCtx};
@@ -59,4 +59,5 @@ pub use stats::{Conservation, NetStats, TransportStats};
 pub use switch::{EcnConfig, PfcConfig, SwitchConfig};
 pub use time::{bdp_bytes, fiber_delay_km, tx_time, Nanos, MS, NS, SEC, US};
 pub use topology::Topology;
-pub use twheel::TimerWheel;
+/// The endpoint-timer name of [`EventQueue`]: one wheel holds every event.
+pub type TimerWheel<T> = EventQueue<T>;

@@ -3,10 +3,10 @@
 //! Every packet that exists inside the fabric — queued at a switch port,
 //! riding a propagation event, staged in a host NIC — lives in one
 //! [`PacketPool`] owned by the simulator, and moves through the hot path as
-//! an 8-byte [`PktRef`] instead of a ~200-byte struct. That keeps calendar
-//! queue buckets, heapify swaps and `VecDeque` rotations down to
-//! handle-sized memcpys, which is where the event-loop working set comes
-//! from at 256-host CLOS scale.
+//! an 8-byte [`PktRef`] instead of a ~200-byte struct. That keeps event
+//! wheel nodes and `VecDeque` rotations down to handle-sized memcpys,
+//! which is where the event-loop working set comes from at 256-host CLOS
+//! scale.
 //!
 //! # Determinism
 //!

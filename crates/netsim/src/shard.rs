@@ -1,7 +1,7 @@
 //! Sharded conservative-lookahead PDES engine.
 //!
 //! The simulator's node set is split into topology partitions ("shards"),
-//! each owning a calendar queue, a packet pool, an RNG stream and its
+//! each owning an event wheel, a packet pool, an RNG stream and its
 //! nodes' completions/telemetry. Shards advance together through *windows*
 //! `[tmin, tmin + L)` where `L` (the **lookahead**) is the minimum
 //! propagation delay of any cross-shard link: an event processed at `t`
@@ -55,7 +55,6 @@ use crate::sim::{Event, Node, NodeCtx, Simulator};
 use crate::stats::NetStats;
 use crate::time::Nanos;
 use crate::topology::Topology;
-use crate::twheel::TimerWheel;
 use dcp_rdma::headers::DcpTag;
 use dcp_telemetry::{DropClass, Probe, ProbeEvent};
 use rand::rngs::StdRng;
@@ -147,7 +146,9 @@ pub(crate) struct MailEntry {
 /// these.
 pub(crate) struct Shard {
     pub(crate) now: Nanos,
+    /// Insertion counter: the `seq` half of every queue key.
     pub(crate) seq: u64,
+    /// Every pending event, endpoint timers included.
     pub(crate) queue: EventQueue<Event>,
     pub(crate) pool: PacketPool,
     pub(crate) rng: StdRng,
@@ -166,13 +167,6 @@ pub(crate) struct Shard {
     pub(crate) mail_seq: u64,
     /// Reused staging vector for sorting incoming mail at delivery.
     pub(crate) mail_scratch: Vec<MailEntry>,
-    /// Endpoint timers, segregated from the calendar queue: a mostly-idle
-    /// million-QP host keeps its armed RTOs here at O(1) arm/fire instead
-    /// of carrying one calendar entry per idle QP. Shares the `seq`
-    /// counter, so both structures merge into one `(at, seq)` total order.
-    pub(crate) twheel: TimerWheel<Event>,
-    /// High-water mark of `queue.len() + twheel.len()`.
-    pub(crate) peak_pending: usize,
 }
 
 impl Shard {
@@ -191,8 +185,6 @@ impl Shard {
             bufp: Vec::new(),
             mail_seq: 0,
             mail_scratch: Vec::new(),
-            twheel: TimerWheel::new(),
-            peak_pending: 0,
         }
     }
 
@@ -200,55 +192,7 @@ impl Shard {
     pub(crate) fn schedule(&mut self, at: Nanos, ev: Event) {
         debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
         self.seq += 1;
-        match ev {
-            Event::EndpointTimer { .. } => self.twheel.insert(at, self.seq, ev),
-            _ => self.queue.insert(at, self.seq, ev),
-        }
-        self.peak_pending = self.peak_pending.max(self.queue.len() + self.twheel.len());
-    }
-
-    /// Pending events in this shard (calendar queue + timer wheel).
-    #[inline]
-    pub(crate) fn pending(&self) -> usize {
-        self.queue.len() + self.twheel.len()
-    }
-
-    /// `(at, seq)` of the shard's earliest pending event across both
-    /// structures. The shared `seq` counter makes the comparison exact.
-    #[inline]
-    pub(crate) fn next_key(&mut self) -> Option<(Nanos, u64)> {
-        match (self.queue.next_key(), self.twheel.next_key()) {
-            (Some(q), Some(t)) => Some(q.min(t)),
-            (q, t) => q.or(t),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn next_at(&mut self) -> Option<Nanos> {
-        self.next_key().map(|(at, _)| at)
-    }
-
-    /// Pops the shard's globally earliest event if it is due at or before
-    /// `limit` ([`IDLE`] pops whatever is next) — one look at each
-    /// structure's minimum decides both *whether* and *where from*. The
-    /// merged order is byte-identical to the historical single-queue order
-    /// because both structures key on the same `(at, seq)` space.
-    #[inline]
-    pub(crate) fn pop_due(&mut self, limit: Nanos) -> Option<(Nanos, u64, Event)> {
-        let (q, t) = (self.queue.next_key(), self.twheel.next_key());
-        let from_wheel = match (q, t) {
-            (Some(q), Some(t)) => t < q,
-            (q, _) => q.is_none(),
-        };
-        let (at, _) = if from_wheel { t } else { q }?;
-        if at > limit {
-            return None;
-        }
-        if from_wheel {
-            self.twheel.pop()
-        } else {
-            self.queue.pop()
-        }
+        self.queue.insert(at, self.seq, ev);
     }
 }
 
@@ -368,7 +312,7 @@ pub(crate) fn process_next(
     w: &mut Walker<'_>,
     limit: Nanos,
 ) -> Option<Event> {
-    let (at, _seq, ev) = shard.pop_due(limit)?;
+    let (at, _seq, ev) = shard.queue.pop_due(limit)?;
     debug_assert!(at >= shard.now);
     shard.now = at;
     shard.events += 1;
@@ -620,8 +564,8 @@ impl Simulator {
     }
 
     /// Earliest pending node event across all shards, or [`IDLE`].
-    pub(crate) fn shards_next_at(&mut self) -> Nanos {
-        self.shards.iter_mut().filter_map(|s| s.next_at()).min().unwrap_or(IDLE)
+    pub(crate) fn shards_next_at(&self) -> Nanos {
+        self.shards.iter().filter_map(|s| s.queue.next_at()).min().unwrap_or(IDLE)
     }
 
     /// Earliest pending control event, or [`IDLE`].
@@ -860,7 +804,7 @@ impl Simulator {
         }
         {
             let s0 = &mut self.shards[0];
-            if s0.events > 0 || s0.pending() > 0 || !s0.pool.is_empty() {
+            if s0.events > 0 || !s0.queue.is_empty() || !s0.pool.is_empty() {
                 return false;
             }
         }
@@ -1057,7 +1001,7 @@ fn session_worker(
             if probe_on {
                 std::mem::swap(&mut shard.bufp, &mut *slots[*ix].lock().unwrap());
             }
-            next_at[*ix].store(shard.next_at().unwrap_or(IDLE), Ordering::Relaxed);
+            next_at[*ix].store(shard.queue.next_at().unwrap_or(IDLE), Ordering::Relaxed);
             comp_len[*ix].store(shard.completions.len(), Ordering::Relaxed);
         }
         barrier.wait();

@@ -1,10 +1,10 @@
 //! The deterministic event loop.
 //!
-//! A calendar queue ([`crate::equeue::EventQueue`]) orders events by
-//! `(time, sequence)`; the sequence tiebreak makes same-instant ordering
-//! stable, so a given seed always produces an identical packet trace. Node
-//! handlers never touch other nodes directly — they emit `(time, Event)`
-//! pairs through [`NodeCtx`].
+//! An event wheel per shard ([`crate::equeue::EventQueue`]) orders every
+//! event, endpoint timers included, by `(time, sequence)`; same-instant
+//! events leave in insertion order, so a given seed always produces an
+//! identical packet trace. Node handlers never touch other nodes directly
+//! — they emit `(time, Event)` pairs through [`NodeCtx`].
 //!
 //! The simulator holds one or more engine *shards* (see [`crate::shard`]):
 //! one queue, one pool, one RNG until [`Simulator::partition`] splits it
@@ -40,10 +40,10 @@ use std::sync::Mutex;
 
 /// Everything that can happen in the fabric.
 ///
-/// Events are handle-sized and `Copy`: a packet rides through the calendar
-/// queue as its 8-byte [`PktRef`] into the simulator's [`PacketPool`], so
-/// bucket pushes and heapify swaps move ≤ 32 bytes
-/// (`event_stays_handle_sized` locks this).
+/// Events are handle-sized and `Copy`: a packet rides through the event
+/// wheel as its 8-byte [`PktRef`] into the simulator's [`PacketPool`], so
+/// a wheel node moves ≤ 32 bytes of event (`event_stays_handle_sized`
+/// locks this).
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// A packet finished propagating and arrives at `node` on `port`.
@@ -406,7 +406,7 @@ impl Simulator {
         // Every stepping call returns with each shard walked up to the
         // clock; a node touched "now" must not still owe the past an event.
         debug_assert!(
-            shards[s].next_at().is_none_or(|at| at >= clock),
+            shards[s].queue.next_at().is_none_or(|at| at >= clock),
             "serial access to {id:?} at {clock} while its shard still holds an earlier event",
         );
         shards[s].now = clock;
@@ -505,7 +505,7 @@ impl Simulator {
     }
 
     pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.pending()).sum::<usize>() + self.controls.len()
+        self.shards.iter().map(|s| s.queue.len()).sum::<usize>() + self.controls.len()
     }
 
     /// Total events dispatched so far (controls included).
@@ -517,7 +517,7 @@ impl Simulator {
     /// sum of per-shard high-water marks — an upper bound on the true
     /// simultaneous peak (shards may peak at different times).
     pub fn peak_pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.peak_pending).sum()
+        self.shards.iter().map(|s| s.queue.peak_len()).sum()
     }
 
     /// Aggregated fabric counters across all switches, plus the engine's
@@ -741,8 +741,8 @@ impl Simulator {
 mod tests {
     use super::*;
 
-    /// Regression lock for the handle-based event layout: every calendar
-    /// queue entry copy must stay within 32 bytes. Growing a variant past
+    /// Regression lock for the handle-based event layout: every event
+    /// wheel node's payload must stay within 32 bytes. Growing a variant past
     /// this puts struct traffic back on the hottest path in the simulator.
     #[test]
     fn event_stays_handle_sized() {

@@ -1,8 +1,8 @@
-//! Pins the calendar-queue event engine against the ordering of the
-//! `BinaryHeap<Reverse<(at, seq)>>` it replaced: on a randomized schedule
-//! of interleaved inserts and pops, both structures must yield the exact
-//! same (time, seq, payload) sequence. This is the contract that makes the
-//! engine swap invisible to seeded runs.
+//! Pins the event wheel against the ordering of the
+//! `BinaryHeap<Reverse<(at, seq)>>` the engine started from: on randomized
+//! schedules of interleaved inserts and pops, both structures must yield
+//! the exact same (time, seq, payload) sequence. This is the contract that
+//! makes every change of the engine's queue invisible to seeded runs.
 
 use dcp_netsim::EventQueue;
 use std::cmp::Reverse;
@@ -41,16 +41,19 @@ fn matches_old_heap_on_randomized_schedule() {
         let roll = rng.next() % 100;
         let inserting = if op < 12_000 { roll < 65 } else { roll < 35 };
         if inserting || model.is_empty() {
-            // Mix near-future (wheel), same-instant (ties resolved by seq)
-            // and far-future (overflow heap) times.
-            let delta = match rng.next() % 10 {
-                0 => 0,
-                1..=6 => rng.next() % 1_000_000,
-                7 | 8 => rng.next() % 50_000_000,
-                _ => 200_000_000 + rng.next() % 1_000_000_000,
+            // Mix same-instant (ties resolved by seq), near-future,
+            // far-future and timer-like keys up to the top digit level
+            // (bits 60–63).
+            let delta = match rng.next() % 20 {
+                0 | 1 => 0,
+                2..=13 => rng.next() % 1_000_000,
+                14..=16 => rng.next() % 50_000_000,
+                17 | 18 => 200_000_000 + rng.next() % 1_000_000_000,
+                _ => (rng.next() >> 1) >> (rng.next() % 28),
             };
             seq += 1;
-            let s = Scheduled { at: now + delta, seq, item: (rng.next() & 0xffff_ffff) as u32 };
+            let at = now.saturating_add(delta);
+            let s = Scheduled { at, seq, item: (rng.next() & 0xffff_ffff) as u32 };
             model.push(Reverse(s));
             queue.insert(s.at, s.seq, s.item);
         } else {
@@ -69,8 +72,8 @@ fn matches_old_heap_on_randomized_schedule() {
     assert!(queue.pop().is_none());
 }
 
-/// The calendar queue and the reference heap driven in lock-step: every
-/// pop must agree on `(at, seq, item)`.
+/// The event wheel and the reference heap driven in lock-step: every pop,
+/// and the peek before it, must agree on `(at, seq, item)`.
 struct Pair {
     model: BinaryHeap<Reverse<Scheduled>>,
     queue: EventQueue<u32>,
@@ -94,6 +97,7 @@ impl Pair {
 
     fn pop(&mut self) -> u64 {
         let Reverse(want) = self.model.pop().expect("pop on an empty pair");
+        assert_eq!(self.queue.next_key(), Some((want.at, want.seq)));
         assert_eq!(Some((want.at, want.seq, want.item)), self.queue.pop());
         self.now = want.at;
         want.at
@@ -108,15 +112,15 @@ impl Pair {
 }
 
 /// 100 k entries at one instant come out in `seq` order — once with the
-/// instant in a future bucket (one big rotation sort) and once with it
-/// inside the live current window (every insert is a late insert; a naive
-/// sorted insert would be quadratic here).
+/// instant in a digit-level slot (one cascade moves the whole list) and
+/// once with it at the origin (every insert appends to the live 1-ns slot;
+/// a naive sorted insert would be quadratic here).
 #[test]
 fn same_instant_flood_breaks_ties_by_seq() {
     for warm in [false, true] {
         let mut p = Pair::new();
         if warm {
-            // Rotate the wheel onto the instant's window first.
+            // Move the origin onto the instant first.
             p.insert(5_000);
             p.pop();
         }
@@ -127,17 +131,16 @@ fn same_instant_flood_breaks_ties_by_seq() {
     }
 }
 
-/// Every insert lands inside an already-crowded current window, first
-/// ascending in time (behind the run's tail: the side heap) and then
-/// descending (ahead of it: appended to the run).
+/// Every insert lands inside an already-crowded 4 096-ns level-0 block,
+/// first ascending in time and then descending.
 #[test]
 fn late_inserts_into_a_crowded_window_ascending_and_descending() {
     let mut p = Pair::new();
-    // 600 entries in one default-width bucket, [2048, 3072).
+    // 600 entries in [2048, 3072).
     for i in 0..600u64 {
         p.insert(2_048 + (i * 7) % 1_024);
     }
-    let now = p.pop(); // rotates onto the crowded bucket
+    let now = p.pop();
     for i in 0..300 {
         p.insert(now + 1 + i * 3);
     }
@@ -158,58 +161,97 @@ fn late_inserts_into_a_crowded_window_ascending_and_descending() {
     p.drain();
 }
 
-/// The width halves (dense phase) and doubles back (sparse phase) while
-/// late inserts keep landing in the current window: a re-bucketing must
-/// re-place the window's own entries, whichever container they sat in.
+/// A dense phase (~100 entries per µs) and then a sparse one (one entry
+/// per 2 µs), with inserts a few nanoseconds past every pop: the schedule
+/// that once halved and doubled an adaptive bucket width.
 #[test]
 fn width_changes_with_late_inserts_in_flight() {
     let mut p = Pair::new();
-    let start = p.queue.width_log2();
     for i in 0..40_000u64 {
-        p.insert(i * 10); // ~100 entries per default-width bucket
+        p.insert(i * 10);
     }
-    let (mut halved, mut doubled) = (false, false);
-    let mut last = start;
     for _ in 0..40_000 {
         let now = p.pop();
-        // Two late inserts per pop, inside whatever the window now is.
         p.insert(now + 3);
         p.insert(now + 1);
         p.pop();
         p.pop();
-        let w = p.queue.width_log2();
-        halved |= w < last;
-        last = w;
     }
-    assert!(halved, "the dense phase must halve the width (still {last})");
-    // Sparse phase: one entry per 2 µs, each followed by a late insert.
     for _ in 0..40_000 {
         p.insert(p.now + 2_000);
         let now = p.pop();
         p.insert(now + 5);
         p.pop();
-        let w = p.queue.width_log2();
-        doubled |= w > last;
-        last = w;
     }
-    assert!(doubled, "the sparse phase must double the width back (still {last})");
     p.drain();
 }
 
-/// A peek rotates the wheel ahead of the clock; inserts below the new
-/// `cur_start` must still pop first, in order.
+/// A peek must not move the origin: with one entry 10 ms out peeked,
+/// inserts anywhere before it must still pop first, in order.
 #[test]
 fn inserts_below_cur_start_after_the_wheel_advanced() {
     let mut p = Pair::new();
     p.insert(10_000_000);
-    assert_eq!(p.queue.next_at(), Some(10_000_000)); // wheel is now ~10 ms ahead
+    assert_eq!(p.queue.next_at(), Some(10_000_000));
     for i in 0..2_000u64 {
         p.insert((i * 7_919) % 9_000_000);
     }
     assert_eq!(p.queue.next_at(), Some(0));
     for _ in 0..1_000 {
         let now = p.pop();
-        p.insert(now + 40); // still far below cur_start
+        p.insert(now + 40);
+    }
+    p.drain();
+}
+
+/// Each digit level's slots cascade: one entry per level (bits 12–17 up to
+/// 60–63, the top) plus an entry on either side of each level boundary,
+/// popped with a tie and an insert just past level 0 after each pop.
+#[test]
+fn cascades_from_every_level() {
+    let mut p = Pair::new();
+    let mut budget = 200;
+    for bit in (12..64).step_by(6) {
+        let base = 1u64 << bit;
+        p.insert(base - 1);
+        p.insert(base);
+        p.insert(base + 1);
+        p.insert(base + (base >> 1) + 12_345);
+    }
+    p.insert(u64::MAX);
+    while !p.model.is_empty() {
+        let now = p.pop();
+        if budget > 0 && now < u64::MAX - 10_000 {
+            budget -= 1;
+            p.insert(now);
+            p.insert(now + 4_097);
+            p.pop();
+        }
+    }
+    p.drain();
+}
+
+/// Interleaved inserts and pops over level 0 and every digit level, the
+/// top one included; every peek is the exact next pop key.
+#[test]
+fn interleaved_matches_reference_sort() {
+    let mut p = Pair::new();
+    let mut rng = XorShift(0x00c0_ffee_d00d_1234);
+    // One entry at the top level (bits 60..64), popped last.
+    p.insert(u64::MAX / 2 + 12_345);
+    for _ in 0..20_000 {
+        if !rng.next().is_multiple_of(3) || p.model.is_empty() {
+            let delta = match rng.next() % 10 {
+                0..=2 => rng.next() % 4_000,
+                3..=5 => rng.next() % 250_000,
+                6 | 7 => rng.next() % 1_000_000_000,
+                8 => rng.next() % 100_000_000_000,
+                _ => (1 << 42) + rng.next() % (1 << 43),
+            };
+            p.insert(p.now + delta);
+        } else {
+            p.pop();
+        }
     }
     p.drain();
 }
@@ -279,7 +321,7 @@ fn timing_vs_old_heap() {
         let t_eq = t1.elapsed();
         assert_eq!(h_acc, e_acc, "both structures must visit the same schedule");
         println!(
-            "round {round}: old heap {:>7.1} ns/op, calendar {:>7.1} ns/op ({:+.1}%)",
+            "round {round}: old heap {:>7.1} ns/op, wheel {:>7.1} ns/op ({:+.1}%)",
             t_heap.as_nanos() as f64 / OPS as f64,
             t_eq.as_nanos() as f64 / OPS as f64,
             (t_eq.as_secs_f64() / t_heap.as_secs_f64() - 1.0) * 100.0
@@ -287,9 +329,9 @@ fn timing_vs_old_heap() {
     }
 }
 
-/// Not a correctness test: 100 k same-instant inserts into the live current
-/// window, then a full drain — the shape that would be quadratic under a
-/// naive sorted insert. Must stay within 2× the reference heap.
+/// Not a correctness test: 100 k same-instant inserts at the origin, then
+/// a full drain — the shape that would be quadratic under a naive sorted
+/// insert. Must stay within 2× the reference heap.
 #[test]
 #[ignore]
 fn timing_same_instant_flood_vs_old_heap() {
@@ -299,7 +341,7 @@ fn timing_same_instant_flood_vs_old_heap() {
     for _ in 0..5 {
         let t0 = Instant::now();
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        for seq in 0..N {
+        for seq in 1..=N {
             heap.push(Reverse((5_000, seq)));
         }
         let mut acc = 0u64;
@@ -309,11 +351,12 @@ fn timing_same_instant_flood_vs_old_heap() {
         let t_heap = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
         let mut eq: EventQueue<()> = EventQueue::new();
-        // Rotate onto the instant's window first, so the flood is all late
-        // inserts rather than one rotation sort.
+        // Move the origin onto the instant first, so the flood appends to
+        // the live slot rather than to one cascading list. `seq` 0 is
+        // taken: the flood starts at 1.
         eq.insert(5_000, 0, ());
         eq.pop();
-        for seq in 0..N {
+        for seq in 1..=N {
             eq.insert(5_000, seq, ());
         }
         let mut e_acc = 0u64;
@@ -325,9 +368,9 @@ fn timing_same_instant_flood_vs_old_heap() {
         best = (best.0.min(t_heap), best.1.min(t_eq));
     }
     println!(
-        "same-instant flood, best of 5: old heap {:.1} ns/entry, calendar {:.1} ns/entry",
+        "same-instant flood, best of 5: old heap {:.1} ns/entry, wheel {:.1} ns/entry",
         best.0 * 1e9 / N as f64,
         best.1 * 1e9 / N as f64
     );
-    assert!(best.1 <= 2.0 * best.0, "calendar queue {:.3} s vs heap {:.3} s", best.1, best.0);
+    assert!(best.1 <= 2.0 * best.0, "wheel {:.3} s vs heap {:.3} s", best.1, best.0);
 }

@@ -243,7 +243,7 @@ pub type WindowHook<'a> = &'a mut dyn FnMut(&mut Simulator) -> Result<(), String
 /// fires every `window` simulated nanoseconds between event batches.
 ///
 /// Barriers only *bound* how far the engine advances between injections —
-/// they never reorder events (the calendar pops the same `(time, seq)`
+/// they never reorder events (the event wheel pops the same `(time, seq)`
 /// total order regardless of where the driving loop pauses), so a run with
 /// a read-only hook is byte-identical to the same run without one. The
 /// `soak_midrun` integration test pins exactly that digest equality.

@@ -11,7 +11,8 @@ use dcp_core::dcp_switch_config;
 use dcp_netsim::packet::{FlowId, NodeId};
 use dcp_netsim::time::{Nanos, MS, SEC, US};
 use dcp_netsim::{
-    topology, Completion, CompletionKind, Endpoint, LoadBalance, QpRef, Simulator, Topology,
+    topology, Completion, CompletionKind, Endpoint, Event, EventQueue, LoadBalance, QpRef,
+    Simulator, Topology,
 };
 use dcp_rdma::qp::WorkReqOp;
 use dcp_scope::{ScopeProbe, SloBurnMonitor};
@@ -134,7 +135,7 @@ fn churn(target: u64, shards: usize) -> (u64, u64) {
 
     // Burst prewarm: 1024 simultaneous flows run to completion drive every
     // capacity-retaining structure (slot slabs, ready bitmaps, switch
-    // queues, packet pool, calendar buckets, timer wheel) past any level
+    // queues, packet pool, event-wheel node arena) past any level
     // the Poisson phase reaches, and leave 1024 endpoint pairs in the pools
     // (steady concurrency is ~100 flows).
     {
@@ -187,10 +188,9 @@ fn churn(target: u64, shards: usize) -> (u64, u64) {
     let mut warm: Option<(u64, u64)> = None;
     // Steady state begins once every flow id has been cycled (the id FIFO
     // touches all flow pages on its first lap) and sim time has passed the
-    // structural warm-ups: the timer wheel's level-1 lap (~17 ms), its
-    // first level-2 cascade (~34 ms) and the log-decaying Poisson
-    // high-water growth of queues and scratch buffers (quiet by ~90 ms at
-    // this load).
+    // structural warm-ups: the log-decaying Poisson high-water growth of
+    // queues, scratch buffers and the event wheel's node arena (quiet by
+    // ~90 ms at this load).
     let warm_after = u64::from(IDS) + target / 5;
 
     loop {
@@ -271,11 +271,10 @@ fn dcp_flow_churn_allocates_nothing_at_steady_state() {
     assert_eq!(allocs, 0, "{allocs} allocations over {events} steady-state events");
 }
 
-/// The same zero on two shards (one worker): each shard's calendar queue
-/// settles at its own bucket width, and bucket buffers follow occupancy
-/// through the spare list, so no bucket is first-touched in the steady
-/// window (306 allocations, all in `EventQueue::place`, when drained runs
-/// went back to their slots).
+/// The same zero on two shards (one worker): each shard's event wheel
+/// keeps its slot arrays from construction and recycles popped nodes
+/// through its free list, so its arena stops growing once the pending
+/// count has peaked.
 #[test]
 fn dcp_flow_churn_allocates_nothing_at_steady_state_on_two_shards() {
     let (allocs, events) = churn(300_000, 2);
@@ -364,6 +363,41 @@ fn scope_probe_heap_bytes_match_the_allocator() {
     assert!(
         (reported - live).abs() <= 0.1 * live,
         "ScopeProbe reports {reported} heap bytes, the allocator holds {live}"
+    );
+}
+
+/// `EventQueue::heap_bytes` accounts for what a shard's event wheel holds:
+/// after a churn of link-hop events and far-future timers, with the
+/// pending count grown to ~50 k and then drained to a steady ~10 k, the
+/// node arena and slot arrays report within 10 % of the allocator's
+/// live-byte delta.
+#[test]
+fn event_wheel_heap_bytes_match_the_allocator() {
+    let before = live_bytes();
+    let mut q: EventQueue<Event> = EventQueue::new();
+    let mut rng = StdRng::seed_from_u64(5);
+    let (mut seq, mut now) = (0u64, 0);
+    for step in 0..400_000u64 {
+        let target = if step < 100_000 { 50_000 } else { 10_000 };
+        if q.len() < target {
+            seq += 1;
+            let ahead = if rng.random_bool(0.9) {
+                rng.random_range(50..2_000)
+            } else {
+                rng.random_range(MS..SEC)
+            };
+            let ev = Event::EndpointTimer { node: NodeId(1), slot: 0, gen: 0, token: seq };
+            q.insert(now + ahead, seq, ev);
+        } else {
+            now = q.pop().expect("the churn keeps entries pending").0;
+        }
+    }
+    assert!(q.peak_len() >= 50_000, "the churn must reach its peak ({})", q.peak_len());
+    let live = (live_bytes() - before) as f64;
+    let reported = q.heap_bytes() as f64;
+    assert!(
+        (reported - live).abs() <= 0.1 * live,
+        "the event wheel reports {reported} heap bytes, the allocator holds {live}"
     );
 }
 
