@@ -159,13 +159,10 @@ impl Endpoint for DcpSender {
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         match tokens::kind(token) {
             tokens::RTO => {
-                if !self.tx.rto_is_live(token) {
+                if !self.tx.rto_expired(token, ctx) {
                     return;
                 }
-                let Some(msn) = self.tx.book.una_msn() else {
-                    self.tx.disarm_rto();
-                    return;
-                };
+                let Some(msn) = self.tx.book.una_msn() else { return };
                 // Coarse fallback: bump the message's retry round and resend
                 // all of it (§4.5). HO-triggered entries from older rounds
                 // become harmless: the receiver ignores old rounds.

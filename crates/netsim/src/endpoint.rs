@@ -46,7 +46,10 @@ pub struct EndpointCtx<'a> {
     /// The simulation-wide packet arena; resolves [`PktRef`] handles.
     pub pool: &'a mut PacketPool,
     /// Absolute-time timer requests `(fire_at, token)`; the simulator
-    /// delivers them back through [`Endpoint::on_timer`].
+    /// delivers them back through [`Endpoint::on_timer`]. Each push is one
+    /// wheel entry that cannot be cancelled, so a timer reset on every ACK
+    /// should push only when no entry of its own is queued at or before
+    /// the new deadline (as `dcp_transport::txcore::Deadline` does).
     pub timers: &'a mut Vec<(Nanos, u64)>,
     /// Completions to surface to the experiment runner.
     pub completions: &'a mut Vec<Completion>,

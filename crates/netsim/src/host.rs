@@ -378,8 +378,9 @@ impl Host {
 
     /// A timer stamped `{slot, gen}` fired. Stale generations — the slot
     /// was removed (and possibly refilled) since the timer was armed — are
-    /// dropped here; the event was still dispatched and counted, keeping
-    /// the fire-and-filter timer discipline unchanged.
+    /// dropped here; the event was still dispatched and counted. A live
+    /// slot gets the token: its endpoint decides whether the timer expired,
+    /// re-queues it at a moved deadline, or lets it die.
     pub fn on_timer(&mut self, slot: u32, gen: u32, token: u64, ctx: &mut NodeCtx) {
         let Some(e) = self.slots.get(slot as usize) else { return };
         if e.gen != gen || e.ep.is_none() {

@@ -55,8 +55,11 @@ pub enum Event {
     /// A transport timer fires on the endpoint in connection-table `slot`
     /// of host `node`. The generation stamp makes timers armed by a since-
     /// removed endpoint detectably stale: the host drops them at fire time
-    /// (the event is still dispatched and counted — the fire-and-filter
-    /// discipline transports already rely on for their own `gen` tokens).
+    /// (the event is still dispatched and counted). There is no
+    /// cancellation: a transport keeps one entry queued per armed timer and
+    /// moves the deadline it guards (`dcp_transport::txcore::Deadline`), so
+    /// what fires as a no-op is an entry of a dead slot or of a timer
+    /// disarmed since.
     EndpointTimer { node: NodeId, slot: u32, gen: u32, token: u64 },
     /// A scheduled control-plane action fires: the installed
     /// [`FaultPlane`] (if any) interprets `token` (e.g. "apply fault-plan

@@ -14,7 +14,7 @@
 use crate::cc::CongestionControl;
 use crate::common::{tokens, FlowCfg, Placement, RttEstimator};
 use crate::irn::{IrnConfig, IrnReceiver};
-use crate::txcore::TxCore;
+use crate::txcore::{Deadline, TxCore};
 use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::PktExt;
 use dcp_netsim::pool::PktRef;
@@ -74,7 +74,8 @@ pub struct RackSender {
     /// Most recent transmit time among delivered packets (RACK.xmit_ts).
     rack_xmit: Nanos,
     retx_q: VecDeque<(u32, RetxCause)>,
-    probe_gen: u64,
+    /// The tail-loss probe timeout (PTO).
+    probe: Deadline,
     /// Consecutive cumulative ACKs that failed to advance `snd_una` — the
     /// signal a TLP probe elicits when the receiver is stuck on a hole.
     dup_acks: u32,
@@ -89,7 +90,7 @@ impl RackSender {
             rtt: RttEstimator::new(rcfg.initial_rtt),
             rack_xmit: 0,
             retx_q: VecDeque::new(),
-            probe_gen: 0,
+            probe: Deadline::default(),
             dup_acks: 0,
         }
     }
@@ -107,9 +108,8 @@ impl RackSender {
     /// regression shim restarts it unconditionally — that pre-fix
     /// behaviour.)
     fn arm_probe(&mut self, ctx: &mut EndpointCtx) {
-        self.probe_gen += 1;
         let pto = 2 * self.rtt.srtt_ns().max(self.rcfg.initial_rtt);
-        ctx.timers.push((ctx.now + pto, tokens::PROBE | self.probe_gen));
+        self.probe.arm(ctx.now + pto, tokens::PROBE, ctx);
         if self.rcfg.broken_rto_restart {
             self.tx.arm_rto(ctx);
         } else {
@@ -152,8 +152,7 @@ impl RackSender {
         if !self.tx.credit_cum(epsn, ctx) {
             return false;
         }
-        let covered: Vec<u32> = self.outstanding.range(..epsn).map(|(&p, _)| p).collect();
-        for p in covered {
+        while let Some((&p, _)) = self.outstanding.first_key_value().filter(|(&p, _)| p < epsn) {
             self.on_delivered(p, ctx);
         }
         // Forward progress: retires, and restarts the fallback clock (or
@@ -229,7 +228,7 @@ impl Endpoint for RackSender {
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         match tokens::kind(token) {
             tokens::PROBE => {
-                if tokens::generation(token) == self.probe_gen && !self.outstanding.is_empty() {
+                if self.probe.fired(token, ctx) && !self.outstanding.is_empty() {
                     // Tail loss probe: resend the highest outstanding PSN.
                     if let Some((&psn, _)) = self.outstanding.iter().next_back() {
                         self.outstanding.remove(&psn);
@@ -457,25 +456,39 @@ mod tests {
     fn probes_and_dup_acks_do_not_defer_the_rto() {
         // The livelock this guards against: probe fires → resent tail is a
         // duplicate → dup-ACK re-arms every timer → probe fires again …
-        // forever, with the RTO generation bumped each cycle so the
-        // fallback never runs. The RTO clock must survive any number of
-        // probe/dup-ACK rounds untouched.
+        // forever, with the RTO clock restarted each cycle so the fallback
+        // never runs. The RTO clock must survive any number of probe/dup-ACK
+        // rounds untouched.
         let mut s = sender();
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         while pull_owned(&mut s, &mut pool, 0, &mut t, &mut c, &mut r).is_some() {}
-        let (rto_at, rto_token) =
-            t.iter().rfind(|(_, tok)| tokens::kind(*tok) == tokens::RTO).copied().unwrap();
-        for i in 0..5u64 {
-            let at = 100 + i * 50;
-            let (_, probe) =
-                t.iter().rfind(|(_, tok)| tokens::kind(*tok) == tokens::PROBE).copied().unwrap();
-            s.on_timer(probe, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
-            pull_owned(&mut s, &mut pool, at + 1, &mut t, &mut c, &mut r);
+        // Removes the earliest queued entry of `kind`, as the wheel fires it.
+        let next = |t: &mut Vec<(Nanos, u64)>, kind| {
+            let i = (0..t.len()).filter(|&i| tokens::kind(t[i].1) == kind).min_by_key(|&i| t[i].0);
+            t.remove(i.expect("an entry of that kind is queued"))
+        };
+        let (rto_at, rto_token) = next(&mut t, tokens::RTO);
+        let mut probes = 0;
+        for _ in 0..5 {
+            // Fire probe entries until one expires (an entry the last
+            // dup-ACK outran re-queues itself first) and sends.
+            let at = loop {
+                let (at, probe) = next(&mut t, tokens::PROBE);
+                s.on_timer(probe, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
+                if pull_owned(&mut s, &mut pool, at + 1, &mut t, &mut c, &mut r).is_some() {
+                    break at;
+                }
+            };
+            probes += 1;
             let ack = ack_packet(&FlowCfg::receiver_of(&cfg()), PktExt::GbnAck { epsn: 0 }, 0, 0);
             deliver(&mut s, &mut pool, ack, at + 2, &mut t, &mut c, &mut r);
         }
+        assert!(
+            t.iter().all(|(_, tok)| tokens::kind(*tok) != tokens::RTO),
+            "the clock never moved"
+        );
         s.on_timer(rto_token, &mut ctx(rto_at, &mut pool, &mut t, &mut c, &mut r));
-        assert_eq!(s.stats().timeouts, 1, "the original RTO token still fires");
+        assert_eq!((probes, s.stats().timeouts), (5, 1), "the original RTO entry still fires");
     }
 }

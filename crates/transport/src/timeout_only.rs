@@ -85,6 +85,7 @@ mod tests {
     use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
+    use dcp_netsim::time::Nanos;
     use dcp_rdma::headers::DcpTag;
     use dcp_rdma::qp::WorkReqOp;
     use rand::rngs::StdRng;
@@ -110,9 +111,18 @@ mod tests {
         let ack = ack_packet(&FlowCfg::receiver_of(&cfg()), PktExt::GbnAck { epsn: 3 }, 0, 0);
         deliver(&mut s, &mut pool, ack, 1000, &mut t, &mut c, &mut r);
         assert!(pull_owned(&mut s, &mut pool, 1001, &mut t, &mut c, &mut r).is_none());
+        // The ACK restarted the RTO clock: the one entry queued at the
+        // first send re-queues itself at the new deadline instead of firing.
+        let rto = |t: &[(Nanos, u64)]| -> Vec<(Nanos, u64)> {
+            t.iter().filter(|(_, tok)| tokens::kind(*tok) == tokens::RTO).copied().collect()
+        };
+        let [(at, token)] = rto(&t)[..] else { panic!("one RTO entry for two arms") };
+        s.on_timer(token, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
+        assert!(pull_owned(&mut s, &mut pool, at, &mut t, &mut c, &mut r).is_none());
+        assert_eq!(s.stats().timeouts, 0);
         // RTO fires → rewind to snd_una = 3.
-        let (at, token) =
-            t.iter().rfind(|(_, tok)| tokens::kind(*tok) == tokens::RTO).copied().unwrap();
+        let (at, token) = rto(&t)[1];
+        assert_eq!(at, 1000 + TimeoutOnlyConfig::default().rto, "one RTO after the ACK");
         s.on_timer(token, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
         let p = pull_owned(&mut s, &mut pool, at, &mut t, &mut c, &mut r).unwrap();
         assert_eq!(p.psn(), 3);
