@@ -44,6 +44,27 @@ shapes!(
     deepdive_queues,
 );
 
+/// `deepdive_queues` samples the victim port from the driving loop itself;
+/// its report is pinned exactly so a change to how the queues are read
+/// cannot move a sample unnoticed.
+#[test]
+fn deepdive_queues_report_is_pinned() {
+    let row = ROWS.iter().find(|r| r.name == "deepdive_queues").expect("row in table");
+    let r = (row.run)(&Args::default());
+    let got = [
+        r.get("bytes", "data peak"),
+        r.get("bytes", "ctrl peak"),
+        r.get("bytes", "data p50"),
+        r.get("count", "trims"),
+        r.get("count", "HO drops"),
+    ];
+    assert_eq!(
+        got,
+        [65820.0, 513.0, 63999.0, 286581.0, 0.0],
+        "data peak, ctrl peak, data p50, trims, HO drops"
+    );
+}
+
 /// Every figure, table and ablation row has a shape, and each is checked
 /// here or named as expensive.
 #[test]
