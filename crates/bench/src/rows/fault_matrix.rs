@@ -25,8 +25,7 @@ use crate::metrics::{run_entry, ExportOpts};
 use crate::{build_clos, default_cc, fabric_cables, schemes, sweep, Args, MetricsDoc, Report};
 use crate::{Scale, Scheme};
 use dcp_faults::{FaultEngine, FaultEvent, FaultPlan, LossModel, RecoveryTracker};
-use dcp_netsim::topology::LongHaul;
-use dcp_netsim::{Nanos, Simulator, Topology, MS, SEC, US};
+use dcp_netsim::{fiber_delay_km, Nanos, Simulator, Topology, MS, SEC, US};
 use dcp_telemetry::Json;
 use dcp_workloads::{
     poisson_flows, run_flows_opts, unfinished, CcKind, FctSummary, IdealFct, RunOpts, SizeDist,
@@ -88,7 +87,7 @@ impl Scenario {
     /// the WAN cell.
     fn leaf_spine_delay(self) -> Nanos {
         match self {
-            Scenario::WanGe => LongHaul::cross_dc().one_way(),
+            Scenario::WanGe => fiber_delay_km(100.0),
             _ => US,
         }
     }

@@ -24,7 +24,6 @@
 //! hazard is real rather than folklore.
 
 use dcp_netsim::{Nanos, NodeId, Simulator, MS};
-use dcp_scope::PfcTreeMonitor;
 use dcp_telemetry::{Probe, ProbeEvent};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -113,40 +112,6 @@ impl Watchdog {
         if let Some(dump) = sim.flight_dump() {
             out.push('\n');
             out.push_str(&dump);
-        }
-        out
-    }
-
-    /// [`Watchdog::report`] extended with the fabric-side story from a
-    /// [`PfcTreeMonitor`] (install it in the same `Fanout` as the watchdog
-    /// probe): how far backpressure spread before the freeze, and whether
-    /// the pause graph currently holds a deadlock cycle. A stall with a
-    /// tripped pause tree and a cycle is a PFC deadlock, not a transport
-    /// bug — this line is what points the investigation at the fabric.
-    pub fn report_with_pfc(
-        &self,
-        verdict: &Liveness,
-        sim: &Simulator,
-        tree: &PfcTreeMonitor,
-    ) -> String {
-        let mut out = self.report(verdict, sim);
-        out.push('\n');
-        out.push_str(&format!(
-            "pfc tree: max {} nodes / {} ports paused concurrently ({} pauses){}",
-            tree.max_nodes,
-            tree.max_ports,
-            tree.pauses_seen,
-            match tree.tripped_at {
-                Some(t) => format!(", TRIPPED at t={t}"),
-                None => String::new(),
-            }
-        ));
-        match pfc_deadlock_cycle(sim) {
-            Some(cycle) => {
-                let ring: Vec<String> = cycle.iter().map(|n| n.0.to_string()).collect();
-                out.push_str(&format!("\npfc deadlock cycle: {}", ring.join(" -> ")));
-            }
-            None => out.push_str("\nno pause-graph cycle: fabric can still drain"),
         }
         out
     }
@@ -286,21 +251,6 @@ mod tests {
         // A delivery resets both the clock and the retx tally.
         delivery(8 * MS, &mut p);
         assert_eq!(wd.check(9 * MS, 1), Liveness::Ok);
-    }
-
-    #[test]
-    fn pfc_report_names_the_tree_and_the_cycle_state() {
-        let wd = Watchdog::new(WatchdogConfig::default());
-        let sim = Simulator::new(1);
-        let mut tree = PfcTreeMonitor::new(2);
-        tree.record(5, &ProbeEvent::PfcPause { node: 3, port: 0 });
-        tree.record(6, &ProbeEvent::PfcPause { node: 4, port: 1 });
-        let verdict = Liveness::Stall { stalled_for: 6 * MS, outstanding: 1 };
-        let report = wd.report_with_pfc(&verdict, &sim, &tree);
-        assert!(report.contains("max 2 nodes"), "{report}");
-        assert!(report.contains("TRIPPED at t=6"), "{report}");
-        // An empty simulator has no pause edges, hence no cycle.
-        assert!(report.contains("no pause-graph cycle"), "{report}");
     }
 
     #[test]

@@ -239,14 +239,6 @@ impl MsgTracker {
         self.stale_pkts = 0;
     }
 
-    /// Bytes of tracker state per tracked message — the Table 3 accounting
-    /// (14-bit counter + expected + flags packs into 2 B in hardware; the
-    /// model reports the hardware figure, not Rust's in-memory layout).
-    /// The figure assumes a non-duplicating fabric: the duplicate guard's
-    /// seen-index bits (one per packet of a tracked message) come on top
-    /// wherever the fabric can replay frames — see the module docs.
-    pub const HW_BYTES_PER_MSG: usize = 2;
-
     /// Current number of tracked (incomplete) messages.
     pub fn tracked(&self) -> usize {
         self.window.len()

@@ -5,8 +5,9 @@
 //! markers, the first retransmission after a fault (detection latency) and
 //! time-binned delivery goodput (restoration latency). It is a shared
 //! handle: keep a clone outside the simulator and read the metrics after
-//! the run — the `Box<dyn Probe>` given to the simulator can't be
-//! downcast back.
+//! the run. A probe installed alone can be read back through
+//! `Simulator::probe_mut` and downcast, but one inside a `Fanout` cannot
+//! be reached again, and a recovery tracker usually rides in one.
 
 use dcp_netsim::Nanos;
 use dcp_telemetry::{Probe, ProbeEvent};

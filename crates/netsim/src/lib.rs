@@ -41,7 +41,6 @@ pub mod stats;
 pub mod switch;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use dcp_telemetry::RetxCause;
 pub use endpoint::{deliver, pull_owned, Completion, CompletionKind, Endpoint, EndpointCtx};

@@ -35,7 +35,7 @@ use dcp_rdma::qp::WorkReqOp;
 use dcp_telemetry::{Probe, ProbeEvent};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
 /// Everything that can happen in the fabric.
@@ -87,7 +87,7 @@ pub struct NodeCtx<'a> {
     pub pool: &'a mut PacketPool,
     pub rng: &'a mut StdRng,
     pub out: &'a mut Vec<(Nanos, Event)>,
-    pub completions: &'a mut VecDequeCompletions<'a>,
+    pub completions: &'a mut VecDeque<Completion>,
     /// Telemetry sink; `None` on bare runs. Emit through [`NodeCtx::emit`]
     /// so event construction is skipped entirely when no probe is attached.
     /// (The `'static` trait-object bound keeps reborrowing through nested
@@ -177,10 +177,6 @@ pub struct Simulator {
     /// `n × n` cross-shard mailboxes, indexed `src * n + dst`.
     pub(crate) mail: Vec<Mutex<Vec<crate::shard::MailEntry>>>,
 }
-
-/// Alias kept so `NodeCtx` reads naturally; completions are a plain
-/// `VecDeque`.
-pub type VecDequeCompletions<'a> = std::collections::VecDeque<Completion>;
 
 impl Simulator {
     pub fn new(seed: u64) -> Self {

@@ -18,78 +18,7 @@
 use crate::packet::NodeId;
 use crate::sim::Simulator;
 use crate::switch::SwitchConfig;
-use crate::time::{fiber_delay_km, Nanos};
-
-/// A long-fiber leaf–spine cable: names a physical distance and derives the
-/// propagation delay ([`fiber_delay_km`], 5 µs/km) instead of hand-writing
-/// nanosecond literals per experiment. In a [`clos`] the leaf–spine hop is
-/// traversed twice per direction (host→leaf→spine→leaf→host), so the
-/// base RTT is `4 × one_way()` — the value window-based congestion control
-/// and retransmission timers must be scaled by on WAN fabrics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LongHaul {
-    pub km: f64,
-}
-
-impl LongHaul {
-    /// Campus/metro scale: 10 km, 50 µs one-way per hop.
-    pub fn metro() -> Self {
-        LongHaul { km: 10.0 }
-    }
-
-    /// The Fig. 15 cross-DC points: 100 km (500 µs one-way).
-    pub fn cross_dc() -> Self {
-        LongHaul { km: 100.0 }
-    }
-
-    /// Continental backbone: 1000 km, 5 ms one-way per hop.
-    pub fn continental() -> Self {
-        LongHaul { km: 1000.0 }
-    }
-
-    /// Planetary scale (half the equator): 20 000 km, 100 ms one-way.
-    pub fn planetary() -> Self {
-        LongHaul { km: 20_000.0 }
-    }
-
-    /// One-way propagation delay of a single leaf–spine cable.
-    pub fn one_way(&self) -> Nanos {
-        fiber_delay_km(self.km)
-    }
-
-    /// Host-to-host base RTT across a [`clos`] using this cable (two
-    /// leaf–spine hops out, two back; host access delay not included).
-    pub fn rtt(&self) -> Nanos {
-        4 * self.one_way()
-    }
-}
-
-/// A two-layer CLOS whose leaf–spine cables span `haul` of fiber — the
-/// long-haul variant of [`clos`] used by the WAN fault-matrix cells.
-#[allow(clippy::too_many_arguments)]
-pub fn clos_long_haul(
-    sim: &mut Simulator,
-    cfg: SwitchConfig,
-    n_spine: usize,
-    n_leaf: usize,
-    hosts_per_leaf: usize,
-    host_gbps: f64,
-    spine_gbps: f64,
-    host_delay: Nanos,
-    haul: LongHaul,
-) -> Topology {
-    clos(
-        sim,
-        cfg,
-        n_spine,
-        n_leaf,
-        hosts_per_leaf,
-        host_gbps,
-        spine_gbps,
-        host_delay,
-        haul.one_way(),
-    )
-}
+use crate::time::Nanos;
 
 /// Handle to the built fabric.
 #[derive(Debug, Clone)]
@@ -474,34 +403,6 @@ mod tests {
         assert_eq!(c.len(), 8, "8 parallel cross links");
         let local = topo.hosts[3];
         assert_eq!(sim.switch(s1).routing.candidates(local).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn long_haul_presets_derive_fiber_delay() {
-        use crate::time::{MS, US};
-        assert_eq!(LongHaul::metro().one_way(), 50 * US);
-        assert_eq!(LongHaul::cross_dc().one_way(), 500 * US);
-        assert_eq!(LongHaul::continental().one_way(), 5 * MS);
-        assert_eq!(LongHaul::planetary().one_way(), 100 * MS);
-        assert_eq!(LongHaul::cross_dc().rtt(), 2 * MS);
-        // The long-haul builder is the same CLOS, just with the cable
-        // delay derived from kilometres.
-        let mut sim = Simulator::new(1);
-        let topo = clos_long_haul(
-            &mut sim,
-            SwitchConfig::lossy(LoadBalance::Ecmp),
-            2,
-            2,
-            2,
-            100.0,
-            100.0,
-            1000,
-            LongHaul::metro(),
-        );
-        assert_eq!(topo.hosts.len(), 4);
-        for &leaf in &topo.leaves {
-            assert_eq!(sim.switch(leaf).ports.len(), 4);
-        }
     }
 
     /// The 1024-host fabric of the `allreduce_1024_sh8` benchmark row: every

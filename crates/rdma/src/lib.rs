@@ -41,7 +41,3 @@ pub const MTU: usize = 1024;
 /// Size in bytes of the header retained by packet trimming (§4.2, footnote 6):
 /// 14 B MAC + 20 B IP + 8 B UDP + 12 B BTH + 3 B MSN.
 pub const HO_PACKET_BYTES: usize = 57;
-
-/// Wire overhead of a full DCP data packet header, excluding optional SSN and
-/// RETH extensions (see [`headers::PacketHeader::wire_header_bytes`]).
-pub const BASE_HEADER_BYTES: usize = HO_PACKET_BYTES;

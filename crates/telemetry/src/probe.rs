@@ -642,11 +642,6 @@ impl Fanout {
     pub fn new(probes: Vec<Box<dyn Probe>>) -> Self {
         Fanout { entries: probes.into_iter().map(|p| (p.interest(), p)).collect() }
     }
-
-    /// The installed probes, in dispatch order (masks stay cached).
-    pub fn probes(&self) -> impl Iterator<Item = &dyn Probe> {
-        self.entries.iter().map(|(_, p)| p.as_ref() as &dyn Probe)
-    }
 }
 
 impl Probe for Fanout {

@@ -328,8 +328,9 @@ impl Placement {
 }
 
 /// Timer token kinds shared across transports: the high byte of a token
-/// identifies its purpose, the low bits carry a generation counter so stale
-/// timers can be ignored.
+/// identifies its purpose. No stale-timer counter rides along: entries of an
+/// earlier connection life never reach the endpoint, because the host drops
+/// those stamped with a removed slot's generation.
 pub mod tokens {
     pub const KIND_SHIFT: u32 = 56;
     pub const RTO: u64 = 1 << KIND_SHIFT;
@@ -339,10 +340,6 @@ pub mod tokens {
 
     pub fn kind(token: u64) -> u64 {
         token & (0xff << KIND_SHIFT)
-    }
-
-    pub fn generation(token: u64) -> u64 {
-        token & !(0xff << KIND_SHIFT)
     }
 }
 

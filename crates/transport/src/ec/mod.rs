@@ -338,8 +338,9 @@ pub struct EcReceiver {
     acks: AckQueue,
     gens: BTreeMap<u32, GenState>,
     jitter: FlowStream,
+    /// At most one scan entry is queued per connection life; a recycled
+    /// endpoint's old entries die with its host slot's generation.
     scan_armed: bool,
-    scan_gen: u64,
     nack_scratch: Vec<(u32, u32)>,
 }
 
@@ -353,7 +354,6 @@ impl EcReceiver {
             acks: AckQueue::new(cfg, ecfg.cnp_interval),
             gens: BTreeMap::new(),
             scan_armed: false,
-            scan_gen: 0,
             nack_scratch: Vec::new(),
         }
     }
@@ -411,11 +411,10 @@ impl EcReceiver {
             return;
         }
         self.scan_armed = true;
-        self.scan_gen += 1;
         // Deterministic per-flow jitter desynchronizes NACK bursts across
         // flows without touching the simulator RNG.
         let jitter = self.jitter.next() % (self.ecfg.nack_delay / 4).max(1);
-        ctx.timers.push((ctx.now + self.ecfg.nack_delay + jitter, tokens::PROBE | self.scan_gen));
+        ctx.timers.push((ctx.now + self.ecfg.nack_delay + jitter, tokens::PROBE));
     }
 }
 
@@ -476,10 +475,7 @@ impl Endpoint for EcReceiver {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
-        if tokens::kind(token) != tokens::PROBE
-            || tokens::generation(token) != self.scan_gen
-            || !self.scan_armed
-        {
+        if tokens::kind(token) != tokens::PROBE || !self.scan_armed {
             return;
         }
         self.scan_armed = false;
@@ -525,7 +521,6 @@ impl Endpoint for EcReceiver {
         self.gens.clear();
         self.jitter = FlowStream::new(flow, local);
         self.scan_armed = false;
-        self.scan_gen += 1;
         true
     }
 }

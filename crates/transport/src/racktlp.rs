@@ -124,18 +124,15 @@ impl RackSender {
     fn detect_losses(&mut self, now: Nanos) {
         // RFC 8985: lost when elapsed > RTT + reordering window.
         let threshold = self.rtt.srtt_ns().saturating_add(self.reo_wnd()).max(1);
-        let lost: Vec<u32> = self
-            .outstanding
-            .iter()
-            .filter(|(_, rec)| {
-                rec.sent_at < self.rack_xmit && now.saturating_sub(rec.sent_at) > threshold
-            })
-            .map(|(&p, _)| p)
-            .collect();
-        for p in lost {
-            self.outstanding.remove(&p);
-            self.retx_q.push_back((p, RetxCause::Rack));
-        }
+        // `retain` walks the PSNs in ascending order, so the queue gets them
+        // oldest first.
+        self.outstanding.retain(|&p, rec| {
+            let lost = rec.sent_at < self.rack_xmit && now.saturating_sub(rec.sent_at) > threshold;
+            if lost {
+                self.retx_q.push_back((p, RetxCause::Rack));
+            }
+            !lost
+        });
     }
 
     fn on_delivered(&mut self, psn: u32, ctx: &mut EndpointCtx) {

@@ -1,77 +1,7 @@
-//! Flow-trace and result I/O: load flow specs from CSV (so external trace
-//! generators can drive the simulator) and export per-flow results.
-//!
-//! Formats:
-//! * flow trace: `src,dst,bytes,start_ns[,incast[,tenant]]` per line, `#`
-//!   comments (the two trailing fields default to `0`, so legacy traces
-//!   parse unchanged);
-//! * results: `src,dst,bytes,start_ns,incast,fct_ns,retx,timeouts,duplicates`.
+//! Result export: per-flow records as CSV,
+//! `src,dst,bytes,start_ns,incast,fct_ns,retx,timeouts,duplicates`.
 
-use crate::arrivals::{FlowSpec, TenantId};
 use crate::runner::FlowRecord;
-
-/// Error from trace parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    pub line: usize,
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Parses a flow trace from CSV text.
-pub fn parse_trace(text: &str) -> Result<Vec<FlowSpec>, TraceError> {
-    let mut flows = Vec::new();
-    for (ix, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        if fields.len() < 4 || fields.len() > 6 {
-            return Err(TraceError {
-                line: ix + 1,
-                message: format!("expected 4-6 fields, got {}", fields.len()),
-            });
-        }
-        let parse = |f: &str, what: &str| {
-            f.parse::<u64>()
-                .map_err(|e| TraceError { line: ix + 1, message: format!("bad {what}: {e}") })
-        };
-        let src = parse(fields[0], "src")? as usize;
-        let dst = parse(fields[1], "dst")? as usize;
-        if src == dst {
-            return Err(TraceError { line: ix + 1, message: "src == dst".into() });
-        }
-        let bytes = parse(fields[2], "bytes")?;
-        let start = parse(fields[3], "start_ns")?;
-        let incast = fields.get(4).is_some_and(|f| *f == "1" || *f == "true");
-        let tenant = match fields.get(5) {
-            Some(f) => TenantId(parse(f, "tenant")? as u8),
-            None => TenantId(0),
-        };
-        flows.push(FlowSpec { src, dst, bytes, start, incast, tenant });
-    }
-    Ok(flows)
-}
-
-/// Serializes flow specs back to trace CSV.
-pub fn trace_to_csv(flows: &[FlowSpec]) -> String {
-    let mut s = String::from("# src,dst,bytes,start_ns,incast,tenant\n");
-    for f in flows {
-        s.push_str(&format!(
-            "{},{},{},{},{},{}\n",
-            f.src, f.dst, f.bytes, f.start, f.incast as u8, f.tenant.0
-        ));
-    }
-    s
-}
 
 /// Serializes per-flow results as CSV (header included).
 pub fn to_csv(records: &[FlowRecord]) -> String {
@@ -96,49 +26,8 @@ pub fn to_csv(records: &[FlowRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrivals::{FlowSpec, TenantId};
     use dcp_netsim::stats::TransportStats;
-
-    #[test]
-    fn parse_roundtrip() {
-        let flows = vec![
-            FlowSpec {
-                src: 0,
-                dst: 3,
-                bytes: 4096,
-                start: 100,
-                incast: false,
-                tenant: TenantId(0),
-            },
-            FlowSpec {
-                src: 2,
-                dst: 1,
-                bytes: 1 << 20,
-                start: 5000,
-                incast: true,
-                tenant: TenantId(2),
-            },
-        ];
-        let csv = trace_to_csv(&flows);
-        assert_eq!(parse_trace(&csv).unwrap(), flows);
-    }
-
-    #[test]
-    fn parse_tolerates_comments_blanks_and_four_fields() {
-        let text = "# a comment\n\n0,1,1024,0\n  1, 0, 2048, 50, 1 \n";
-        let flows = parse_trace(text).unwrap();
-        assert_eq!(flows.len(), 2);
-        assert!(!flows[0].incast);
-        assert!(flows[1].incast);
-        assert_eq!(flows[1].bytes, 2048);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert_eq!(parse_trace("0,1,1024").unwrap_err().line, 1);
-        assert!(parse_trace("0,0,1024,0").unwrap_err().message.contains("src == dst"));
-        assert!(parse_trace("a,1,1024,0").unwrap_err().message.contains("bad src"));
-        assert_eq!(parse_trace("x\n0,1,nope,0").unwrap_err().line, 1);
-    }
 
     #[test]
     fn results_csv_has_header_and_blank_fct_for_unfinished() {

@@ -25,7 +25,7 @@ pub use arrivals::{
     incast_flows, merge, poisson_flows, poisson_flows_until, tag_tenant, FlowSpec, TenantId,
 };
 pub use collectives::{run_collective, Collective, Group, GroupResult};
-pub use io::{parse_trace, to_csv, trace_to_csv, TraceError};
+pub use io::to_csv;
 pub use runner::{
     endpoint_pair, endpoint_pair_opts, run_flows, run_flows_hooked, run_flows_opts, CcKind,
     FlowRecord, RunOpts, TransportKind, WindowHook,
