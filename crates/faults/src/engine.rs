@@ -4,9 +4,10 @@
 //! Installation schedules one `Event::Control { token: i }` per plan entry
 //! through the simulator's event wheel, so faults fire in the same
 //! deterministic `(time, sequence)` total order as packets. On the arrival
-//! hot path the engine keeps two small maps — failed switches and per-link
-//! state keyed by the *arrival* `(node, port)` endpoint — and early-outs
-//! when neither applies, so a clean link costs two hash probes per packet.
+//! hot path the engine keeps one table indexed by node id — whether the
+//! switch has failed, and per-link state by the *arrival* port — and
+//! early-outs when neither applies, so a ruling costs two array loads and
+//! no hash.
 
 use crate::loss::LinkLoss;
 use crate::plan::{FaultEvent, FaultPlan};
@@ -14,7 +15,6 @@ use dcp_netsim::fault::{FaultPlane, FaultVerdict};
 use dcp_netsim::sim::{Event, Simulator};
 use dcp_netsim::{Nanos, NodeId, Packet, PortId};
 use dcp_telemetry::{FaultKind, ProbeEvent};
-use std::collections::{HashMap, HashSet};
 
 /// The per-link RNG stream seed: plan seed mixed with the link's arrival
 /// key through SplitMix64's finalizer, so neighbouring links get unrelated
@@ -28,17 +28,27 @@ pub fn link_stream_seed(plan_seed: u64, node: NodeId, port: PortId) -> u64 {
 }
 
 /// State of one unidirectional link under fault, keyed by arrival endpoint.
+/// The default — up, lossless — rules like a link the plan never named.
 #[derive(Debug, Default)]
 struct LinkState {
     down: bool,
     loss: Option<LinkLoss>,
 }
 
+/// Fault state of one node: grown on demand, when the plan first acts on
+/// the node, so its size follows the highest node id the plan names.
+#[derive(Debug, Default)]
+struct NodeState {
+    failed: bool,
+    /// By arrival port; ports past the end have never been named.
+    links: Vec<LinkState>,
+}
+
 /// Executes a [`FaultPlan`]; install with [`FaultEngine::install`].
 pub struct FaultEngine {
     plan: FaultPlan,
-    links: HashMap<(u32, PortId), LinkState>,
-    failed: HashSet<u32>,
+    /// By node id; ids past the end have never been named.
+    nodes: Vec<NodeState>,
     /// Pause storms whose clear-control has been scheduled past the plan's
     /// token space: token `plan.events.len() + i` clears `storm_clears[i]`.
     storm_clears: Vec<(NodeId, PortId)>,
@@ -57,12 +67,7 @@ impl FaultEngine {
         for (i, t) in plan.events.iter().enumerate() {
             sim.schedule_control(t.at.max(sim.now()), i as u64);
         }
-        let engine = FaultEngine {
-            plan,
-            links: HashMap::new(),
-            failed: HashSet::new(),
-            storm_clears: Vec::new(),
-        };
+        let engine = FaultEngine { plan, nodes: Vec::new(), storm_clears: Vec::new() };
         sim.set_fault_plane(Box::new(engine));
     }
 
@@ -75,8 +80,20 @@ impl FaultEngine {
         Ok(())
     }
 
-    fn link_mut(&mut self, key: (NodeId, PortId)) -> &mut LinkState {
-        self.links.entry((key.0 .0, key.1)).or_default()
+    fn node_mut(&mut self, node: NodeId) -> &mut NodeState {
+        let ix = node.0 as usize;
+        if ix >= self.nodes.len() {
+            self.nodes.resize_with(ix + 1, NodeState::default);
+        }
+        &mut self.nodes[ix]
+    }
+
+    fn link_mut(&mut self, (node, port): (NodeId, PortId)) -> &mut LinkState {
+        let links = &mut self.node_mut(node).links;
+        if port >= links.len() {
+            links.resize_with(port + 1, LinkState::default);
+        }
+        &mut links[port]
     }
 
     fn emit(sim: &mut Simulator, ev: ProbeEvent) {
@@ -120,12 +137,12 @@ impl FaultEngine {
                 );
             }
             FaultEvent::SwitchFail { sw } => {
-                self.failed.insert(sw.0);
+                self.node_mut(sw).failed = true;
                 sim.fail_switch(sw);
                 Self::emit(sim, ProbeEvent::Fault { node: sw.0, port: 0, kind: FaultKind::Switch });
             }
             FaultEvent::SwitchRecover { sw } => {
-                self.failed.remove(&sw.0);
+                self.node_mut(sw).failed = false;
                 sim.recover_switch(sw);
                 Self::emit(
                     sim,
@@ -184,10 +201,13 @@ impl FaultPlane for FaultEngine {
         port: PortId,
         pkt: &Packet,
     ) -> FaultVerdict {
-        if self.failed.contains(&node.0) {
+        let Some(state) = self.nodes.get_mut(node.0 as usize) else {
+            return FaultVerdict::Deliver;
+        };
+        if state.failed {
             return FaultVerdict::Drop;
         }
-        let Some(link) = self.links.get_mut(&(node.0, port)) else {
+        let Some(link) = state.links.get_mut(port) else {
             return FaultVerdict::Deliver;
         };
         if link.down {

@@ -355,7 +355,10 @@ impl Host {
             ctx.out
                 .push((at, Event::EndpointTimer { node: self.id, slot: slot as u32, gen, token }));
         }
-        ctx.completions.extend(comps.drain(..));
+        // Almost no callback completes a message: skip the empty hand-off.
+        if !comps.is_empty() {
+            ctx.completions.extend(comps.drain(..));
+        }
         self.timers_scratch = timers;
         self.comps_scratch = comps;
         self.refresh_ready(slot);

@@ -41,10 +41,11 @@
 //! sharded mode they live in a separate serial queue and execute at a
 //! global barrier *before* any node event at the same timestamp. Fault
 //! planes and adversaries rule on every arrival — workers take the plane's
-//! mutex per ruling, serial code is handed it exclusively ([`PlaneTap`]) —
-//! and their observable state must be per-link (each link's arrivals are
-//! processed by exactly one shard, in deterministic order): the
-//! determinism matrix test enforces this for the shipped planes.
+//! mutex per ruling, serial code is handed it exclusively ([`PlaneTap`];
+//! the mailboxes likewise, [`MailTap`]) — and their observable state must
+//! be per-link (each link's arrivals are processed by exactly one shard,
+//! in deterministic order): the determinism matrix test enforces this for
+//! the shipped planes.
 
 use crate::endpoint::Completion;
 use crate::equeue::EventQueue;
@@ -268,14 +269,43 @@ pub(crate) enum PlaneTap<'a> {
     Shared(&'a Mutex<Box<dyn FaultPlane>>),
 }
 
+/// How a walker reaches the `n × n` mailbox matrix, indexed `src * n +
+/// dst`: the same boxes, a different handle.
+pub(crate) enum MailTap<'a> {
+    /// Serial code holds the whole simulator: there is nobody to lock out.
+    /// (Locking anyway took a mutex per cross-shard emission, eight shards
+    /// on one worker being `allreduce_1024_sh8`'s whole run.)
+    Exclusive(&'a mut [Mutex<Vec<MailEntry>>]),
+    /// Worker threads post concurrently, one mutex acquisition per post.
+    Shared(&'a [Mutex<Vec<MailEntry>>]),
+}
+
+const MAIL_POISONED: &str = "a shard worker panicked holding a mailbox";
+
+impl MailTap<'_> {
+    fn post(&mut self, i: usize, entry: MailEntry) {
+        match self {
+            MailTap::Exclusive(mail) => mail[i].get_mut().expect(MAIL_POISONED).push(entry),
+            MailTap::Shared(mail) => mail[i].lock().expect(MAIL_POISONED).push(entry),
+        }
+    }
+
+    /// Moves box `i`'s entries to the end of `out`.
+    fn collect(&mut self, i: usize, out: &mut Vec<MailEntry>) {
+        match self {
+            MailTap::Exclusive(mail) => out.append(mail[i].get_mut().expect(MAIL_POISONED)),
+            MailTap::Shared(mail) => out.append(&mut mail[i].lock().expect(MAIL_POISONED)),
+        }
+    }
+}
+
 /// What whoever walks shards through a window — a worker thread, or serial
 /// code holding the whole simulator — reaches besides the shard itself.
 pub(crate) struct Walker<'a> {
     pub(crate) view: NodesView,
     pub(crate) node_shard: &'a [u32],
     pub(crate) n: usize,
-    /// `n × n` mailbox matrix, indexed `src * n + dst`.
-    pub(crate) mail: &'a [Mutex<Vec<MailEntry>>],
+    pub(crate) mail: MailTap<'a>,
     pub(crate) plane: Option<PlaneTap<'a>>,
     pub(crate) probe: ProbeTap<'a>,
 }
@@ -378,7 +408,7 @@ pub(crate) fn with_shard_node(
 /// Routes one emitted event: same-shard events are scheduled directly,
 /// cross-shard ones have their packet detached from the source pool and are
 /// posted into the `(src, dst)` mailbox for delivery at window close.
-fn route_emission(shard: &mut Shard, ix: usize, w: &Walker<'_>, at: Nanos, ev: Event) {
+fn route_emission(shard: &mut Shard, ix: usize, w: &mut Walker<'_>, at: Nanos, ev: Event) {
     let node = ev.node().expect("node handlers never emit Control events");
     let dst = w.node_shard[node.0 as usize] as usize;
     if dst == ix {
@@ -391,20 +421,20 @@ fn route_emission(shard: &mut Shard, ix: usize, w: &Walker<'_>, at: Nanos, ev: E
     };
     shard.mail_seq += 1;
     let entry = MailEntry { at, src: ix as u32, key: shard.mail_seq, ev, pkt };
-    w.mail[ix * w.n + dst].lock().unwrap().push(entry);
+    w.mail.post(ix * w.n + dst, entry);
 }
 
 /// Drains every mailbox addressed to shard `ix`, sorts by `(at, src, key)`
 /// and inserts with fresh destination sequence numbers. Called exactly once
 /// per shard per window close, after all shards finished the window.
-pub(crate) fn deliver_mail(shard: &mut Shard, ix: usize, w: &Walker<'_>) {
+pub(crate) fn deliver_mail(shard: &mut Shard, ix: usize, w: &mut Walker<'_>) {
     let mut incoming = std::mem::take(&mut shard.mail_scratch);
     debug_assert!(incoming.is_empty());
     for src in 0..w.n {
         if src == ix {
             continue;
         }
-        incoming.append(&mut w.mail[src * w.n + ix].lock().unwrap());
+        w.mail.collect(src * w.n + ix, &mut incoming);
     }
     incoming.sort_unstable_by_key(|m| (m.at, m.src, m.key));
     for mut entry in incoming.drain(..) {
@@ -553,7 +583,7 @@ impl Simulator {
             view: NodesView::new(&mut self.nodes),
             node_shard: &self.node_shard,
             n: self.shards.len(),
-            mail: &self.mail,
+            mail: MailTap::Exclusive(&mut self.mail),
             plane: self
                 .fault_plane
                 .as_mut()
@@ -671,9 +701,9 @@ impl Simulator {
                 break;
             }
             self.open_window = None;
-            let (shards, w) = self.engine_core();
+            let (shards, mut w) = self.engine_core();
             for (ix, shard) in shards.iter_mut().enumerate() {
-                deliver_mail(shard, ix, &w);
+                deliver_mail(shard, ix, &mut w);
             }
             self.flush_probes_serial();
             if stop_on_comps && self.have_completions() {
@@ -731,7 +761,7 @@ impl Simulator {
             view,
             node_shard,
             n,
-            mail,
+            mail: MailTap::Shared(mail),
             plane: plane.map(PlaneTap::Shared),
             probe: if probe.is_some() { ProbeTap::Staged } else { ProbeTap::Off },
         };
@@ -997,7 +1027,7 @@ fn session_worker(
         // (one owner per slot; the flusher's drain is barrier-ordered before
         // the next swap), and Relaxed atomics suffice — barriers order them.
         for (ix, shard) in group.iter_mut() {
-            deliver_mail(shard, *ix, &w);
+            deliver_mail(shard, *ix, &mut w);
             if probe_on {
                 std::mem::swap(&mut shard.bufp, &mut *slots[*ix].lock().unwrap());
             }

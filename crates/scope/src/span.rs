@@ -86,45 +86,68 @@ impl MessageSpan {
     }
 }
 
-/// The end of a hop or mark chain.
+/// The end of a chunk chain.
 const NONE: u32 = u32::MAX;
+/// Slots per chunk of a packet's run. A head holds the run's newest chunk;
+/// full ones move to the arena.
+const RUN: usize = 4;
+/// Chunks per arena block: a long capture grows by appending blocks (no
+/// doubling `Vec` re-copying what was folded), each 56 KB, under glibc's
+/// mmap threshold.
+const BLOCK: usize = 1 << 11;
+/// Lane 2 of a mark's own slot has this bit set; a hop's never does.
+const KIND_MARK: u16 = 1 << 14;
+/// A hop's `loc` is a [`Locs`] index (its low 14 bits), with the queue
+/// class in bit 15. `LOC_ESCAPED` marks a visit kept verbatim; `LOC_WIDE`
+/// marks the own slot of a wide hop, whose older slot holds the real
+/// `loc`. So the table holds `LOC_WIDE` pairs.
+const LOC_IX: u16 = KIND_MARK - 1;
+const LOC_ESCAPED: u16 = LOC_IX;
+const LOC_WIDE: u16 = LOC_IX - 1;
+const LOC_CTRL: u16 = 1 << 15;
 /// A hop's `res` while its visit is open.
 const OPEN: u16 = u16::MAX;
-/// A hop's `loc` is a [`Locs`] index below this, with the queue class in
-/// bit 15; this index itself marks a visit kept verbatim in the escape
-/// table, so the table holds at most this many pairs.
-const LOC_ESCAPED: u16 = (1 << 15) - 1;
-const LOC_CTRL: u16 = 1 << 15;
 /// Lane width of a mark's node; wider values escape.
-const NODE_BITS: u32 = 19;
-/// Records per arena chunk: a full run grows by appending chunks (no
-/// doubling `Vec` re-copying what was folded), each under glibc's mmap
-/// threshold.
-const CHUNK: usize = 1 << 12;
+const NODE_BITS: u32 = 23;
 /// A dense PSN window may grow to twice its live heads plus this much;
 /// a PSN further out goes to the flow's sparse map instead.
 const DENSE_SLACK: usize = 64;
 
-/// One `(flow, psn)` packet: `Tx` folds in here and stores nothing else;
-/// the rest of its story hangs off two newest-first chains.
+/// One `(flow, psn)` packet. `Tx` folds in here and stores nothing else;
+/// the rest of its story is one run of records — its queue visits and
+/// marks in arrival order — whose newest chunk the head holds.
 #[derive(Debug, Clone, Copy)]
 struct Head {
-    /// Time of the packet's first event of any kind: compact offsets count
-    /// from here.
+    /// Time of the packet's first event of any kind: record times are
+    /// `u32` offsets from here.
     base: u64,
     /// Valid once `transmissions > 0` (the first Tx or Retx sets both).
     first_tx: u64,
     transmissions: u32,
-    /// Newest hop / mark, `NONE` when there is none.
-    hop: u32,
-    mark: u32,
+    /// The run's newest chunk in the arena, `NONE` while it fits `tail`.
+    spilled: u32,
+    /// Offset of the newest compact record (0 before the first): the
+    /// next record's delta counts from here.
+    last: u32,
+    /// Slots of `tail` in use; 0 only while the run is empty.
+    fill: u8,
     /// False for a vacant slot of a flow's dense window.
     live: bool,
+    /// The run's newest slots, oldest first.
+    tail: [Rec; RUN],
 }
 
 impl Head {
-    const VACANT: Head =
-        Head { base: 0, first_tx: 0, transmissions: 0, hop: NONE, mark: NONE, live: false };
+    const VACANT: Head = Head {
+        base: 0,
+        first_tx: 0,
+        transmissions: 0,
+        spilled: NONE,
+        last: 0,
+        fill: 0,
+        live: false,
+        tail: [Rec { dt: 0, lanes: [0; 2] }; RUN],
+    };
 
     fn new(base: u64) -> Head {
         Head { base, live: true, ..Head::VACANT }
@@ -135,40 +158,42 @@ impl Head {
     fn offset(&self, at: u64) -> Option<u32> {
         at.checked_sub(self.base).and_then(|d| u32::try_from(d).ok())
     }
+
+    /// The next compact record's value at offset `off`: its delta from
+    /// the newest one (wrapping).
+    #[inline]
+    fn delta(&mut self, off: u32) -> u64 {
+        let dt = u64::from(off).wrapping_sub(u64::from(self.last));
+        self.last = off;
+        dt
+    }
 }
 
-/// One queue visit: an `Enqueue` and its matched `Dequeue` share it.
-#[derive(Debug, Clone, Copy)]
-struct Hop {
-    /// Enqueue time − `Head::base`; the escape index when escaped.
-    enq: u32,
-    /// The packet's previous hop.
-    prev: u32,
-    /// Dequeue − enqueue; `OPEN` until the dequeue.
-    res: u16,
-    /// The `(node, port)`'s [`Locs`] index, `| LOC_CTRL` for the control
-    /// queue; `LOC_ESCAPED` when the visit is in the escape table.
-    loc: u16,
+/// One slot of a packet's run: three 16-bit lanes. A record — a queue
+/// visit, or a retransmission, trim, drop or ECN mark — takes one slot
+/// when its value fits 16 bits. Otherwise it is wide and takes two: an
+/// older slot holding the value's bits 16..48 in `dt` and `lanes[0]`, then
+/// the record's own slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rec {
+    /// Bits 0..16 of the value: the record's time − the packet's previous
+    /// compact record's (wrapping), or its escape index.
+    dt: u16,
+    /// A hop's `[res, loc]`; a mark's `info`, low half first. An escaped
+    /// visit's `[index >> 16, LOC_ESCAPED]`.
+    lanes: [u16; 2],
 }
 
-/// A retransmission, trim, drop or ECN mark.
-#[derive(Debug, Clone, Copy)]
-struct Mark {
-    /// Event time − `Head::base`; the escape index when escaped.
-    at: u32,
-    /// `kind | code << 2 | MARK_ESCAPED | node << 6`; `code` is the
-    /// retransmission cause or the drop class.
-    info: u32,
-    /// The packet's previous mark.
-    prev: u32,
-}
-
+/// A mark's `info`: `kind | code << 2 | flags | node << 7 | MARK`; `code`
+/// is the retransmission cause or the drop class.
 const MARK_RETX: u32 = 0;
 const MARK_TRIM: u32 = 1;
 const MARK_DROP: u32 = 2;
 const MARK_ECN: u32 = 3;
-const MARK_ESCAPED: u32 = 1 << 5;
-const MARK_NODE_SHIFT: u32 = 6;
+const MARK_WIDE: u32 = 1 << 5;
+const MARK_ESCAPED: u32 = 1 << 6;
+const MARK_NODE_SHIFT: u32 = 7;
+const MARK: u32 = (KIND_MARK as u32) << 16;
 
 const CAUSES: [RetxCause; 8] = [
     RetxCause::Unknown,
@@ -183,42 +208,58 @@ const CAUSES: [RetxCause; 8] = [
 const DROP_CLASSES: [DropClass; 5] =
     [DropClass::Data, DropClass::HeaderOnly, DropClass::Ack, DropClass::Buffer, DropClass::Fault];
 
-/// Append-only chunked storage addressed by `u32` index.
-struct Arena<T> {
-    chunks: Vec<Vec<T>>,
+/// A wide record's 48-bit value, sign-extended back: deltas run backwards
+/// in a replay out of time order.
+#[inline]
+fn sign_extend48(v: u64) -> u64 {
+    ((v << 16) as i64 >> 16) as u64
+}
+
+/// A full chunk of one packet's run, moved out of its head.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    recs: [Rec; RUN],
+    /// The run's previous chunk, or `NONE`.
+    prev: u32,
+}
+
+/// Every spilled chunk, in one append-only arena addressed by `u32`
+/// index: heads spill in the order they fill, so the arena only ever
+/// grows at its end.
+struct Arena {
+    blocks: Vec<Vec<Chunk>>,
     len: u32,
 }
 
-impl<T> Arena<T> {
+impl Arena {
     fn new() -> Self {
-        Arena { chunks: Vec::new(), len: 0 }
+        Arena { blocks: Vec::new(), len: 0 }
     }
 
-    #[inline]
-    fn push(&mut self, x: T) -> u32 {
+    fn push(&mut self, chunk: Chunk) -> u32 {
         let ix = self.len;
-        if (ix as usize).is_multiple_of(CHUNK) {
-            self.chunks.push(Vec::with_capacity(CHUNK));
+        if (ix as usize).is_multiple_of(BLOCK) {
+            self.blocks.push(Vec::with_capacity(BLOCK));
         }
-        self.chunks.last_mut().expect("opened above").push(x);
+        self.blocks.last_mut().expect("opened above").push(chunk);
         self.len =
-            ix.checked_add(1).filter(|&n| n != NONE).expect("span store holds < 2^32 records");
+            ix.checked_add(1).filter(|&n| n != NONE).expect("span store holds < 2^32 chunks");
         ix
     }
 
     #[inline]
-    fn get(&self, i: u32) -> &T {
-        &self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    fn get(&self, c: u32) -> &Chunk {
+        &self.blocks[c as usize / BLOCK][c as usize % BLOCK]
     }
 
     #[inline]
-    fn get_mut(&mut self, i: u32) -> &mut T {
-        &mut self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    fn get_mut(&mut self, c: u32) -> &mut Chunk {
+        &mut self.blocks[c as usize / BLOCK][c as usize % BLOCK]
     }
 
     fn heap_bytes(&self) -> usize {
-        self.chunks.capacity() * size_of::<Vec<T>>()
-            + self.chunks.iter().map(|c| c.capacity() * size_of::<T>()).sum::<usize>()
+        self.blocks.capacity() * size_of::<Vec<Chunk>>()
+            + self.blocks.iter().map(|b| b.capacity() * size_of::<Chunk>()).sum::<usize>()
     }
 }
 
@@ -360,13 +401,13 @@ struct Locs {
 
 impl Locs {
     /// `(node, port)`'s index, interned if new — `None` once the table
-    /// holds `LOC_ESCAPED` pairs.
+    /// holds `LOC_WIDE` pairs.
     #[inline]
     fn intern(&mut self, node: u32, port: u32) -> Option<u16> {
         match self.index.entry(u64::from(node) << 32 | u64::from(port)) {
             Entry::Occupied(e) => Some(*e.get()),
             Entry::Vacant(e) => {
-                let ix = u16::try_from(self.pairs.len()).ok().filter(|&ix| ix < LOC_ESCAPED)?;
+                let ix = u16::try_from(self.pairs.len()).ok().filter(|&ix| ix < LOC_WIDE)?;
                 self.pairs.push((node, port));
                 Some(*e.insert(ix))
             }
@@ -379,92 +420,290 @@ impl Locs {
     }
 }
 
-/// Queue visits: compact records chained newest-first per packet, plus
-/// the verbatim visits whose fields overflow a lane.
-struct Hops {
-    recs: Arena<Hop>,
-    locs: Locs,
-    escapes: Vec<HopVisit>,
+/// Where a slot of a packet's run lives: in its head's tail, or in a
+/// spilled chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pos {
+    Tail(usize),
+    Chunk(u32, usize),
 }
 
-impl Hops {
+/// One record of a run, decoded from its slot(s).
+#[derive(Debug, Clone, Copy)]
+enum Item {
+    /// A compact queue visit, `dt` after the packet's previous compact
+    /// record.
+    Hop { dt: u64, res: u16, loc: u16 },
+    /// A queue visit kept verbatim at this index of `Records::visits`.
+    Visit { ix: usize, dt: u64 },
+    /// A compact mark, `dt` after the packet's previous compact record.
+    Mark { dt: u64, info: u32 },
+    /// A mark whose `(at, node)` is kept at this index of
+    /// `Records::marks`.
+    MarkAt { ix: usize, info: u32 },
+}
+
+impl Item {
+    /// How far the record's time is from the packet's previous compact
+    /// record's: 0 for records escaped when recorded, which stay off the
+    /// delta chain.
+    fn dt(self) -> u64 {
+        match self {
+            Item::Hop { dt, .. } | Item::Visit { dt, .. } | Item::Mark { dt, .. } => dt,
+            Item::MarkAt { .. } => 0,
+        }
+    }
+}
+
+/// Every packet's spilled chunks, plus the side tables for what overflows
+/// a lane: verbatim visits and marks whose time, place or residence does
+/// not fit.
+struct Records {
+    chunks: Arena,
+    locs: Locs,
+    /// Each with its `Item::dt`: 0 when escaped at the enqueue, the
+    /// record's delta when its residence overflowed at the dequeue.
+    visits: Vec<(HopVisit, u64)>,
+    marks: Vec<(u64, u32)>,
+}
+
+impl Records {
+    fn new() -> Self {
+        Records {
+            chunks: Arena::new(),
+            locs: Locs::default(),
+            visits: Vec::new(),
+            marks: Vec::new(),
+        }
+    }
+
+    /// Appends `rec` to `h`'s run, spilling a full tail to the arena.
+    #[inline]
+    fn push(&mut self, h: &mut Head, rec: Rec) {
+        if usize::from(h.fill) == RUN {
+            h.spilled = self.chunks.push(Chunk { recs: h.tail, prev: h.spilled });
+            h.fill = 0;
+        }
+        h.tail[usize::from(h.fill)] = rec;
+        h.fill += 1;
+    }
+
+    /// The slot before `p` in `h`'s run.
+    #[inline]
+    fn before(&self, h: &Head, p: Pos) -> Option<Pos> {
+        let c = match p {
+            Pos::Tail(0) => h.spilled,
+            Pos::Tail(i) => return Some(Pos::Tail(i - 1)),
+            Pos::Chunk(c, 0) => self.chunks.get(c).prev,
+            Pos::Chunk(c, i) => return Some(Pos::Chunk(c, i - 1)),
+        };
+        (c != NONE).then_some(Pos::Chunk(c, RUN - 1))
+    }
+
+    #[inline]
+    fn get(&self, h: &Head, p: Pos) -> Rec {
+        match p {
+            Pos::Tail(i) => h.tail[i],
+            Pos::Chunk(c, i) => self.chunks.get(c).recs[i],
+        }
+    }
+
+    #[inline]
+    fn get_mut<'a>(&'a mut self, h: &'a mut Head, p: Pos) -> &'a mut Rec {
+        match p {
+            Pos::Tail(i) => &mut h.tail[i],
+            Pos::Chunk(c, i) => &mut self.chunks.get_mut(c).recs[i],
+        }
+    }
+
+    /// Appends an open queue visit to `h`'s run.
     #[inline]
     fn enqueue(&mut self, h: &mut Head, at: u64, node: u32, port: u32, queue: QueueClass) {
-        let rec = match (h.offset(at), self.locs.intern(node, port)) {
-            (Some(enq), Some(ix)) => {
-                let loc = if queue == QueueClass::Ctrl { ix | LOC_CTRL } else { ix };
-                Hop { enq, prev: h.hop, res: OPEN, loc }
+        let (v, loc) = match (h.offset(at), self.locs.intern(node, port)) {
+            (Some(off), Some(ix)) => {
+                (h.delta(off), if queue == QueueClass::Ctrl { ix | LOC_CTRL } else { ix })
             }
             _ => {
                 let visit = HopVisit { node, port, queue, enqueue: at, dequeue: None };
-                let enq = escape(&mut self.escapes, visit);
-                Hop { enq, prev: h.hop, res: OPEN, loc: LOC_ESCAPED }
+                let ix = escape(&mut self.visits, (visit, 0));
+                return self.push(h, escaped_visit(ix, LOC_ESCAPED));
             }
         };
-        h.hop = self.recs.push(rec);
+        let loc = if u16::try_from(v).is_ok() {
+            loc
+        } else {
+            self.push(h, Rec { dt: (v >> 16) as u16, lanes: [(v >> 32) as u16, loc] });
+            LOC_WIDE
+        };
+        self.push(h, Rec { dt: v as u16, lanes: [OPEN, loc] });
+    }
+
+    /// Appends a mark to `h`'s run; `code` is the retransmission cause or
+    /// the drop class.
+    #[inline]
+    fn mark(&mut self, h: &mut Head, at: u64, kind: u32, code: u32, node: u32) {
+        let info = MARK | kind | code << 2;
+        let (v, mut info) = match h.offset(at) {
+            Some(off) if node < 1 << NODE_BITS => (h.delta(off), info | node << MARK_NODE_SHIFT),
+            _ => (escape(&mut self.marks, (at, node)), info | MARK_ESCAPED),
+        };
+        if u16::try_from(v).is_err() {
+            self.push(h, Rec { dt: (v >> 16) as u16, lanes: [(v >> 32) as u16, KIND_MARK] });
+            info |= MARK_WIDE;
+        }
+        self.push(h, Rec { dt: v as u16, lanes: [info as u16, (info >> 16) as u16] });
+    }
+
+    /// The record whose own slot is `p`, and its first slot: `p` itself,
+    /// or the one before it when the record is wide.
+    #[inline]
+    fn decode(&self, h: &Head, p: Pos) -> (Item, Pos) {
+        let rec = self.get(h, p);
+        let [lo, hi] = rec.lanes;
+        let v = u64::from(rec.dt);
+        if hi & (KIND_MARK | LOC_IX) < LOC_WIDE {
+            // A one-slot compact visit: the common case.
+            return (Item::Hop { dt: v, res: lo, loc: hi }, p);
+        }
+        let own_ix = v | u64::from(lo) << 16;
+        if hi & (KIND_MARK | LOC_IX) == LOC_ESCAPED {
+            return (self.visit(own_ix), p);
+        }
+        let info = u32::from(lo) | u32::from(hi) << 16;
+        let mark = hi & KIND_MARK != 0;
+        if mark && info & MARK_WIDE == 0 {
+            return (mark_item(v, info), p);
+        }
+        let first = self.before(h, p).expect("a wide record has an older slot");
+        let older = self.get(h, first);
+        let v = v | u64::from(older.dt) << 16 | u64::from(older.lanes[0]) << 32;
+        let item = if mark {
+            mark_item(v, info)
+        } else if older.lanes[1] == LOC_ESCAPED {
+            // A wide hop replaced by a verbatim visit at its dequeue.
+            self.visit(own_ix)
+        } else {
+            Item::Hop { dt: sign_extend48(v), res: lo, loc: older.lanes[1] }
+        };
+        (item, first)
+    }
+
+    fn visit(&self, ix: u64) -> Item {
+        let ix = ix as usize;
+        Item::Visit { ix, dt: self.visits[ix].1 }
     }
 
     /// Closes the newest open visit to `(node, port)` — re-routed
-    /// retransmissions can pass the same switch twice — or nothing.
+    /// retransmissions can pass the same switch twice — or nothing. A
+    /// residence that does not fit its lane moves the visit to `visits`.
     #[inline]
-    fn dequeue(&mut self, h: &Head, at: u64, node: u32, port: u32) {
-        let mut i = h.hop;
-        while i != NONE {
-            let hop = self.recs.get_mut(i);
-            let ix = hop.loc & !LOC_CTRL;
-            if ix == LOC_ESCAPED {
-                let v = &mut self.escapes[hop.enq as usize];
-                if v.node == node && v.port == port && v.dequeue.is_none() {
-                    v.dequeue = Some(at);
+    fn dequeue(&mut self, h: &mut Head, at: u64, node: u32, port: u32) {
+        let (mut pos, mut enqueue) = (newest(h), h.base + u64::from(h.last));
+        while let Some(p) = pos {
+            let (item, first) = self.decode(h, p);
+            match item {
+                Item::Hop { dt, res: OPEN, loc }
+                    if self.locs.pairs[usize::from(loc & LOC_IX)] == (node, port) =>
+                {
+                    let res = at.checked_sub(enqueue).and_then(|r| u16::try_from(r).ok());
+                    if let Some(res) = res.filter(|&r| r != OPEN) {
+                        self.get_mut(h, p).lanes[0] = res;
+                        return;
+                    }
+                    let queue = queue_of(loc);
+                    let visit = HopVisit { node, port, queue, enqueue, dequeue: Some(at) };
+                    let ix = escape(&mut self.visits, (visit, dt));
+                    if first == p {
+                        *self.get_mut(h, p) = escaped_visit(ix, LOC_ESCAPED);
+                    } else {
+                        *self.get_mut(h, p) = escaped_visit(ix, LOC_WIDE);
+                        self.get_mut(h, first).lanes[1] = LOC_ESCAPED;
+                    }
                     return;
                 }
-            } else if hop.res == OPEN && self.locs.pairs[ix as usize] == (node, port) {
-                let enqueue = h.base + u64::from(hop.enq);
-                match at.checked_sub(enqueue).and_then(|r| u16::try_from(r).ok()) {
-                    Some(res) if res != OPEN => hop.res = res,
-                    _ => {
-                        let queue = queue_of(hop.loc);
-                        let visit = HopVisit { node, port, queue, enqueue, dequeue: Some(at) };
-                        hop.enq = escape(&mut self.escapes, visit);
-                        hop.loc = LOC_ESCAPED;
+                Item::Visit { ix, .. } => {
+                    let v = &mut self.visits[ix].0;
+                    if v.node == node && v.port == port && v.dequeue.is_none() {
+                        v.dequeue = Some(at);
+                        return;
                     }
                 }
-                return;
+                _ => {}
             }
-            i = hop.prev;
+            enqueue = enqueue.wrapping_sub(item.dt());
+            pos = self.before(h, first);
         }
+    }
+
+    /// Fills `s`'s empty hop and mark lists from `h`'s run, each in
+    /// record order.
+    fn read(&self, h: &Head, s: &mut PacketSpan) {
+        let (mut pos, mut t) = (newest(h), h.base + u64::from(h.last));
+        while let Some(p) = pos {
+            let (item, first) = self.decode(h, p);
+            match item {
+                Item::Hop { res, loc, .. } => {
+                    let (node, port) = self.locs.pairs[usize::from(loc & LOC_IX)];
+                    let dequeue = (res != OPEN).then(|| t + u64::from(res));
+                    let queue = queue_of(loc);
+                    s.hops.push(HopVisit { node, port, queue, enqueue: t, dequeue });
+                }
+                Item::Visit { ix, .. } => s.hops.push(self.visits[ix].0),
+                Item::Mark { info, .. } => push_mark(s, t, (info & !MARK) >> MARK_NODE_SHIFT, info),
+                Item::MarkAt { ix, info } => {
+                    let (at, node) = self.marks[ix];
+                    push_mark(s, at, node, info);
+                }
+            }
+            t = t.wrapping_sub(item.dt());
+            pos = self.before(h, first);
+        }
+        s.hops.reverse();
+        s.retx.reverse();
+        s.trims.reverse();
+        s.drops.reverse();
+        s.ecn.reverse();
     }
 
     fn heap_bytes(&self) -> usize {
-        self.recs.heap_bytes()
+        self.chunks.heap_bytes()
             + self.locs.heap_bytes()
-            + self.escapes.capacity() * size_of::<HopVisit>()
+            + self.visits.capacity() * size_of::<(HopVisit, u64)>()
+            + self.marks.capacity() * size_of::<(u64, u32)>()
     }
+}
 
-    /// `h`'s visits in arrival order.
-    fn read(&self, h: &Head) -> Vec<HopVisit> {
-        let mut out = Vec::new();
-        let mut i = h.hop;
-        while i != NONE {
-            let hop = self.recs.get(i);
-            let ix = hop.loc & !LOC_CTRL;
-            out.push(if ix == LOC_ESCAPED {
-                self.escapes[hop.enq as usize]
-            } else {
-                let (node, port) = self.locs.pairs[ix as usize];
-                let enqueue = h.base + u64::from(hop.enq);
-                HopVisit {
-                    node,
-                    port,
-                    queue: queue_of(hop.loc),
-                    enqueue,
-                    dequeue: (hop.res != OPEN).then(|| enqueue + u64::from(hop.res)),
-                }
-            });
-            i = hop.prev;
-        }
-        out.reverse();
-        out
+/// The newest slot of `h`'s run.
+#[inline]
+fn newest(h: &Head) -> Option<Pos> {
+    h.fill.checked_sub(1).map(|i| Pos::Tail(usize::from(i)))
+}
+
+/// A verbatim visit's own slot: its index and `loc`, `LOC_ESCAPED` (or
+/// `LOC_WIDE` over an older `LOC_ESCAPED` slot when it replaced a wide
+/// hop).
+fn escaped_visit(ix: u64, loc: u16) -> Rec {
+    let ix = u32::try_from(ix).expect("span store holds < 2^32 verbatim visits");
+    Rec { dt: ix as u16, lanes: [(ix >> 16) as u16, loc] }
+}
+
+/// A mark with value `v`: its delta, or its index when escaped.
+fn mark_item(v: u64, info: u32) -> Item {
+    if info & MARK_ESCAPED != 0 {
+        Item::MarkAt { ix: v as usize, info }
+    } else {
+        Item::Mark { dt: sign_extend48(v), info }
+    }
+}
+
+/// Appends a mark to `s`'s list of its kind.
+fn push_mark(s: &mut PacketSpan, at: u64, node: u32, info: u32) {
+    let code = (info >> 2) as usize & 0x7;
+    match info & 0x3 {
+        MARK_RETX => s.retx.push((at, CAUSES[code])),
+        MARK_TRIM => s.trims.push((at, node)),
+        MARK_DROP => s.drops.push((at, node, DROP_CLASSES[code])),
+        _ => s.ecn.push((at, node)),
     }
 }
 
@@ -476,67 +715,10 @@ fn queue_of(loc: u16) -> QueueClass {
     }
 }
 
-/// Retransmissions, trims, drops and ECN marks: compact records chained
-/// newest-first per packet, plus the `(at, node)` of those that overflow
-/// a lane.
-struct Marks {
-    recs: Arena<Mark>,
-    escapes: Vec<(u64, u32)>,
-}
-
-impl Marks {
-    /// Chains a mark onto `h`; `code` is the retransmission cause or the
-    /// drop class.
-    #[inline]
-    fn push(&mut self, h: &mut Head, at: u64, kind: u32, code: u32, node: u32) {
-        let info = kind | code << 2;
-        let rec = match h.offset(at) {
-            Some(off) if node < 1 << NODE_BITS => {
-                Mark { at: off, info: info | node << MARK_NODE_SHIFT, prev: h.mark }
-            }
-            _ => {
-                let at = escape(&mut self.escapes, (at, node));
-                Mark { at, info: info | MARK_ESCAPED, prev: h.mark }
-            }
-        };
-        h.mark = self.recs.push(rec);
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.recs.heap_bytes() + self.escapes.capacity() * size_of::<(u64, u32)>()
-    }
-
-    /// Fills `s`'s empty per-kind mark lists from `h`'s chain, each in
-    /// record order.
-    fn read(&self, h: &Head, s: &mut PacketSpan) {
-        let mut i = h.mark;
-        while i != NONE {
-            let m = self.recs.get(i);
-            let (at, node) = if m.info & MARK_ESCAPED != 0 {
-                self.escapes[m.at as usize]
-            } else {
-                (h.base + u64::from(m.at), m.info >> MARK_NODE_SHIFT)
-            };
-            let code = (m.info >> 2) as usize & 0x7;
-            match m.info & 0x3 {
-                MARK_RETX => s.retx.push((at, CAUSES[code])),
-                MARK_TRIM => s.trims.push((at, node)),
-                MARK_DROP => s.drops.push((at, node, DROP_CLASSES[code])),
-                _ => s.ecn.push((at, node)),
-            }
-            i = m.prev;
-        }
-        s.retx.reverse();
-        s.trims.reverse();
-        s.drops.reverse();
-        s.ecn.reverse();
-    }
-}
-
 /// Appends `v` to an escape table, returning its index.
-fn escape<T>(table: &mut Vec<T>, v: T) -> u32 {
+fn escape<T>(table: &mut Vec<T>, v: T) -> u64 {
     table.push(v);
-    u32::try_from(table.len() - 1).expect("span store holds < 2^32 escapes")
+    (table.len() - 1) as u64
 }
 
 /// One packet span as its document entry.
@@ -574,19 +756,22 @@ fn packet_json(flow: u32, psn: u32, s: &PacketSpan) -> Json {
 /// events and produce the same document.
 ///
 /// [`Probe::record`] folds each event into a compact span store while the
-/// run is live: one head per `(flow, psn)` (`Tx` only bumps it), one
-/// 12-byte record per queue visit (the `Dequeue` patches its `Enqueue`'s;
-/// the switch egress `(node, port)` is an index into a table of the pairs
-/// seen so far), one 12-byte record per retransmission, trim, drop or ECN
-/// mark, and per-flow timeout / header-only counters. Fields too wide for
-/// their lanes — and visits past the pair table's 32 767 entries — escape
-/// verbatim to side tables. Spans are built on read
+/// run is live: one head per `(flow, psn)` (`Tx` only bumps it) and one run
+/// of 6-byte records per packet, in 4-record chunks — the newest inside
+/// the head, full ones in an arena. A queue visit is one record (the
+/// `Dequeue` patches its `Enqueue`'s; the switch egress `(node, port)` is
+/// an index into a table of the pairs seen so far), and so is each
+/// retransmission, trim, drop or ECN mark, timed as a 16-bit delta from
+/// the packet's previous record; per-flow timeout / header-only counters
+/// complete it. A delta that does not fit takes a second slot. A time
+/// more than 2^32 ns from the packet's first event, a residence that does
+/// not fit, and visits past the pair table's 16 382 entries go verbatim
+/// to side tables. Spans are built on read
 /// ([`SpanBuilder::packets`], [`SpanBuilder::write_fields`], ...), sorted
 /// by key.
 pub struct SpanBuilder {
     heads: Heads,
-    hops: Hops,
-    marks: Marks,
+    recs: Records,
     messages: BTreeMap<(u32, u64), MessageSpan>,
     /// New-key admission cap: spans beyond it are dropped (counted), so a
     /// runaway trace cannot exhaust memory.
@@ -604,8 +789,7 @@ impl SpanBuilder {
     pub fn new() -> Self {
         SpanBuilder {
             heads: Heads::default(),
-            hops: Hops { recs: Arena::new(), locs: Locs::default(), escapes: Vec::new() },
-            marks: Marks { recs: Arena::new(), escapes: Vec::new() },
+            recs: Records::new(),
             messages: BTreeMap::new(),
             cap: 1 << 20,
             truncated: 0,
@@ -622,8 +806,7 @@ impl SpanBuilder {
     /// Heap bytes held by the span store and the message spans.
     pub fn heap_bytes(&self) -> usize {
         self.heads.heap_bytes()
-            + self.hops.heap_bytes()
-            + self.marks.heap_bytes()
+            + self.recs.heap_bytes()
             + crate::btree_map_bytes::<(u32, u64), MessageSpan>(self.messages.len())
     }
 
@@ -636,15 +819,14 @@ impl SpanBuilder {
         self.messages.iter()
     }
 
-    /// `h`'s span, rebuilt from its chains.
+    /// `h`'s span, rebuilt from its runs.
     fn span(&self, h: &Head) -> PacketSpan {
         let mut s = PacketSpan {
             first_tx: (h.transmissions > 0).then_some(h.first_tx),
             transmissions: h.transmissions,
-            hops: self.hops.read(h),
             ..PacketSpan::default()
         };
-        self.marks.read(h, &mut s);
+        self.recs.read(h, &mut s);
         s
     }
 
@@ -750,7 +932,7 @@ impl SpanBuilder {
             .set("per_hop", Json::Arr(per_hop))
     }
 
-    /// Folds one packet-level event into `(flow, psn)`'s head and chains.
+    /// Folds one packet-level event into `(flow, psn)`'s head and runs.
     #[inline]
     fn fold_packet(&mut self, at: u64, flow: u32, psn: u32, ev: &ProbeEvent) {
         let Some(h) = self.heads.get(flow, psn, at, self.cap) else {
@@ -761,17 +943,17 @@ impl SpanBuilder {
             ProbeEvent::Tx { .. } => transmit(h, at),
             ProbeEvent::Retx { cause, .. } => {
                 transmit(h, at);
-                self.marks.push(h, at, MARK_RETX, cause as u32, 0);
+                self.recs.mark(h, at, MARK_RETX, cause as u32, 0);
             }
             ProbeEvent::Enqueue { node, port, queue, .. } => {
-                self.hops.enqueue(h, at, node, port, queue);
+                self.recs.enqueue(h, at, node, port, queue);
             }
-            ProbeEvent::Dequeue { node, port, .. } => self.hops.dequeue(h, at, node, port),
-            ProbeEvent::Trim { node, .. } => self.marks.push(h, at, MARK_TRIM, 0, node),
+            ProbeEvent::Dequeue { node, port, .. } => self.recs.dequeue(h, at, node, port),
+            ProbeEvent::Trim { node, .. } => self.recs.mark(h, at, MARK_TRIM, 0, node),
             ProbeEvent::Drop { node, class, .. } => {
-                self.marks.push(h, at, MARK_DROP, class as u32, node);
+                self.recs.mark(h, at, MARK_DROP, class as u32, node);
             }
-            ProbeEvent::EcnMark { node, .. } => self.marks.push(h, at, MARK_ECN, 0, node),
+            ProbeEvent::EcnMark { node, .. } => self.recs.mark(h, at, MARK_ECN, 0, node),
             _ => unreachable!("not a packet-level event"),
         }
     }
@@ -1084,15 +1266,29 @@ mod tests {
         ProbeEvent::Retx { node: 0, flow, psn, bytes: 1064, cause }
     }
 
-    /// Every lane a compact record has: a hop's enqueue offset (≥ 2^32
-    /// past the head's first event, or before it) and residency (≥ 2^16 − 1,
-    /// or a dequeue before its enqueue); a mark's time offset (both ways)
-    /// and node. Each escapes verbatim and reads back as the old fold's
-    /// span. A hop's node and port are a pair-table index, so node 2^19
-    /// and port 2^12 stay compact.
+    /// Slots in `h`'s run.
+    fn run_len(r: &Records, h: &Head) -> usize {
+        std::iter::successors(newest(h), |&p| r.before(h, p)).count()
+    }
+
+    /// A hop or mark is three 16-bit lanes, a chunk four of them plus its
+    /// link, and a packet's head four words plus its newest chunk.
+    #[test]
+    fn records_pack_into_three_lanes() {
+        assert_eq!(size_of::<Rec>(), 6, "Rec grew to {} bytes", size_of::<Rec>());
+        assert_eq!(size_of::<Chunk>(), 28, "Chunk grew to {} bytes", size_of::<Chunk>());
+        assert_eq!(size_of::<Head>(), 56, "Head grew to {} bytes", size_of::<Head>());
+    }
+
+    /// Every lane a compact record has. A time delta past 16 bits, or
+    /// backwards, makes the record wide (two slots). A time offset ≥ 2^32
+    /// past the head's first event, or before it, and a mark's node ≥ 2^23
+    /// escape verbatim; so does a visit whose residence is 2^16 − 1 or
+    /// more, or whose dequeue comes before its enqueue, once dequeued. Each reads back as the reference fold's span. A hop's
+    /// node and port are a pair-table index, so node 2^19 and port 2^12
+    /// stay compact.
     #[test]
     fn every_escape_lane_reads_back_verbatim() {
-        assert_eq!(size_of::<Hop>(), 12);
         let far = 1000 + (1u64 << 32);
         let events = vec![
             (1000, tx(1, 0)),
@@ -1107,38 +1303,50 @@ mod tests {
             (2000, enq(6, 2, 1, 0)),
             (2000 + u64::from(u16::MAX), deq(6, 2, 1, 0)),
             (3000, enq(8, 2, 1, 0)),
-            (3000 + u64::from(u16::MAX) - 1, deq(8, 2, 1, 0)),
+            (3000 + u64::from(OPEN) - 1, deq(8, 2, 1, 0)),
             (3000, enq(7, 2, 1, 0)),
             (2500, deq(7, 2, 1, 0)),
+            (100_000, enq(9, 2, 1, 0)),
+            (100_010, deq(9, 2, 1, 0)),
+            (1500, enq(10, 2, 1, 0)),
             (1100, ProbeEvent::Trim { node: 1 << 19, port: 0, flow: 1, psn: 0 }),
+            (1200, ProbeEvent::EcnMark { node: 3, port: 0, flow: 1, psn: 0 }),
+            (200_000, ProbeEvent::Trim { node: 3, port: 0, flow: 1, psn: 0 }),
+            (1300, ProbeEvent::EcnMark { node: 1 << NODE_BITS, port: 0, flow: 1, psn: 0 }),
             (far, ProbeEvent::Drop { node: 3, port: 0, flow: 1, psn: 0, class: DropClass::Fault }),
             (400, retx(1, 0, RetxCause::Tlp)),
-            (1200, ProbeEvent::EcnMark { node: 3, port: 0, flow: 1, psn: 0 }),
+            (1250, ProbeEvent::EcnMark { node: 3, port: 0, flow: 1, psn: 0 }),
         ];
         let b = fold_both(&events, usize::MAX);
+        let r = &b.recs;
         assert_eq!(
-            b.hops.escapes.len(),
+            r.visits.len(),
             4,
-            "offset past 2^32, before the head, residency 2^16 − 1, dequeue before enqueue"
+            "offset past 2^32, before the head, residence 2^16 − 1, dequeue before enqueue"
         );
-        assert!(b.hops.locs.pairs.contains(&(1 << 19, 2)), "node 2^19 stays compact");
-        assert!(b.hops.locs.pairs.contains(&(4, 1 << 12)), "port 2^12 stays compact");
-        assert_eq!(b.marks.escapes.len(), 3, "trim, drop and retx escape; ECN fits");
+        assert!(r.locs.pairs.contains(&(1 << 19, 2)), "node 2^19 stays compact");
+        assert!(r.locs.pairs.contains(&(4, 1 << 12)), "port 2^12 stays compact");
+        assert_eq!(r.marks.len(), 3, "node 2^23, offset past 2^32, before the head");
+        let h = &b.heads.flows[&1].dense[0];
+        assert_eq!(run_len(r, h), 9 + 7 + 5, "nine hops, seven marks, five wide");
         let (_, s) = b.packets().next().unwrap();
         assert_eq!(s.hops[0].node, 1 << 19);
         assert_eq!(s.hops[1].port, 1 << 12);
         assert_eq!(s.hops[4].dequeue, Some(2000 + u64::from(u16::MAX)));
-        assert_eq!(s.hops[5].dequeue, Some(3000 + u64::from(u16::MAX) - 1));
+        assert_eq!(s.hops[5].dequeue, Some(3000 + u64::from(OPEN) - 1));
         assert_eq!(s.hops[6].dequeue, Some(2500), "a dequeue before its enqueue stays verbatim");
+        assert_eq!(s.hops[7].dequeue, Some(100_010));
+        assert_eq!((s.hops[8].enqueue, s.hops[8].dequeue), (1500, None));
         assert_eq!(s.retx, vec![(400, RetxCause::Tlp)]);
+        assert_eq!(s.trims, vec![(1100, 1 << 19), (200_000, 3)]);
     }
 
-    /// The pair table holds 32 767 distinct `(node, port)` pairs: a visit
-    /// to the 32 768th escapes verbatim, and pairs already held stay
+    /// The pair table holds 16 382 distinct `(node, port)` pairs: a visit
+    /// to the 16 383rd escapes verbatim, and pairs already held stay
     /// compact after the table fills.
     #[test]
     fn pair_table_overflow_escapes_verbatim() {
-        let full = u32::from(LOC_ESCAPED);
+        let full = u32::from(LOC_WIDE);
         let mut events: Vec<_> = (0..full).map(|k| (u64::from(k), enq(k, 7, 2, 0))).collect();
         events.extend([
             (40_000, enq(full, 7, 2, 0)),
@@ -1148,8 +1356,8 @@ mod tests {
             (40_040, deq(3, 7, 2, 0)),
         ]);
         let b = fold_both(&events, usize::MAX);
-        assert_eq!(b.hops.locs.pairs.len(), full as usize);
-        assert_eq!(b.hops.escapes.len(), 1, "only the 32 768th pair escapes");
+        assert_eq!(b.recs.locs.pairs.len(), full as usize);
+        assert_eq!(b.recs.visits.len(), 1, "only the 16 383rd pair escapes");
         let (_, s) = b.packets().next().unwrap();
         assert_eq!(s.hops[full as usize].dequeue, Some(40_020));
         assert_eq!(s.hops[full as usize + 1].dequeue, Some(40_030));
@@ -1301,6 +1509,107 @@ mod tests {
         for cap in [usize::MAX, 100, 7] {
             fold_both(&events, cap);
         }
+    }
+
+    /// Random stories over six interleaved packets, each on its own clock:
+    /// repeat visits to a few `(node, port)`s, dequeues of a random open
+    /// visit (out of enqueue order) or of none, and steps between a
+    /// packet's events that are small, near 2^16, past it or backwards —
+    /// so deltas and residences overflow their lanes both ways. Every
+    /// seed reads back the reference fold's spans, and the seeds together
+    /// reach every record form.
+    #[test]
+    fn random_stories_match_the_reference_fold() {
+        let (mut wide, mut long, mut escaped) = (0, 0, 0);
+        for seed in 1..=64u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut clock = [1u64 << 20; 6];
+            let mut open: [Vec<(u32, u32)>; 6] = Default::default();
+            let mut events = Vec::new();
+            for _ in 0..600 {
+                let p = next(6) as usize;
+                let (flow, psn) = (p as u32 % 2, p as u32 / 2);
+                clock[p] = match next(10) {
+                    0 => clock[p] + 0xFFF0 + next(32),
+                    1 => clock[p] + (1 << 16) + next(1 << 24),
+                    2 => clock[p].saturating_sub(next(1 << 17)),
+                    3 => clock[p] + next(1 << 16),
+                    _ => clock[p] + next(256),
+                };
+                let (node, port) = (next(3) as u32, next(2) as u32);
+                let ev = match next(10) {
+                    0 => tx(flow, psn),
+                    1 => retx(flow, psn, CAUSES[next(8) as usize]),
+                    2..=4 => {
+                        open[p].push((node, port));
+                        enq(node, port, flow, psn)
+                    }
+                    5..=7 if !open[p].is_empty() && next(5) > 0 => {
+                        let i = next(open[p].len() as u64) as usize;
+                        let (node, port) = open[p].swap_remove(i);
+                        deq(node, port, flow, psn)
+                    }
+                    5..=7 => deq(node, port, flow, psn),
+                    8 => ProbeEvent::Trim { node, port, flow, psn },
+                    _ => ProbeEvent::EcnMark { node, port, flow, psn },
+                };
+                events.push((clock[p], ev));
+            }
+            let b = fold_both(&events, usize::MAX);
+            let heads = b.heads.sorted();
+            let records = heads
+                .iter()
+                .map(|(_, h)| b.span(h))
+                .map(|s| s.hops.len() + s.retx.len() + s.trims.len() + s.drops.len() + s.ecn.len());
+            let slots = heads.iter().map(|(_, h)| run_len(&b.recs, h));
+            wide += slots.sum::<usize>() - records.sum::<usize>();
+            long += b
+                .recs
+                .visits
+                .iter()
+                .filter(|(v, _)| {
+                    v.dequeue.is_some_and(|d| d.checked_sub(v.enqueue).is_none_or(|r| r >= 0xFFFF))
+                })
+                .count();
+            escaped += b.recs.visits.len() + b.recs.marks.len();
+        }
+        assert!(wide > 1000 && long > 100 && escaped > 10, "{wide} wide, {long} long, {escaped}");
+    }
+
+    /// The worst case for the lanes: every hop's and every mark's time
+    /// delta overflows 16 bits, so every record is wide. Each still costs
+    /// two slots — 12 bytes — plus its share of a chunk's link; the heads
+    /// come on top.
+    #[test]
+    fn all_wide_records_cost_at_most_twelve_bytes_plus_links() {
+        let (packets, per) = (64u32, 512u64);
+        let mut events = Vec::new();
+        for psn in 0..packets {
+            events.push((0, tx(1, psn)));
+            for k in 1..=per {
+                let at = k * 140_000;
+                events.push((at, enq(2, 0, 1, psn)));
+                events.push((at + 100, deq(2, 0, 1, psn)));
+                let ecn = ProbeEvent::EcnMark { node: 2, port: 0, flow: 1, psn };
+                events.push((at + 70_000, ecn));
+            }
+        }
+        let b = fold_both(&events, usize::MAX);
+        let records = 2 * packets as usize * per as usize;
+        let chunks = b.recs.chunks.len as usize;
+        let tails: usize = b.heads.sorted().iter().map(|(_, h)| usize::from(h.fill)).sum();
+        assert_eq!(chunks * RUN + tails, 2 * records, "every record wide");
+        assert!(b.recs.visits.is_empty() && b.recs.marks.is_empty());
+        let link = size_of::<Chunk>() - RUN * size_of::<Rec>();
+        let bound = 12 * records + chunks * link + b.heads.heap_bytes() + 1024;
+        let per_record = b.heap_bytes() as f64 / records as f64;
+        assert!(b.heap_bytes() <= bound, "{per_record:.3} B per record");
     }
 
     /// Strided flow ids — multiples of 2^22, or consecutive — spread over
