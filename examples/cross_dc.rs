@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --release -p dcp-bench --example cross_dc`
 
-use dcp_analytic::ASICS;
+use dcp_bench::rows::ROWS;
+use dcp_bench::Args;
 use dcp_core::dcp_switch_config;
 use dcp_netsim::packet::FlowId;
 use dcp_netsim::time::{fiber_delay_km, SEC, US};
@@ -51,11 +52,9 @@ fn main() {
         println!("  {:>5} km: {:>6.1} Gbps", km, long_haul_goodput(km));
     }
     println!();
-    println!("For contrast, the maximum *lossless* (PFC) distance of commodity ASICs");
-    println!("(Table 1, single lossless queue):");
-    for a in ASICS {
-        println!("  {:<12} {:>6.2} km", a.name, a.max_lossless_km(1));
-    }
+    println!("For contrast, the maximum *lossless* (PFC) distance of commodity ASICs:");
+    let table1 = ROWS.iter().find(|r| r.name == "table1_lossless_distance").expect("row");
+    (table1.run)(&Args::default());
     println!();
     println!("Expected shape (paper §6.1): DCP sustains high goodput at 10 km and beyond");
     println!("with 32 MB of buffer, while PFC cannot even guarantee losslessness past a");

@@ -1,7 +1,7 @@
 //! Whole-stack integration: DCP endpoints + DCP-Switch policy + analytics
 //! agreeing with the fabric, across crates.
 
-use dcp_analytic::wrr;
+use dcp_core::switch::effective_wrr_weight;
 use dcp_core::{dcp_pair, dcp_switch_config, DcpConfig, RetransMode};
 use dcp_netsim::packet::FlowId;
 use dcp_netsim::time::{Nanos, SEC, US};
@@ -34,7 +34,7 @@ fn wrr_weight_from_analytics_keeps_control_plane_lossless() {
     // radix and verify zero HO losses under a radix-filling incast.
     let fan_in = 8;
     let n_ports = fan_in + 1 + 1; // hosts + cross + margin
-    let w = wrr::effective_wrr_weight(n_ports, dcp_rdma::MTU, 8.0);
+    let w = effective_wrr_weight(n_ports, dcp_rdma::MTU, 8.0);
     let mut cfg = dcp_switch_config(LoadBalance::Ecmp, n_ports);
     cfg.ctrl_weight = w;
     cfg.data_q_threshold = 8 * 1024;
