@@ -389,6 +389,27 @@ mod tests {
         assert!(rounds.iter().all(|&r| r == 1), "retry round bumped to 1");
     }
 
+    /// After the coarse timeout bumps message 0 to round 1, an HO about a
+    /// round-0 copy is stale: the timeout already resent that packet. Only
+    /// an HO carrying the current round reaches the RetransQ.
+    #[test]
+    fn ho_from_a_round_before_the_timeout_is_not_queued() {
+        let mut s = sender(RetransMode::Batched);
+        let (mut pool, mut t, mut c, mut r) =
+            (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
+        while pull_owned(&mut s, &mut pool, 0, &mut t, &mut c, &mut r).is_some() {}
+        let (at, tok) =
+            t.iter().find(|(_, tok)| tokens::kind(*tok) == tokens::RTO).copied().unwrap();
+        s.on_timer(tok, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
+        deliver(&mut s, &mut pool, ho(0, 3), at, &mut t, &mut c, &mut r);
+        assert_eq!(s.stats().ho_received, 1);
+        assert_eq!(s.retransq_len(), 0, "round-0 HO after the round-1 resend is dropped");
+        let mut current = ho(0, 3);
+        current.header.ip.set_sretry_no(1);
+        deliver(&mut s, &mut pool, current, at, &mut t, &mut c, &mut r);
+        assert_eq!(s.retransq_len(), 1, "round-1 HO is queued");
+    }
+
     #[test]
     fn stale_ho_for_retired_message_is_ignored() {
         let mut s = sender(RetransMode::Batched);
