@@ -285,7 +285,8 @@ fn dcp_flow_churn_allocates_nothing_at_steady_state_on_two_shards() {
 /// Resident heap per installed connection (tx + rx endpoint plus the
 /// host's slab slot, flow page and ready bit) at 100 k QPs: DCP's counting
 /// tracker and RetransQ head keep it within 1.5× of GBN's, where IRN-style
-/// designs must provision BDP bitmaps (`dcp-analytic` pins those numbers).
+/// designs must provision BDP bitmaps (the `table4_resources` row itemizes
+/// those bytes).
 #[test]
 fn dcp_resident_bytes_per_qp_stay_gbn_sized() {
     let n = 100_000usize;
