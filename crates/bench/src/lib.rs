@@ -8,7 +8,7 @@
 //! 256 hosts (minutes to hours). This crate holds the rows, the dispatcher
 //! ([`cli`]) and their shared scaffolding.
 
-use dcp_check::{DeliveryOracle, Liveness, Repro, Watchdog, WatchdogConfig};
+use dcp_check::{DeliveryOracle, Liveness, Repro, Watchdog};
 use dcp_core::dcp_switch_config;
 use dcp_netsim::switch::SwitchConfig;
 use dcp_netsim::time::{Nanos, SEC, US};
@@ -287,10 +287,7 @@ pub(crate) struct Gates {
 
 impl Gates {
     pub(crate) fn arm(sim: &mut Simulator) -> Gates {
-        let g = Gates {
-            oracle: DeliveryOracle::new(),
-            watchdog: Watchdog::new(WatchdogConfig::default()),
-        };
+        let g = Gates { oracle: DeliveryOracle::new(), watchdog: Watchdog::new() };
         let recorder = Box::new(FlightRecorder::default());
         sim.set_probe(Box::new(Fanout::new(vec![g.oracle.probe(), g.watchdog.probe(), recorder])));
         g

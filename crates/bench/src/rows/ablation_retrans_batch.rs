@@ -6,7 +6,7 @@
 //! batched design, across PCIe latencies.
 
 use super::prelude::*;
-use dcp_core::{DcpConfig, PcieConfig, RetransMode};
+use dcp_core::{DcpConfig, RetransMode};
 use dcp_workloads::{endpoint_pair_opts, RunOpts};
 
 fn batch_goodput(mode: RetransMode, pcie_rtt: Nanos, loss: f64) -> Option<f64> {
@@ -14,8 +14,7 @@ fn batch_goodput(mode: RetransMode, pcie_rtt: Nanos, loss: f64) -> Option<f64> {
     cfg.forced_loss_rate = loss;
     let mut sim = Simulator::new(47);
     let topo = topology::two_switch_testbed(&mut sim, cfg, 1, 100.0, &[100.0], US, US);
-    let pcie = PcieConfig { rtt: pcie_rtt, batch: 16 };
-    let dcp = DcpConfig { retrans_mode: mode, pcie, ..Default::default() };
+    let dcp = DcpConfig { retrans_mode: mode, pcie_rtt, ..Default::default() };
     let opts = RunOpts { dcp, ..Default::default() };
     let pair = |f, s, d| endpoint_pair_opts(TransportKind::Dcp, CcKind::None, f, s, d, opts);
     let hosts = [(topo.hosts[0], topo.hosts[1])];

@@ -10,7 +10,7 @@ use dcp_netsim::{FlowId, NodeId};
 use dcp_rdma::headers::DcpTag;
 use dcp_transport::cc::NoCc;
 use dcp_transport::common::{FlowCfg, Placement};
-use dcp_transport::swtcp::{swtcp_pair, SwTcpConfig};
+use dcp_transport::swtcp::swtcp_pair;
 
 /// Throughput of 64 × 512 KB messages (simulator seed `seeds[0]`) and the
 /// latency of one 64 B message (`seeds[1]`) over `pair`'s endpoints.
@@ -34,7 +34,7 @@ pub fn run(_: &Args) -> Report {
     let tcp = |flow, src, dst| -> EndpointPair {
         let cfg = FlowCfg::sender(flow, src, dst, DcpTag::NonDcp);
         let noc = Box::new(NoCc::default());
-        let (tx, rx) = swtcp_pair(cfg, SwTcpConfig::default(), noc, Placement::Virtual);
+        let (tx, rx) = swtcp_pair(cfg, noc, Placement::Virtual);
         (Box::new(tx), Box::new(rx))
     };
     for (label, (t, l)) in [

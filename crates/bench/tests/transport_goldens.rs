@@ -31,7 +31,7 @@ use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::WorkReqOp;
 use dcp_transport::cc::NoCc;
 use dcp_transport::common::{FlowCfg, Placement};
-use dcp_transport::swtcp::{swtcp_pair, SwTcpConfig};
+use dcp_transport::swtcp::swtcp_pair;
 use dcp_workloads::{endpoint_pair_opts, CcKind, RunOpts, TransportKind};
 
 /// The eight protocols: a workload `TransportKind`, or the SwTcp model
@@ -92,12 +92,7 @@ fn pair(
         }
         Proto::SwTcp => {
             let cfg = FlowCfg::sender(flow, src, dst, DcpTag::NonDcp);
-            let (t, r) = swtcp_pair(
-                cfg,
-                SwTcpConfig::default(),
-                Box::new(NoCc::default()),
-                Placement::Virtual,
-            );
+            let (t, r) = swtcp_pair(cfg, Box::new(NoCc::default()), Placement::Virtual);
             (Box::new(t), Box::new(r))
         }
     }

@@ -15,7 +15,9 @@
 //! lets a "BER + reorder" profile reuse the fault engine unchanged.
 
 use dcp_faults::link_stream_seed;
-use dcp_netsim::{FaultPlane, FaultVerdict, Nanos, NodeId, Packet, PortId, Simulator, US};
+use dcp_netsim::{
+    FaultPlane, FaultVerdict, Nanos, NodeId, Packet, PortId, Simulator, SplitMix64, US,
+};
 use dcp_rdma::headers::DcpTag;
 use dcp_telemetry::Json;
 use std::collections::HashMap;
@@ -25,24 +27,20 @@ use std::collections::HashMap;
 /// seed.
 const ADVERSARY_SALT: u64 = 0x005e_ed0f_ad5e_7157;
 
-/// SplitMix64: tiny, seedable, and already the repo's stream-derivation
-/// primitive (see [`link_stream_seed`]).
+/// One link's decision stream: the workspace's [`SplitMix64`], seeded off
+/// the adversary seed and the arrival key (see [`link_stream_seed`]).
 #[derive(Debug, Clone)]
-struct SplitMix64(u64);
+struct LinkStream(SplitMix64);
 
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+impl LinkStream {
+    fn new(seed: u64) -> Self {
+        LinkStream(SplitMix64::new(seed))
     }
 
     /// True with probability `p`. Draws nothing when `p` is zero, so a
     /// disabled mechanism costs no stream state.
     fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && ((self.next() >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
+        p > 0.0 && ((self.0.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
     }
 
     /// Uniform draw from the inclusive range; a degenerate range is a
@@ -51,7 +49,7 @@ impl SplitMix64 {
         if hi <= lo {
             lo
         } else {
-            lo + self.next() % (hi - lo + 1)
+            lo + self.0.next_u64() % (hi - lo + 1)
         }
     }
 }
@@ -191,7 +189,7 @@ pub struct Adversary {
     profile: AdversaryProfile,
     seed: u64,
     inner: Option<Box<dyn FaultPlane>>,
-    streams: HashMap<(u32, PortId), SplitMix64>,
+    streams: HashMap<(u32, PortId), LinkStream>,
 }
 
 impl Adversary {
@@ -227,10 +225,9 @@ impl FaultPlane for Adversary {
             return FaultVerdict::Deliver;
         }
         let seed = self.seed;
-        let s = self
-            .streams
-            .entry((node.0, port))
-            .or_insert_with(|| SplitMix64(link_stream_seed(seed ^ ADVERSARY_SALT, node, port)));
+        let s = self.streams.entry((node.0, port)).or_insert_with(|| {
+            LinkStream::new(link_stream_seed(seed ^ ADVERSARY_SALT, node, port))
+        });
         // Fixed roll order (dup, delay, reorder) keeps each link's draw
         // sequence a stable function of its arrival count.
         if s.chance(p.dup_prob) {
@@ -273,18 +270,18 @@ mod tests {
 
     #[test]
     fn streams_are_per_link_and_deterministic() {
-        let mut a = SplitMix64(link_stream_seed(7, NodeId(0), 1));
-        let mut b = SplitMix64(link_stream_seed(7, NodeId(0), 2));
+        let mut a = LinkStream::new(link_stream_seed(7, NodeId(0), 1));
+        let mut b = LinkStream::new(link_stream_seed(7, NodeId(0), 2));
         let (xa, xb): (Vec<u64>, Vec<u64>) =
-            ((0..8).map(|_| a.next()).collect(), (0..8).map(|_| b.next()).collect());
+            ((0..8).map(|_| a.0.next_u64()).collect(), (0..8).map(|_| b.0.next_u64()).collect());
         assert_ne!(xa, xb, "neighbouring links must draw unrelated streams");
-        let mut a2 = SplitMix64(link_stream_seed(7, NodeId(0), 1));
-        assert_eq!(xa, (0..8).map(|_| a2.next()).collect::<Vec<_>>());
+        let mut a2 = LinkStream::new(link_stream_seed(7, NodeId(0), 1));
+        assert_eq!(xa, (0..8).map(|_| a2.0.next_u64()).collect::<Vec<_>>());
     }
 
     #[test]
     fn chance_extremes_and_ranges() {
-        let mut s = SplitMix64(42);
+        let mut s = LinkStream::new(42);
         assert!(!s.chance(0.0));
         assert!(s.chance(1.0));
         assert_eq!(s.in_range((5, 5)), 5);

@@ -41,4 +41,4 @@ pub mod watchdog;
 pub use adversary::{Adversary, AdversaryProfile};
 pub use oracle::DeliveryOracle;
 pub use shrink::{shrink_plan, shrink_repro, Repro};
-pub use watchdog::{pfc_deadlock_cycle, Liveness, Watchdog, WatchdogConfig};
+pub use watchdog::{pfc_deadlock_cycle, Liveness, Watchdog};

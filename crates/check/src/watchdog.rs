@@ -4,7 +4,7 @@
 //! A deterministic simulator cannot "time out" in wall-clock terms, so
 //! hangs historically surfaced as a test harness giving up — with no
 //! diagnosis. The [`Watchdog`] replaces that with a *virtual-time* bound:
-//! if `stall_after` nanoseconds pass with work outstanding and not one new
+//! if `STALL_AFTER` nanoseconds pass with work outstanding and not one new
 //! byte delivered, the run is declared stuck. The classification matters:
 //!
 //! * **Stall** — delivery frozen and the transport silent: a blackhole, a
@@ -28,23 +28,14 @@ use dcp_telemetry::{Probe, ProbeEvent};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Tunables for the no-progress bound.
-#[derive(Debug, Clone, Copy)]
-pub struct WatchdogConfig {
-    /// Virtual nanoseconds without a delivered byte (while work is
-    /// outstanding) before the run is declared stuck.
-    pub stall_after: Nanos,
-    /// Minimum retransmissions inside the stalled window for the verdict
-    /// to be `Livelock` rather than `Stall` — a couple of stray retx around
-    /// the freeze point should not masquerade as active spinning.
-    pub livelock_retx: u64,
-}
+/// Virtual nanoseconds without a delivered byte (while work is
+/// outstanding) before the run is declared stuck.
+const STALL_AFTER: Nanos = 5 * MS;
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig { stall_after: 5 * MS, livelock_retx: 8 }
-    }
-}
+/// Minimum retransmissions inside the stalled window for the verdict to be
+/// `Livelock` rather than `Stall` — a couple of stray retx around the
+/// freeze point should not masquerade as active spinning.
+const LIVELOCK_RETX: u64 = 8;
 
 /// The watchdog's verdict at a check point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,13 +61,12 @@ struct State {
 /// [`Watchdog::check`] periodically from the driving loop.
 #[derive(Debug, Clone, Default)]
 pub struct Watchdog {
-    cfg: WatchdogConfig,
     state: Arc<Mutex<State>>,
 }
 
 impl Watchdog {
-    pub fn new(cfg: WatchdogConfig) -> Self {
-        Watchdog { cfg, state: Arc::default() }
+    pub fn new() -> Self {
+        Watchdog::default()
     }
 
     /// The probe half to install on the simulator.
@@ -87,17 +77,17 @@ impl Watchdog {
     /// Verdict at virtual time `now` with `outstanding` posted-but-
     /// undelivered messages (from the delivery oracle). The progress clock
     /// starts at t=0, so a run that never delivers anything trips once
-    /// `stall_after` passes.
+    /// `STALL_AFTER` passes.
     pub fn check(&self, now: Nanos, outstanding: u64) -> Liveness {
         if outstanding == 0 {
             return Liveness::Ok;
         }
         let s = self.state.lock().unwrap();
         let stalled_for = now.saturating_sub(s.last_delivery);
-        if stalled_for < self.cfg.stall_after {
+        if stalled_for < STALL_AFTER {
             return Liveness::Ok;
         }
-        if s.retx_since_delivery >= self.cfg.livelock_retx {
+        if s.retx_since_delivery >= LIVELOCK_RETX {
             Liveness::Livelock { stalled_for, retx: s.retx_since_delivery, outstanding }
         } else {
             Liveness::Stall { stalled_for, outstanding }
@@ -218,7 +208,7 @@ mod tests {
 
     #[test]
     fn progressing_run_stays_ok() {
-        let wd = Watchdog::new(WatchdogConfig::default());
+        let wd = Watchdog::new();
         let mut p = wd.probe();
         for i in 0..10 {
             delivery(i * MS, &mut p);
@@ -228,7 +218,7 @@ mod tests {
 
     #[test]
     fn silence_with_outstanding_work_is_a_stall() {
-        let wd = Watchdog::new(WatchdogConfig::default());
+        let wd = Watchdog::new();
         let mut p = wd.probe();
         delivery(MS, &mut p);
         assert_eq!(wd.check(7 * MS, 3), Liveness::Stall { stalled_for: 6 * MS, outstanding: 3 });
@@ -238,7 +228,7 @@ mod tests {
 
     #[test]
     fn retx_churn_without_delivery_is_a_livelock() {
-        let wd = Watchdog::new(WatchdogConfig::default());
+        let wd = Watchdog::new();
         let mut p = wd.probe();
         delivery(MS, &mut p);
         for i in 0..20 {
@@ -255,7 +245,7 @@ mod tests {
 
     #[test]
     fn sparse_retx_classifies_as_stall_not_livelock() {
-        let wd = Watchdog::new(WatchdogConfig::default());
+        let wd = Watchdog::new();
         let mut p = wd.probe();
         delivery(MS, &mut p);
         retx(2 * MS, &mut p);

@@ -22,23 +22,6 @@ pub enum RetransMode {
     Batched,
 }
 
-/// PCIe transaction model.
-#[derive(Debug, Clone, Copy)]
-pub struct PcieConfig {
-    /// Round-trip latency between the RNIC and host memory (footnote 9
-    /// assumes 1 µs).
-    pub rtt: Nanos,
-    /// Maximum retransmission entries fetched per batch (16 in §4.3,
-    /// 16 × 1 KB = the 16 KB `round_quota`).
-    pub batch: usize,
-}
-
-impl Default for PcieConfig {
-    fn default() -> Self {
-        PcieConfig { rtt: US, batch: 16 }
-    }
-}
-
 /// Full DCP-RNIC configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DcpConfig {
@@ -46,24 +29,14 @@ pub struct DcpConfig {
     /// paper keeps this deliberately coarse — it only fires when the
     /// lossless-control-plane assumption is violated.
     pub coarse_timeout: Nanos,
-    /// DCQCN NP interval for receiver-side CNP generation.
-    pub cnp_interval: Nanos,
     pub retrans_mode: RetransMode,
-    pub pcie: PcieConfig,
-    /// Messages the receiver tracks concurrently per QP. The FPGA prototype
-    /// provisions 8 (NCCL's outstanding-message depth, §4.5); the software
-    /// model defaults higher so arbitrary workloads don't hit the cap.
-    pub max_tracked_msgs: usize,
+    /// PCIe round-trip latency between the RNIC and host memory
+    /// (footnote 9 assumes 1 µs).
+    pub pcie_rtt: Nanos,
 }
 
 impl Default for DcpConfig {
     fn default() -> Self {
-        DcpConfig {
-            coarse_timeout: 10 * MS,
-            cnp_interval: 50 * US,
-            retrans_mode: RetransMode::Batched,
-            pcie: PcieConfig::default(),
-            max_tracked_msgs: 64,
-        }
+        DcpConfig { coarse_timeout: 10 * MS, retrans_mode: RetransMode::Batched, pcie_rtt: US }
     }
 }

@@ -32,7 +32,7 @@ pub mod sender;
 pub mod switch;
 pub mod tracking;
 
-pub use config::{DcpConfig, PcieConfig, RetransMode};
+pub use config::{DcpConfig, RetransMode};
 pub use receiver::{dcp_pair, DcpReceiver};
 pub use sender::DcpSender;
 pub use switch::{dcp_switch_config, effective_wrr_weight, ho_size_ratio, wrr_weight};

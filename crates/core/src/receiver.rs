@@ -12,6 +12,11 @@ use dcp_rdma::headers::DcpTag;
 use dcp_transport::common::{FlowCfg, Placement};
 use dcp_transport::txcore::AckQueue;
 
+/// Messages the receiver tracks concurrently per QP. The FPGA prototype
+/// provisions 8 (NCCL's outstanding-message depth, §4.5); the software
+/// model provisions more so arbitrary workloads don't hit the cap.
+const MAX_TRACKED_MSGS: usize = 64;
+
 /// The DCP-RNIC responder.
 pub struct DcpReceiver {
     tracker: MsgTracker,
@@ -34,11 +39,11 @@ pub struct DcpReceiver {
 }
 
 impl DcpReceiver {
-    pub fn new(cfg: FlowCfg, dcfg: DcpConfig, placement: Placement) -> Self {
+    pub fn new(cfg: FlowCfg, placement: Placement) -> Self {
         DcpReceiver {
-            tracker: MsgTracker::new(dcfg.max_tracked_msgs),
+            tracker: MsgTracker::new(MAX_TRACKED_MSGS),
             placement,
-            acks: AckQueue::new(cfg, dcfg.cnp_interval),
+            acks: AckQueue::new(cfg),
             stats: TransportStats::default(),
             ho_bounced: 0,
             rq: dcp_rdma::qp::RecvQueue::new(),
@@ -227,7 +232,7 @@ pub fn dcp_pair(
     placement: Placement,
 ) -> (crate::sender::DcpSender, DcpReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (crate::sender::DcpSender::new(cfg, dcfg, cc), DcpReceiver::new(rcfg, dcfg, placement))
+    (crate::sender::DcpSender::new(cfg, dcfg, cc), DcpReceiver::new(rcfg, placement))
 }
 
 #[cfg(test)]
@@ -246,7 +251,7 @@ mod tests {
     }
 
     fn receiver() -> DcpReceiver {
-        DcpReceiver::new(FlowCfg::receiver_of(&scfg()), DcpConfig::default(), Placement::Virtual)
+        DcpReceiver::new(FlowCfg::receiver_of(&scfg()), Placement::Virtual)
     }
 
     fn data(psn: u32, sretry: u8) -> Packet {
@@ -343,8 +348,7 @@ mod tests {
         let mut mtt = Mtt::new();
         mtt.register(0x5000, 8192);
         let placement = Placement::Real { mtt, pattern: PatternGen::new(9) };
-        let mut rx =
-            DcpReceiver::new(FlowCfg::receiver_of(&scfg()), DcpConfig::default(), placement);
+        let mut rx = DcpReceiver::new(FlowCfg::receiver_of(&scfg()), placement);
         // Two 2 KB Send messages; buffers posted out of band.
         rx.post_recv(100, 0x5000, 2048);
         rx.post_recv(101, 0x5000 + 4096, 2048);
@@ -375,11 +379,7 @@ mod tests {
 
     #[test]
     fn rnr_without_posted_buffer_is_not_counted() {
-        let mut rx = DcpReceiver::new(
-            FlowCfg::receiver_of(&scfg()),
-            DcpConfig::default(),
-            Placement::Virtual,
-        );
+        let mut rx = DcpReceiver::new(FlowCfg::receiver_of(&scfg()), Placement::Virtual);
         rx.auto_rq = false;
         let mut book = TxBook::new();
         let (mut pool, mut t, mut c, mut r) =
@@ -406,8 +406,7 @@ mod tests {
         let mut mtt = Mtt::new();
         mtt.register(0x2000, 4096);
         let placement = Placement::Real { mtt, pattern: PatternGen::new(3) };
-        let mut rx =
-            DcpReceiver::new(FlowCfg::receiver_of(&scfg()), DcpConfig::default(), placement);
+        let mut rx = DcpReceiver::new(FlowCfg::receiver_of(&scfg()), placement);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         for psn in [3u32, 1, 0, 2] {

@@ -25,6 +25,10 @@ use std::collections::{HashMap, VecDeque};
 /// Timer token for a PCIe fetch completion.
 const FETCH: u64 = 5 << tokens::KIND_SHIFT;
 
+/// Maximum retransmission entries fetched per batch (16 in §4.3,
+/// 16 × 1 KB = the 16 KB `round_quota`).
+const PCIE_BATCH: usize = 16;
+
 /// The DCP-RNIC requester. Of the skeleton's cumulative window it uses
 /// only `snd_nxt` (acknowledgment is by eMSN, not PSN), and its RTO is the
 /// coarse-grained fallback timer.
@@ -73,9 +77,9 @@ impl DcpSender {
         let latency = match self.dcfg.retrans_mode {
             // Batched: the Tx path issues one batched read (entries + WQEs
             // pipelined with the payload DMA).
-            RetransMode::Batched => self.dcfg.pcie.rtt,
+            RetransMode::Batched => self.dcfg.pcie_rtt,
             // Per-HO strawman: WQE fetch then data fetch, serialized.
-            RetransMode::PerHo => 2 * self.dcfg.pcie.rtt,
+            RetransMode::PerHo => 2 * self.dcfg.pcie_rtt,
         };
         ctx.timers.push((ctx.now + latency, FETCH));
     }
@@ -186,7 +190,7 @@ impl Endpoint for DcpSender {
                 self.fetch_inflight = false;
                 self.pcie_fetches += 1;
                 let n = match self.dcfg.retrans_mode {
-                    RetransMode::Batched => self.dcfg.pcie.batch.min(self.retransq.len()),
+                    RetransMode::Batched => PCIE_BATCH.min(self.retransq.len()),
                     RetransMode::PerHo => 1.min(self.retransq.len()),
                 };
                 self.fetched.extend(self.retransq.drain(..n));

@@ -13,6 +13,7 @@ use crate::loss::LinkLoss;
 use crate::plan::{FaultEvent, FaultPlan};
 use dcp_netsim::fault::{FaultPlane, FaultVerdict};
 use dcp_netsim::sim::{Event, Simulator};
+use dcp_netsim::splitmix::{mix64, GAMMA};
 use dcp_netsim::{Nanos, NodeId, Packet, PortId};
 use dcp_telemetry::{FaultKind, ProbeEvent};
 
@@ -20,11 +21,7 @@ use dcp_telemetry::{FaultKind, ProbeEvent};
 /// key through SplitMix64's finalizer, so neighbouring links get unrelated
 /// streams and draws on one link never consume another's.
 pub fn link_stream_seed(plan_seed: u64, node: NodeId, port: PortId) -> u64 {
-    let mut z =
-        plan_seed ^ ((u64::from(node.0) << 32) | port as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(plan_seed ^ ((u64::from(node.0) << 32) | port as u64).wrapping_mul(GAMMA))
 }
 
 /// State of one unidirectional link under fault, keyed by arrival endpoint.

@@ -37,6 +37,7 @@ pub mod ready;
 pub mod routing;
 pub mod shard;
 pub mod sim;
+pub mod splitmix;
 pub mod stats;
 pub mod switch;
 pub mod time;
@@ -54,6 +55,7 @@ pub use ready::ReadySet;
 pub use routing::LoadBalance;
 pub use shard::{env_shards, env_threads};
 pub use sim::{Event, Node, NodeCtx, Simulator};
+pub use splitmix::{mix64, SplitMix64};
 pub use stats::{Conservation, NetStats, TransportStats};
 pub use switch::{EcnConfig, PfcConfig, SwitchConfig};
 pub use time::{bdp_bytes, fiber_delay_km, tx_time, Nanos, MS, NS, SEC, US};

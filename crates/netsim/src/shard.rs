@@ -53,6 +53,7 @@ use crate::fault::{FaultPlane, FaultVerdict};
 use crate::packet::{NodeId, Packet, PortId};
 use crate::pool::{PacketPool, PktRef};
 use crate::sim::{Event, Node, NodeCtx, Simulator};
+use crate::splitmix::{mix64, GAMMA};
 use crate::stats::NetStats;
 use crate::time::Nanos;
 use crate::topology::Topology;
@@ -123,10 +124,7 @@ pub(crate) fn shard_seed(seed: u64, ix: usize) -> u64 {
     if ix == 0 {
         return seed;
     }
-    let mut z = seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(ix as u64));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(seed ^ GAMMA.wrapping_mul(ix as u64))
 }
 
 /// A cross-shard event in transit. `key` is the source shard's emission

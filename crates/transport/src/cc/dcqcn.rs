@@ -4,64 +4,52 @@
 //! Reaction point (sender) algorithm:
 //! * On CNP: `alpha` is refreshed, the target rate is remembered and the
 //!   current rate is cut multiplicatively: `Rc ← Rc(1 − α/2)`.
-//! * `alpha` decays every `alpha_timer` without CNPs.
-//! * Rate increases run every `rate_timer` (and every `byte_counter` bytes):
-//!   five fast-recovery iterations move `Rc` halfway back to the target
-//!   rate, then additive increase raises the target by `rai`, then hyper
-//!   increase by `rhai`.
+//! * `alpha` decays every [`ALPHA_TIMER`] without CNPs.
+//! * Rate increases run every [`RATE_TIMER`] (and every [`BYTE_COUNTER`]
+//!   bytes): five fast-recovery iterations move `Rc` halfway back to the
+//!   target rate, then additive increase raises the target by
+//!   [`RAI_GBPS`], then hyper increase by [`RHAI_GBPS`].
 //!
-//! The notification point (receiver) side — "send at most one CNP per
-//! `cnp_interval` per flow when ECN-marked packets arrive" — lives in the
-//! transports' receiver endpoints; this module only models the sender.
+//! Every parameter but the line rate is a constant (the paper's 100 Gbps
+//! NS3 setups). The notification point (receiver) side — "send at most
+//! one CNP per `CNP_INTERVAL` per flow when ECN-marked packets arrive" —
+//! lives in the transports' receiver endpoints
+//! ([`crate::common::CnpGen`]); this module only models the sender.
 
 use super::CongestionControl;
 use dcp_netsim::time::{Nanos, US};
 
-/// DCQCN parameters (defaults follow the paper's 100 Gbps NS3 setups).
-#[derive(Debug, Clone, Copy)]
-pub struct DcqcnConfig {
-    /// Line rate; also the initial rate (RoCE deployments start at line
-    /// rate).
-    pub line_rate_gbps: f64,
-    /// Minimum rate floor.
-    pub min_rate_gbps: f64,
-    /// `g`: weight of new congestion information in the alpha EWMA.
-    pub g: f64,
-    /// Alpha decay / update period (55 µs in the reference).
-    pub alpha_timer: Nanos,
-    /// Rate-increase period (55 µs in the reference implementation).
-    pub rate_timer: Nanos,
-    /// Bytes per byte-counter increase stage.
-    pub byte_counter: u64,
-    /// Additive increase step (Gbps). Reference: 40 Mbps, scaled ×5 for
-    /// 100 G fabrics.
-    pub rai_gbps: f64,
-    /// Hyper increase step (Gbps).
-    pub rhai_gbps: f64,
-    /// Fast-recovery stage threshold (F = 5).
-    pub fr_threshold: u32,
-}
+/// Minimum rate floor.
+const MIN_RATE_GBPS: f64 = 0.1;
 
-impl Default for DcqcnConfig {
-    fn default() -> Self {
-        DcqcnConfig {
-            line_rate_gbps: 100.0,
-            min_rate_gbps: 0.1,
-            g: 1.0 / 16.0,
-            alpha_timer: 55 * US,
-            rate_timer: 55 * US,
-            byte_counter: 10 << 20,
-            rai_gbps: 1.0,
-            rhai_gbps: 5.0,
-            fr_threshold: 5,
-        }
-    }
-}
+/// `g`: weight of new congestion information in the alpha EWMA.
+const G: f64 = 1.0 / 16.0;
+
+/// Alpha decay / update period (55 µs in the reference).
+const ALPHA_TIMER: Nanos = 55 * US;
+
+/// Rate-increase period (55 µs in the reference implementation).
+const RATE_TIMER: Nanos = 55 * US;
+
+/// Bytes per byte-counter increase stage.
+const BYTE_COUNTER: u64 = 10 << 20;
+
+/// Additive increase step (Gbps). Reference: 40 Mbps, scaled ×5 for
+/// 100 G fabrics.
+const RAI_GBPS: f64 = 1.0;
+
+/// Hyper increase step (Gbps).
+const RHAI_GBPS: f64 = 5.0;
+
+/// Fast-recovery stage threshold (F = 5).
+const FR_THRESHOLD: u32 = 5;
 
 /// DCQCN reaction-point state.
 #[derive(Debug, Clone)]
 pub struct Dcqcn {
-    cfg: DcqcnConfig,
+    /// Line rate; also the initial rate (RoCE deployments start at line
+    /// rate).
+    line_rate_gbps: f64,
     /// Current rate (Gbps).
     rc: f64,
     /// Target rate remembered at the last cut (Gbps).
@@ -81,11 +69,11 @@ pub struct Dcqcn {
 }
 
 impl Dcqcn {
-    pub fn new(cfg: DcqcnConfig) -> Self {
+    pub fn new(line_rate_gbps: f64) -> Self {
         Dcqcn {
-            cfg,
-            rc: cfg.line_rate_gbps,
-            rt: cfg.line_rate_gbps,
+            line_rate_gbps,
+            rc: line_rate_gbps,
+            rt: line_rate_gbps,
             alpha: 1.0,
             t_iter: 0,
             b_iter: 0,
@@ -104,16 +92,16 @@ impl Dcqcn {
 
     fn increase(&mut self) {
         let stage = self.t_iter.max(self.b_iter);
-        if stage < self.cfg.fr_threshold {
+        if stage < FR_THRESHOLD {
             // Fast recovery: move halfway back toward the target.
-        } else if self.t_iter >= self.cfg.fr_threshold && self.b_iter >= self.cfg.fr_threshold {
+        } else if self.t_iter >= FR_THRESHOLD && self.b_iter >= FR_THRESHOLD {
             // Hyper increase.
-            self.rt = (self.rt + self.cfg.rhai_gbps).min(self.cfg.line_rate_gbps);
+            self.rt = (self.rt + RHAI_GBPS).min(self.line_rate_gbps);
         } else {
             // Additive increase.
-            self.rt = (self.rt + self.cfg.rai_gbps).min(self.cfg.line_rate_gbps);
+            self.rt = (self.rt + RAI_GBPS).min(self.line_rate_gbps);
         }
-        self.rc = ((self.rt + self.rc) / 2.0).min(self.cfg.line_rate_gbps);
+        self.rc = ((self.rt + self.rc) / 2.0).min(self.line_rate_gbps);
     }
 }
 
@@ -124,7 +112,7 @@ impl CongestionControl for Dcqcn {
         let tx = (bytes as f64 * 8.0 / self.rc).ceil() as Nanos;
         self.next_free = self.next_free.max(now) + tx;
         self.bytes_since_cut += bytes as u64;
-        if self.bytes_since_cut >= self.cfg.byte_counter {
+        if self.bytes_since_cut >= BYTE_COUNTER {
             self.bytes_since_cut = 0;
             self.b_iter += 1;
             self.increase();
@@ -133,11 +121,11 @@ impl CongestionControl for Dcqcn {
 
     fn on_congestion(&mut self, now: Nanos) {
         // Alpha refresh and multiplicative decrease.
-        self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
+        self.alpha = (1.0 - G) * self.alpha + G;
         self.cnp_since_alpha = true;
         self.last_alpha_update = now;
         self.rt = self.rc;
-        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(self.cfg.min_rate_gbps);
+        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(MIN_RATE_GBPS);
         self.t_iter = 0;
         self.b_iter = 0;
         self.bytes_since_cut = 0;
@@ -155,23 +143,23 @@ impl CongestionControl for Dcqcn {
     }
 
     fn on_tick(&mut self, now: Nanos) -> Option<Nanos> {
-        if now.saturating_sub(self.last_alpha_update) >= self.cfg.alpha_timer {
+        if now.saturating_sub(self.last_alpha_update) >= ALPHA_TIMER {
             if !self.cnp_since_alpha {
-                self.alpha *= 1.0 - self.cfg.g;
+                self.alpha *= 1.0 - G;
             }
             self.cnp_since_alpha = false;
             self.last_alpha_update = now;
         }
-        if now.saturating_sub(self.last_rate_update) >= self.cfg.rate_timer {
+        if now.saturating_sub(self.last_rate_update) >= RATE_TIMER {
             self.t_iter += 1;
             self.increase();
             self.last_rate_update = now;
         }
-        Some(now + self.cfg.alpha_timer.min(self.cfg.rate_timer))
+        Some(now + ALPHA_TIMER.min(RATE_TIMER))
     }
 
     fn reset(&mut self) {
-        *self = Dcqcn::new(self.cfg);
+        *self = Dcqcn::new(self.line_rate_gbps);
     }
 }
 
@@ -181,14 +169,14 @@ mod tests {
 
     #[test]
     fn starts_at_line_rate() {
-        let d = Dcqcn::new(DcqcnConfig::default());
+        let d = Dcqcn::new(100.0);
         assert_eq!(d.rate_gbps(), 100.0);
         assert_eq!(d.next_send_time(1234), 1234);
     }
 
     #[test]
     fn cnp_cuts_rate_multiplicatively() {
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(100.0);
         d.on_congestion(1000);
         // alpha = 1 after refresh from initial 1.0 → cut by α/2 = 0.5.
         assert!(d.rate_gbps() < 100.0);
@@ -199,7 +187,7 @@ mod tests {
 
     #[test]
     fn rate_recovers_via_ticks() {
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(100.0);
         d.on_congestion(0);
         let cut = d.rate_gbps();
         let mut now = 0;
@@ -213,7 +201,7 @@ mod tests {
 
     #[test]
     fn alpha_decays_without_cnps() {
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(100.0);
         d.on_congestion(0);
         let mut now = 0;
         for _ in 0..100 {
@@ -228,7 +216,7 @@ mod tests {
 
     #[test]
     fn pacing_spaces_packets_at_current_rate() {
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(100.0);
         d.on_send(0, 1024);
         // 1 KB at 100 Gbps ≈ 82 ns.
         assert_eq!(d.next_send_time(0), 82);
@@ -240,7 +228,7 @@ mod tests {
 
     #[test]
     fn rate_never_below_floor() {
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(100.0);
         for i in 0..1000 {
             d.on_congestion(i * 1000);
         }

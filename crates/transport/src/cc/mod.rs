@@ -15,7 +15,7 @@
 
 mod dcqcn;
 
-pub use dcqcn::{Dcqcn, DcqcnConfig};
+pub use dcqcn::Dcqcn;
 
 use dcp_netsim::time::Nanos;
 

@@ -3,7 +3,7 @@
 //! receiver-side payload placement.
 
 use dcp_netsim::packet::{FlowId, NodeId, Packet, PktDesc, PktExt};
-use dcp_netsim::time::Nanos;
+use dcp_netsim::time::{Nanos, US};
 use dcp_netsim::RetxCause;
 use dcp_rdma::headers::*;
 use dcp_rdma::memory::{Mtt, PatternGen};
@@ -343,24 +343,22 @@ pub mod tokens {
     }
 }
 
-/// DCQCN notification point: emits at most one CNP per `interval` per flow
-/// when ECN-marked data arrives (§6.2's CC integration).
-#[derive(Debug, Clone, Copy)]
+/// DCQCN NP interval for receiver-side CNP generation: the reference
+/// DCQCN NP interval is 50 µs.
+const CNP_INTERVAL: Nanos = 50 * US;
+
+/// DCQCN notification point: emits at most one CNP per `CNP_INTERVAL`
+/// per flow when ECN-marked data arrives (§6.2's CC integration).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CnpGen {
-    interval: Nanos,
     last: Option<Nanos>,
 }
 
 impl CnpGen {
-    /// The reference DCQCN NP interval is 50 µs.
-    pub fn new(interval: Nanos) -> Self {
-        CnpGen { interval, last: None }
-    }
-
     /// Returns true if a CNP should be sent for an ECN-marked arrival now.
     pub fn should_send(&mut self, now: Nanos) -> bool {
         match self.last {
-            Some(t) if now.saturating_sub(t) < self.interval => false,
+            Some(t) if now.saturating_sub(t) < CNP_INTERVAL => false,
             _ => {
                 self.last = Some(now);
                 true

@@ -18,10 +18,11 @@
 //! cases a NACK can't cover (every shard of a tail generation lost — the
 //! receiver never learned the generation exists).
 //!
-//! Determinism: the receiver's NACK jitter draws from a private SplitMix64
-//! stream seeded from the flow identity — never from the simulator RNG —
-//! so same-seed runs are byte-identical at any `DCP_THREADS`/`DCP_SHARDS`
-//! setting (the same discipline `dcp-faults` uses for link loss streams).
+//! Determinism: the receiver's NACK jitter draws from a private
+//! [`SplitMix64`] stream seeded from the flow identity — never from the
+//! simulator RNG — so same-seed runs are byte-identical at any
+//! `DCP_THREADS`/`DCP_SHARDS` setting (the same discipline `dcp-faults`
+//! uses for link loss streams).
 //!
 //! The simulator does not carry payload bytes, so in-sim decoding is the
 //! codec's *accounting*: once k shards of a generation arrive the MDS
@@ -40,66 +41,43 @@ use crate::txcore::{AckQueue, TxCore};
 use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
 use dcp_netsim::pool::PktRef;
+use dcp_netsim::splitmix::{SplitMix64, GAMMA};
 use dcp_netsim::stats::TransportStats;
-use dcp_netsim::time::{Nanos, US};
+use dcp_netsim::time::Nanos;
 use dcp_netsim::RetxCause;
 use dcp_rdma::headers::RdmaOpcode;
 use dcp_rdma::qp::{SendWqe, WorkReqOp};
 use dcp_rdma::segment::{descriptor_for, PacketDescriptor};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+/// Data shards per generation (1..=32 — the NACK bitmap is a u32).
+const K: u8 = 8;
+
+/// Repair shards per generation. Short tail generations cap repair at
+/// their data count (repair is never more expensive than replication).
+const M: u8 = 2;
+
+const _: () = assert!(K >= 1 && K <= 32, "EC k must be 1..=32 (u32 NACK bitmap)");
+const _: () = assert!(M >= 1, "EC needs at least one repair shard");
+
+/// NACK rounds per generation before leaving it to the sender RTO.
+const MAX_NACKS: u8 = 8;
+
 /// EC tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct EcConfig {
-    /// Data shards per generation (1..=32 — the NACK bitmap is a u32).
-    pub k: u8,
-    /// Repair shards per generation. Short tail generations cap repair at
-    /// their data count (repair is never more expensive than replication).
-    pub m: u8,
     /// Sender last-resort timer.
     pub rto: Nanos,
     /// Receiver staleness before an incomplete generation is NACKed.
     pub nack_delay: Nanos,
-    /// NACK rounds per generation before leaving it to the sender RTO.
-    pub max_nacks: u8,
-    pub cnp_interval: Nanos,
 }
 
-impl Default for EcConfig {
-    fn default() -> Self {
-        EcConfig {
-            k: 8,
-            m: 2,
-            rto: 200 * US,
-            nack_delay: 25 * US,
-            max_nacks: 8,
-            cnp_interval: 50 * US,
-        }
-    }
-}
-
-/// Private deterministic stream for receiver-side NACK jitter (SplitMix64,
-/// same finalizer as `dcp-faults::link_stream_seed`). Drawing from the
-/// simulator RNG here would perturb unrelated flows' draw order and break
-/// cross-shard determinism.
-#[derive(Debug, Clone, Copy)]
-struct FlowStream {
-    state: u64,
-}
-
-impl FlowStream {
-    fn new(flow: FlowId, local: NodeId) -> Self {
-        let key = (u64::from(flow.0) << 32) | u64::from(local.0);
-        FlowStream { state: 0xec5e_ed00_0000_0001 ^ key.wrapping_mul(0x9e37_79b9_7f4a_7c15) }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+/// Private deterministic stream for receiver-side NACK jitter, keyed off
+/// the flow identity. Drawing from the simulator RNG here would perturb
+/// unrelated flows' draw order and break cross-shard determinism.
+fn flow_stream(flow: FlowId, local: NodeId) -> SplitMix64 {
+    let key = (u64::from(flow.0) << 32) | u64::from(local.0);
+    SplitMix64::new(0xec5e_ed00_0000_0001 ^ key.wrapping_mul(GAMMA))
 }
 
 /// Bitmap of a generation's first `k` shards.
@@ -116,7 +94,6 @@ fn gen_mask(k: u8) -> u32 {
 /// shards, answers bitmap NACKs with selective retransmits.
 pub struct EcSender {
     tx: TxCore,
-    ecfg: EcConfig,
     /// Repair shards awaiting first transmission: (gen_psn, shard ≥ gen_k).
     repair_q: VecDeque<(u32, u8)>,
     retx_q: VecDeque<(u32, RetxCause)>,
@@ -127,11 +104,8 @@ pub struct EcSender {
 
 impl EcSender {
     pub fn new(cfg: FlowCfg, ecfg: EcConfig, cc: Box<dyn CongestionControl>) -> Self {
-        assert!((1..=32).contains(&ecfg.k), "EC k must be 1..=32 (u32 NACK bitmap)");
-        assert!(ecfg.m >= 1, "EC needs at least one repair shard");
         EcSender {
             tx: TxCore::new(cfg, ecfg.rto, cc),
-            ecfg,
             repair_q: VecDeque::new(),
             retx_q: VecDeque::new(),
             retx_pending: BTreeSet::new(),
@@ -142,11 +116,11 @@ impl EcSender {
     /// generation's first PSN, its data-shard count (short for message
     /// tails) and its effective repair count.
     fn generation_of(&self, m: &MsgState, psn: u32) -> (u32, u8, u8) {
-        let k = u32::from(self.ecfg.k);
+        let k = u32::from(K);
         let g = (psn - m.first_psn) / k;
         let gen_psn = m.first_psn + g * k;
         let gen_k = k.min(m.pkt_count - g * k) as u8;
-        (gen_psn, gen_k, self.ecfg.m.min(gen_k))
+        (gen_psn, gen_k, M.min(gen_k))
     }
 
     /// Builds data shard `psn`; also returns its generation geometry.
@@ -333,11 +307,11 @@ impl GenState {
 /// EC receiver: direct placement, k-of-(k+m) generation decode, staleness
 /// NACKs for generations beyond the repair budget.
 pub struct EcReceiver {
-    ecfg: EcConfig,
+    nack_delay: Nanos,
     rx: RxCore,
     acks: AckQueue,
     gens: BTreeMap<u32, GenState>,
-    jitter: FlowStream,
+    jitter: SplitMix64,
     /// At most one scan entry is queued per connection life; a recycled
     /// endpoint's old entries die with its host slot's generation.
     scan_armed: bool,
@@ -348,10 +322,10 @@ impl EcReceiver {
     pub fn new(cfg: FlowCfg, ecfg: EcConfig, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
         EcReceiver {
-            jitter: FlowStream::new(cfg.flow, cfg.local),
-            ecfg,
+            jitter: flow_stream(cfg.flow, cfg.local),
+            nack_delay: ecfg.nack_delay,
             rx,
-            acks: AckQueue::new(cfg, ecfg.cnp_interval),
+            acks: AckQueue::new(cfg),
             gens: BTreeMap::new(),
             scan_armed: false,
             nack_scratch: Vec::new(),
@@ -413,8 +387,8 @@ impl EcReceiver {
         self.scan_armed = true;
         // Deterministic per-flow jitter desynchronizes NACK bursts across
         // flows without touching the simulator RNG.
-        let jitter = self.jitter.next() % (self.ecfg.nack_delay / 4).max(1);
-        ctx.timers.push((ctx.now + self.ecfg.nack_delay + jitter, tokens::PROBE));
+        let jitter = self.jitter.next_u64() % (self.nack_delay / 4).max(1);
+        ctx.timers.push((ctx.now + self.nack_delay + jitter, tokens::PROBE));
     }
 }
 
@@ -483,8 +457,8 @@ impl Endpoint for EcReceiver {
         nacks.clear();
         for (&g, e) in self.gens.iter_mut() {
             if e.data_complete()
-                || ctx.now.saturating_sub(e.last_arrival) < self.ecfg.nack_delay
-                || e.nacks >= self.ecfg.max_nacks
+                || ctx.now.saturating_sub(e.last_arrival) < self.nack_delay
+                || e.nacks >= MAX_NACKS
             {
                 continue;
             }
@@ -519,7 +493,7 @@ impl Endpoint for EcReceiver {
         self.acks.recycle(flow, local, remote);
         self.rx.recycle(local, flow);
         self.gens.clear();
-        self.jitter = FlowStream::new(flow, local);
+        self.jitter = flow_stream(flow, local);
         self.scan_armed = false;
         true
     }
@@ -543,6 +517,7 @@ mod tests {
     use crate::common::ack_packet;
     use dcp_netsim::endpoint::{deliver, pull_owned, Completion, CompletionKind};
     use dcp_netsim::pool::PacketPool;
+    use dcp_netsim::time::US;
     use dcp_rdma::headers::DcpTag;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -552,7 +527,7 @@ mod tests {
     }
 
     fn ecfg() -> EcConfig {
-        EcConfig { k: 4, m: 2, ..Default::default() }
+        EcConfig { rto: 200 * US, nack_delay: 25 * US }
     }
 
     fn pair() -> (EcSender, EcReceiver) {
@@ -599,8 +574,8 @@ mod tests {
     #[test]
     fn sender_trails_each_generation_with_repair_shards() {
         let (mut tx, _) = pair();
-        // 8 KB = 8 packets = 2 generations of k=4, each trailed by m=2.
-        tx.post(1, WorkReqOp::Write { remote_addr: 0x8000, rkey: 3 }, 8 * 1024);
+        // 16 KB = 16 packets = 2 generations of k=8, each trailed by m=2.
+        tx.post(1, WorkReqOp::Write { remote_addr: 0x8000, rkey: 3 }, 16 * 1024);
         let mut h = Harness::new();
         let pkts = h.drain(&mut tx, 0);
         let shards: Vec<(u32, u8, u8, u8)> = pkts
@@ -610,62 +585,63 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(shards.len(), 12, "8 data + 4 repair");
-        // Generation 0: data 0..4 then repair shards 4,5 before gen 1 data.
-        assert_eq!(&shards[..4], &[(0, 0, 4, 2), (0, 1, 4, 2), (0, 2, 4, 2), (0, 3, 4, 2)]);
-        assert_eq!(&shards[4..6], &[(0, 4, 4, 2), (0, 5, 4, 2)]);
-        assert_eq!(shards[6], (4, 0, 4, 2));
-        assert_eq!(tx.stats().data_pkts, 12);
+        assert_eq!(shards.len(), 20, "16 data + 4 repair");
+        // Generation 0: data 0..8 then repair shards 8,9 before gen 1 data.
+        assert_eq!(shards[..8], (0..8).map(|i| (0, i, 8, 2)).collect::<Vec<_>>());
+        assert_eq!(&shards[8..10], &[(0, 8, 8, 2), (0, 9, 8, 2)]);
+        assert_eq!(shards[10], (8, 0, 8, 2));
+        assert_eq!(tx.stats().data_pkts, 20);
         // Repair shards carry the generation geometry.
-        let rep = &pkts[4];
+        let rep = &pkts[8];
         let d = rep.desc.unpack().unwrap();
         assert_eq!(d.remote_addr, Some(0x8000));
-        assert_eq!(d.imm, Some(8 * 1024));
+        assert_eq!(d.imm, Some(16 * 1024));
         assert_eq!(rep.payload_len, 1024);
     }
 
     #[test]
     fn short_tail_generation_caps_repair_at_data_count() {
         let (mut tx, _) = pair();
-        // 5 packets: gen 0 has k=4 (+2 repair), gen 1 has k=1 (+1 repair).
-        tx.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 5 * 1024);
+        // 9 packets: gen 0 has k=8 (+2 repair), gen 1 has k=1 (+1 repair).
+        tx.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 9 * 1024);
         let mut h = Harness::new();
         let pkts = h.drain(&mut tx, 0);
-        assert_eq!(pkts.len(), 5 + 2 + 1);
+        assert_eq!(pkts.len(), 9 + 2 + 1);
         let last = pkts.last().unwrap();
-        assert_eq!(last.ext, PktExt::EcShard { gen_psn: 4, shard: 1, k: 1, m: 1 });
+        assert_eq!(last.ext, PktExt::EcShard { gen_psn: 8, shard: 1, k: 1, m: 1 });
     }
 
     #[test]
     fn receiver_decodes_m_losses_without_retransmission() {
         let (mut tx, mut rx) = pair();
-        tx.post(7, WorkReqOp::Write { remote_addr: 0x1000, rkey: 1 }, 4 * 1024);
+        tx.post(7, WorkReqOp::Write { remote_addr: 0x1000, rkey: 1 }, 8 * 1024);
         let mut h = Harness::new();
         let pkts = h.drain(&mut tx, 0);
-        assert_eq!(pkts.len(), 6);
-        // Drop data shards 1 and 2; deliver 0, 3 and both repair shards.
-        for ix in [0usize, 3, 4, 5] {
+        assert_eq!(pkts.len(), 10);
+        // Drop data shards 1 and 2; deliver 0, 3..8 and both repair shards.
+        for ix in [0usize, 3, 4, 5, 6, 7, 8, 9] {
             h.deliver(&mut rx, pkts[ix].clone(), 100 + ix as Nanos);
         }
         assert_eq!(h.comps.len(), 1, "message completed via decode");
         assert_eq!(h.comps[0].kind, CompletionKind::RecvComplete);
-        assert_eq!(h.comps[0].bytes, 4 * 1024);
+        assert_eq!(h.comps[0].bytes, 8 * 1024);
         let s = rx.stats();
-        assert_eq!(s.pkts_received, 4, "recovered shards are not wire arrivals");
-        assert_eq!(s.goodput_bytes, 4 * 1024, "all four data shards placed");
+        assert_eq!(s.pkts_received, 8, "recovered shards are not wire arrivals");
+        assert_eq!(s.goodput_bytes, 8 * 1024, "all eight data shards placed");
         // Final ack carries the fully-advanced cumulative pointer.
         let acks = h.drain(&mut rx, 200);
-        assert_eq!(acks.last().unwrap().ext, PktExt::GbnAck { epsn: 4 });
+        assert_eq!(acks.last().unwrap().ext, PktExt::GbnAck { epsn: 8 });
     }
 
     #[test]
     fn beyond_repair_budget_triggers_bitmap_nack() {
         let (mut tx, mut rx) = pair();
-        tx.post(7, WorkReqOp::Write { remote_addr: 0x1000, rkey: 1 }, 4 * 1024);
+        tx.post(7, WorkReqOp::Write { remote_addr: 0x1000, rkey: 1 }, 8 * 1024);
         let mut h = Harness::new();
         let pkts = h.drain(&mut tx, 0);
-        // Lose 3 of 4 data shards (> m = 2): deliver shard 0 + both repairs.
-        for ix in [0usize, 4, 5] {
+        // Lose 3 of 8 data shards (> m = 2): deliver shards 0 and 4..8 and
+        // both repairs.
+        for ix in [0usize, 4, 5, 6, 7, 8, 9] {
             h.deliver(&mut rx, pkts[ix].clone(), 100);
         }
         assert!(h.comps.is_empty(), "2 repairs can't cover 3 erasures");
@@ -708,7 +684,7 @@ mod tests {
     #[test]
     fn duplicated_repair_shard_does_not_double_decode() {
         let (mut tx, mut rx) = pair();
-        tx.post(7, WorkReqOp::Write { remote_addr: 0x1000, rkey: 1 }, 4 * 1024);
+        tx.post(7, WorkReqOp::Write { remote_addr: 0x1000, rkey: 1 }, 8 * 1024);
         let mut h = Harness::new();
         let pkts = h.drain(&mut tx, 0);
         // Deliver everything (gen completes on the wire), then replay a
@@ -718,12 +694,12 @@ mod tests {
         }
         let comps_before = h.comps.len();
         let goodput_before = rx.stats().goodput_bytes;
-        h.deliver(&mut rx, pkts[4].clone(), 60);
-        h.deliver(&mut rx, pkts[4].clone(), 61);
+        h.deliver(&mut rx, pkts[8].clone(), 60);
+        h.deliver(&mut rx, pkts[8].clone(), 61);
         assert_eq!(h.comps.len(), comps_before, "no new completions");
         assert_eq!(rx.stats().goodput_bytes, goodput_before, "no re-placement");
         assert_eq!(rx.stats().duplicates, 0, "late repairs are benign, not anomalies");
-        assert_eq!(rx.stats().pkts_received, 8, "6 + 2 wire arrivals");
+        assert_eq!(rx.stats().pkts_received, 12, "10 + 2 wire arrivals");
     }
 
     #[test]
@@ -741,13 +717,13 @@ mod tests {
 
     #[test]
     fn nack_jitter_is_flow_deterministic() {
-        let mut a = FlowStream::new(FlowId(42), NodeId(7));
-        let mut b = FlowStream::new(FlowId(42), NodeId(7));
-        let sa: Vec<u64> = (0..8).map(|_| a.next()).collect();
-        let sb: Vec<u64> = (0..8).map(|_| b.next()).collect();
+        let mut a = flow_stream(FlowId(42), NodeId(7));
+        let mut b = flow_stream(FlowId(42), NodeId(7));
+        let sa: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
+        let sb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(sa, sb, "same flow identity, same stream");
-        let mut c = FlowStream::new(FlowId(43), NodeId(7));
-        assert_ne!(sa, (0..8).map(|_| c.next()).collect::<Vec<_>>());
+        let mut c = flow_stream(FlowId(43), NodeId(7));
+        assert_ne!(sa, (0..8).map(|_| c.next_u64()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -10,16 +10,14 @@
 use crate::cc::CongestionControl;
 use crate::common::{tokens, FlowCfg, Placement};
 use crate::rxcore::RxCore;
-use crate::txcore::{AckQueue, BaseConfig, TxCore};
+use crate::txcore::{AckQueue, TxCore};
 use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
+use dcp_netsim::time::Nanos;
 use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
-
-/// Tunables for the GBN pair.
-pub type GbnConfig = BaseConfig;
 
 /// Go-Back-N sender. Loss signal: a NAK or the RTO; repair: rewind
 /// `snd_nxt` to `snd_una` and replay the window.
@@ -31,8 +29,8 @@ pub struct GbnSender {
 }
 
 impl GbnSender {
-    pub fn new(cfg: FlowCfg, gcfg: GbnConfig, cc: Box<dyn CongestionControl>) -> Self {
-        GbnSender { tx: TxCore::new(cfg, gcfg.rto, cc), retx_cause: RetxCause::Unknown }
+    pub fn new(cfg: FlowCfg, rto: Nanos, cc: Box<dyn CongestionControl>) -> Self {
+        GbnSender { tx: TxCore::new(cfg, rto, cc), retx_cause: RetxCause::Unknown }
     }
 }
 
@@ -113,10 +111,10 @@ pub struct GbnReceiver {
 }
 
 impl GbnReceiver {
-    pub fn new(cfg: FlowCfg, gcfg: GbnConfig, placement: Placement) -> Self {
+    pub fn new(cfg: FlowCfg, placement: Placement) -> Self {
         // In-order only: any OOO arrival is outside the (zero-size) window.
         let rx = RxCore::new(cfg.local, cfg.flow, 0, placement);
-        GbnReceiver { rx, acks: AckQueue::new(cfg, gcfg.cnp_interval), nak_outstanding: false }
+        GbnReceiver { rx, acks: AckQueue::new(cfg), nak_outstanding: false }
     }
 }
 
@@ -174,15 +172,15 @@ impl Endpoint for GbnReceiver {
 }
 
 /// Builds a connected GBN sender/receiver pair for `flow` from `src` to
-/// `dst` with the given CC and payload placement.
+/// `dst` with the given retransmission timeout, CC and payload placement.
 pub fn gbn_pair(
     cfg: FlowCfg,
-    gcfg: GbnConfig,
+    rto: Nanos,
     cc: Box<dyn CongestionControl>,
     placement: Placement,
 ) -> (GbnSender, GbnReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (GbnSender::new(cfg, gcfg, cc), GbnReceiver::new(rcfg, gcfg, placement))
+    (GbnSender::new(cfg, rto, cc), GbnReceiver::new(rcfg, placement))
 }
 
 #[cfg(test)]
@@ -193,6 +191,7 @@ mod tests {
     use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
+    use dcp_netsim::time::US;
     use dcp_rdma::headers::DcpTag;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -203,11 +202,8 @@ mod tests {
 
     #[test]
     fn sender_emits_sequential_psns_within_window() {
-        let mut s = GbnSender::new(
-            cfg(),
-            GbnConfig::default(),
-            Box::new(StaticWindow { window_bytes: 3 * 1024 }),
-        );
+        let mut s =
+            GbnSender::new(cfg(), 200 * US, Box::new(StaticWindow { window_bytes: 3 * 1024 }));
         s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 10 * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
@@ -221,11 +217,8 @@ mod tests {
 
     #[test]
     fn nak_rewinds_and_resends() {
-        let mut s = GbnSender::new(
-            cfg(),
-            GbnConfig::default(),
-            Box::new(StaticWindow { window_bytes: 8 * 1024 }),
-        );
+        let mut s =
+            GbnSender::new(cfg(), 200 * US, Box::new(StaticWindow { window_bytes: 8 * 1024 }));
         s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 8 * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
@@ -243,11 +236,8 @@ mod tests {
 
     #[test]
     fn cumulative_ack_retires_messages() {
-        let mut s = GbnSender::new(
-            cfg(),
-            GbnConfig::default(),
-            Box::new(StaticWindow { window_bytes: 64 * 1024 }),
-        );
+        let mut s =
+            GbnSender::new(cfg(), 200 * US, Box::new(StaticWindow { window_bytes: 64 * 1024 }));
         s.post(7, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 2 * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
@@ -261,11 +251,8 @@ mod tests {
 
     #[test]
     fn rto_rewinds_without_feedback() {
-        let mut s = GbnSender::new(
-            cfg(),
-            GbnConfig::default(),
-            Box::new(StaticWindow { window_bytes: 64 * 1024 }),
-        );
+        let mut s =
+            GbnSender::new(cfg(), 200 * US, Box::new(StaticWindow { window_bytes: 64 * 1024 }));
         s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 2 * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
@@ -281,11 +268,8 @@ mod tests {
 
     #[test]
     fn stale_rto_is_ignored_after_progress() {
-        let mut s = GbnSender::new(
-            cfg(),
-            GbnConfig::default(),
-            Box::new(StaticWindow { window_bytes: 64 * 1024 }),
-        );
+        let mut s =
+            GbnSender::new(cfg(), 200 * US, Box::new(StaticWindow { window_bytes: 64 * 1024 }));
         s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 2 * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
@@ -307,8 +291,7 @@ mod tests {
         let mk = |psn: u32| {
             data_packet(&scfg, &m, desc_at(&m, scfg.mtu, psn), psn, 0, false, psn as u64)
         };
-        let mut rx =
-            GbnReceiver::new(FlowCfg::receiver_of(&scfg), GbnConfig::default(), Placement::Virtual);
+        let mut rx = GbnReceiver::new(FlowCfg::receiver_of(&scfg), Placement::Virtual);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         deliver(&mut rx, &mut pool, mk(0), 0, &mut t, &mut c, &mut r);

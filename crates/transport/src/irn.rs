@@ -16,17 +16,15 @@
 use crate::cc::CongestionControl;
 use crate::common::{tokens, FlowCfg, Placement};
 use crate::rxcore::{Accept, RxCore};
-use crate::txcore::{AckQueue, BaseConfig, TxCore};
+use crate::txcore::{AckQueue, TxCore};
 use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
+use dcp_netsim::time::Nanos;
 use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
 use std::collections::{BTreeSet, VecDeque};
-
-/// IRN tunables.
-pub type IrnConfig = BaseConfig;
 
 /// IRN sender: selective repeat with a SACK bitmap and single-entry loss
 /// recovery mode.
@@ -44,9 +42,9 @@ pub struct IrnSender {
 }
 
 impl IrnSender {
-    pub fn new(cfg: FlowCfg, icfg: IrnConfig, cc: Box<dyn CongestionControl>) -> Self {
+    pub fn new(cfg: FlowCfg, rto: Nanos, cc: Box<dyn CongestionControl>) -> Self {
         IrnSender {
-            tx: TxCore::new(cfg, icfg.rto, cc),
+            tx: TxCore::new(cfg, rto, cc),
             sacked: BTreeSet::new(),
             in_recovery: false,
             recovery_point: 0,
@@ -192,9 +190,9 @@ pub struct IrnReceiver {
 }
 
 impl IrnReceiver {
-    pub fn new(cfg: FlowCfg, icfg: IrnConfig, placement: Placement) -> Self {
+    pub fn new(cfg: FlowCfg, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
-        IrnReceiver { rx, acks: AckQueue::new(cfg, icfg.cnp_interval) }
+        IrnReceiver { rx, acks: AckQueue::new(cfg) }
     }
 }
 
@@ -242,12 +240,12 @@ impl Endpoint for IrnReceiver {
 /// Builds a connected IRN pair.
 pub fn irn_pair(
     cfg: FlowCfg,
-    icfg: IrnConfig,
+    rto: Nanos,
     cc: Box<dyn CongestionControl>,
     placement: Placement,
 ) -> (IrnSender, IrnReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (IrnSender::new(cfg, icfg, cc), IrnReceiver::new(rcfg, icfg, placement))
+    (IrnSender::new(cfg, rto, cc), IrnReceiver::new(rcfg, placement))
 }
 
 #[cfg(test)]
@@ -258,7 +256,7 @@ mod tests {
     use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
-    use dcp_netsim::time::Nanos;
+    use dcp_netsim::time::US;
     use dcp_rdma::headers::DcpTag;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -270,7 +268,7 @@ mod tests {
     fn sender(window_pkts: u64) -> IrnSender {
         let mut s = IrnSender::new(
             cfg(),
-            IrnConfig::default(),
+            200 * US,
             Box::new(StaticWindow { window_bytes: window_pkts * 1024 }),
         );
         s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 32 * 1024);
@@ -381,8 +379,7 @@ mod tests {
         let mk = |psn: u32| {
             data_packet(&scfg, &m, desc_at(&m, scfg.mtu, psn), psn, 0, false, psn as u64)
         };
-        let mut rx =
-            IrnReceiver::new(FlowCfg::receiver_of(&scfg), IrnConfig::default(), Placement::Virtual);
+        let mut rx = IrnReceiver::new(FlowCfg::receiver_of(&scfg), Placement::Virtual);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         deliver(&mut rx, &mut pool, mk(0), 0, &mut t, &mut c, &mut r);

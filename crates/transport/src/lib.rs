@@ -48,4 +48,4 @@ pub use common::{
 };
 pub use ec::{ec_pair, EcConfig, EcReceiver, EcSender};
 pub use rxcore::{Accept, RxCore};
-pub use txcore::{AckQueue, BaseConfig, TxCore};
+pub use txcore::{AckQueue, TxCore};

@@ -22,35 +22,19 @@ use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::PktExt;
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
-use dcp_netsim::time::{Nanos, US};
+use dcp_netsim::time::Nanos;
 use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
 use std::collections::BTreeMap;
 
-/// MP-RDMA tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct MpRdmaConfig {
-    /// Number of virtual paths (ECMP entropy values).
-    pub paths: usize,
-    /// Initial per-path window in packets.
-    pub init_cwnd: f64,
-    /// Receiver out-of-order acceptance window `L` in packets.
-    pub ooo_window: u32,
-    pub rto: Nanos,
-    pub cnp_interval: Nanos,
-}
+/// Number of virtual paths (ECMP entropy values).
+const PATHS: usize = 8;
 
-impl Default for MpRdmaConfig {
-    fn default() -> Self {
-        MpRdmaConfig {
-            paths: 8,
-            init_cwnd: 16.0,
-            ooo_window: 64,
-            rto: 200 * US,
-            cnp_interval: 50 * US,
-        }
-    }
-}
+/// Initial per-path window in packets.
+const INIT_CWND: f64 = 16.0;
+
+/// Receiver out-of-order acceptance window `L` in packets.
+const OOO_WINDOW: u32 = 64;
 
 #[derive(Debug, Clone, Copy)]
 struct Path {
@@ -69,10 +53,10 @@ pub struct MpRdmaSender {
 }
 
 impl MpRdmaSender {
-    pub fn new(cfg: FlowCfg, mcfg: MpRdmaConfig) -> Self {
+    pub fn new(cfg: FlowCfg, rto: Nanos) -> Self {
         MpRdmaSender {
-            tx: TxCore::new(cfg, mcfg.rto, Box::new(NoCc::default())),
-            paths: vec![Path { cwnd: mcfg.init_cwnd, inflight: 0 }; mcfg.paths],
+            tx: TxCore::new(cfg, rto, Box::new(NoCc::default())),
+            paths: vec![Path { cwnd: INIT_CWND, inflight: 0 }; PATHS],
             on_path: BTreeMap::new(),
         }
     }
@@ -173,17 +157,17 @@ impl Endpoint for MpRdmaSender {
     }
 }
 
-/// MP-RDMA receiver: out-of-order placement inside a window `L`; per-packet
-/// ACKs echoing path and ECN.
+/// MP-RDMA receiver: out-of-order placement inside a window `L`
+/// (`OOO_WINDOW`); per-packet ACKs echoing path and ECN.
 pub struct MpRdmaReceiver {
     rx: RxCore,
     acks: AckQueue,
 }
 
 impl MpRdmaReceiver {
-    pub fn new(cfg: FlowCfg, mcfg: MpRdmaConfig, placement: Placement) -> Self {
-        let rx = RxCore::new(cfg.local, cfg.flow, mcfg.ooo_window, placement);
-        MpRdmaReceiver { rx, acks: AckQueue::new(cfg, mcfg.cnp_interval) }
+    pub fn new(cfg: FlowCfg, placement: Placement) -> Self {
+        let rx = RxCore::new(cfg.local, cfg.flow, OOO_WINDOW, placement);
+        MpRdmaReceiver { rx, acks: AckQueue::new(cfg) }
     }
 }
 
@@ -224,14 +208,14 @@ impl Endpoint for MpRdmaReceiver {
     }
 }
 
-/// Builds a connected MP-RDMA pair.
+/// Builds a connected MP-RDMA pair with the given retransmission timeout.
 pub fn mprdma_pair(
     cfg: FlowCfg,
-    mcfg: MpRdmaConfig,
+    rto: Nanos,
     placement: Placement,
 ) -> (MpRdmaSender, MpRdmaReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (MpRdmaSender::new(cfg, mcfg), MpRdmaReceiver::new(rcfg, mcfg, placement))
+    (MpRdmaSender::new(cfg, rto), MpRdmaReceiver::new(rcfg, placement))
 }
 
 #[cfg(test)]
@@ -241,6 +225,7 @@ mod tests {
     use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
+    use dcp_netsim::time::US;
     use dcp_rdma::headers::DcpTag;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -249,27 +234,29 @@ mod tests {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
     }
 
+    /// Packets the sender's paths admit before any ACK: `PATHS` windows of
+    /// `INIT_CWND` packets.
+    const WINDOW: u64 = PATHS as u64 * INIT_CWND as u64;
+
     #[test]
     fn packets_spread_over_paths() {
-        let mcfg = MpRdmaConfig { paths: 4, init_cwnd: 4.0, ..Default::default() };
-        let mut s = MpRdmaSender::new(cfg(), mcfg);
-        s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 16 * 1024);
+        let mut s = MpRdmaSender::new(cfg(), 200 * US);
+        s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 2 * WINDOW * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         let mut sports = std::collections::HashSet::new();
         while let Some(p) = pull_owned(&mut s, &mut pool, 0, &mut t, &mut c, &mut r) {
             sports.insert(p.header.udp.src_port);
         }
-        assert_eq!(sports.len(), 4, "all 4 virtual paths used");
-        // Window exhausted at 16 packets (4 paths × cwnd 4).
-        assert_eq!(s.stats().data_pkts, 16);
+        assert_eq!(sports.len(), PATHS, "all 8 virtual paths used");
+        // Window exhausted at 128 packets (8 paths × cwnd 16).
+        assert_eq!(s.stats().data_pkts, WINDOW);
     }
 
     #[test]
     fn ecn_echo_halves_path_window() {
-        let mcfg = MpRdmaConfig { paths: 2, init_cwnd: 8.0, ..Default::default() };
-        let mut s = MpRdmaSender::new(cfg(), mcfg);
-        s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 32 * 1024);
+        let mut s = MpRdmaSender::new(cfg(), 200 * US);
+        s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, WINDOW * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         while pull_owned(&mut s, &mut pool, 0, &mut t, &mut c, &mut r).is_some() {}
@@ -294,14 +281,13 @@ mod tests {
             &mut c,
             &mut r,
         );
-        assert!(s.paths[1].cwnd > 8.0, "clean ACK grows the path window");
+        assert!(s.paths[1].cwnd > INIT_CWND, "clean ACK grows the path window");
     }
 
     #[test]
     fn rto_rewinds_and_halves_all_paths() {
-        let mcfg = MpRdmaConfig { paths: 2, init_cwnd: 4.0, ..Default::default() };
-        let mut s = MpRdmaSender::new(cfg(), mcfg);
-        s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 8 * 1024);
+        let mut s = MpRdmaSender::new(cfg(), 200 * US);
+        s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, WINDOW * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         while pull_owned(&mut s, &mut pool, 0, &mut t, &mut c, &mut r).is_some() {}
@@ -312,22 +298,22 @@ mod tests {
         let p = pull_owned(&mut s, &mut pool, at, &mut t, &mut c, &mut r).unwrap();
         assert_eq!(p.psn(), 0);
         assert!(p.is_retx);
-        assert!(s.paths.iter().all(|p| p.cwnd <= 2.0));
+        assert!(s.paths.iter().all(|p| p.cwnd <= INIT_CWND / 2.0));
     }
 
     #[test]
     fn receiver_drops_beyond_ooo_window() {
         let scfg = cfg();
-        let mcfg = MpRdmaConfig { ooo_window: 4, ..Default::default() };
         let mut book = TxBook::new();
-        let m = book.post(0, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 16 * 1024, scfg.mtu);
+        let len = u64::from(OOO_WINDOW + 16) * 1024;
+        let m = book.post(0, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, len, scfg.mtu);
         let mk = |psn: u32| {
             data_packet(&scfg, &m, desc_at(&m, scfg.mtu, psn), psn, 0, false, psn as u64)
         };
-        let mut rx = MpRdmaReceiver::new(FlowCfg::receiver_of(&scfg), mcfg, Placement::Virtual);
+        let mut rx = MpRdmaReceiver::new(FlowCfg::receiver_of(&scfg), Placement::Virtual);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
-        deliver(&mut rx, &mut pool, mk(10), 0, &mut t, &mut c, &mut r);
+        deliver(&mut rx, &mut pool, mk(OOO_WINDOW + 6), 0, &mut t, &mut c, &mut r);
         assert!(!rx.has_pending(), "no ACK for a rejected packet");
         deliver(&mut rx, &mut pool, mk(2), 1, &mut t, &mut c, &mut r);
         assert!(rx.has_pending());

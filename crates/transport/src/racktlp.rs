@@ -13,7 +13,7 @@
 
 use crate::cc::CongestionControl;
 use crate::common::{tokens, FlowCfg, Placement, RttEstimator};
-use crate::irn::{IrnConfig, IrnReceiver};
+use crate::irn::IrnReceiver;
 use crate::txcore::{Deadline, TxCore};
 use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::PktExt;
@@ -24,16 +24,18 @@ use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
 use std::collections::{BTreeMap, VecDeque};
 
+/// Initial RTT guess before samples arrive.
+const INITIAL_RTT: Nanos = 10 * US;
+
+/// Reordering window as a multiple of SRTT (1.0 per the paper's
+/// characterization of RACK's tolerance).
+const REO_WND_RTTS: f64 = 1.0;
+
 /// RACK-TLP tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct RackConfig {
     /// Fallback RTO.
     pub rto: Nanos,
-    /// Initial RTT guess before samples arrive.
-    pub initial_rtt: Nanos,
-    /// Reordering window as a multiple of SRTT (1.0 per the paper's
-    /// characterization of RACK's tolerance).
-    pub reo_wnd_rtts: f64,
     /// Re-enables the pre-fix RTO discipline for regression testing ONLY:
     /// every ACK and every TLP probe restarts the full RTO, and the
     /// dup-ACK fast retransmit is disabled — the exact combination whose
@@ -47,12 +49,7 @@ pub struct RackConfig {
 
 impl Default for RackConfig {
     fn default() -> Self {
-        RackConfig {
-            rto: 400 * US,
-            initial_rtt: 10 * US,
-            reo_wnd_rtts: 1.0,
-            broken_rto_restart: false,
-        }
+        RackConfig { rto: 400 * US, broken_rto_restart: false }
     }
 }
 
@@ -87,7 +84,7 @@ impl RackSender {
             tx: TxCore::new(cfg, rcfg.rto, cc),
             rcfg,
             outstanding: BTreeMap::new(),
-            rtt: RttEstimator::new(rcfg.initial_rtt),
+            rtt: RttEstimator::new(INITIAL_RTT),
             rack_xmit: 0,
             retx_q: VecDeque::new(),
             probe: Deadline::default(),
@@ -96,7 +93,7 @@ impl RackSender {
     }
 
     fn reo_wnd(&self) -> Nanos {
-        (self.rtt.srtt * self.rcfg.reo_wnd_rtts) as Nanos
+        (self.rtt.srtt * REO_WND_RTTS) as Nanos
     }
 
     /// Arms the tail-loss probe and makes sure an RTO backs it. The RTO
@@ -108,7 +105,7 @@ impl RackSender {
     /// regression shim restarts it unconditionally — that pre-fix
     /// behaviour.)
     fn arm_probe(&mut self, ctx: &mut EndpointCtx) {
-        let pto = 2 * self.rtt.srtt_ns().max(self.rcfg.initial_rtt);
+        let pto = 2 * self.rtt.srtt_ns().max(INITIAL_RTT);
         self.probe.arm(ctx.now + pto, tokens::PROBE, ctx);
         if self.rcfg.broken_rto_restart {
             self.tx.arm_rto(ctx);
@@ -290,7 +287,7 @@ pub fn rack_pair(
     placement: Placement,
 ) -> (RackSender, RackReceiver) {
     let rcv_cfg = FlowCfg::receiver_of(&cfg);
-    (RackSender::new(cfg, rcfg, cc), IrnReceiver::new(rcv_cfg, IrnConfig::default(), placement))
+    (RackSender::new(cfg, rcfg, cc), IrnReceiver::new(rcv_cfg, placement))
 }
 
 #[cfg(test)]

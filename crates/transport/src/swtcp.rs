@@ -6,10 +6,10 @@
 //! latency. The model captures the two costs that produce that gap:
 //!
 //! * **per-packet CPU cost** — the sender cannot emit packets faster than
-//!   one per `cpu_per_pkt` (kernel stack processing), capping throughput
+//!   one per `CPU_PER_PKT` (kernel stack processing), capping throughput
 //!   below line rate;
 //! * **stack traversal latency** — delivery to the application is delayed
-//!   by `stack_latency` at the receiver (interrupt + socket wakeup), which
+//!   by `STACK_LATENCY` at the receiver (interrupt + socket wakeup), which
 //!   dominates small-message latency.
 //!
 //! Reliability is a plain cumulative-ACK window with RTO rewind, enough for
@@ -28,37 +28,25 @@ use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
 use std::collections::VecDeque;
 
-/// Software-stack cost parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SwTcpConfig {
-    /// CPU time consumed per transmitted packet (throughput cap:
-    /// MTU / cpu_per_pkt). 150 ns/pkt ≈ 55 Gbps at 1 KB.
-    pub cpu_per_pkt: Nanos,
-    /// One-way kernel stack traversal latency added at the receiver.
-    pub stack_latency: Nanos,
-    pub rto: Nanos,
-}
+/// CPU time consumed per transmitted packet (throughput cap:
+/// MTU / CPU_PER_PKT). 150 ns/pkt ≈ 55 Gbps at 1 KB.
+const CPU_PER_PKT: Nanos = 150;
 
-impl Default for SwTcpConfig {
-    fn default() -> Self {
-        SwTcpConfig { cpu_per_pkt: 150, stack_latency: 12 * US, rto: 1_000 * US }
-    }
-}
+/// One-way kernel stack traversal latency added at the receiver.
+const STACK_LATENCY: Nanos = 12 * US;
+
+/// The sender's retransmission timeout.
+const RTO: Nanos = 1_000 * US;
 
 /// Sender side of the model.
 pub struct SwTcpSender {
     tx: TxCore,
-    cpu_per_pkt: Nanos,
     next_cpu_free: Nanos,
 }
 
 impl SwTcpSender {
-    pub fn new(cfg: FlowCfg, tcfg: SwTcpConfig, cc: Box<dyn CongestionControl>) -> Self {
-        SwTcpSender {
-            tx: TxCore::new(cfg, tcfg.rto, cc),
-            cpu_per_pkt: tcfg.cpu_per_pkt,
-            next_cpu_free: 0,
-        }
+    pub fn new(cfg: FlowCfg, cc: Box<dyn CongestionControl>) -> Self {
+        SwTcpSender { tx: TxCore::new(cfg, RTO, cc), next_cpu_free: 0 }
     }
 }
 
@@ -86,7 +74,7 @@ impl Endpoint for SwTcpSender {
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        // Gate order: data, CPU (one packet per cpu_per_pkt), window.
+        // Gate order: data, CPU (one packet per CPU_PER_PKT), window.
         if !self.tx.has_new()
             || self.tx.closed_until(self.next_cpu_free, true, ctx)
             || !self.tx.window_open()
@@ -94,7 +82,7 @@ impl Endpoint for SwTcpSender {
             return None;
         }
         let (psn, is_retx) = self.tx.take_next();
-        self.next_cpu_free = ctx.now + self.cpu_per_pkt;
+        self.next_cpu_free = ctx.now + CPU_PER_PKT;
         // The model recovers by RTO rewind only.
         Some(self.tx.emit(psn, is_retx.then_some(RetxCause::Timeout), ctx))
     }
@@ -112,26 +100,20 @@ impl Endpoint for SwTcpSender {
     }
 }
 
-/// Receiver side: buffers arrivals for `stack_latency` before the
+/// Receiver side: buffers arrivals for `STACK_LATENCY` before the
 /// application sees them (delayed completions and ACKs).
 pub struct SwTcpReceiver {
     rx: RxCore,
-    /// The model generates no CNPs, so the queue's NP interval is unused.
+    /// The model generates no CNPs: only the reply queue is used.
     acks: AckQueue,
     /// Packets waiting out their stack traversal: (release_time, packet).
     staged: VecDeque<(Nanos, Packet)>,
-    stack_latency: Nanos,
 }
 
 impl SwTcpReceiver {
-    pub fn new(cfg: FlowCfg, tcfg: SwTcpConfig, placement: Placement) -> Self {
+    pub fn new(cfg: FlowCfg, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
-        SwTcpReceiver {
-            rx,
-            acks: AckQueue::new(cfg, 0),
-            staged: VecDeque::new(),
-            stack_latency: tcfg.stack_latency,
-        }
+        SwTcpReceiver { rx, acks: AckQueue::new(cfg), staged: VecDeque::new() }
     }
 
     fn process_ready(&mut self, ctx: &mut EndpointCtx) {
@@ -150,7 +132,7 @@ impl Endpoint for SwTcpReceiver {
         if !pkt.is_data() {
             return;
         }
-        let release = ctx.now + self.stack_latency;
+        let release = ctx.now + STACK_LATENCY;
         self.staged.push_back((release, pkt));
         wake_at(release, ctx);
     }
@@ -179,12 +161,11 @@ impl Endpoint for SwTcpReceiver {
 /// Builds a connected software-TCP pair.
 pub fn swtcp_pair(
     cfg: FlowCfg,
-    tcfg: SwTcpConfig,
     cc: Box<dyn CongestionControl>,
     placement: Placement,
 ) -> (SwTcpSender, SwTcpReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (SwTcpSender::new(cfg, tcfg, cc), SwTcpReceiver::new(rcfg, tcfg, placement))
+    (SwTcpSender::new(cfg, cc), SwTcpReceiver::new(rcfg, placement))
 }
 
 #[cfg(test)]
@@ -205,11 +186,7 @@ mod tests {
 
     #[test]
     fn cpu_gate_paces_transmission() {
-        let mut s = SwTcpSender::new(
-            cfg(),
-            SwTcpConfig::default(),
-            Box::new(StaticWindow { window_bytes: 1 << 20 }),
-        );
+        let mut s = SwTcpSender::new(cfg(), Box::new(StaticWindow { window_bytes: 1 << 20 }));
         s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 4 * 1024);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
@@ -217,7 +194,7 @@ mod tests {
         assert!(pull_owned(&mut s, &mut pool, 0, &mut t, &mut c, &mut r).is_none(), "CPU busy");
         assert!(
             pull_owned(&mut s, &mut pool, 150, &mut t, &mut c, &mut r).is_some(),
-            "free after cpu_per_pkt"
+            "free after CPU_PER_PKT"
         );
     }
 
@@ -227,11 +204,7 @@ mod tests {
         let mut book = TxBook::new();
         let m = book.post(0, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 1024, scfg.mtu);
         let pkt = data_packet(&scfg, &m, desc_at(&m, scfg.mtu, 0), 0, 0, false, 0);
-        let mut rx = SwTcpReceiver::new(
-            FlowCfg::receiver_of(&scfg),
-            SwTcpConfig::default(),
-            Placement::Virtual,
-        );
+        let mut rx = SwTcpReceiver::new(FlowCfg::receiver_of(&scfg), Placement::Virtual);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         deliver(&mut rx, &mut pool, pkt, 1000, &mut t, &mut c, &mut r);
@@ -252,11 +225,7 @@ mod tests {
     /// ACK path lacked GBN's `snd_nxt.max(epsn)`).
     #[test]
     fn cumulative_ack_past_a_rewound_snd_nxt_is_followed() {
-        let mut s = SwTcpSender::new(
-            cfg(),
-            SwTcpConfig::default(),
-            Box::new(StaticWindow { window_bytes: 1 << 20 }),
-        );
+        let mut s = SwTcpSender::new(cfg(), Box::new(StaticWindow { window_bytes: 1 << 20 }));
         for wr_id in 0..2 {
             s.post(wr_id, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 2 * 1024);
         }

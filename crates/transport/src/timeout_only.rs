@@ -12,14 +12,12 @@ use crate::cc::CongestionControl;
 use crate::common::{FlowCfg, Placement};
 use crate::gbn::GbnSender;
 use crate::rxcore::RxCore;
-use crate::txcore::{AckQueue, BaseConfig};
+use crate::txcore::AckQueue;
 use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::PktExt;
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
-
-/// Tunables.
-pub type TimeoutOnlyConfig = BaseConfig;
+use dcp_netsim::time::Nanos;
 
 /// Receiver: order-tolerant direct placement, cumulative ACK only.
 pub struct TimeoutOnlyReceiver {
@@ -28,9 +26,9 @@ pub struct TimeoutOnlyReceiver {
 }
 
 impl TimeoutOnlyReceiver {
-    pub fn new(cfg: FlowCfg, tcfg: TimeoutOnlyConfig, placement: Placement) -> Self {
+    pub fn new(cfg: FlowCfg, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
-        TimeoutOnlyReceiver { rx, acks: AckQueue::new(cfg, tcfg.cnp_interval) }
+        TimeoutOnlyReceiver { rx, acks: AckQueue::new(cfg) }
     }
 }
 
@@ -69,12 +67,12 @@ impl Endpoint for TimeoutOnlyReceiver {
 /// fall back to fresh construction when either side declines.
 pub fn timeout_only_pair(
     cfg: FlowCfg,
-    tcfg: TimeoutOnlyConfig,
+    rto: Nanos,
     cc: Box<dyn CongestionControl>,
     placement: Placement,
 ) -> (GbnSender, TimeoutOnlyReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (GbnSender::new(cfg, tcfg, cc), TimeoutOnlyReceiver::new(rcfg, tcfg, placement))
+    (GbnSender::new(cfg, rto, cc), TimeoutOnlyReceiver::new(rcfg, placement))
 }
 
 #[cfg(test)]
@@ -85,7 +83,7 @@ mod tests {
     use dcp_netsim::endpoint::{ctx, deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
-    use dcp_netsim::time::Nanos;
+    use dcp_netsim::time::US;
     use dcp_rdma::headers::DcpTag;
     use dcp_rdma::qp::WorkReqOp;
     use rand::rngs::StdRng;
@@ -95,11 +93,13 @@ mod tests {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
     }
 
+    const RTO: Nanos = 200 * US;
+
     #[test]
     fn no_fast_retransmit_only_rto() {
         let (mut s, _) = timeout_only_pair(
             cfg(),
-            TimeoutOnlyConfig::default(),
+            RTO,
             Box::new(StaticWindow { window_bytes: 8 * 1024 }),
             Placement::Virtual,
         );
@@ -122,7 +122,7 @@ mod tests {
         assert_eq!(s.stats().timeouts, 0);
         // RTO fires → rewind to snd_una = 3.
         let (at, token) = rto(&t)[1];
-        assert_eq!(at, 1000 + TimeoutOnlyConfig::default().rto, "one RTO after the ACK");
+        assert_eq!(at, 1000 + RTO, "one RTO after the ACK");
         s.on_timer(token, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
         let p = pull_owned(&mut s, &mut pool, at, &mut t, &mut c, &mut r).unwrap();
         assert_eq!(p.psn(), 3);
@@ -138,11 +138,7 @@ mod tests {
         let mk = |psn: u32| {
             data_packet(&scfg, &m, desc_at(&m, scfg.mtu, psn), psn, 0, false, psn as u64)
         };
-        let mut rx = TimeoutOnlyReceiver::new(
-            FlowCfg::receiver_of(&scfg),
-            TimeoutOnlyConfig::default(),
-            Placement::Virtual,
-        );
+        let mut rx = TimeoutOnlyReceiver::new(FlowCfg::receiver_of(&scfg), Placement::Virtual);
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         deliver(&mut rx, &mut pool, mk(2), 0, &mut t, &mut c, &mut r);

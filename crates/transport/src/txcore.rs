@@ -20,26 +20,10 @@ use dcp_netsim::endpoint::{Completion, CompletionKind, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
-use dcp_netsim::time::{Nanos, US};
+use dcp_netsim::time::Nanos;
 use dcp_netsim::RetxCause;
 use dcp_rdma::qp::WorkReqOp;
 use std::collections::VecDeque;
-
-/// The two tunables of the skeleton itself — what GBN, IRN and timeout-only
-/// configure and nothing more (their `*Config` names alias this).
-#[derive(Debug, Clone, Copy)]
-pub struct BaseConfig {
-    /// Retransmission timeout.
-    pub rto: Nanos,
-    /// DCQCN NP interval for CNP generation at the receiver.
-    pub cnp_interval: Nanos,
-}
-
-impl Default for BaseConfig {
-    fn default() -> Self {
-        BaseConfig { rto: 200 * US, cnp_interval: 50 * US }
-    }
-}
 
 /// Asks the host to poll this endpoint again at `at` (the shared
 /// [`tokens::PACE`] wake-up: CC pacing, SwTcp's CPU gate and its
@@ -435,8 +419,8 @@ pub struct AckQueue {
 }
 
 impl AckQueue {
-    pub fn new(cfg: FlowCfg, cnp_interval: Nanos) -> Self {
-        AckQueue { cfg, cnp: CnpGen::new(cnp_interval), out: VecDeque::new(), uid: 0 }
+    pub fn new(cfg: FlowCfg) -> Self {
+        AckQueue { cfg, cnp: CnpGen::default(), out: VecDeque::new(), uid: 0 }
     }
 
     pub fn cfg(&self) -> &FlowCfg {
@@ -482,13 +466,14 @@ impl AckQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{Dcqcn, DcqcnConfig, NoCc};
+    use crate::cc::{Dcqcn, NoCc};
     use crate::common::{data_packet, desc_at};
     use crate::racktlp::{RackConfig, RackSender};
     use crate::timeout_only::timeout_only_pair;
     use crate::Placement;
     use dcp_netsim::endpoint::{ctx, pull_owned, Endpoint};
     use dcp_netsim::pool::PacketPool;
+    use dcp_netsim::time::US;
     use dcp_rdma::headers::DcpTag;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -498,7 +483,7 @@ mod tests {
     }
 
     fn dcqcn() -> Box<Dcqcn> {
-        Box::new(Dcqcn::new(DcqcnConfig::default()))
+        Box::new(Dcqcn::new(100.0))
     }
 
     fn write(remote_addr: u64) -> WorkReqOp {
@@ -742,7 +727,7 @@ mod tests {
             p
         };
         let marked = |psn: u32| data(psn, true);
-        let mut q = AckQueue::new(FlowCfg::receiver_of(&scfg), 50 * US);
+        let mut q = AckQueue::new(FlowCfg::receiver_of(&scfg));
         let (mut pool, mut t, mut c, mut r) =
             (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
         q.on_ecn(&data(0, false), 0, &mut ctx(0, &mut pool, &mut t, &mut c, &mut r));
@@ -808,8 +793,7 @@ mod tests {
     #[test]
     fn rack_and_timeout_only_tick_their_cc() {
         assert_ticks_its_cc(&mut RackSender::new(cfg(), RackConfig::default(), dcqcn()));
-        let (mut tx, _) =
-            timeout_only_pair(cfg(), BaseConfig::default(), dcqcn(), Placement::Virtual);
+        let (mut tx, _) = timeout_only_pair(cfg(), 200 * US, dcqcn(), Placement::Virtual);
         assert_ticks_its_cc(&mut tx);
     }
 }

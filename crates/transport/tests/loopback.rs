@@ -10,14 +10,17 @@ use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::WorkReqOp;
 use dcp_transport::cc::{NoCc, StaticWindow};
 use dcp_transport::common::{FlowCfg, Placement};
-use dcp_transport::gbn::{gbn_pair, GbnConfig};
-use dcp_transport::irn::{irn_pair, IrnConfig};
-use dcp_transport::mprdma::{mprdma_pair, MpRdmaConfig};
+use dcp_transport::gbn::gbn_pair;
+use dcp_transport::irn::irn_pair;
+use dcp_transport::mprdma::mprdma_pair;
 use dcp_transport::racktlp::{rack_pair, RackConfig};
-use dcp_transport::swtcp::{swtcp_pair, SwTcpConfig};
-use dcp_transport::timeout_only::{timeout_only_pair, TimeoutOnlyConfig};
+use dcp_transport::swtcp::swtcp_pair;
+use dcp_transport::timeout_only::timeout_only_pair;
 
 const MSG: u64 = 256 * 1024;
+
+/// The retransmission timeout of the RTO-based pairs.
+const RTO: Nanos = 200 * US;
 
 /// Builds a 2-host dumbbell through two switches with the given config.
 fn dumbbell(seed: u64, cfg: SwitchConfig) -> (Simulator, NodeId, NodeId) {
@@ -77,7 +80,7 @@ fn run_sized(
 fn gbn_clean_link() {
     let (mut sim, a, b) = dumbbell(1, SwitchConfig::lossy(LoadBalance::Ecmp));
     let cfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-    let (tx, rx) = gbn_pair(cfg, GbnConfig::default(), Box::new(bdp()), Placement::Virtual);
+    let (tx, rx) = gbn_pair(cfg, RTO, Box::new(bdp()), Placement::Virtual);
     let t = run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), SEC);
     // 256 KB at ~93% goodput efficiency of 100 Gbps ≈ 22 µs + RTT.
     assert!(t < 60 * US, "clean-link GBN took {t} ns");
@@ -91,7 +94,7 @@ fn gbn_recovers_from_forced_loss() {
     cfg.forced_loss_rate = 0.02;
     let (mut sim, a, b) = dumbbell(2, cfg);
     let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-    let (tx, rx) = gbn_pair(fcfg, GbnConfig::default(), Box::new(bdp()), Placement::Virtual);
+    let (tx, rx) = gbn_pair(fcfg, RTO, Box::new(bdp()), Placement::Virtual);
     run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), 10 * SEC);
     let st = sim.endpoint_stats(a, FlowId(1));
     assert!(st.retx_pkts > 0, "2% loss must cause retransmissions");
@@ -104,7 +107,7 @@ fn irn_clean_link_and_forced_loss() {
         cfg.forced_loss_rate = loss;
         let (mut sim, a, b) = dumbbell(seed, cfg);
         let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-        let (tx, rx) = irn_pair(fcfg, IrnConfig::default(), Box::new(bdp()), Placement::Virtual);
+        let (tx, rx) = irn_pair(fcfg, RTO, Box::new(bdp()), Placement::Virtual);
         run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), 10 * SEC);
         let st = sim.endpoint_stats(a, FlowId(1));
         if loss == 0.0 {
@@ -127,10 +130,10 @@ fn irn_beats_gbn_under_loss() {
         let (mut sim, a, b) = dumbbell(7, cfg);
         let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
         let (tx, rx): (Box<dyn dcp_netsim::Endpoint>, Box<dyn dcp_netsim::Endpoint>) = if use_irn {
-            let (t, r) = irn_pair(fcfg, IrnConfig::default(), Box::new(bdp()), Placement::Virtual);
+            let (t, r) = irn_pair(fcfg, RTO, Box::new(bdp()), Placement::Virtual);
             (Box::new(t), Box::new(r))
         } else {
-            let (t, r) = gbn_pair(fcfg, GbnConfig::default(), Box::new(bdp()), Placement::Virtual);
+            let (t, r) = gbn_pair(fcfg, RTO, Box::new(bdp()), Placement::Virtual);
             (Box::new(t), Box::new(r))
         };
         run_sized(&mut sim, a, b, tx, rx, 60 * SEC, 8 << 20)
@@ -161,7 +164,7 @@ fn irn_spurious_retx_under_spray() {
         (sim, topo.hosts[0], topo.hosts[1])
     };
     let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-    let (tx, rx) = irn_pair(fcfg, IrnConfig::default(), Box::new(bdp()), Placement::Virtual);
+    let (tx, rx) = irn_pair(fcfg, RTO, Box::new(bdp()), Placement::Virtual);
     run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), 10 * SEC);
     let st = sim.endpoint_stats(a, FlowId(1));
     assert_eq!(sim.net_stats().data_drops, 0, "no actual loss");
@@ -184,7 +187,7 @@ fn mprdma_uses_paths_and_completes_over_pfc() {
     );
     let (a, b) = (topo.hosts[0], topo.hosts[1]);
     let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-    let (tx, rx) = mprdma_pair(fcfg, MpRdmaConfig::default(), Placement::Virtual);
+    let (tx, rx) = mprdma_pair(fcfg, RTO, Placement::Virtual);
     run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), 10 * SEC);
     assert_eq!(sim.net_stats().data_drops, 0, "PFC fabric is lossless");
 }
@@ -206,8 +209,7 @@ fn timeout_only_recovers_slowly() {
     cfg.forced_loss_rate = 0.02;
     let (mut sim, a, b) = dumbbell(17, cfg);
     let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-    let (tx, rx) =
-        timeout_only_pair(fcfg, TimeoutOnlyConfig::default(), Box::new(bdp()), Placement::Virtual);
+    let (tx, rx) = timeout_only_pair(fcfg, RTO, Box::new(bdp()), Placement::Virtual);
     let t = run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), 30 * SEC);
     let st = sim.endpoint_stats(a, FlowId(1));
     assert!(st.timeouts > 0, "only RTOs can recover");
@@ -223,12 +225,8 @@ fn swtcp_caps_throughput_below_line_rate() {
     let topo = topology::back_to_back(&mut sim, 100.0, 500);
     let (a, b) = (topo.hosts[0], topo.hosts[1]);
     let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-    let (tx, rx) = swtcp_pair(
-        fcfg,
-        SwTcpConfig::default(),
-        Box::new(StaticWindow { window_bytes: 4 << 20 }),
-        Placement::Virtual,
-    );
+    let (tx, rx) =
+        swtcp_pair(fcfg, Box::new(StaticWindow { window_bytes: 4 << 20 }), Placement::Virtual);
     let t = run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), SEC);
     let gbps = MSG as f64 * 8.0 / t as f64;
     assert!(gbps < 70.0, "software stack must stay below line rate, got {gbps:.1}");
@@ -247,7 +245,7 @@ fn real_placement_reconstructs_bytes_under_loss_and_reorder() {
     let mut mtt = Mtt::new();
     mtt.register(0x1_0000, MSG as usize);
     let placement = Placement::Real { mtt, pattern: PatternGen::new(77) };
-    let (tx, rx) = irn_pair(fcfg, IrnConfig::default(), Box::new(bdp()), placement);
+    let (tx, rx) = irn_pair(fcfg, RTO, Box::new(bdp()), placement);
     run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), 10 * SEC);
     // Verify the delivered buffer matches the pattern byte-for-byte.
     let host = sim.host(b);
@@ -264,7 +262,7 @@ fn deterministic_under_seed() {
         cfg.forced_loss_rate = 0.02;
         let (mut sim, a, b) = dumbbell(seed, cfg);
         let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-        let (tx, rx) = irn_pair(fcfg, IrnConfig::default(), Box::new(bdp()), Placement::Virtual);
+        let (tx, rx) = irn_pair(fcfg, RTO, Box::new(bdp()), Placement::Virtual);
         let t = run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), 10 * SEC);
         (t, sim.endpoint_stats(a, FlowId(1)).retx_pkts)
     };
@@ -275,8 +273,7 @@ fn deterministic_under_seed() {
 fn no_cc_allows_unbounded_window() {
     let (mut sim, a, b) = dumbbell(29, SwitchConfig::lossy(LoadBalance::Ecmp));
     let fcfg = FlowCfg::sender(FlowId(1), a, b, DcpTag::NonDcp);
-    let (tx, rx) =
-        irn_pair(fcfg, IrnConfig::default(), Box::new(NoCc::default()), Placement::Virtual);
+    let (tx, rx) = irn_pair(fcfg, RTO, Box::new(NoCc::default()), Placement::Virtual);
     let t = run_one(&mut sim, a, b, Box::new(tx), Box::new(rx), SEC);
     assert!(t < 60 * US);
 }

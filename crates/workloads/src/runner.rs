@@ -6,19 +6,19 @@ use dcp_core::{dcp_pair, DcpConfig};
 use dcp_netsim::endpoint::{CompletionKind, Endpoint};
 use dcp_netsim::packet::{FlowId, NodeId};
 use dcp_netsim::stats::TransportStats;
-use dcp_netsim::time::Nanos;
+use dcp_netsim::time::{Nanos, US};
 use dcp_netsim::topology::Topology;
 use dcp_netsim::Simulator;
 use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::WorkReqOp;
-use dcp_transport::cc::{CongestionControl, Dcqcn, DcqcnConfig, NoCc, StaticWindow};
+use dcp_transport::cc::{CongestionControl, Dcqcn, NoCc, StaticWindow};
 use dcp_transport::common::{FlowCfg, Placement};
 use dcp_transport::ec::{ec_pair, EcConfig};
-use dcp_transport::gbn::{gbn_pair, GbnConfig};
-use dcp_transport::irn::{irn_pair, IrnConfig};
-use dcp_transport::mprdma::{mprdma_pair, MpRdmaConfig};
+use dcp_transport::gbn::gbn_pair;
+use dcp_transport::irn::irn_pair;
+use dcp_transport::mprdma::mprdma_pair;
 use dcp_transport::racktlp::{rack_pair, RackConfig};
-use dcp_transport::timeout_only::{timeout_only_pair, TimeoutOnlyConfig};
+use dcp_transport::timeout_only::timeout_only_pair;
 use std::collections::HashMap;
 
 /// Which endpoint protocol a run uses.
@@ -56,9 +56,7 @@ impl CcKind {
         match self {
             CcKind::None => Box::new(NoCc::default()),
             CcKind::Bdp { gbps, rtt } => Box::new(StaticWindow::bdp(gbps, rtt)),
-            CcKind::Dcqcn { gbps } => {
-                Box::new(Dcqcn::new(DcqcnConfig { line_rate_gbps: gbps, ..Default::default() }))
-            }
+            CcKind::Dcqcn { gbps } => Box::new(Dcqcn::new(gbps)),
         }
     }
 }
@@ -68,11 +66,12 @@ impl CcKind {
 /// defaults — any real deployment scales its timers with path RTT.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOpts {
-    /// RTO for the RTO-based baselines (GBN/IRN/RACK/timeout-only).
+    /// RTO for the RTO-based baselines (GBN/IRN/MP-RDMA/RACK/timeout-only;
+    /// RACK-TLP never goes below its own 400 µs).
     pub rto: Nanos,
     /// DCP-RNIC configuration (coarse fallback timeout et al.).
     pub dcp: DcpConfig,
-    /// Erasure-coding configuration (generation geometry, NACK timers).
+    /// Erasure-coding timers (sender RTO, receiver NACK delay).
     pub ec: EcConfig,
     /// Message size flows are chunked into when posted. The default mirrors
     /// [`dcp_core::config::MSG_CHUNK_BYTES`]; fault experiments use smaller
@@ -84,10 +83,11 @@ pub struct RunOpts {
 
 impl Default for RunOpts {
     fn default() -> Self {
+        let rto = 200 * US;
         RunOpts {
-            rto: 200_000,
+            rto,
             dcp: DcpConfig::default(),
-            ec: EcConfig::default(),
+            ec: EcConfig { rto, nack_delay: 25 * US },
             chunk: dcp_core::config::MSG_CHUNK_BYTES,
         }
     }
@@ -132,18 +132,15 @@ pub fn endpoint_pair_opts(
     let cfg = FlowCfg::sender(flow, src, dst, tag);
     match kind {
         TransportKind::Gbn => {
-            let gcfg = GbnConfig { rto: opts.rto, ..Default::default() };
-            let (t, r) = gbn_pair(cfg, gcfg, cc.build(), Placement::Virtual);
+            let (t, r) = gbn_pair(cfg, opts.rto, cc.build(), Placement::Virtual);
             (Box::new(t), Box::new(r))
         }
         TransportKind::Irn => {
-            let icfg = IrnConfig { rto: opts.rto, ..Default::default() };
-            let (t, r) = irn_pair(cfg, icfg, cc.build(), Placement::Virtual);
+            let (t, r) = irn_pair(cfg, opts.rto, cc.build(), Placement::Virtual);
             (Box::new(t), Box::new(r))
         }
         TransportKind::MpRdma => {
-            let mcfg = MpRdmaConfig { rto: opts.rto, ..Default::default() };
-            let (t, r) = mprdma_pair(cfg, mcfg, Placement::Virtual);
+            let (t, r) = mprdma_pair(cfg, opts.rto, Placement::Virtual);
             (Box::new(t), Box::new(r))
         }
         TransportKind::RackTlp => {
@@ -153,8 +150,7 @@ pub fn endpoint_pair_opts(
             (Box::new(t), Box::new(r))
         }
         TransportKind::TimeoutOnly => {
-            let tcfg = TimeoutOnlyConfig { rto: opts.rto, ..Default::default() };
-            let (t, r) = timeout_only_pair(cfg, tcfg, cc.build(), Placement::Virtual);
+            let (t, r) = timeout_only_pair(cfg, opts.rto, cc.build(), Placement::Virtual);
             (Box::new(t), Box::new(r))
         }
         TransportKind::Dcp => {

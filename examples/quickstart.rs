@@ -15,8 +15,8 @@ use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::WorkReqOp;
 use dcp_transport::cc::NoCc;
 use dcp_transport::common::{FlowCfg, Placement};
-use dcp_transport::gbn::{gbn_pair, GbnConfig};
-use dcp_transport::swtcp::{swtcp_pair, SwTcpConfig};
+use dcp_transport::gbn::gbn_pair;
+use dcp_transport::swtcp::swtcp_pair;
 
 /// Streams `count` messages of `msg` bytes; returns goodput in Gbps.
 fn throughput(
@@ -85,13 +85,11 @@ fn main() {
         (Box::new(t) as Box<dyn Endpoint>, Box::new(r) as Box<dyn Endpoint>)
     };
     let gbn = |cfg: FlowCfg| {
-        let (t, r) =
-            gbn_pair(cfg, GbnConfig::default(), Box::new(NoCc::default()), Placement::Virtual);
+        let (t, r) = gbn_pair(cfg, 200 * US, Box::new(NoCc::default()), Placement::Virtual);
         (Box::new(t) as Box<dyn Endpoint>, Box::new(r) as Box<dyn Endpoint>)
     };
     let tcp = |cfg: FlowCfg| {
-        let (t, r) =
-            swtcp_pair(cfg, SwTcpConfig::default(), Box::new(NoCc::default()), Placement::Virtual);
+        let (t, r) = swtcp_pair(cfg, Box::new(NoCc::default()), Placement::Virtual);
         (Box::new(t) as Box<dyn Endpoint>, Box::new(r) as Box<dyn Endpoint>)
     };
     println!(

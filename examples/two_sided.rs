@@ -35,11 +35,7 @@ fn main() {
     let base = 0x10_0000u64;
     mtt.register(base, (N_MSGS * MSG) as usize);
     let pattern = PatternGen::new(123);
-    let mut rx = DcpReceiver::new(
-        FlowCfg::receiver_of(&fcfg),
-        DcpConfig::default(),
-        Placement::Real { mtt, pattern },
-    );
+    let mut rx = DcpReceiver::new(FlowCfg::receiver_of(&fcfg), Placement::Real { mtt, pattern });
     for i in 0..N_MSGS {
         rx.post_recv(100 + i, base + i * MSG, MSG);
     }

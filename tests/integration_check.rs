@@ -19,7 +19,7 @@ use dcp_bench::digest::{fnv_u64, FNV_OFFSET};
 use dcp_bench::sweep_with_threads;
 use dcp_check::{
     pfc_deadlock_cycle, shrink_plan, shrink_repro, Adversary, AdversaryProfile, DeliveryOracle,
-    Liveness, Repro, Watchdog, WatchdogConfig,
+    Liveness, Repro, Watchdog,
 };
 use dcp_core::dcp_switch_config;
 use dcp_faults::{FaultEngine, FaultEvent, FaultPlan, LossModel};
@@ -37,7 +37,7 @@ use dcp_workloads::{endpoint_pair_opts, CcKind, RunOpts, TransportKind};
 
 fn checkers(sim: &mut Simulator) -> (DeliveryOracle, Watchdog) {
     let oracle = DeliveryOracle::new();
-    let watchdog = Watchdog::new(WatchdogConfig::default());
+    let watchdog = Watchdog::new();
     sim.set_probe(Box::new(Fanout::new(vec![
         oracle.probe(),
         watchdog.probe(),

@@ -8,7 +8,7 @@ use dcp_netsim::time::{Nanos, SEC, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::WorkReqOp;
-use dcp_transport::cc::{Dcqcn, DcqcnConfig, NoCc};
+use dcp_transport::cc::{Dcqcn, NoCc};
 use dcp_transport::common::{FlowCfg, Placement};
 
 fn drive_to(sim: &mut Simulator, want: usize, deadline: Nanos) -> (usize, Nanos) {
@@ -78,11 +78,8 @@ fn dcqcn_integration_reduces_retransmission_pressure() {
         for i in 0..fan_in {
             let flow = FlowId(i as u32 + 1);
             let fc = FlowCfg::sender(flow, topo.hosts[i], victim, DcpTag::Data);
-            let cc: Box<dyn dcp_transport::cc::CongestionControl> = if with_cc {
-                Box::new(Dcqcn::new(DcqcnConfig::default()))
-            } else {
-                Box::new(NoCc::default())
-            };
+            let cc: Box<dyn dcp_transport::cc::CongestionControl> =
+                if with_cc { Box::new(Dcqcn::new(100.0)) } else { Box::new(NoCc::default()) };
             let (tx, rx) = dcp_pair(fc, DcpConfig::default(), cc, Placement::Virtual);
             sim.install_endpoint(topo.hosts[i], flow, Box::new(tx));
             sim.install_endpoint(victim, flow, Box::new(rx));
