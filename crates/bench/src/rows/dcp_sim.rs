@@ -105,6 +105,10 @@ pub fn run(args: &Args) -> Report {
     });
     let seed: u64 = value(args, "seed", "1", "a whole number", |v| v.parse().ok());
     let (runs, n_flows) = (count("runs", "1"), count("flows", "400"));
+    // Seeds run seed..seed+runs; the last one must not wrap past 2^64 - 1.
+    if seed.checked_add(runs.max(1) as u64 - 1).is_none() {
+        refuse("seed", &format!("{seed} runs={runs}"), &format!("seed+runs-1 at most {}", u64::MAX));
+    }
     let (load, loss) = (number("load", "0.3"), number("loss", "0"));
     let delay: Nanos =
         value(args, "delay_us", "1", "a whole number", |v| v.parse::<u64>().ok()?.checked_mul(US));

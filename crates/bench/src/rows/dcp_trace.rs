@@ -15,11 +15,14 @@
 //! ```
 //!
 //! With no output flags, `--stats` is implied — pointing the tool at a
-//! trace always tells you something.
+//! trace always tells you something. A trace it cannot read or a file it
+//! cannot write exits 2 naming the path on stderr, with nothing on stdout:
+//! the report is printed only once every file is written.
 
 use crate::{Args, Report};
 use dcp_scope::{chrome_trace, ScopeProbe};
 use dcp_telemetry::{Json, Probe, ProbeEvent};
+use std::fmt::Write as _;
 use std::io::{BufWriter, Write};
 
 fn usage() -> ! {
@@ -29,6 +32,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Exits 2 naming `path` and the I/O error, before the row prints anything.
+fn refuse(path: &str, e: std::io::Error) -> ! {
+    eprintln!("error: dcp_trace {path}: {e}");
+    std::process::exit(2)
+}
+
 pub fn run(args: &Args) -> Report {
     let [input] = args.positional() else { usage() };
     let perfetto_out = args.get("perfetto");
@@ -36,19 +45,22 @@ pub fn run(args: &Args) -> Report {
     let flow_filter: Option<u32> = args.get("flow").map(|v| v.parse().unwrap_or_else(|_| usage()));
     let stats = args.has("stats") || (perfetto_out.is_none() && spans_out.is_none());
 
-    let text = std::fs::read_to_string(input).unwrap_or_else(|e| panic!("read {input}: {e}"));
+    let text = std::fs::read_to_string(input).unwrap_or_else(|e| refuse(input, e));
     let lines: Vec<Option<(u64, ProbeEvent)>> = ProbeEvent::read_jsonl(&text).collect();
     let events: Vec<(u64, ProbeEvent)> = lines.iter().flatten().copied().collect();
     let skipped = lines.len() - events.len();
-    println!("{input}: {} events ({skipped} unrecognized lines)", events.len());
+    // The report, printed once every output file is written.
+    let mut out = String::new();
+    writeln!(out, "{input}: {} events ({skipped} unrecognized lines)", events.len()).unwrap();
 
     if let Some(path) = &perfetto_out {
         let doc = chrome_trace(&events, flow_filter);
-        std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, doc.render()).unwrap_or_else(|e| refuse(path, e));
         let n = doc.get("traceEvents").and_then(Json::as_arr).map_or(0, |a| a.len());
-        println!("result perfetto={path} trace_events={n}");
+        writeln!(out, "result perfetto={path} trace_events={n}").unwrap();
     }
     if spans_out.is_none() && !stats {
+        print!("{out}");
         return Report::default();
     }
     // One replay serves both the span document and the statistics. The
@@ -62,11 +74,11 @@ pub fn run(args: &Args) -> Report {
         }
     }
     if let Some(path) = &spans_out {
-        let out = std::fs::File::create(path).map(BufWriter::new);
-        out.and_then(|out| scope.write_doc(out)?.flush())
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("result spans={path}");
+        let file = std::fs::File::create(path).map(BufWriter::new);
+        file.and_then(|file| scope.write_doc(file)?.flush()).unwrap_or_else(|e| refuse(path, e));
+        writeln!(out, "result spans={path}").unwrap();
     }
+    print!("{out}");
     if stats {
         let s = scope.spans.stats_json();
         if let Some(d) = scope.spans.dump() {
