@@ -639,6 +639,45 @@ mod tests {
         assert_eq!(m.delivered, 3);
     }
 
+    /// The `monitors` section of every span document, untouched and with
+    /// all three thresholded monitors tripped, byte for byte.
+    #[test]
+    fn verdict_json_is_pinned() {
+        assert_eq!(
+            Monitors::default().to_json().render(),
+            r#"{"retx_storm": {"window_ns": 1000000, "threshold": 256, "peak": 0, "tripped_at": null, "dominant_cause": null}, "pfc_tree": {"threshold": 4, "pauses_seen": 0, "max_ports": 0, "max_nodes": 0, "tripped_at": null}, "queue_high_water": [], "slo_burn": {"slo_ns": 10000000, "delivered": 0, "breached": 0, "burn_rate": 0, "flows": []}}"#
+        );
+
+        let mut m = Monitors::default();
+        for i in 0..257u64 {
+            let cause = if i % 3 == 0 { RetxCause::Nack } else { RetxCause::Timeout };
+            let (at, ev) = retx(1_000 + i * 100, cause);
+            m.record(at, &ev);
+        }
+        for node in 10..14 {
+            m.record(50_000 + u64::from(node), &ProbeEvent::PfcPause { node, port: 2 });
+        }
+        m.record(60_000, &ProbeEvent::PfcResume { node: 10, port: 2 });
+        let q = dcp_telemetry::QueueClass::Data;
+        m.record(
+            0,
+            &ProbeEvent::Enqueue { node: 3, port: 1, queue: q, flow: 7, psn: 0, bytes: 4096 },
+        );
+        m.record(
+            1,
+            &ProbeEvent::Dequeue { node: 3, port: 1, queue: q, flow: 7, psn: 0, bytes: 4096 },
+        );
+        for (wr_id, done) in [(1u64, 9_000_000u64), (2, 25_000_000)] {
+            m.record(0, &ProbeEvent::MsgPosted { node: 0, flow: 7, wr_id, bytes: 1 });
+            m.record(done, &ProbeEvent::Delivery { node: 1, flow: 7, wr_id, bytes: 1 });
+        }
+        assert!(m.retx_storm.tripped() && m.pfc_tree.tripped() && m.slo_burn.breached == 1);
+        assert_eq!(
+            m.to_json().render(),
+            r#"{"retx_storm": {"window_ns": 1000000, "threshold": 256, "peak": 257, "tripped_at": 26600, "dominant_cause": "timeout"}, "pfc_tree": {"threshold": 4, "pauses_seen": 4, "max_ports": 4, "max_nodes": 4, "tripped_at": 50013}, "queue_high_water": [{"node": 3, "port": 1, "high_water": 4096}], "slo_burn": {"slo_ns": 10000000, "delivered": 2, "breached": 1, "burn_rate": 0.5, "flows": [{"flow": 7, "count": 2, "p50": 9043967, "p99": 25000000, "p999": 25000000}]}}"#
+        );
+    }
+
     #[test]
     fn monitors_union_mask_covers_members() {
         let m = Monitors::with_defaults();
