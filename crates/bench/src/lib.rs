@@ -174,7 +174,7 @@ pub(crate) fn paper_schemes(labels: [&'static str; 4], lossless_buf: usize) -> V
         .zip(labels)
         .map(|(name, label)| {
             let (_, kind, mut cfg) = pick(name);
-            if cfg.pfc.is_some() {
+            if cfg.pfc {
                 cfg.buffer_bytes = lossless_buf;
             }
             (label, kind, cfg)

@@ -13,15 +13,15 @@
 //! never silently vanished. The whole matrix is deterministic — metrics
 //! output is byte-identical across `DCP_THREADS` settings.
 //!
-//! The full metrics document is always written to `BENCH_fault_matrix.json`
-//! (`dcp-metrics/v1`, validated in CI; `--out PATH` writes it elsewhere,
-//! `--metrics-out PATH` adds a copy).
+//! The full metrics document (`dcp-metrics/v1`, validated in CI) is
+//! written once: to `--metrics-out PATH`, or to `BENCH_fault_matrix.json`
+//! when none is given.
 //!
 //! `--quick` shrinks the workload for CI smoke runs; `--ec-smoke` restricts
 //! to the DCP/EC × {BER, ToR-fail} cells CI gates on; `--full` scales the
 //! fabric to the paper's dimensions.
 
-use crate::metrics::{run_entry, ExportOpts};
+use crate::metrics::run_entry;
 use crate::{build_clos, default_cc, fabric_cables, schemes, sweep, Args, MetricsDoc, Report};
 use crate::{Scale, Scheme};
 use dcp_faults::{FaultEngine, FaultEvent, FaultPlan, LossModel, RecoveryTracker};
@@ -246,7 +246,6 @@ fn fmt_ns(v: Option<Nanos>) -> String {
 }
 
 pub fn run(args: &Args) -> Report {
-    let export = ExportOpts::from_args(args);
     let scale = args.scale();
     let quick = args.has("quick");
     // CI's EC gate: just the DCP/EC schemes through the two cells where
@@ -325,17 +324,11 @@ pub fn run(args: &Args) -> Report {
         );
     }
 
-    // The full document always lands in BENCH_fault_matrix.json (CI
-    // validates it against schemas/metrics.schema.json and uploads it);
-    // --metrics-out adds a copy wherever the caller wants one.
-    let rendered = doc.finish().render_pretty();
-    let bench_path = args.get("out").unwrap_or("BENCH_fault_matrix.json");
-    std::fs::write(bench_path, &rendered).expect("write bench json");
-    println!("\nwrote {bench_path}");
-    if let Some(path) = &export.metrics_out {
-        std::fs::write(path, &rendered).expect("write metrics");
-        println!("result metrics={}", path.display());
-    }
+    // One document, wherever the caller asked (CI validates it against
+    // schemas/metrics.schema.json and uploads it).
+    let path = args.get("metrics-out").unwrap_or("BENCH_fault_matrix.json");
+    std::fs::write(path, doc.finish().render_pretty()).expect("write metrics");
+    println!("\nwrote {path}");
 
     let cell = |scheme: &str, scen: Scenario| {
         points

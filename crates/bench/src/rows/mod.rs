@@ -58,7 +58,7 @@ rows! {
     ablation_lb_compat: &[], shape;
     ablation_ho_return: &[], shape;
     deepdive_queues: &[METRICS_OUT, TRACE_OUT, SPANS_OUT], shape;
-    fault_matrix: &[FULL, Switch("quick"), Switch("ec-smoke"), Value("out"), METRICS_OUT];
+    fault_matrix: &[FULL, Switch("quick"), Switch("ec-smoke"), METRICS_OUT];
     check_matrix: &[FULL, Switch("quick"), Value("repro-out")];
     soak: &[FULL, Switch("quick"), Switch("calibrate"), Value("out"), Value("repro-out")];
     dcp_sim: dcp_sim::FLAGS;

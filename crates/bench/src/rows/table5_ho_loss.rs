@@ -51,7 +51,7 @@ fn funnel(
 ) -> (NetStats, TransportStats, Option<Json>) {
     let mut cfg = funnel_switch(n_cfg, effective_wrr_weight(n_cfg, dcp_rdma::MTU, 8.0));
     let cc = if with_cc {
-        cfg.ecn = Some(EcnConfig { kmin: 8 * 1024, kmax: 16 * 1024, pmax: 0.2 });
+        cfg.ecn = Some(EcnConfig { kmin: 8 * 1024, kmax: 16 * 1024 });
         CcKind::Dcqcn { gbps: 100.0 }
     } else {
         CcKind::None

@@ -1,7 +1,7 @@
 //! `dcp dcp_sim` refuses a value it cannot use before it runs anything:
 //! exit 2, `key=value` named on stderr, nothing on stdout. `dcp dcp_trace`
 //! refuses a trace it cannot read or a file it cannot write the same way,
-//! naming the path.
+//! naming the path. `dcp fault_matrix` refuses a flag it does not list.
 
 use std::process::{Command, Output};
 
@@ -66,4 +66,15 @@ fn dcp_trace_refuses_unreadable_and_unwritable_paths_by_name() {
             .expect("run dcp");
         assert_refused(&out, &format!("dcp_trace {argv}"), missing);
     }
+}
+
+/// `fault_matrix` writes its one document to `--metrics-out`; the `--out`
+/// flag that used to name a second copy is refused, not ignored.
+#[test]
+fn fault_matrix_refuses_the_retired_out_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_dcp"))
+        .args(["fault_matrix", "--out", "x.json"])
+        .output()
+        .expect("run dcp");
+    assert_refused(&out, "fault_matrix --out x.json", "--out");
 }

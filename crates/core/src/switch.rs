@@ -55,9 +55,6 @@ pub fn effective_wrr_weight(n_ports: usize, mtu: usize, fallback: f64) -> f64 {
 /// (DCP integrates DCQCN, §3; the marks are inert when no CC is attached).
 pub fn dcp_switch_config(lb: LoadBalance, n_ports: usize) -> SwitchConfig {
     let mut cfg = SwitchConfig::dcp(lb, effective_wrr_weight(n_ports, MTU, 8.0));
-    // 200 KB trim threshold ≈ 2 BDP at 100 Gbps / 10 µs: deep enough to ride
-    // bursts, shallow enough to bound queueing delay.
-    cfg.data_q_threshold = 200 * 1024;
     cfg.ecn = Some(dcp_netsim::switch::EcnConfig::default_100g());
     cfg
 }
@@ -108,7 +105,7 @@ mod tests {
     fn dcp_config_has_trimming_and_no_pfc() {
         let cfg = dcp_switch_config(LoadBalance::AdaptiveRouting, 16);
         assert!(cfg.trimming);
-        assert!(cfg.pfc.is_none());
+        assert!(!cfg.pfc);
         assert!(cfg.ctrl_weight > 0.0);
     }
 }

@@ -223,47 +223,6 @@ fn control_plane_survives_incast() {
 }
 
 #[test]
-fn coarse_timeout_recovers_when_control_plane_breaks() {
-    // §4.5 fallback: if HO notifications are lost (we simulate a violated
-    // assumption by dropping everything at a tiny shared buffer), the
-    // coarse timeout plus retry rounds still deliver the message.
-    let mut sim = Simulator::new(19);
-    let mut cfg = dcp_switch_config(LoadBalance::Ecmp, 16);
-    // Inject control-plane faults: 30% of HO notifications vanish, plus
-    // forced data loss so HOs are actually needed.
-    cfg.forced_loss_rate = 0.01;
-    cfg.ho_loss_rate = 0.3;
-    cfg.data_q_threshold = 8 * 1024;
-    let topo = topology::two_switch_testbed(&mut sim, cfg, 2, 100.0, &[100.0], US, US);
-    let dst = topo.hosts[2];
-    for (i, &h) in topo.hosts[..2].iter().enumerate() {
-        install_dcp(&mut sim, h, dst, FlowId(i as u32 + 1), Placement::Virtual);
-        sim.post(
-            h,
-            FlowId(i as u32 + 1),
-            1,
-            WorkReqOp::Write { remote_addr: 0x10_000, rkey: 1 },
-            MSG,
-        );
-    }
-    let mut done = 0;
-    while done < 2 && sim.pending_events() > 0 && sim.now() < 60 * SEC {
-        sim.advance();
-        sim.for_each_completion(|c| {
-            if c.kind == CompletionKind::RecvComplete {
-                done += 1;
-            }
-        });
-    }
-    assert_eq!(done, 2, "fallback must deliver despite HO losses");
-    let ns = sim.net_stats();
-    assert!(ns.ho_drops > 0, "scenario must actually violate the control plane");
-    let total_timeouts: u64 =
-        (1..=2).map(|i| sim.endpoint_stats(topo.hosts[i - 1], FlowId(i as u32)).timeouts).sum();
-    assert!(total_timeouts > 0, "recovery must have used the coarse fallback");
-}
-
-#[test]
 fn determinism() {
     let run = |seed| {
         let mut sim = Simulator::new(seed);

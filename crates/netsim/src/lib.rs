@@ -57,7 +57,7 @@ pub use shard::{env_shards, env_threads};
 pub use sim::{Event, Node, NodeCtx, Simulator};
 pub use splitmix::{mix64, SplitMix64};
 pub use stats::{Conservation, NetStats, TransportStats};
-pub use switch::{EcnConfig, PfcConfig, SwitchConfig};
+pub use switch::{EcnConfig, SwitchConfig};
 pub use time::{bdp_bytes, fiber_delay_km, tx_time, Nanos, MS, NS, SEC, US};
 pub use topology::Topology;
 /// The endpoint-timer name of [`EventQueue`]: one wheel holds every event.

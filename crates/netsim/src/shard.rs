@@ -536,17 +536,9 @@ fn fault_intercept(
 /// identity `trims = ho_received + ho_drops` holds; ACK-class losses join
 /// `ack_drops`.
 fn fault_discard(shard: &mut Shard, w: &mut Walker<'_>, node: NodeId, port: PortId, pkt: PktRef) {
-    let (is_ho, is_data, flow, psn) = {
-        let p = &shard.pool[pkt];
-        (p.dcp_tag() == DcpTag::HeaderOnly, p.is_data(), p.flow.0, p.psn())
-    };
-    if is_ho {
-        shard.fault_stats.ho_drops += 1;
-    } else if is_data {
-        shard.fault_stats.fault_drops += 1;
-    } else {
-        shard.fault_stats.ack_drops += 1;
-    }
+    let p = &shard.pool[pkt];
+    let (flow, psn) = (p.flow.0, p.psn());
+    shard.fault_stats.count_fault_drop(p);
     if let Some(probe) = w.probe.sink(&mut shard.bufp) {
         probe.record(
             shard.now,

@@ -7,6 +7,8 @@
 //! size regression test pins `size_of == 8 × FIELDS.len()` so a field that
 //! bypasses the macro is caught at test time.
 
+use crate::packet::Packet;
+use dcp_rdma::headers::DcpTag;
 use serde::{Deserialize, Serialize};
 
 /// Declares a counter struct of `u64` fields with a derived `merge`, a
@@ -84,6 +86,22 @@ counters! {
         /// Extra header-only copies materialized by a `Duplicate` fault
         /// verdict (counted into the HO identity's supply side).
         pub dup_ho_injected: u64,
+    }
+}
+
+impl NetStats {
+    /// Books a packet killed by an injected fault by what it is: a
+    /// header-only packet in `ho_drops` (the Table 5 quantity), a
+    /// payload-bearing one in `fault_drops`, an ACK-class one in
+    /// `ack_drops`.
+    pub(crate) fn count_fault_drop(&mut self, pkt: &Packet) {
+        if pkt.dcp_tag() == DcpTag::HeaderOnly {
+            self.ho_drops += 1;
+        } else if pkt.is_data() {
+            self.fault_drops += 1;
+        } else {
+            self.ack_drops += 1;
+        }
     }
 }
 

@@ -26,20 +26,23 @@ pub const Q_DATA: usize = 0;
 /// Queue index for the lossless control plane (header-only packets).
 pub const Q_CTRL: usize = 1;
 
+/// ECN mark probability at `kmax` occupancy: the DCQCN paper's `Pmax`.
+pub const ECN_PMAX: f64 = 0.2;
+
 /// ECN marking configuration (DCQCN-style RED ramp on the data queue).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EcnConfig {
     /// Mark probability is 0 below this occupancy (bytes).
     pub kmin: usize,
-    /// Mark probability is `pmax` above this occupancy (bytes).
+    /// Mark probability is [`ECN_PMAX`] at this occupancy and 1 above it
+    /// (bytes).
     pub kmax: usize,
-    pub pmax: f64,
 }
 
 impl EcnConfig {
     /// The DCQCN paper's defaults scaled for 100 Gbps links.
     pub fn default_100g() -> Self {
-        EcnConfig { kmin: 100 * 1024, kmax: 400 * 1024, pmax: 0.2 }
+        EcnConfig { kmin: 100 * 1024, kmax: 400 * 1024 }
     }
 
     fn mark_probability(&self, qbytes: usize) -> f64 {
@@ -48,25 +51,16 @@ impl EcnConfig {
         } else if qbytes >= self.kmax {
             1.0
         } else {
-            self.pmax * (qbytes - self.kmin) as f64 / (self.kmax - self.kmin) as f64
+            ECN_PMAX * (qbytes - self.kmin) as f64 / (self.kmax - self.kmin) as f64
         }
     }
 }
 
-/// PFC configuration for lossless runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PfcConfig {
-    /// Ingress occupancy above which PAUSE is sent upstream.
-    pub xoff_bytes: usize,
-    /// Ingress occupancy below which RESUME is sent.
-    pub xon_bytes: usize,
-}
-
-impl PfcConfig {
-    pub fn default_100g() -> Self {
-        PfcConfig { xoff_bytes: 512 * 1024, xon_bytes: 448 * 1024 }
-    }
-}
+/// PFC: ingress occupancy (data-class bytes) above which PAUSE is sent
+/// upstream, sized for 100 Gbps links.
+pub const PFC_XOFF_BYTES: usize = 512 * 1024;
+/// PFC: ingress occupancy below which RESUME is sent.
+pub const PFC_XON_BYTES: usize = 448 * 1024;
 
 /// Per-switch policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,17 +77,14 @@ pub struct SwitchConfig {
     /// §4.2). Ignored when the control queue is empty (work conserving).
     pub ctrl_weight: f64,
     pub ecn: Option<EcnConfig>,
-    pub pfc: Option<PfcConfig>,
+    /// Lossless mode: PAUSE the upstream neighbour of an ingress holding
+    /// more than [`PFC_XOFF_BYTES`], RESUME it below [`PFC_XON_BYTES`].
+    pub pfc: bool,
     pub lb: LoadBalance,
     /// Probability that an arriving data packet is treated as lost
     /// (testbed-style artificial loss, Figs. 10/17): trimmed when `trimming`
     /// is on, dropped otherwise.
     pub forced_loss_rate: f64,
-    /// Fault injection on the control plane: probability that a header-only
-    /// packet is dropped, modelling the §4.5 violated-assumption cases
-    /// (link/switch crashes, accidental HO losses) that the coarse timeout
-    /// fallback must recover from.
-    pub ho_loss_rate: f64,
     /// §7's hypothetical "back-to-sender" optimization: the trimming switch
     /// returns the header-only packet directly toward the source instead of
     /// forwarding it to the receiver for bouncing, assuming the switch holds
@@ -107,14 +98,15 @@ impl SwitchConfig {
     pub fn dcp(lb: LoadBalance, ctrl_weight: f64) -> Self {
         SwitchConfig {
             buffer_bytes: 32 << 20,
+            // ≈ 2 BDP at 100 Gbps / 10 µs: deep enough to ride bursts,
+            // shallow enough to bound queueing delay.
             data_q_threshold: 200 * 1024,
             trimming: true,
             ctrl_weight,
             ecn: None,
-            pfc: None,
+            pfc: false,
             lb,
             forced_loss_rate: 0.0,
-            ho_loss_rate: 0.0,
             ho_direct_return: false,
         }
     }
@@ -127,10 +119,9 @@ impl SwitchConfig {
             trimming: false,
             ctrl_weight: 1.0,
             ecn: None,
-            pfc: None,
+            pfc: false,
             lb,
             forced_loss_rate: 0.0,
-            ho_loss_rate: 0.0,
             ho_direct_return: false,
         }
     }
@@ -143,10 +134,9 @@ impl SwitchConfig {
             trimming: false,
             ctrl_weight: 1.0,
             ecn: None,
-            pfc: Some(PfcConfig::default_100g()),
+            pfc: true,
             lb,
             forced_loss_rate: 0.0,
-            ho_loss_rate: 0.0,
             ho_direct_return: false,
         }
     }
@@ -342,24 +332,10 @@ impl Switch {
         for port in 0..self.ports.len() {
             for q in [Q_DATA, Q_CTRL] {
                 while let Some(pr) = self.ports[port].queues[q].pkts.pop_front() {
-                    let (bytes, is_ho, is_data, flow, psn) = {
-                        let pkt = &ctx.pool[pr];
-                        (
-                            pkt.wire_bytes(),
-                            pkt.dcp_tag() == DcpTag::HeaderOnly,
-                            pkt.is_data(),
-                            pkt.flow.0,
-                            pkt.psn(),
-                        )
-                    };
+                    let pkt = &ctx.pool[pr];
+                    let (bytes, flow, psn) = (pkt.wire_bytes(), pkt.flow.0, pkt.psn());
+                    self.stats.count_fault_drop(pkt);
                     self.ports[port].queues[q].bytes -= bytes;
-                    if is_ho {
-                        self.stats.ho_drops += 1;
-                    } else if is_data {
-                        self.stats.fault_drops += 1;
-                    } else {
-                        self.stats.ack_drops += 1;
-                    }
                     ctx.emit(|| ProbeEvent::Drop {
                         node: self.id.0,
                         port: port as u32,
@@ -424,19 +400,6 @@ impl Switch {
 
         // Header-only packets go straight to the control queue.
         if tag == DcpTag::HeaderOnly {
-            if self.cfg.ho_loss_rate > 0.0 && ctx.rng.random::<f64>() < self.cfg.ho_loss_rate {
-                // Injected control-plane fault (§4.5's violated assumption).
-                self.stats.ho_drops += 1;
-                ctx.emit(|| ProbeEvent::Drop {
-                    node: self.id.0,
-                    port: egress as u32,
-                    flow,
-                    psn,
-                    class: DropClass::HeaderOnly,
-                });
-                ctx.pool.release(pr);
-                return;
-            }
             self.admit(egress, Q_CTRL, pr, ctx);
             return;
         }
@@ -527,7 +490,7 @@ impl Switch {
             return;
         }
         self.shared_used += bytes;
-        if self.cfg.pfc.is_some() && q == Q_DATA {
+        if self.cfg.pfc && q == Q_DATA {
             self.ingress_bytes[ingress] += bytes;
             self.maybe_pause(ingress, ctx);
         }
@@ -590,8 +553,7 @@ impl Switch {
     }
 
     fn maybe_pause(&mut self, ingress: PortId, ctx: &mut NodeCtx) {
-        let Some(pfc) = self.cfg.pfc else { return };
-        if !self.ingress_paused[ingress] && self.ingress_bytes[ingress] > pfc.xoff_bytes {
+        if !self.ingress_paused[ingress] && self.ingress_bytes[ingress] > PFC_XOFF_BYTES {
             self.ingress_paused[ingress] = true;
             self.stats.pauses_sent += 1;
             ctx.emit(|| ProbeEvent::PfcPause { node: self.id.0, port: ingress as u32 });
@@ -605,8 +567,7 @@ impl Switch {
     }
 
     fn maybe_resume(&mut self, ingress: PortId, ctx: &mut NodeCtx) {
-        let Some(pfc) = self.cfg.pfc else { return };
-        if self.ingress_paused[ingress] && self.ingress_bytes[ingress] < pfc.xon_bytes {
+        if self.ingress_paused[ingress] && self.ingress_bytes[ingress] < PFC_XON_BYTES {
             self.ingress_paused[ingress] = false;
             self.stats.resumes_sent += 1;
             ctx.emit(|| ProbeEvent::PfcResume { node: self.id.0, port: ingress as u32 });
@@ -682,7 +643,7 @@ impl Switch {
             p.link
         };
         self.shared_used -= bytes;
-        if self.cfg.pfc.is_some() && q == Q_DATA {
+        if self.cfg.pfc && q == Q_DATA {
             self.ingress_bytes[ingress] -= bytes;
             self.maybe_resume(ingress, ctx);
         }

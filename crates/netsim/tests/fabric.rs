@@ -259,8 +259,7 @@ fn lossy_switch_drops_at_threshold() {
 #[test]
 fn pfc_prevents_all_drops() {
     let mut sim = Simulator::new(5);
-    let mut cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
-    cfg.pfc = Some(PfcConfig { xoff_bytes: 64 * 1024, xon_bytes: 48 * 1024 });
+    let cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
     let topo = topology::two_switch_testbed(&mut sim, cfg, 4, 100.0, &[100.0], US, US);
     let dst = topo.hosts[4];
     // 4-to-1 incast through one cross link.

@@ -146,7 +146,7 @@ fn ecn_marks_ramp_with_occupancy() {
     // Saturate a 10:1 bottleneck with ECN enabled: a healthy fraction of
     // delivered packets must carry CE, and none when the queue is idle.
     let mut cfg = SwitchConfig::lossy(LoadBalance::Ecmp);
-    cfg.ecn = Some(EcnConfig { kmin: 8 * 1024, kmax: 64 * 1024, pmax: 1.0 });
+    cfg.ecn = Some(EcnConfig { kmin: 8 * 1024, kmax: 64 * 1024 });
     cfg.data_q_threshold = usize::MAX; // no drops: isolate marking
     let mut sim = Simulator::new(5);
     let topo = topology::two_switch_testbed(&mut sim, cfg, 4, 100.0, &[100.0], US, US);
@@ -176,8 +176,7 @@ fn ecn_marks_ramp_with_occupancy() {
 
 #[test]
 fn pfc_hysteresis_pauses_and_resumes() {
-    let mut cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
-    cfg.pfc = Some(PfcConfig { xoff_bytes: 32 * 1024, xon_bytes: 24 * 1024 });
+    let cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
     let mut sim = Simulator::new(7);
     let topo = topology::two_switch_testbed(&mut sim, cfg, 2, 100.0, &[100.0], US, US);
     let dst = topo.hosts[2];

@@ -15,12 +15,22 @@
 use dcp_telemetry::{EventKind, Json, KindMask, LogHistogram, Probe, ProbeEvent, RetxCause};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Retransmission-storm detector: trips when more than `threshold`
-/// retransmissions land inside any `window_ns` rolling window, and keeps
-/// a per-cause tally so the verdict names the dominant recovery signal.
+/// Rolling window of the retransmission-storm detector: 1 ms, sized for
+/// the paper's 100G fabrics.
+pub const STORM_WINDOW_NS: u64 = 1_000_000;
+/// A storm is more than this many retransmissions inside one window.
+pub const STORM_THRESHOLD: usize = 256;
+/// A pause tree trips at this many distinct nodes pausing at once.
+pub const PFC_TREE_NODES: usize = 4;
+/// Per-message latency SLO of the burn monitor: 10 ms.
+pub const SLO_NS: u64 = 10_000_000;
+
+/// Retransmission-storm detector: trips when more than
+/// [`STORM_THRESHOLD`] retransmissions land inside any [`STORM_WINDOW_NS`]
+/// rolling window, and keeps a per-cause tally so the verdict names the
+/// dominant recovery signal.
+#[derive(Default)]
 pub struct RetxStormMonitor {
-    window_ns: u64,
-    threshold: usize,
     recent: VecDeque<u64>,
     by_cause: [u64; 8],
     /// Time of the first threshold crossing, if any.
@@ -30,17 +40,6 @@ pub struct RetxStormMonitor {
 }
 
 impl RetxStormMonitor {
-    pub fn new(window_ns: u64, threshold: usize) -> Self {
-        RetxStormMonitor {
-            window_ns,
-            threshold,
-            recent: VecDeque::new(),
-            by_cause: [0; 8],
-            tripped_at: None,
-            peak: 0,
-        }
-    }
-
     pub fn tripped(&self) -> bool {
         self.tripped_at.is_some()
     }
@@ -70,8 +69,8 @@ impl RetxStormMonitor {
 
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .set("window_ns", self.window_ns)
-            .set("threshold", self.threshold)
+            .set("window_ns", STORM_WINDOW_NS)
+            .set("threshold", STORM_THRESHOLD)
             .set("peak", self.peak)
             .set("tripped_at", self.tripped_at.map_or(Json::Null, Json::from))
             .set("dominant_cause", self.dominant_cause().map_or(Json::Null, |c| c.name().into()))
@@ -83,16 +82,16 @@ impl Probe for RetxStormMonitor {
         let ProbeEvent::Retx { cause, .. } = ev else { return };
         self.by_cause[*cause as usize] += 1;
         self.recent.push_back(at);
-        while self.recent.front().is_some_and(|&t| at.saturating_sub(t) > self.window_ns) {
+        while self.recent.front().is_some_and(|&t| at.saturating_sub(t) > STORM_WINDOW_NS) {
             self.recent.pop_front();
         }
         self.peak = self.peak.max(self.recent.len());
-        if self.recent.len() > self.threshold && self.tripped_at.is_none() {
+        if self.recent.len() > STORM_THRESHOLD && self.tripped_at.is_none() {
             self.tripped_at = Some(at);
         }
         // Past the threshold the deque only needs enough history to keep
         // detecting; cap it so a sustained storm stays O(threshold).
-        while self.recent.len() > self.threshold + 1 {
+        while self.recent.len() > STORM_THRESHOLD + 1 {
             self.recent.pop_front();
         }
     }
@@ -105,8 +104,8 @@ impl Probe for RetxStormMonitor {
         Some(format!(
             "retx storm: peak {}/{} in {} ns{}",
             self.peak,
-            self.threshold,
-            self.window_ns,
+            STORM_THRESHOLD,
+            STORM_WINDOW_NS,
             match self.tripped_at {
                 Some(t) => format!(", TRIPPED at t={t}"),
                 None => String::new(),
@@ -119,9 +118,9 @@ impl Probe for RetxStormMonitor {
 /// pausing their upstream peer. A growing set is congestion spreading
 /// backwards through the fabric — the precursor of the PFC deadlock the
 /// check crate's watchdog hunts — so the trip threshold is on the number
-/// of *distinct paused nodes*, not raw PAUSE frames.
+/// of *distinct paused nodes* ([`PFC_TREE_NODES`]), not raw PAUSE frames.
+#[derive(Default)]
 pub struct PfcTreeMonitor {
-    threshold: usize,
     /// Currently-paused (node, port) pairs.
     active: BTreeMap<(u32, u32), u64>,
     /// High-water mark of concurrently paused ports / distinct nodes.
@@ -132,17 +131,6 @@ pub struct PfcTreeMonitor {
 }
 
 impl PfcTreeMonitor {
-    pub fn new(threshold: usize) -> Self {
-        PfcTreeMonitor {
-            threshold,
-            active: BTreeMap::new(),
-            max_ports: 0,
-            max_nodes: 0,
-            pauses_seen: 0,
-            tripped_at: None,
-        }
-    }
-
     pub fn tripped(&self) -> bool {
         self.tripped_at.is_some()
     }
@@ -166,7 +154,7 @@ impl PfcTreeMonitor {
 
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .set("threshold", self.threshold)
+            .set("threshold", PFC_TREE_NODES)
             .set("pauses_seen", self.pauses_seen)
             .set("max_ports", self.max_ports)
             .set("max_nodes", self.max_nodes)
@@ -183,7 +171,7 @@ impl Probe for PfcTreeMonitor {
                 self.max_ports = self.max_ports.max(self.active.len());
                 let nodes = self.distinct_nodes();
                 self.max_nodes = self.max_nodes.max(nodes);
-                if nodes >= self.threshold && self.tripped_at.is_none() {
+                if nodes >= PFC_TREE_NODES && self.tripped_at.is_none() {
                     self.tripped_at = Some(at);
                 }
             }
@@ -230,10 +218,6 @@ const EMPTY: u64 = u64::MAX;
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl QueueHighWaterMonitor {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The slot holding `key`, or the free slot where it would go.
     /// Requires a non-empty table with at least one free slot.
     #[inline]
@@ -366,10 +350,10 @@ impl Probe for QueueHighWaterMonitor {
 }
 
 /// Per-flow slowdown SLO burn: message latency (MsgPosted→Delivery) lands
-/// in a per-flow [`LogHistogram`]; a delivery slower than `slo_ns` burns
+/// in a per-flow [`LogHistogram`]; a delivery slower than [`SLO_NS`] burns
 /// budget. `burn_rate()` is the fraction of deliveries over SLO.
+#[derive(Default)]
 pub struct SloBurnMonitor {
-    slo_ns: u64,
     /// flow → posted-at per wr_id (bounded: entries leave on delivery).
     pending: BTreeMap<(u32, u64), u64>,
     flows: BTreeMap<u32, LogHistogram>,
@@ -378,16 +362,6 @@ pub struct SloBurnMonitor {
 }
 
 impl SloBurnMonitor {
-    pub fn new(slo_ns: u64) -> Self {
-        SloBurnMonitor {
-            slo_ns,
-            pending: BTreeMap::new(),
-            flows: BTreeMap::new(),
-            delivered: 0,
-            breached: 0,
-        }
-    }
-
     /// Heap bytes held: the pending posts and the per-flow histograms.
     pub fn heap_bytes(&self) -> usize {
         crate::btree_map_bytes::<(u32, u64), u64>(self.pending.len())
@@ -420,7 +394,7 @@ impl SloBurnMonitor {
             })
             .collect();
         Json::obj()
-            .set("slo_ns", self.slo_ns)
+            .set("slo_ns", SLO_NS)
             .set("delivered", self.delivered)
             .set("breached", self.breached)
             .set("burn_rate", self.burn_rate())
@@ -438,10 +412,10 @@ impl Probe for SloBurnMonitor {
                 let Some(posted) = self.pending.remove(&(flow, wr_id)) else { return };
                 let latency = at.saturating_sub(posted);
                 self.delivered += 1;
-                if latency > self.slo_ns {
+                if latency > SLO_NS {
                     self.breached += 1;
                 }
-                self.flows.entry(flow).or_insert_with(|| LogHistogram::new(6)).record(latency);
+                self.flows.entry(flow).or_default().record(latency);
             }
             _ => {}
         }
@@ -456,7 +430,7 @@ impl Probe for SloBurnMonitor {
             "slo burn: {}/{} deliveries over {} ns ({:.1}%)",
             self.breached,
             self.delivered,
-            self.slo_ns,
+            SLO_NS,
             self.burn_rate() * 100.0
         ))
     }
@@ -465,6 +439,7 @@ impl Probe for SloBurnMonitor {
 /// The standard monitor set, dispatching each event to every member whose
 /// mask covers it. Implements [`Probe`] with the union mask so a `Fanout`
 /// skips whole kinds nobody wants.
+#[derive(Default)]
 pub struct Monitors {
     pub retx_storm: RetxStormMonitor,
     pub pfc_tree: PfcTreeMonitor,
@@ -472,25 +447,7 @@ pub struct Monitors {
     pub slo_burn: SloBurnMonitor,
 }
 
-impl Default for Monitors {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
 impl Monitors {
-    /// Defaults sized for the paper's 100G fabrics: a storm is >256 retx
-    /// in 1 ms, a pause tree is ≥4 distinct nodes pausing at once, the
-    /// SLO is 10 ms per message.
-    pub fn with_defaults() -> Self {
-        Monitors {
-            retx_storm: RetxStormMonitor::new(1_000_000, 256),
-            pfc_tree: PfcTreeMonitor::new(4),
-            queue_high_water: QueueHighWaterMonitor::new(),
-            slo_burn: SloBurnMonitor::new(10_000_000),
-        }
-    }
-
     /// Heap bytes held by the four monitors.
     pub fn heap_bytes(&self) -> usize {
         self.retx_storm.heap_bytes()
@@ -559,46 +516,55 @@ mod tests {
 
     #[test]
     fn storm_trips_only_inside_the_window() {
-        let mut m = RetxStormMonitor::new(1_000, 3);
-        // Four retransmissions spread over 4 µs: never >3 in any 1 µs.
-        for i in 0..4 {
-            let (at, ev) = retx(i * 1_000 + i, RetxCause::Timeout);
+        let mut m = RetxStormMonitor::default();
+        // STORM_THRESHOLD + 1 retransmissions whose first and last lie just
+        // over a window apart: at most STORM_THRESHOLD in any window.
+        let gap = STORM_WINDOW_NS / STORM_THRESHOLD as u64 + 1;
+        for i in 0..=STORM_THRESHOLD as u64 {
+            let (at, ev) = retx(i * gap, RetxCause::Timeout);
             m.record(at, &ev);
         }
         assert!(!m.tripped());
-        // Four inside 100 ns: trips.
-        for i in 0..4 {
-            let (at, ev) = retx(10_000 + i * 25, RetxCause::Ho);
+        assert_eq!(m.peak, STORM_THRESHOLD);
+        // STORM_THRESHOLD + 1 inside a few µs: the last one trips it.
+        let start = 10 * STORM_WINDOW_NS;
+        for i in 0..=STORM_THRESHOLD as u64 {
+            let (at, ev) = retx(start + i * 25, RetxCause::Ho);
             m.record(at, &ev);
         }
         assert!(m.tripped());
-        assert_eq!(m.tripped_at, Some(10_075));
+        assert_eq!(m.tripped_at, Some(start + STORM_THRESHOLD as u64 * 25));
         // On a tie max_by_key keeps the last candidate, i.e. Timeout here.
         assert_eq!(m.dominant_cause(), Some(RetxCause::Timeout));
     }
 
     #[test]
     fn pfc_tree_counts_distinct_nodes_not_frames() {
-        let mut m = PfcTreeMonitor::new(3);
+        let mut m = PfcTreeMonitor::default();
+        let pause = |node| ProbeEvent::PfcPause { node, port: 0 };
         // Two ports on the same switch pausing is one node, not two.
-        m.record(10, &ProbeEvent::PfcPause { node: 5, port: 0 });
+        m.record(10, &pause(5));
         m.record(11, &ProbeEvent::PfcPause { node: 5, port: 1 });
-        m.record(12, &ProbeEvent::PfcPause { node: 6, port: 0 });
+        // One distinct node short of the threshold.
+        for node in 6..4 + PFC_TREE_NODES as u32 {
+            m.record(u64::from(node) + 6, &pause(node));
+        }
         assert!(!m.tripped());
-        assert_eq!(m.max_nodes, 2);
-        assert_eq!(m.max_ports, 3);
-        // Resume shrinks the tree; a third distinct node trips it.
-        m.record(13, &ProbeEvent::PfcResume { node: 6, port: 0 });
-        m.record(14, &ProbeEvent::PfcPause { node: 7, port: 0 });
+        assert_eq!(m.max_nodes, PFC_TREE_NODES - 1);
+        assert_eq!(m.max_ports, PFC_TREE_NODES);
+        // Resume shrinks the tree; a replacement node keeps it one short,
+        // one more distinct node trips it.
+        m.record(20, &ProbeEvent::PfcResume { node: 6, port: 0 });
+        m.record(21, &pause(50));
         assert!(!m.tripped());
-        m.record(15, &ProbeEvent::PfcPause { node: 8, port: 0 });
+        m.record(22, &pause(51));
         assert!(m.tripped());
-        assert_eq!(m.tripped_at, Some(15));
+        assert_eq!(m.tripped_at, Some(22));
     }
 
     #[test]
     fn queue_high_water_tracks_per_port_peaks() {
-        let mut m = QueueHighWaterMonitor::new();
+        let mut m = QueueHighWaterMonitor::default();
         let enq = |node, port, bytes| ProbeEvent::Enqueue {
             node,
             port,
@@ -626,8 +592,9 @@ mod tests {
 
     #[test]
     fn slo_burn_counts_breaches() {
-        let mut m = SloBurnMonitor::new(1_000);
-        for (wr, post, deliver) in [(1u64, 0u64, 500u64), (2, 0, 5_000), (3, 100, 900)] {
+        let mut m = SloBurnMonitor::default();
+        // Exactly at the SLO is no breach; one nanosecond over is.
+        for (wr, post, deliver) in [(1u64, 0u64, SLO_NS), (2, 0, SLO_NS + 1), (3, 100, 900)] {
             m.record(post, &ProbeEvent::MsgPosted { node: 0, flow: 1, wr_id: wr, bytes: 1 });
             m.record(deliver, &ProbeEvent::Delivery { node: 1, flow: 1, wr_id: wr, bytes: 1 });
         }
@@ -680,7 +647,7 @@ mod tests {
 
     #[test]
     fn monitors_union_mask_covers_members() {
-        let m = Monitors::with_defaults();
+        let m = Monitors::default();
         let mask = m.interest();
         for k in [
             EventKind::Retx,

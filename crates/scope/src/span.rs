@@ -874,9 +874,9 @@ impl SpanBuilder {
     /// Aggregate latency breakdown: where packet time went (queueing vs
     /// recovery), per-hop queue-wait percentiles, message latency.
     pub fn stats_json(&self) -> Json {
-        let mut queue_wait = LogHistogram::new(6);
-        let mut recovery = LogHistogram::new(6);
-        let mut msg_latency = LogHistogram::new(6);
+        let mut queue_wait = LogHistogram::default();
+        let mut recovery = LogHistogram::default();
+        let mut msg_latency = LogHistogram::default();
         let mut per_node: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
         let mut retx_pkts = 0u64;
         for (_, s) in self.packets() {

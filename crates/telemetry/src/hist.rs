@@ -1,9 +1,9 @@
 //! Log-linear ("HDR-style") histograms.
 //!
-//! Values `< 2^sub_bits` get exact unit buckets; above that, each power-of-
-//! two octave is split into `2^sub_bits` linear sub-buckets, bounding the
-//! relative quantization error at `2^-sub_bits` (≈1.6% for the default 6
-//! bits). Recording is O(1) (a leading-zeros count, one range check and
+//! Values `< 2^SUB_BITS` get exact unit buckets; above that, each power-of-
+//! two octave is split into `2^SUB_BITS` linear sub-buckets, bounding the
+//! relative quantization error at `2^-SUB_BITS` (≈1.6% at [`SUB_BITS`] =
+//! 6). Recording is O(1) (a leading-zeros count, one range check and
 //! an add), percentile queries are one walk — no full sort of the sample
 //! set, which is what lets the workload stats report p999 over millions
 //! of FCTs without holding or sorting them.
@@ -11,16 +11,45 @@
 //! Memory is O(occupied range): a histogram stores counts only for the
 //! buckets between its lowest and highest recorded value, starting empty
 //! and widening when a record lands outside them. The full table would
-//! be `(65 − sub_bits) << sub_bits` buckets — 3 776 (30 KB) at the default
-//! 6 bits — which a per-flow histogram holding one latency never needs.
+//! be `(65 − SUB_BITS) << SUB_BITS` buckets — 3 776 (30 KB) — which a
+//! per-flow histogram holding one latency never needs.
 
-/// Default sub-bucket resolution: 64 linear buckets per octave.
-pub const DEFAULT_SUB_BITS: u32 = 6;
+/// Sub-bucket resolution: 64 linear buckets per octave.
+pub const SUB_BITS: u32 = 6;
+
+/// Bucket index of `v`.
+#[inline]
+fn index(v: u64) -> usize {
+    if v < (1 << SUB_BITS) {
+        return v as usize;
+    }
+    let msb = 63 - v.leading_zeros();
+    let octave = msb - SUB_BITS + 1;
+    (((octave as usize) << SUB_BITS) + ((v >> (msb - SUB_BITS)) as usize)) - (1 << SUB_BITS)
+}
+
+/// Inclusive lower edge of bucket `i`.
+fn bucket_low(i: usize) -> u64 {
+    if i < (1 << SUB_BITS) {
+        return i as u64;
+    }
+    let octave = (i >> SUB_BITS) as u32;
+    let within = (i & ((1usize << SUB_BITS) - 1)) as u64;
+    ((1u64 << SUB_BITS) + within) << (octave - 1)
+}
+
+/// Inclusive upper edge of bucket `i` (its "highest equivalent value").
+fn bucket_high(i: usize) -> u64 {
+    if i < (1 << SUB_BITS) {
+        return i as u64;
+    }
+    let octave = (i >> SUB_BITS) as u32;
+    bucket_low(i) + ((1u64 << (octave - 1)) - 1)
+}
 
 /// A log-linear histogram over `u64` values.
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
-    sub_bits: u32,
     /// Bucket index of `counts[0]`.
     lo: usize,
     /// Counts of buckets `lo..lo + counts.len()`; empty before the first
@@ -34,56 +63,11 @@ pub struct LogHistogram {
 
 impl Default for LogHistogram {
     fn default() -> Self {
-        Self::new(DEFAULT_SUB_BITS)
+        LogHistogram { lo: 0, counts: Vec::new(), total: 0, min: u64::MAX, max: 0, sum: 0 }
     }
 }
 
 impl LogHistogram {
-    pub fn new(sub_bits: u32) -> Self {
-        assert!((1..=16).contains(&sub_bits), "sub_bits must be in 1..=16");
-        LogHistogram {
-            sub_bits,
-            lo: 0,
-            counts: Vec::new(),
-            total: 0,
-            min: u64::MAX,
-            max: 0,
-            sum: 0,
-        }
-    }
-
-    #[inline]
-    fn index(&self, v: u64) -> usize {
-        let sub = self.sub_bits;
-        if v < (1 << sub) {
-            return v as usize;
-        }
-        let msb = 63 - v.leading_zeros();
-        let octave = msb - sub + 1;
-        (((octave as usize) << sub) + ((v >> (msb - sub)) as usize)) - (1 << sub)
-    }
-
-    /// Inclusive lower edge of bucket `i`.
-    fn bucket_low(&self, i: usize) -> u64 {
-        let sub = self.sub_bits;
-        if i < (1 << sub) {
-            return i as u64;
-        }
-        let octave = (i >> sub) as u32;
-        let within = (i & ((1usize << sub) - 1)) as u64;
-        ((1u64 << sub) + within) << (octave - 1)
-    }
-
-    /// Inclusive upper edge of bucket `i` (its "highest equivalent value").
-    fn bucket_high(&self, i: usize) -> u64 {
-        let sub = self.sub_bits;
-        if i < (1 << sub) {
-            return i as u64;
-        }
-        let octave = (i >> sub) as u32;
-        self.bucket_low(i) + ((1u64 << (octave - 1)) - 1)
-    }
-
     /// Widens the stored range to take bucket `ix`. Always inlined: the
     /// compiler does not inline into a cold path on its own, and an
     /// outlined call taking `&mut self` would pin every field in memory.
@@ -99,7 +83,7 @@ impl LogHistogram {
 
     #[inline]
     pub fn record_n(&mut self, v: u64, n: u64) {
-        let ix = self.index(v);
+        let ix = index(v);
         match self.counts.get_mut(ix.wrapping_sub(self.lo)) {
             Some(c) => *c += n,
             None => {
@@ -162,15 +146,14 @@ impl LogHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return self.bucket_high(self.lo + i).clamp(self.min, self.max);
+                return bucket_high(self.lo + i).clamp(self.min, self.max);
             }
         }
         self.max
     }
 
-    /// Merges another histogram (same resolution) into this one.
+    /// Merges another histogram into this one.
     pub fn merge(&mut self, o: &LogHistogram) {
-        assert_eq!(self.sub_bits, o.sub_bits, "histogram resolutions differ");
         if let Some(last) = o.counts.len().checked_sub(1) {
             self.widen(o.lo);
             self.widen(o.lo + last);
@@ -188,9 +171,9 @@ impl LogHistogram {
     /// Samples strictly above `v`, at bucket granularity: samples that
     /// landed in `v`'s own bucket count as *not* above — the same
     /// quantization rule the percentile queries use. Exact when `v` is a
-    /// bucket edge (always, below `2^sub_bits`).
+    /// bucket edge (always, below `2^SUB_BITS`).
     pub fn count_above(&self, v: u64) -> u64 {
-        let from = (self.index(v) + 1).saturating_sub(self.lo).min(self.counts.len());
+        let from = (index(v) + 1).saturating_sub(self.lo).min(self.counts.len());
         self.counts[from..].iter().sum()
     }
 
@@ -200,7 +183,7 @@ impl LogHistogram {
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (self.bucket_low(self.lo + i), self.bucket_high(self.lo + i), c))
+            .map(|(i, &c)| (bucket_low(self.lo + i), bucket_high(self.lo + i), c))
             .collect()
     }
 
@@ -259,7 +242,7 @@ mod tests {
     fn assert_within_one_bucket(h: &LogHistogram, vals: &mut [u64], p: f64) {
         let e = exact(vals, p);
         let got = h.value_at_percentile(p);
-        let width = (e >> DEFAULT_SUB_BITS).max(1);
+        let width = (e >> SUB_BITS).max(1);
         assert!(
             got >= e.min(h.max()) && got <= e.saturating_add(width),
             "p{p}: hist {got} vs exact {e} (width {width})"
@@ -286,7 +269,7 @@ mod tests {
         for v in [0u64, 1, 2, 3, 10, 63] {
             h.record(v);
         }
-        // Below 2^sub_bits every value is its own bucket: exact everywhere.
+        // Below 2^SUB_BITS every value is its own bucket: exact everywhere.
         assert_eq!(h.count_above(0), 5);
         assert_eq!(h.count_above(3), 2);
         assert_eq!(h.count_above(63), 0);
@@ -336,7 +319,7 @@ mod tests {
             for p in [0.0, 50.0, 99.0, 99.9, 100.0] {
                 let e = exact(&mut vals, p);
                 let got = h.value_at_percentile(p);
-                let width = (e >> DEFAULT_SUB_BITS).max(1);
+                let width = (e >> SUB_BITS).max(1);
                 assert!(
                     got >= e.min(h.max()) && got <= e.saturating_add(width),
                     "p{p}: hist {got} vs exact {e}"
@@ -463,25 +446,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "histogram resolutions differ")]
-    fn merge_refuses_mismatched_resolution() {
-        let mut a = LogHistogram::new(6);
-        a.merge(&LogHistogram::new(8));
-    }
-
-    #[test]
     fn p999_on_single_bucket_data_is_that_bucket() {
         // All mass in one bucket: every percentile (p0.1 through p99.9)
         // must report the same value — the exact one, thanks to min/max
-        // clamping, even for a coarse 1-sub-bit histogram.
-        for sub_bits in [1, DEFAULT_SUB_BITS, 16] {
-            let mut h = LogHistogram::new(sub_bits);
-            h.record_n(123_457, 100_000);
-            for p in [0.1, 50.0, 99.0, 99.9, 100.0] {
-                assert_eq!(h.value_at_percentile(p), 123_457, "sub_bits={sub_bits} p={p}");
-            }
-            assert_eq!(h.p50_p99_p999(), (123_457, 123_457, 123_457));
+        // clamping, though the bucket is 2 048 wide.
+        let mut h = LogHistogram::default();
+        h.record_n(123_457, 100_000);
+        for p in [0.1, 50.0, 99.0, 99.9, 100.0] {
+            assert_eq!(h.value_at_percentile(p), 123_457, "p={p}");
         }
+        assert_eq!(h.p50_p99_p999(), (123_457, 123_457, 123_457));
         // A single *sample* is its own p99.9 too.
         let mut one = LogHistogram::default();
         one.record(7);
@@ -506,18 +480,12 @@ mod tests {
         other.merge(&h);
         assert_eq!(other.min(), 0);
         assert_eq!(other.max(), u64::MAX);
-        // The finest resolution exercises the largest bucket table.
-        let mut fine = LogHistogram::new(16);
-        fine.record(u64::MAX);
-        assert_eq!(fine.value_at_percentile(50.0), u64::MAX);
     }
 
     /// The dense layout the occupancy-following one replaced, kept as its
     /// specification: every bucket of the full table, zero-filled up
-    /// front. Bucket edges come from an empty histogram of the same
-    /// resolution.
+    /// front.
     struct Dense {
-        shape: LogHistogram,
         counts: Vec<u64>,
         total: u64,
         min: u64,
@@ -526,20 +494,13 @@ mod tests {
     }
 
     impl Dense {
-        fn new(sub_bits: u32) -> Self {
-            let n_buckets = (65 - sub_bits as usize) << sub_bits;
-            Dense {
-                shape: LogHistogram::new(sub_bits),
-                counts: vec![0; n_buckets],
-                total: 0,
-                min: u64::MAX,
-                max: 0,
-                sum: 0,
-            }
+        fn new() -> Self {
+            let n_buckets = (65 - SUB_BITS as usize) << SUB_BITS;
+            Dense { counts: vec![0; n_buckets], total: 0, min: u64::MAX, max: 0, sum: 0 }
         }
 
         fn record(&mut self, v: u64) {
-            self.counts[self.shape.index(v)] += 1;
+            self.counts[index(v)] += 1;
             self.total += 1;
             self.min = self.min.min(v);
             self.max = self.max.max(v);
@@ -565,25 +526,24 @@ mod tests {
             for (i, &c) in self.counts.iter().enumerate() {
                 seen += c;
                 if seen >= rank {
-                    return self.shape.bucket_high(i).clamp(self.min, self.max);
+                    return bucket_high(i).clamp(self.min, self.max);
                 }
             }
             self.max
         }
 
         fn count_above(&self, v: u64) -> u64 {
-            self.counts[self.shape.index(v) + 1..].iter().sum()
+            self.counts[index(v) + 1..].iter().sum()
         }
 
         fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-            let s = &self.shape;
             let nonzero = self.counts.iter().enumerate().filter(|&(_, &c)| c > 0);
-            nonzero.map(|(i, &c)| (s.bucket_low(i), s.bucket_high(i), c)).collect()
+            nonzero.map(|(i, &c)| (bucket_low(i), bucket_high(i), c)).collect()
         }
     }
 
-    fn both(sub_bits: u32, vals: &[u64]) -> (LogHistogram, Dense) {
-        let (mut h, mut d) = (LogHistogram::new(sub_bits), Dense::new(sub_bits));
+    fn both(vals: &[u64]) -> (LogHistogram, Dense) {
+        let (mut h, mut d) = (LogHistogram::default(), Dense::new());
         for &v in vals {
             h.record(v);
             d.record(v);
@@ -616,7 +576,7 @@ mod tests {
         assert_eq!(h.p50_p99_p999(), (p(50.0), p(99.0), p(99.9)));
     }
 
-    /// Streams at each resolution: random over three ranges, the
+    /// Streams: random over three ranges, the
     /// adversarial shapes above, and falling values that widen the stored
     /// range downward (one stream starts at the top of `u64`).
     fn oracle_streams() -> Vec<Vec<u64>> {
@@ -641,11 +601,9 @@ mod tests {
 
     #[test]
     fn occupancy_layout_matches_the_dense_reference() {
-        for sub_bits in [1, DEFAULT_SUB_BITS, 16] {
-            for vals in oracle_streams() {
-                let (h, d) = both(sub_bits, &vals);
-                assert_same(&h, &d);
-            }
+        for vals in oracle_streams() {
+            let (h, d) = both(&vals);
+            assert_same(&h, &d);
         }
     }
 
@@ -664,33 +622,29 @@ mod tests {
             (vec![], vec![]),
             (vec![u64::MAX], vec![0]),
         ];
-        for sub_bits in [1, DEFAULT_SUB_BITS, 16] {
-            for (a, b) in &pairs {
-                for (x, y) in [(a, b), (b, a)] {
-                    let (mut h, mut d) = both(sub_bits, x);
-                    let (h2, d2) = both(sub_bits, y);
-                    h.merge(&h2);
-                    d.merge(&d2);
-                    assert_same(&h, &d);
-                }
+        for (a, b) in &pairs {
+            for (x, y) in [(a, b), (b, a)] {
+                let (mut h, mut d) = both(x);
+                let (h2, d2) = both(y);
+                h.merge(&h2);
+                d.merge(&d2);
+                assert_same(&h, &d);
             }
         }
     }
 
-    /// Storage follows the recorded range, not the resolution: one sample
-    /// holds one bucket at every `sub_bits`, and a value below the stored
-    /// range widens it without moving any count.
+    /// Storage follows the recorded range, not the full table: one sample
+    /// holds one bucket, and a value below the stored range widens it
+    /// without moving any count.
     #[test]
     fn storage_follows_the_occupied_range() {
-        for sub_bits in [1, DEFAULT_SUB_BITS, 16] {
-            let mut h = LogHistogram::new(sub_bits);
-            assert_eq!(h.heap_bytes(), 0);
-            h.record(123_456);
-            assert_eq!(h.heap_bytes(), size_of::<u64>());
-            h.record(5);
-            let buckets: Vec<u64> = h.nonzero_buckets().iter().map(|&(.., c)| c).collect();
-            assert_eq!(buckets, vec![1, 1]);
-            assert_eq!(h.counts.len(), h.index(123_456) - h.index(5) + 1);
-        }
+        let mut h = LogHistogram::default();
+        assert_eq!(h.heap_bytes(), 0);
+        h.record(123_456);
+        assert_eq!(h.heap_bytes(), size_of::<u64>());
+        h.record(5);
+        let buckets: Vec<u64> = h.nonzero_buckets().iter().map(|&(.., c)| c).collect();
+        assert_eq!(buckets, vec![1, 1]);
+        assert_eq!(h.counts.len(), index(123_456) - index(5) + 1);
     }
 }

@@ -7,9 +7,9 @@
 
 use crate::probe::{EventKind, Probe, ProbeEvent};
 
-/// Default ring capacity: enough to cover several RTTs of a saturated
-/// 100G link without costing noticeable memory (events are ~32 B).
-pub const DEFAULT_CAPACITY: usize = 4096;
+/// Ring capacity: enough to cover several RTTs of a saturated 100G link
+/// without costing noticeable memory (events are ~32 B).
+pub const CAPACITY: usize = 4096;
 
 /// Bounded ring buffer of recent `(time, event)` pairs with per-kind
 /// lifetime counters.
@@ -20,27 +20,20 @@ pub struct FlightRecorder {
     /// Events ever recorded (≥ ring length).
     total: u64,
     counts: [u64; EventKind::COUNT],
-    capacity: usize,
 }
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        Self::new(DEFAULT_CAPACITY)
+        FlightRecorder {
+            ring: Vec::with_capacity(CAPACITY),
+            head: 0,
+            total: 0,
+            counts: [0; EventKind::COUNT],
+        }
     }
 }
 
 impl FlightRecorder {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "flight recorder needs at least one slot");
-        FlightRecorder {
-            ring: Vec::with_capacity(capacity.min(DEFAULT_CAPACITY)),
-            head: 0,
-            total: 0,
-            counts: [0; EventKind::COUNT],
-            capacity,
-        }
-    }
-
     /// Events ever recorded (not bounded by capacity).
     pub fn total(&self) -> u64 {
         self.total
@@ -53,7 +46,7 @@ impl FlightRecorder {
     /// The retained events, oldest first.
     pub fn recent(&self) -> Vec<(u64, ProbeEvent)> {
         let mut out = Vec::with_capacity(self.ring.len());
-        if self.ring.len() == self.capacity {
+        if self.ring.len() == CAPACITY {
             out.extend_from_slice(&self.ring[self.head..]);
         }
         out.extend_from_slice(&self.ring[..self.head.min(self.ring.len())]);
@@ -71,12 +64,12 @@ impl Probe for FlightRecorder {
     fn record(&mut self, at: u64, ev: &ProbeEvent) {
         self.total += 1;
         self.counts[ev.kind() as usize] += 1;
-        if self.ring.len() < self.capacity {
+        if self.ring.len() < CAPACITY {
             self.ring.push((at, *ev));
-            self.head = self.ring.len() % self.capacity;
+            self.head = self.ring.len() % CAPACITY;
         } else {
             self.ring[self.head] = (at, *ev);
-            self.head = (self.head + 1) % self.capacity;
+            self.head = (self.head + 1) % CAPACITY;
         }
     }
 
@@ -111,22 +104,23 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_in_order() {
-        let mut r = FlightRecorder::new(4);
-        for i in 0..10u32 {
-            r.record(i as u64, &ev(i));
+        let mut r = FlightRecorder::default();
+        let n = CAPACITY as u64 + 6;
+        for i in 0..n {
+            r.record(i, &ev(i as u32));
         }
-        assert_eq!(r.total(), 10);
+        assert_eq!(r.total(), n);
         let recent = r.recent();
-        assert_eq!(recent.len(), 4);
+        assert_eq!(recent.len(), CAPACITY);
         let ats: Vec<u64> = recent.iter().map(|&(at, _)| at).collect();
-        assert_eq!(ats, vec![6, 7, 8, 9], "oldest→newest of the last 4");
-        assert_eq!(r.last().unwrap().0, 9);
-        assert_eq!(r.count(EventKind::Timeout), 10);
+        assert_eq!(ats, (6..n).collect::<Vec<_>>(), "oldest→newest of the last CAPACITY");
+        assert_eq!(r.last().unwrap().0, n - 1);
+        assert_eq!(r.count(EventKind::Timeout), n);
     }
 
     #[test]
     fn ring_below_capacity_keeps_everything() {
-        let mut r = FlightRecorder::new(100);
+        let mut r = FlightRecorder::default();
         for i in 0..5u32 {
             r.record(i as u64, &ev(i));
         }
@@ -136,7 +130,7 @@ mod tests {
 
     #[test]
     fn dump_mentions_counts_and_events() {
-        let mut r = FlightRecorder::new(8);
+        let mut r = FlightRecorder::default();
         r.record(42, &ev(7));
         let d = r.dump().unwrap();
         assert!(d.contains("timeout=1"), "{d}");

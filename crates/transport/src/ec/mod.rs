@@ -63,15 +63,6 @@ const _: () = assert!(M >= 1, "EC needs at least one repair shard");
 /// NACK rounds per generation before leaving it to the sender RTO.
 const MAX_NACKS: u8 = 8;
 
-/// EC tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct EcConfig {
-    /// Sender last-resort timer.
-    pub rto: Nanos,
-    /// Receiver staleness before an incomplete generation is NACKed.
-    pub nack_delay: Nanos,
-}
-
 /// Private deterministic stream for receiver-side NACK jitter, keyed off
 /// the flow identity. Drawing from the simulator RNG here would perturb
 /// unrelated flows' draw order and break cross-shard determinism.
@@ -103,9 +94,10 @@ pub struct EcSender {
 }
 
 impl EcSender {
-    pub fn new(cfg: FlowCfg, ecfg: EcConfig, cc: Box<dyn CongestionControl>) -> Self {
+    /// `rto` is the sender's last-resort timer.
+    pub fn new(cfg: FlowCfg, rto: Nanos, cc: Box<dyn CongestionControl>) -> Self {
         EcSender {
-            tx: TxCore::new(cfg, ecfg.rto, cc),
+            tx: TxCore::new(cfg, rto, cc),
             repair_q: VecDeque::new(),
             retx_q: VecDeque::new(),
             retx_pending: BTreeSet::new(),
@@ -319,11 +311,13 @@ pub struct EcReceiver {
 }
 
 impl EcReceiver {
-    pub fn new(cfg: FlowCfg, ecfg: EcConfig, placement: Placement) -> Self {
+    /// `nack_delay` is the staleness before an incomplete generation is
+    /// NACKed.
+    pub fn new(cfg: FlowCfg, nack_delay: Nanos, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, u32::MAX, placement);
         EcReceiver {
             jitter: flow_stream(cfg.flow, cfg.local),
-            nack_delay: ecfg.nack_delay,
+            nack_delay,
             rx,
             acks: AckQueue::new(cfg),
             gens: BTreeMap::new(),
@@ -499,15 +493,17 @@ impl Endpoint for EcReceiver {
     }
 }
 
-/// Builds a connected EC pair.
+/// Builds a connected EC pair: the sender's last-resort `rto`, the
+/// receiver's `nack_delay`.
 pub fn ec_pair(
     cfg: FlowCfg,
-    ecfg: EcConfig,
+    rto: Nanos,
+    nack_delay: Nanos,
     cc: Box<dyn CongestionControl>,
     placement: Placement,
 ) -> (EcSender, EcReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (EcSender::new(cfg, ecfg, cc), EcReceiver::new(rcfg, ecfg, placement))
+    (EcSender::new(cfg, rto, cc), EcReceiver::new(rcfg, nack_delay, placement))
 }
 
 #[cfg(test)]
@@ -526,12 +522,11 @@ mod tests {
         FlowCfg::sender(FlowId(1), NodeId(0), NodeId(1), DcpTag::NonDcp)
     }
 
-    fn ecfg() -> EcConfig {
-        EcConfig { rto: 200 * US, nack_delay: 25 * US }
-    }
+    const NACK_DELAY: Nanos = 25 * US;
 
     fn pair() -> (EcSender, EcReceiver) {
-        ec_pair(cfg(), ecfg(), Box::new(StaticWindow { window_bytes: 1 << 20 }), Placement::Virtual)
+        let cc = Box::new(StaticWindow { window_bytes: 1 << 20 });
+        ec_pair(cfg(), 200 * US, NACK_DELAY, cc, Placement::Virtual)
     }
 
     struct Harness {
@@ -648,7 +643,7 @@ mod tests {
         // The staleness scan timer is armed; fire it late enough.
         let (at, token) = *h.timers.last().expect("scan timer armed");
         let mut ctx = EndpointCtx {
-            now: at + ecfg().nack_delay,
+            now: at + NACK_DELAY,
             pool: &mut h.pool,
             timers: &mut h.timers,
             completions: &mut h.comps,

@@ -46,6 +46,6 @@ pub mod txcore;
 pub use common::{
     ack_packet, data_packet, desc_at, CnpGen, FlowCfg, MsgState, Placement, RttEstimator, TxBook,
 };
-pub use ec::{ec_pair, EcConfig, EcReceiver, EcSender};
+pub use ec::{ec_pair, EcReceiver, EcSender};
 pub use rxcore::{Accept, RxCore};
 pub use txcore::{AckQueue, TxCore};

@@ -13,7 +13,7 @@ use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::WorkReqOp;
 use dcp_transport::cc::{CongestionControl, Dcqcn, NoCc, StaticWindow};
 use dcp_transport::common::{FlowCfg, Placement};
-use dcp_transport::ec::{ec_pair, EcConfig};
+use dcp_transport::ec::ec_pair;
 use dcp_transport::gbn::gbn_pair;
 use dcp_transport::irn::irn_pair;
 use dcp_transport::mprdma::mprdma_pair;
@@ -67,12 +67,13 @@ impl CcKind {
 #[derive(Debug, Clone, Copy)]
 pub struct RunOpts {
     /// RTO for the RTO-based baselines (GBN/IRN/MP-RDMA/RACK/timeout-only;
-    /// RACK-TLP never goes below its own 400 µs).
+    /// RACK-TLP never goes below its own 400 µs) and EC's last-resort
+    /// sender timer.
     pub rto: Nanos,
     /// DCP-RNIC configuration (coarse fallback timeout et al.).
     pub dcp: DcpConfig,
-    /// Erasure-coding timers (sender RTO, receiver NACK delay).
-    pub ec: EcConfig,
+    /// EC receiver staleness before an incomplete generation is NACKed.
+    pub nack_delay: Nanos,
     /// Message size flows are chunked into when posted. The default mirrors
     /// [`dcp_core::config::MSG_CHUNK_BYTES`]; fault experiments use smaller
     /// messages because whole-message fallback resends (DCP's coarse
@@ -83,11 +84,10 @@ pub struct RunOpts {
 
 impl Default for RunOpts {
     fn default() -> Self {
-        let rto = 200 * US;
         RunOpts {
-            rto,
+            rto: 200 * US,
             dcp: DcpConfig::default(),
-            ec: EcConfig { rto, nack_delay: 25 * US },
+            nack_delay: 25 * US,
             chunk: dcp_core::config::MSG_CHUNK_BYTES,
         }
     }
@@ -100,10 +100,8 @@ impl RunOpts {
         o.rto = o.rto.max(2 * rtt);
         o.dcp.coarse_timeout = o.dcp.coarse_timeout.max(4 * rtt);
         // EC's receiver NACK must wait long enough for repair shards that
-        // are still in flight; its sender RTO is the last resort, priced
-        // like the baselines'.
-        o.ec.rto = o.ec.rto.max(2 * rtt);
-        o.ec.nack_delay = o.ec.nack_delay.max(rtt / 8);
+        // are still in flight.
+        o.nack_delay = o.nack_delay.max(rtt / 8);
         o
     }
 }
@@ -158,9 +156,7 @@ pub fn endpoint_pair_opts(
             (Box::new(t), Box::new(r))
         }
         TransportKind::Ec => {
-            let mut ecfg = opts.ec;
-            ecfg.rto = ecfg.rto.max(opts.rto);
-            let (t, r) = ec_pair(cfg, ecfg, cc.build(), Placement::Virtual);
+            let (t, r) = ec_pair(cfg, opts.rto, opts.nack_delay, cc.build(), Placement::Virtual);
             (Box::new(t), Box::new(r))
         }
     }

@@ -408,7 +408,7 @@ fn event_wheel_heap_bytes_match_the_allocator() {
 #[test]
 fn slo_burn_monitor_holds_occupied_buckets_only() {
     let before = live_bytes();
-    let mut slo = SloBurnMonitor::new(10 * US);
+    let mut slo = SloBurnMonitor::default();
     for flow in 0..1_000u32 {
         let at = u64::from(flow) * 1_000;
         slo.record(at, &ProbeEvent::MsgPosted { node: 0, flow, wr_id: 0, bytes: 4096 });

@@ -13,6 +13,9 @@
 //! * dropping the *final* eMSN ACK of a DCP flow (DESIGN.md Finding 2)
 //!   must recover via coarse timeout + re-ACK-on-stale with the delivery
 //!   oracle confirming exactly-once completion;
+//! * a lossy cross cable that eats header-only notifications (§4.5's
+//!   violated control-plane assumption) must still deliver through the
+//!   coarse timeout;
 //! * adversarial runs must be byte-identical across `DCP_THREADS`.
 
 use dcp_bench::digest::{fnv_u64, FNV_OFFSET};
@@ -21,11 +24,11 @@ use dcp_check::{
     pfc_deadlock_cycle, shrink_plan, shrink_repro, Adversary, AdversaryProfile, DeliveryOracle,
     Liveness, Repro, Watchdog,
 };
-use dcp_core::dcp_switch_config;
+use dcp_core::{dcp_pair, dcp_switch_config, DcpConfig};
 use dcp_faults::{FaultEngine, FaultEvent, FaultPlan, LossModel};
 use dcp_netsim::packet::{FlowId, NodeId};
-use dcp_netsim::switch::{PfcConfig, SwitchConfig};
-use dcp_netsim::time::{Nanos, MS, US};
+use dcp_netsim::switch::SwitchConfig;
+use dcp_netsim::time::{Nanos, MS, SEC, US};
 use dcp_netsim::{topology, CompletionKind, LoadBalance, Simulator};
 use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::WorkReqOp;
@@ -55,14 +58,12 @@ fn post_write(sim: &mut Simulator, host: NodeId, flow: FlowId, wr_id: u64, bytes
 // ---------------------------------------------------------------------------
 
 /// Three switches wired in a clockwise ring (the canonical circular-buffer-
-/// dependency topology PFC folklore warns about), two hosts each, with
-/// deliberately tight PAUSE thresholds. Every flow crosses *two* ring hops,
-/// so each ring link carries transit traffic whose egress is the next ring
-/// link — the cyclic dependency.
+/// dependency topology PFC folklore warns about), two hosts each. Every
+/// flow crosses *two* ring hops, so each ring link carries transit traffic
+/// whose egress is the next ring link — the cyclic dependency.
 #[test]
 fn cyclic_lossless_ring_deadlocks_and_the_cycle_detector_names_the_ring() {
-    let mut cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
-    cfg.pfc = Some(PfcConfig { xoff_bytes: 64 * 1024, xon_bytes: 48 * 1024 });
+    let cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
     let mut sim = Simulator::new(3);
     let sw: Vec<NodeId> = (0..3).map(|_| sim.add_switch(cfg)).collect();
     let mut hosts = Vec::new();
@@ -139,8 +140,7 @@ fn cyclic_lossless_ring_deadlocks_and_the_cycle_detector_names_the_ring() {
 
 #[test]
 fn lossless_tree_under_incast_pauses_but_never_cycles() {
-    let mut cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
-    cfg.pfc = Some(PfcConfig { xoff_bytes: 64 * 1024, xon_bytes: 48 * 1024 });
+    let cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
     let mut sim = Simulator::new(4);
     let fan = 2;
     let topo = topology::two_switch_testbed(&mut sim, cfg, fan, 100.0, &[100.0], US, US);
@@ -454,6 +454,50 @@ fn dropped_final_emsn_ack_recovers_via_coarse_timeout_exactly_once() {
         clean.send_complete_at,
         faulted.send_complete_at
     );
+}
+
+/// §4.5 fallback: when header-only notifications are lost (a violated
+/// lossless-control-plane assumption, here a 5 % lossy cross cable that
+/// eats HOs and data alike), the coarse timeout plus retry rounds still
+/// deliver every message.
+#[test]
+fn coarse_timeout_recovers_when_control_plane_breaks() {
+    let mut sim = Simulator::new(19);
+    let mut cfg = dcp_switch_config(LoadBalance::Ecmp, 16);
+    // Forced data loss and a shallow trim threshold so HOs are needed.
+    cfg.forced_loss_rate = 0.01;
+    cfg.data_q_threshold = 8 * 1024;
+    let fan = 2;
+    let topo = topology::two_switch_testbed(&mut sim, cfg, fan, 100.0, &[100.0], US, US);
+    // Port `fan` of the first switch is its cross cable.
+    let plan = FaultPlan::new(0x45)
+        .with_loss_on(&[(topo.leaves[0], fan)], LossModel::Uniform { rate: 0.05 });
+    FaultEngine::install(&mut sim, plan);
+    let dst = topo.hosts[fan];
+    for (i, &h) in topo.hosts[..fan].iter().enumerate() {
+        let flow = FlowId(i as u32 + 1);
+        let cfg = FlowCfg::sender(flow, h, dst, DcpTag::Data);
+        let (tx, rx) =
+            dcp_pair(cfg, DcpConfig::default(), Box::new(NoCc::default()), Placement::Virtual);
+        sim.install_endpoint(h, flow, Box::new(tx));
+        sim.install_endpoint(dst, flow, Box::new(rx));
+        post_write(&mut sim, h, flow, 1, 256 * 1024);
+    }
+    let mut done = 0;
+    while done < fan && sim.pending_events() > 0 && sim.now() < 60 * SEC {
+        sim.advance();
+        sim.for_each_completion(|c| {
+            if c.kind == CompletionKind::RecvComplete {
+                done += 1;
+            }
+        });
+    }
+    assert_eq!(done, fan, "fallback must deliver despite HO losses");
+    let ns = sim.net_stats();
+    assert!(ns.ho_drops > 0, "scenario must actually violate the control plane");
+    let timeouts: u64 =
+        (0..fan).map(|i| sim.endpoint_stats(topo.hosts[i], FlowId(i as u32 + 1)).timeouts).sum();
+    assert!(timeouts > 0, "recovery must have used the coarse fallback");
 }
 
 // ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ fn dcqcn_integration_reduces_retransmission_pressure() {
     let run = |with_cc: bool| {
         let mut cfg = dcp_switch_config(LoadBalance::Ecmp, 16);
         cfg.data_q_threshold = 32 * 1024;
-        cfg.ecn = Some(dcp_netsim::EcnConfig { kmin: 8 * 1024, kmax: 24 * 1024, pmax: 0.2 });
+        cfg.ecn = Some(dcp_netsim::EcnConfig { kmin: 8 * 1024, kmax: 24 * 1024 });
         let mut sim = Simulator::new(2);
         let fan_in = 8;
         let topo = topology::two_switch_testbed(&mut sim, cfg, fan_in, 100.0, &[100.0], US, US);

@@ -152,10 +152,8 @@ fn span_capture_does_not_change_the_digest() {
     // of the two halves: both must be invisible to the simulation.
     let (fused, _) = run_reference(5, Some(Box::new(ScopeProbe::new())), 1, 1);
     assert_eq!(bare, fused, "fused span + monitor capture must be passive");
-    let probe: Box<dyn Probe> = Box::new(Fanout::new(vec![
-        Box::new(SpanBuilder::new()),
-        Box::new(Monitors::with_defaults()),
-    ]));
+    let probe: Box<dyn Probe> =
+        Box::new(Fanout::new(vec![Box::new(SpanBuilder::new()), Box::new(Monitors::default())]));
     let (probed, _) = run_reference(5, Some(probe), 1, 1);
     assert_eq!(bare, probed, "span + monitor capture must be passive");
 }
@@ -210,8 +208,7 @@ fn ber_storm_events() -> Vec<(u64, ProbeEvent)> {
 #[test]
 fn retx_storm_monitor_fires_under_a_ber_storm() {
     let events = ber_storm_events();
-    let mut monitors = Monitors::with_defaults();
-    monitors.retx_storm = dcp_scope::RetxStormMonitor::new(MS, 32);
+    let mut monitors = Monitors::default();
     for (at, ev) in &events {
         monitors.record(*at, ev);
     }
@@ -234,40 +231,29 @@ fn retx_storm_monitor_fires_under_a_ber_storm() {
 
 #[test]
 fn pfc_tree_monitor_fires_under_a_pause_storm() {
-    // Lossless fabric + a long PauseStorm wedging a cross-switch link:
-    // backpressure must reach distinct switches, growing the pause tree.
+    // Lossless 2-spine/4-leaf CLOS: six cross-leaf senders converge on
+    // host 0 while a PauseStorm wedges its access cable, so backpressure
+    // climbs from leaf 0 through both spines into every other leaf.
     let cfg = SwitchConfig::lossless(LoadBalance::Ecmp);
     let mut sim = Simulator::new(23);
     sim.set_probe(capture());
-    let topo = topology::two_switch_testbed(&mut sim, cfg, 4, 100.0, &[100.0; 2], US, US);
+    let topo = topology::clos(&mut sim, cfg, 2, 4, 2, 100.0, 100.0, US, US);
+    let dst = topo.hosts[0];
     let plan = FaultPlan::new(0xFA)
-        .at(50 * US, FaultEvent::PauseStorm { sw: topo.leaves[1], port: 4, duration: 5 * MS })
+        .at(50 * US, FaultEvent::PauseStorm { sw: topo.leaves[0], port: 0, duration: 5 * MS })
         .sorted();
     FaultEngine::install(&mut sim, plan);
-    for i in 0..4 {
+    for (i, &src) in topo.hosts[2..].iter().enumerate() {
         let flow = FlowId(i as u32 + 1);
-        let (tx, rx) = endpoint_pair(
-            TransportKind::TimeoutOnly,
-            CcKind::None,
-            flow,
-            topo.hosts[i],
-            topo.hosts[4],
-        );
-        sim.install_endpoint(topo.hosts[i], flow, tx);
-        sim.install_endpoint(topo.hosts[4], flow, rx);
-        sim.post(
-            topo.hosts[i],
-            flow,
-            0,
-            WorkReqOp::Write { remote_addr: 0x10_0000, rkey: 1 },
-            4 << 20,
-        );
+        let (tx, rx) = endpoint_pair(TransportKind::TimeoutOnly, CcKind::None, flow, src, dst);
+        sim.install_endpoint(src, flow, tx);
+        sim.install_endpoint(dst, flow, rx);
+        sim.post(src, flow, 0, WorkReqOp::Write { remote_addr: 0x10_0000, rkey: 1 }, 4 << 20);
     }
     sim.run_until(20 * MS);
     let events = drain_events(&mut sim);
 
-    let mut monitors = Monitors::with_defaults();
-    monitors.pfc_tree = dcp_scope::PfcTreeMonitor::new(2);
+    let mut monitors = Monitors::default();
     for (at, ev) in &events {
         monitors.record(*at, ev);
     }
@@ -276,7 +262,8 @@ fn pfc_tree_monitor_fires_under_a_pause_storm() {
         "pause storm must spread across switches: {:?}",
         monitors.pfc_tree.dump()
     );
-    assert!(monitors.pfc_tree.max_nodes >= 2, "tree must span both switches");
+    let switches = topo.leaves.len() + topo.spines.len();
+    assert_eq!(monitors.pfc_tree.max_nodes, switches, "tree must span every switch");
 }
 
 #[test]
