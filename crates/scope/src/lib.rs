@@ -40,6 +40,7 @@ mod span;
 
 pub use monitor::{
     Monitors, PfcTreeMonitor, QueueHighWaterMonitor, RetxStormMonitor, SloBurnMonitor,
+    PFC_TREE_NODES, SLO_NS, STORM_THRESHOLD, STORM_WINDOW_NS,
 };
 pub use perfetto::chrome_trace;
 pub use span::{MessageSpan, PacketSpan, SpanBuilder};
